@@ -7,7 +7,6 @@ the exact predictions, so drift is visible at a glance.
 """
 
 import argparse
-import math
 from dataclasses import replace
 
 from csdcsim.attacks import (
@@ -18,7 +17,7 @@ from csdcsim.attacks import (
     detection_oracle,
     estimate_detection,
 )
-from csdcsim.protocol import ProtocolConfig
+from csdcsim.protocol import ConfigError, ProtocolConfig, session_capacity
 
 ATTACKS = (
     None,
@@ -27,11 +26,6 @@ ATTACKS = (
     InterceptResend(BasisStrategy.ALWAYS_X),
     EntangleMeasure(),
 )
-
-
-def checked_per_session(triplets: int, fraction: float) -> int:
-    groups = triplets // 2
-    return 2 * math.ceil(fraction * groups)
 
 
 def main() -> None:
@@ -47,15 +41,17 @@ def main() -> None:
         help="check fractions to sweep (each strictly between 0 and 1)",
     )
     args = parser.parse_args()
+    try:
+        capacities = [session_capacity(args.triplets, f) for f in args.fractions]
+    except ConfigError as exc:
+        parser.error(str(exc))
 
     header = (
         "attack", "fraction", "checked/session", "measured_rate",
         "predicted_rate", "measured_abort", "predicted_abort",
     )
     print("\t".join(header))
-    for fraction in args.fractions:
-        groups = args.triplets // 2
-        capacity = 2 * (groups - math.ceil(fraction * groups))
+    for fraction, capacity in zip(args.fractions, capacities):
         if capacity <= 0:
             print(f"# skipping fraction {fraction}: no encoding capacity left")
             continue
@@ -65,7 +61,7 @@ def main() -> None:
             check_fraction=fraction,
             seed=args.seed,
         )
-        k = checked_per_session(args.triplets, fraction)
+        k = 2 * base.checking_group_count
         for attack in ATTACKS:
             stats = estimate_detection(replace(base, attack=attack), args.trials)
             predicted_rate = detection_oracle(attack)

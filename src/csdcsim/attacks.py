@@ -241,7 +241,6 @@ class DetectionStats:
     abort_rate: float
     decoded_bits_total: int
     decoded_bits_correct: int
-    eve_information: float | None = None
 
     @property
     def decode_accuracy(self) -> float:
@@ -283,9 +282,6 @@ def estimate_detection(config: ProtocolConfig, trials: int) -> DetectionStats:
             bits_correct += sum(
                 1 for a, b in zip(result.decoded_bits, cfg.message_bits) if a == b
             )
-    eve_info = (
-        eve_group_information() if isinstance(config.attack, EntangleMeasure) else None
-    )
     return DetectionStats(
         attack=attack_cell_label(config.attack),
         trials=trials,
@@ -296,7 +292,6 @@ def estimate_detection(config: ProtocolConfig, trials: int) -> DetectionStats:
         abort_rate=aborts / trials,
         decoded_bits_total=bits_total,
         decoded_bits_correct=bits_correct,
-        eve_information=eve_info,
     )
 
 

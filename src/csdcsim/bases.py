@@ -32,6 +32,7 @@ from .states import (
     BELL_OUTCOMES,
     BellOutcome,
     Gate,
+    MeasurementBasis,
     QubitId,
     StateVector,
     apply_gate,
@@ -75,21 +76,9 @@ class EncodingOp(Enum):
         raise ValueError(f"no encoding operation for bits {bits!r}")
 
 
-_BELL_KETS = {
-    BellOutcome.PSI_PLUS: (("01", 1.0), ("10", 1.0)),
-    BellOutcome.PSI_MINUS: (("01", 1.0), ("10", -1.0)),
-    BellOutcome.PHI_PLUS: (("00", 1.0), ("11", 1.0)),
-    BellOutcome.PHI_MINUS: (("00", 1.0), ("11", -1.0)),
-}
-
-
 def bell_state_vector(outcome: BellOutcome, pair: tuple[QubitId, QubitId]) -> StateVector:
     """The Bell state on the ordered pair (first qubit is the index MSB)."""
-    a, b = pair
-    amps = np.zeros(4, dtype=complex)
-    for bits, sign in _BELL_KETS[outcome]:
-        amps[int(bits, 2)] = sign * _SQRT_HALF
-    return make_state((a, b), amps)
+    return make_state(pair, outcome.vector)
 
 
 _GHZ_KETS = {
@@ -129,18 +118,16 @@ _DIAGONAL_EXPANSION_TERMS: dict[int, tuple[tuple[int, int, int, float], ...]] = 
     8: ((0, 0, 1, 1.0), (0, 1, 0, -1.0), (1, 1, 1, 1.0), (1, 0, 0, -1.0)),
 }
 
-_DIAG = np.array([[_SQRT_HALF, _SQRT_HALF], [_SQRT_HALF, -_SQRT_HALF]])
-
-
 def reference_diagonal_expansion(
     index: int, triple: tuple[QubitId, QubitId, QubitId]
 ) -> StateVector:
     """The tabulated diagonal-basis expansion for the indexed element."""
     if index not in _DIAGONAL_EXPANSION_TERMS:
         raise ValueError(f"GHZ index must be 1..8, got {index}")
+    diag = MeasurementBasis.DIAGONAL.vectors
     amps = np.zeros(8, dtype=complex)
     for h, t, c, coeff in _DIAGONAL_EXPANSION_TERMS[index]:
-        amps += 0.5 * coeff * np.kron(np.kron(_DIAG[h], _DIAG[t]), _DIAG[c])
+        amps += 0.5 * coeff * np.kron(np.kron(diag[h], diag[t]), diag[c])
     return make_state(triple, amps)
 
 

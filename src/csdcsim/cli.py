@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import math
 import sys
 from dataclasses import replace
 from typing import IO, Iterator
@@ -28,7 +27,7 @@ from .attacks import (
     InterceptResend,
     estimate_detection,
 )
-from .protocol import ConfigError, InternalError, ProtocolConfig, Session
+from .protocol import ConfigError, InternalError, ProtocolConfig, Session, session_capacity
 from .states import BELL_OUTCOMES
 from .transcript import format_transcript
 
@@ -219,7 +218,7 @@ def run_sweep(args: argparse.Namespace) -> int:
     # sweep sessions carry random messages, so any valid capacity works
     base = ProtocolConfig(
         triplet_count=args.triplets,
-        message_bits="0" * _capacity(args),
+        message_bits="0" * session_capacity(args.triplets, args.check_fraction),
         party_count=args.parties,
         check_fraction=args.check_fraction,
         seed=args.seed,
@@ -238,12 +237,6 @@ def run_sweep(args: argparse.Namespace) -> int:
                 f"{stats.decode_accuracy:.6f}\n"
             )
     return EXIT_OK
-
-
-def _capacity(args: argparse.Namespace) -> int:
-    groups = args.triplets // 2
-    checking = math.ceil(args.check_fraction * groups)
-    return 2 * max(groups - checking, 0)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -33,9 +33,9 @@ so changing one party's behavior never shifts another party's draws.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, ClassVar, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -82,7 +82,6 @@ class Phase(Enum):
     S7 = "S7"
     S8 = "S8"
     S9 = "S9"
-    S10 = "S10"
     S11 = "S11"
     ABORTED = "ABORT"
 
@@ -96,23 +95,30 @@ def roster_names(party_count: int) -> tuple[str, ...]:
     return (ALICE, BOB) + tuple(f"CTRL{j}" for j in range(1, party_count - 1))
 
 
+def triplet_parity(controller_bits: Sequence[int]) -> int:
+    """XOR of all controller outcomes for one triplet (or of any bits)."""
+    parity = 0
+    for b in controller_bits:
+        parity ^= b
+    return parity
+
+
 def coincidence_ok(basis: MeasurementBasis, bits: Sequence[int]) -> bool:
     """Checking rule: computational outcomes must all agree, diagonal
     outcomes must have even parity."""
     if basis is MeasurementBasis.COMPUTATIONAL:
         return len(set(bits)) == 1
-    parity = 0
-    for b in bits:
-        parity ^= b
-    return parity == 0
+    return triplet_parity(bits) == 0
 
 
-def triplet_parity(controller_bits: Sequence[int]) -> int:
-    """XOR of all controller outcomes for one triplet."""
-    parity = 0
-    for b in controller_bits:
-        parity ^= b
-    return parity
+def session_capacity(triplet_count: int, check_fraction: float) -> int:
+    """Message bits one session carries: two per group of consecutive
+    triplets, after ceil(check_fraction * groups) groups are reserved for
+    checking."""
+    if not (0.0 < check_fraction < 1.0):
+        raise ConfigError(f"check fraction must lie strictly between 0 and 1, got {check_fraction}")
+    groups = triplet_count // 2
+    return 2 * (groups - math.ceil(check_fraction * groups))
 
 
 @dataclass(frozen=True)
@@ -133,8 +139,7 @@ class ProtocolConfig:
             raise ConfigError(f"triplet count must be a positive even integer, got {self.triplet_count}")
         if self.party_count < 3:
             raise ConfigError(f"party count must be at least 3, got {self.party_count}")
-        if not (0.0 < self.check_fraction < 1.0):
-            raise ConfigError(f"check fraction must lie strictly between 0 and 1, got {self.check_fraction}")
+        capacity = session_capacity(self.triplet_count, self.check_fraction)  # checks the fraction
         if not (0 <= self.seed <= MAX_SEED):
             raise ConfigError(f"seed must fit in an unsigned 64-bit integer, got {self.seed}")
         if set(self.message_bits) - {"0", "1"}:
@@ -149,10 +154,10 @@ class ProtocolConfig:
                 f"no encoding groups remain: {self.group_count} group(s) with "
                 f"{self.checking_group_count} reserved for checking"
             )
-        if len(self.message_bits) != self.capacity_bits:
+        if len(self.message_bits) != capacity:
             raise ConfigError(
                 f"message length {len(self.message_bits)} does not match the "
-                f"session capacity of {self.capacity_bits} bit(s) "
+                f"session capacity of {capacity} bit(s) "
                 f"({self.encoding_group_count} encoding group(s), 2 bits each)"
             )
 
@@ -171,15 +176,15 @@ class ProtocolConfig:
 
     @property
     def checking_group_count(self) -> int:
-        return math.ceil(self.check_fraction * self.group_count)
+        return self.group_count - self.encoding_group_count
 
     @property
     def encoding_group_count(self) -> int:
-        return self.group_count - self.checking_group_count
+        return self.capacity_bits // 2
 
     @property
     def capacity_bits(self) -> int:
-        return 2 * self.encoding_group_count
+        return session_capacity(self.triplet_count, self.check_fraction)
 
 
 @dataclass
@@ -194,124 +199,6 @@ class GroupState:
     receiver_bell: BellOutcome | None = None
     encoded_bits: str | None = None
     decoded_bits: str | None = None
-
-
-# --- classical channel -------------------------------------------------
-# Broadcast messages are authenticated: the eavesdropper reads them but
-# cannot alter or suppress them.  Each carries a session-wide sequence
-# number assigned at broadcast time.
-
-
-@dataclass
-class Receipt:
-    ACTION: ClassVar[str] = "RECEIPT"
-    seq: int
-    party: str
-    count: int
-
-    def detail(self) -> str:
-        return f"party={self.party} count={self.count}"
-
-
-@dataclass
-class GroupSelection:
-    ACTION: ClassVar[str] = "GROUP_SELECTION"
-    seq: int
-    checking: tuple[int, ...]
-    encoding: tuple[int, ...]
-
-    def detail(self) -> str:
-        return (
-            f"checking={','.join(map(str, self.checking))} "
-            f"encoding={','.join(map(str, self.encoding))}"
-        )
-
-
-@dataclass
-class CheckAnnounce:
-    ACTION: ClassVar[str] = "CHECK_ANNOUNCE"
-    seq: int
-    triplet: int
-    basis: MeasurementBasis
-    outcome: int
-
-    def detail(self) -> str:
-        return f"triplet={self.triplet} basis={self.basis.value} outcome={self.outcome}"
-
-
-@dataclass
-class CheckReply:
-    ACTION: ClassVar[str] = "CHECK_REPLY"
-    seq: int
-    party: str
-    triplet: int
-    basis: MeasurementBasis
-    outcome: int
-
-    def detail(self) -> str:
-        return (
-            f"party={self.party} triplet={self.triplet} "
-            f"basis={self.basis.value} outcome={self.outcome}"
-        )
-
-
-@dataclass
-class CheckVerdict:
-    ACTION: ClassVar[str] = "CHECK_VERDICT"
-    seq: int
-    passed: bool
-    checked: int
-    violations: int
-
-    def detail(self) -> str:
-        verdict = "pass" if self.passed else "abort"
-        return f"verdict={verdict} checked={self.checked} violations={self.violations}"
-
-
-@dataclass
-class ControllerOutcomes:
-    ACTION: ClassVar[str] = "CONTROLLER_OUTCOMES"
-    seq: int
-    party: str
-    outcomes: tuple[tuple[int, int], ...]  # (triplet, bit)
-
-    def detail(self) -> str:
-        listed = ",".join(f"{t}:{b}" for t, b in self.outcomes)
-        return f"party={self.party} outcomes={listed}"
-
-
-@dataclass
-class BellAnnounce:
-    ACTION: ClassVar[str] = "BELL_ANNOUNCE"
-    seq: int
-    group: int
-    outcome: BellOutcome
-
-    def detail(self) -> str:
-        return f"group={self.group} outcome={self.outcome.value}"
-
-
-@dataclass
-class Abort:
-    ACTION: ClassVar[str] = "ABORT"
-    seq: int
-    reason: str
-    triplet: int
-
-    def detail(self) -> str:
-        return f"reason={self.reason} triplet={self.triplet}"
-
-
-ClassicalMessage = (
-    Receipt
-    | GroupSelection
-    | CheckAnnounce
-    | CheckReply
-    | CheckVerdict
-    | ControllerOutcomes
-    | BellAnnounce
-    | Abort
-)
 
 
 @dataclass(frozen=True)
@@ -343,9 +230,7 @@ class Session:
             for i, name in enumerate(stream_names)
         }
         self.records: list[TranscriptRecord] = []
-        self.messages: list[ClassicalMessage] = []
         self._seq = 0
-        self._msg_seq = 0
         self.phase = Phase.S1
         # disentangled subsystems, merged lazily when a joint operation
         # spans two of them
@@ -355,7 +240,6 @@ class Session:
         self._measured: set[QubitId] = set()
         self.groups: list[GroupState] = []
         self._check_bases: dict[int, MeasurementBasis] = {}
-        self.eve_taps: list = []
         self.checked_triplets = 0
         self.violations = 0
         self.abort_triplet: int | None = None
@@ -376,17 +260,12 @@ class Session:
         self.phase = phase
 
     def _emit(self, actor: str, action: str, detail: str) -> None:
+        # Announcements are authenticated: the eavesdropper reads them but
+        # cannot alter or suppress them.
         self._seq += 1
         self.records.append(
             TranscriptRecord(self._seq, self.phase.value, actor, action, detail)
         )
-
-    def _broadcast(self, actor: str, message_type, /, **fields) -> ClassicalMessage:
-        self._msg_seq += 1
-        message = message_type(seq=self._msg_seq, **fields)
-        self.messages.append(message)
-        self._emit(actor, message.ACTION, message.detail())
-        return message
 
     # -- quantum register pool -------------------------------------------
 
@@ -489,7 +368,6 @@ class Session:
                 self._replace(slot, state)
                 self._created.update(new_qubits)
                 if record is not None:
-                    self.eve_taps.append(record)
                     self._emit(EVE, "TAP", record.detail())
         for ctrl in cfg.controllers:
             self._emit(
@@ -498,7 +376,7 @@ class Session:
 
         self._advance(Phase.S2)
         for party in (cfg.sender,) + cfg.controllers:
-            self._broadcast(party, Receipt, party=party, count=cfg.triplet_count)
+            self._emit(party, "RECEIPT", f"party={party} count={cfg.triplet_count}")
         self.groups = [
             GroupState(index=k, triplets=(2 * k - 1, 2 * k))
             for k in range(1, cfg.group_count + 1)
@@ -512,7 +390,11 @@ class Session:
         encoding = tuple(sorted(int(g) for g in order[cfg.checking_group_count :]))
         for group in self.groups:
             group.kind = "checking" if group.index in checking else "encoding"
-        self._broadcast(cfg.sender, GroupSelection, checking=checking, encoding=encoding)
+        self._emit(
+            cfg.sender,
+            "GROUP_SELECTION",
+            f"checking={','.join(map(str, checking))} encoding={','.join(map(str, encoding))}",
+        )
 
     def _checking_groups(self) -> list[GroupState]:
         return [g for g in self.groups if g.kind == "checking"]
@@ -537,14 +419,18 @@ class Session:
                 )
                 self._check_bases[n] = basis
                 bits = [self._measure(QubitId(n, "t"), basis, cfg.sender)]
-                self._broadcast(
-                    cfg.sender, CheckAnnounce, triplet=n, basis=basis, outcome=bits[0]
+                self._emit(
+                    cfg.sender,
+                    "CHECK_ANNOUNCE",
+                    f"triplet={n} basis={basis.value} outcome={bits[0]}",
                 )
                 for party in (cfg.receiver,) + cfg.controllers:
                     outcome = self._measure(self._held_qubit(party, n), basis, party)
                     bits.append(outcome)
-                    self._broadcast(
-                        party, CheckReply, party=party, triplet=n, basis=basis, outcome=outcome
+                    self._emit(
+                        party,
+                        "CHECK_REPLY",
+                        f"party={party} triplet={n} basis={basis.value} outcome={outcome}",
                     )
                 self.checked_triplets += 1
                 if not coincidence_ok(basis, bits):
@@ -565,16 +451,15 @@ class Session:
                     )
 
         passed = self.violations == 0
-        self._broadcast(
+        self._emit(
             cfg.sender,
-            CheckVerdict,
-            passed=passed,
-            checked=self.checked_triplets,
-            violations=self.violations,
+            "CHECK_VERDICT",
+            f"verdict={'pass' if passed else 'abort'} checked={self.checked_triplets} "
+            f"violations={self.violations}",
         )
         if not passed:
-            self._broadcast(
-                cfg.sender, Abort, reason="check_failed", triplet=self.abort_triplet
+            self._emit(
+                cfg.sender, "ABORT", f"reason=check_failed triplet={self.abort_triplet}"
             )
             self._advance(Phase.ABORTED)
         return passed
@@ -595,12 +480,8 @@ class Session:
         self._advance(Phase.S6)
         encoding_triplets = [n for g in self._encoding_groups() for n in g.triplets]
         for ctrl in cfg.controllers:
-            self._broadcast(
-                ctrl,
-                ControllerOutcomes,
-                party=ctrl,
-                outcomes=tuple((n, bits[(ctrl, n)]) for n in encoding_triplets),
-            )
+            listed = ",".join(f"{n}:{bits[(ctrl, n)]}" for n in encoding_triplets)
+            self._emit(ctrl, "CONTROLLER_OUTCOMES", f"party={ctrl} outcomes={listed}")
         for group in self._encoding_groups():
             group.parities = tuple(
                 triplet_parity([bits[(ctrl, n)] for ctrl in cfg.controllers])
@@ -632,8 +513,10 @@ class Session:
 
         self._advance(Phase.S8)
         for group in encoding:
-            self._broadcast(
-                cfg.sender, BellAnnounce, group=group.index, outcome=group.sender_bell
+            self._emit(
+                cfg.sender,
+                "BELL_ANNOUNCE",
+                f"group={group.index} outcome={group.sender_bell.value}",
             )
 
     def receiver_decode(self) -> str:
@@ -718,7 +601,3 @@ class Session:
 def run_session(config: ProtocolConfig) -> SessionResult:
     return Session(config).run()
 
-
-def derived_config(config: ProtocolConfig, **changes) -> ProtocolConfig:
-    """dataclasses.replace with revalidation, kept next to the dataclass."""
-    return replace(config, **changes)

@@ -19,12 +19,19 @@ RUN = [sys.executable, "-m", "csdcsim.cli"]
 PACKAGE_ROOT = str(Path(cli.__file__).resolve().parents[1])
 
 
-def invoke(*args, **kwargs):
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def child_env():
     inherited = os.environ.get("PYTHONPATH")
     path = PACKAGE_ROOT + (os.pathsep + inherited if inherited else "")
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def invoke(*args, **kwargs):
     return subprocess.run(
         RUN + list(args), capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": path}, **kwargs
+        env=child_env(), **kwargs
     )
 
 
@@ -115,12 +122,15 @@ def test_attack_basis_flag_is_accepted():
         ["--mode", "sweep", "--trials", "0"],
         ["--unknown-flag"],
         ["--mode", "frobnicate"],
+        ["--mode", "sweep", "--check-fraction", "nan"],
+        ["--mode", "sweep", "--check-fraction", "inf"],
     ],
 )
 def test_bad_usage_exits_one(args):
     proc = invoke(*args)
     assert proc.returncode == 1
     assert "error" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 # --- verify mode --------------------------------------------------------
@@ -218,3 +228,28 @@ def test_stats_file_destination(tmp_path):
     assert proc.returncode == 0
     assert proc.stdout == ""
     assert stats_dict(out.read_text())["decoded"] == "0001"
+
+
+# --- scripts ------------------------------------------------------------
+
+
+def run_script(name, *args):
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS / name), *args], capture_output=True, text=True,
+        timeout=120, env=child_env(),
+    )
+
+
+def test_detection_sweep_script_prints_one_row_per_attack():
+    proc = run_script("detection_sweep.py", "--triplets", "8", "--trials", "5", "--fractions", "0.5")
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = proc.stdout.strip().splitlines()
+    assert header.split("\t")[:3] == ["attack", "fraction", "checked/session"]
+    assert len(rows) == 5
+    assert all(row.split("\t")[1:3] == ["0.5", "4"] for row in rows)
+
+
+def test_identity_report_script_runs():
+    proc = run_script("identity_report.py")
+    assert proc.returncode == 0, proc.stderr
+    assert "decode table: 64 keys" in proc.stdout

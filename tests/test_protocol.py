@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from csdcsim.protocol import (
     ALICE,
     BOB,
-    CheckVerdict,
     ConfigError,
     Phase,
     ProtocolConfig,
@@ -18,6 +17,7 @@ from csdcsim.protocol import (
     coincidence_ok,
     roster_names,
     run_session,
+    session_capacity,
     triplet_parity,
 )
 from csdcsim.attacks import BasisStrategy, InterceptResend
@@ -31,6 +31,10 @@ def config(**overrides) -> ProtocolConfig:
     base = dict(triplet_count=8, message_bits="0001", seed=42)
     base.update(overrides)
     return ProtocolConfig(**base)
+
+
+def detail_fields(record) -> dict[str, str]:
+    return dict(item.split("=", 1) for item in record.detail.split())
 
 
 # --- configuration ------------------------------------------------------
@@ -47,6 +51,15 @@ def test_capacity_accounting():
     assert cfg.checking_group_count == 2
     assert cfg.encoding_group_count == 2
     assert cfg.capacity_bits == 4
+    assert session_capacity(8, 0.5) == 4
+    assert session_capacity(10, 0.5) == 4  # ceil(2.5) = 3 checking groups
+    assert session_capacity(4, 0.9) == 0
+
+
+@pytest.mark.parametrize("fraction", [0.0, 1.0, -0.5, 1.5, float("nan"), float("inf")])
+def test_capacity_rule_rejects_fractions_outside_the_open_interval(fraction):
+    with pytest.raises(ConfigError):
+        session_capacity(8, fraction)
 
 
 @pytest.mark.parametrize(
@@ -200,14 +213,6 @@ def test_sequence_numbers_are_dense():
     assert [r.seq for r in result.records] == list(range(1, len(result.records) + 1))
 
 
-def test_broadcast_seqs_are_increasing():
-    sess = Session(config())
-    sess.run()
-    seqs = [m.seq for m in sess.messages]
-    assert seqs == sorted(seqs)
-    assert len(set(seqs)) == len(seqs)
-
-
 def test_transcript_round_trips():
     result = run_session(config())
     text = result.transcript_text
@@ -230,9 +235,9 @@ def test_different_seed_different_run():
 def test_verdict_counts_every_checked_triplet():
     sess = Session(config())
     sess.run()
-    verdicts = [m for m in sess.messages if isinstance(m, CheckVerdict)]
+    verdicts = [r for r in sess.records if r.action == "CHECK_VERDICT"]
     assert len(verdicts) == 1
-    assert verdicts[0].checked == 4
+    assert detail_fields(verdicts[0])["checked"] == "4"
 
 
 def test_abort_ends_the_transcript():
@@ -245,6 +250,9 @@ def test_abort_ends_the_transcript():
     assert result.abort_triplet is not None
     assert result.records[-1].action == "ABORT"
     assert result.violations > 0
+    verdict, abort = result.records[-2:]
+    assert verdict.detail == f"verdict=abort checked=4 violations={result.violations}"
+    assert abort.detail == f"reason=check_failed triplet={result.abort_triplet}"
 
 
 def test_checked_photons_are_consumed_even_on_abort():
@@ -252,7 +260,9 @@ def test_checked_photons_are_consumed_even_on_abort():
     sess = Session(cfg)
     result = sess.run()
     assert not result.completed
-    checked = {m.triplet for m in sess.messages if m.ACTION == "CHECK_ANNOUNCE"}
+    checked = {
+        int(detail_fields(r)["triplet"]) for r in sess.records if r.action == "CHECK_ANNOUNCE"
+    }
     assert len(checked) == 4
     # encoding-group photons are left alive after an abort
     assert all(q.triplet not in checked for q in sess.unmeasured_qubits())
