@@ -41,6 +41,8 @@ def main() -> None:
         help="check fractions to sweep (each strictly between 0 and 1)",
     )
     args = parser.parse_args()
+    if args.trials < 1:
+        parser.error(f"--trials must be at least 1, got {args.trials}")
     try:
         capacities = [session_capacity(args.triplets, f) for f in args.fractions]
     except ConfigError as exc:

@@ -27,7 +27,9 @@ from .attacks import (
     InterceptResend,
     estimate_detection,
 )
-from .protocol import ConfigError, InternalError, ProtocolConfig, Session, session_capacity
+from .protocol import (
+    MAX_PARTIES, ConfigError, InternalError, ProtocolConfig, Session, session_capacity,
+)
 from .states import BELL_OUTCOMES
 from .transcript import format_transcript
 
@@ -80,7 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--parties", type=int, default=DEFAULT_PARTIES, metavar="P",
-        help=f"total parties including sender and receiver, >= 3 (default: {DEFAULT_PARTIES})",
+        help=f"total parties including sender and receiver, 3 to {MAX_PARTIES} "
+        f"(default: {DEFAULT_PARTIES})",
     )
     parser.add_argument(
         "--attack", choices=("none", "intercept-resend", "entangle-measure"),

@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -62,6 +63,9 @@ BOB = "BOB"
 EVE = "EVE"
 
 MAX_SEED = 2**64 - 1
+# Every triplet is prepared up front as a dense register of 2**P
+# amplitudes (2**(P+1) with a probe ancilla); P=12 is 64 KiB a triplet.
+MAX_PARTIES = 12
 
 
 class ConfigError(ValueError):
@@ -114,7 +118,9 @@ def coincidence_ok(basis: MeasurementBasis, bits: Sequence[int]) -> bool:
 def session_capacity(triplet_count: int, check_fraction: float) -> int:
     """Message bits one session carries: two per group of consecutive
     triplets, after ceil(check_fraction * groups) groups are reserved for
-    checking."""
+    checking.  Rejects a triplet count that is not positive and even."""
+    if triplet_count <= 0 or triplet_count % 2 != 0:
+        raise ConfigError(f"triplet count must be a positive even integer, got {triplet_count}")
     if not (0.0 < check_fraction < 1.0):
         raise ConfigError(f"check fraction must lie strictly between 0 and 1, got {check_fraction}")
     groups = triplet_count // 2
@@ -135,11 +141,12 @@ class ProtocolConfig:
     receiver: str = ALICE
 
     def __post_init__(self) -> None:
-        if self.triplet_count <= 0 or self.triplet_count % 2 != 0:
-            raise ConfigError(f"triplet count must be a positive even integer, got {self.triplet_count}")
-        if self.party_count < 3:
-            raise ConfigError(f"party count must be at least 3, got {self.party_count}")
-        capacity = session_capacity(self.triplet_count, self.check_fraction)  # checks the fraction
+        # session_capacity rejects a bad triplet count or check fraction
+        capacity = session_capacity(self.triplet_count, self.check_fraction)
+        if not (3 <= self.party_count <= MAX_PARTIES):
+            raise ConfigError(
+                f"party count must be between 3 and {MAX_PARTIES}, got {self.party_count}"
+            )
         if not (0 <= self.seed <= MAX_SEED):
             raise ConfigError(f"seed must fit in an unsigned 64-bit integer, got {self.seed}")
         if set(self.message_bits) - {"0", "1"}:
@@ -161,11 +168,11 @@ class ProtocolConfig:
                 f"({self.encoding_group_count} encoding group(s), 2 bits each)"
             )
 
-    @property
+    @cached_property
     def roster(self) -> tuple[str, ...]:
         return roster_names(self.party_count)
 
-    @property
+    @cached_property
     def controllers(self) -> tuple[str, ...]:
         """Controller parties for this run, in roster order."""
         return tuple(p for p in self.roster if p not in (self.sender, self.receiver))
@@ -245,10 +252,10 @@ class Session:
         self.abort_triplet: int | None = None
         self.decoded_bits: str | None = None
 
-        cfg = config
-        self._role_holder = {"h": cfg.receiver, "t": cfg.sender}
-        for j, name in enumerate(cfg.controllers, start=1):
-            self._role_holder[f"c{j}"] = name
+        # the role of the photon each party holds in every triplet
+        self._role_of = {config.receiver: "h", config.sender: "t"}
+        for j, name in enumerate(config.controllers, start=1):
+            self._role_of[name] = f"c{j}"
 
     # -- transcript and channel helpers ---------------------------------
 
@@ -268,12 +275,13 @@ class Session:
         )
 
     # -- quantum register pool -------------------------------------------
+    # _where maps each live qubit to its slot.  Only creation (_add_state,
+    # an attack tap) and _merge move qubits into a slot, so only they write
+    # it; a measured qubit leaves it, so measuring it again fails in _slot_of.
 
     def _add_state(self, state: StateVector) -> None:
-        slot = len(self._pool)
+        self._where.update(dict.fromkeys(state.qubits, len(self._pool)))
         self._pool.append(state)
-        for q in state.qubits:
-            self._where[q] = slot
         self._created.update(state.qubits)
 
     def _slot_of(self, qubit: QubitId) -> int:
@@ -281,12 +289,6 @@ class Session:
         if slot is None:
             raise InternalError(f"qubit {qubit} is absent (never created or already measured)")
         return slot
-
-    def _replace(self, slot: int, state: StateVector | None) -> None:
-        self._pool[slot] = state
-        if state is not None:
-            for q in state.qubits:
-                self._where[q] = slot
 
     def _merge(self, qubits: Sequence[QubitId]) -> int:
         slots = []
@@ -299,46 +301,30 @@ class Session:
         for s in slots[1:]:
             state = tensor(state, self._pool[s])
             self._pool[s] = None
-        self._replace(target, state)
+        self._pool[target] = state
+        self._where.update(dict.fromkeys(state.qubits, target))
         return target
 
     def _apply(self, gate: Gate, qubit: QubitId) -> None:
         slot = self._slot_of(qubit)
-        self._replace(slot, apply_gate(self._pool[slot], gate, qubit))
+        self._pool[slot] = apply_gate(self._pool[slot], gate, qubit)
 
     def _measure(self, qubit: QubitId, basis: MeasurementBasis, party: str) -> int:
-        if qubit in self._measured:
-            raise InternalError(f"qubit {qubit} measured twice")
         slot = self._slot_of(qubit)
         outcome, post = measure_qubit(self._pool[slot], qubit, basis, self._rngs[party])
         del self._where[qubit]
         self._measured.add(qubit)
-        self._replace(slot, post if post.num_qubits else None)
+        self._pool[slot] = post if post.num_qubits else None
         return outcome
 
     def _measure_bell_pair(self, pair: tuple[QubitId, QubitId], party: str) -> BellOutcome:
-        for q in pair:
-            if q in self._measured:
-                raise InternalError(f"qubit {q} measured twice")
         slot = self._merge(pair)
         outcome, post = measure_bell(self._pool[slot], pair, self._rngs[party])
         for q in pair:
             del self._where[q]
             self._measured.add(q)
-        self._replace(slot, post if post.num_qubits else None)
+        self._pool[slot] = post if post.num_qubits else None
         return outcome
-
-    # -- qubit naming ------------------------------------------------------
-
-    def _triplet_qubits(self, n: int) -> tuple[QubitId, ...]:
-        roles = ["h", "t"] + [f"c{j}" for j in range(1, self.config.party_count - 1)]
-        return tuple(QubitId(n, role) for role in roles)
-
-    def _held_qubit(self, party: str, triplet: int) -> QubitId:
-        for role, holder in self._role_holder.items():
-            if holder == party:
-                return QubitId(triplet, role)
-        raise InternalError(f"party {party} holds no qubit")
 
     # -- protocol phases ---------------------------------------------------
 
@@ -349,11 +335,11 @@ class Session:
             "PREPARE",
             f"triplets={cfg.triplet_count} parties={cfg.party_count} groups={cfg.group_count}",
         )
+        roles = ("h", "t") + tuple(f"c{j}" for j in range(1, cfg.party_count - 1))
+        ghz = np.zeros(1 << len(roles))
+        ghz[0] = ghz[-1] = 1.0
         for n in range(1, cfg.triplet_count + 1):
-            qubits = self._triplet_qubits(n)
-            amps = np.zeros(1 << len(qubits))
-            amps[0] = amps[-1] = 1.0
-            self._add_state(make_state(qubits, amps))
+            self._add_state(make_state(tuple(QubitId(n, role) for role in roles), ghz))
 
         self._emit(
             cfg.receiver, "SEND", f"to={cfg.sender} sequence=travel count={cfg.triplet_count}"
@@ -365,7 +351,8 @@ class Session:
                 slot = self._slot_of(travel)
                 state, record = attack.tap(travel, self._pool[slot], self._rngs[EVE])
                 new_qubits = set(state.qubits) - set(self._pool[slot].qubits)
-                self._replace(slot, state)
+                self._pool[slot] = state
+                self._where.update(dict.fromkeys(new_qubits, slot))
                 self._created.update(new_qubits)
                 if record is not None:
                     self._emit(EVE, "TAP", record.detail())
@@ -386,10 +373,11 @@ class Session:
         cfg = self.config
         self._advance(Phase.S3)
         order = self._rngs[cfg.sender].permutation(cfg.group_count) + 1
-        checking = tuple(sorted(int(g) for g in order[: cfg.checking_group_count]))
-        encoding = tuple(sorted(int(g) for g in order[cfg.checking_group_count :]))
+        checking = sorted(int(g) for g in order[: cfg.checking_group_count])
+        encoding = sorted(int(g) for g in order[cfg.checking_group_count :])
+        checked = set(checking)
         for group in self.groups:
-            group.kind = "checking" if group.index in checking else "encoding"
+            group.kind = "checking" if group.index in checked else "encoding"
         self._emit(
             cfg.sender,
             "GROUP_SELECTION",
@@ -425,7 +413,7 @@ class Session:
                     f"triplet={n} basis={basis.value} outcome={bits[0]}",
                 )
                 for party in (cfg.receiver,) + cfg.controllers:
-                    outcome = self._measure(self._held_qubit(party, n), basis, party)
+                    outcome = self._measure(QubitId(n, self._role_of[party]), basis, party)
                     bits.append(outcome)
                     self._emit(
                         party,

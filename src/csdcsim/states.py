@@ -13,13 +13,21 @@ Conventions used throughout the package:
   behind in the sampled eigenstate.
 * Bell outcomes are stated against ordered pairs: PSI_PLUS on (a, b)
   is (|0_a 1_b> + |1_a 0_b>)/sqrt(2), and likewise for the others.
+
+Invariant: ``make_state`` is the only place that validates a register
+and normalises amplitudes.  Every kernel takes a normalised state and
+returns one, built directly with read-only amplitudes and no further
+checks.  Gates are unitary, so only the measurements
+(``measure_qubit``, ``collapse_qubit``, ``measure_bell``) renormalise,
+dividing the sampled branch by the square root of its probability.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -28,13 +36,13 @@ ATOL = 1e-12
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class QubitId:
+class QubitId(NamedTuple):
     """Label for one photon: its triplet number and its role in that triplet.
 
     The protocol uses roles "h" (home), "t" (travel), "c1".."ck"
     (control, one per controller) and "e" (eavesdropper ancilla); the
-    simulator itself accepts any role string.
+    simulator itself accepts any role string.  A tuple, so hashing and
+    equality run in C.
     """
 
     triplet: int
@@ -90,6 +98,8 @@ _BASIS_VECTORS = {
     MeasurementBasis.COMPUTATIONAL: _frozen([[1, 0], [0, 1]]),
     MeasurementBasis.DIAGONAL: _frozen([[_SQRT_HALF, _SQRT_HALF], [_SQRT_HALF, -_SQRT_HALF]]),
 }
+# Rows project onto the outcome eigenvectors.
+_BASIS_BRAS = {basis: _frozen(vectors.conj()) for basis, vectors in _BASIS_VECTORS.items()}
 
 
 class BellOutcome(Enum):
@@ -116,31 +126,19 @@ _BELL_MATRIX = _frozen(
     ]
 )
 _BELL_INDEX = {outcome: k for k, outcome in enumerate(BELL_OUTCOMES)}
+_BELL_BRAS = _frozen(_BELL_MATRIX.conj())
 
 
 @dataclass(frozen=True, eq=False)
 class StateVector:
-    """Normalized pure state over an ordered register of labeled qubits."""
+    """Normalized pure state over an ordered register of labeled qubits.
+
+    Build one with ``make_state``; the kernels construct their results
+    directly (see the module docstring).
+    """
 
     qubits: tuple[QubitId, ...]
     amps: np.ndarray
-
-    def __post_init__(self) -> None:
-        qubits = tuple(self.qubits)
-        if len(set(qubits)) != len(qubits):
-            raise ValueError("duplicate qubit ids in register")
-        amps = np.asarray(self.amps, dtype=complex).reshape(-1)
-        if amps.shape[0] != 1 << len(qubits):
-            raise ValueError(
-                f"amplitude length {amps.shape[0]} does not match {len(qubits)} qubit(s)"
-            )
-        norm = float(np.linalg.norm(amps))
-        if norm <= ATOL:
-            raise ValueError("state vector has zero norm")
-        amps = amps / norm
-        amps.flags.writeable = False
-        object.__setattr__(self, "qubits", qubits)
-        object.__setattr__(self, "amps", amps)
 
     @property
     def num_qubits(self) -> int:
@@ -159,15 +157,34 @@ class StateVector:
         return complex(self.amps[int(bits, 2)]) if bits else complex(self.amps[0])
 
 
+def _state(qubits: tuple[QubitId, ...], amps: np.ndarray) -> StateVector:
+    """Wrap fresh kernel output: flattened and read-only, not re-checked."""
+    amps = amps.reshape(-1)
+    amps.flags.writeable = False
+    return StateVector(qubits, amps)
+
+
 def make_state(qubits: Iterable[QubitId], amplitudes: Sequence[complex]) -> StateVector:
-    """Build a normalized state; rejects zero vectors and length mismatches."""
-    return StateVector(tuple(qubits), np.asarray(amplitudes, dtype=complex))
+    """Build a normalized state; rejects duplicate qubit ids, length
+    mismatches and zero vectors."""
+    qubits = tuple(qubits)
+    if len(set(qubits)) != len(qubits):
+        raise ValueError("duplicate qubit ids in register")
+    amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
+    if amps.shape[0] != 1 << len(qubits):
+        raise ValueError(
+            f"amplitude length {amps.shape[0]} does not match {len(qubits)} qubit(s)"
+        )
+    norm = float(np.linalg.norm(amps))
+    if norm <= ATOL:
+        raise ValueError("state vector has zero norm")
+    return _state(qubits, amps / norm)
 
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:
-    if set(a.qubits) & set(b.qubits):
+    if not set(a.qubits).isdisjoint(b.qubits):
         raise ValueError("tensor operands share qubit ids")
-    return StateVector(a.qubits + b.qubits, np.kron(a.amps, b.amps))
+    return _state(a.qubits + b.qubits, np.outer(a.amps, b.amps))
 
 
 def reorder(state: StateVector, new_order: Sequence[QubitId]) -> StateVector:
@@ -176,30 +193,25 @@ def reorder(state: StateVector, new_order: Sequence[QubitId]) -> StateVector:
     if set(new_order) != set(state.qubits) or len(new_order) != state.num_qubits:
         raise ValueError("new order must be a permutation of the register")
     perm = [state.index_of(q) for q in new_order]
-    psi = state.amps.reshape([2] * state.num_qubits).transpose(perm)
-    return StateVector(new_order, psi.reshape(-1))
+    return _state(new_order, state.amps.reshape([2] * state.num_qubits).transpose(perm))
 
 
 def apply_gate(state: StateVector, gate: Gate, target: QubitId) -> StateVector:
-    j = state.index_of(target)
-    n = state.num_qubits
-    psi = np.moveaxis(state.amps.reshape([2] * n), j, 0)
-    psi = np.tensordot(gate.matrix, psi, axes=([1], [0]))
-    psi = np.moveaxis(psi, 0, j)
-    return StateVector(state.qubits, psi.reshape(-1))
+    # (2**j, 2, rest): qubit j alone on the middle axis
+    psi = state.amps.reshape(1 << state.index_of(target), 2, -1)
+    return _state(state.qubits, gate.matrix @ psi)
 
 
 def apply_cnot(state: StateVector, control: QubitId, target: QubitId) -> StateVector:
     if control == target:
         raise ValueError("control and target must differ")
     i, j = state.index_of(control), state.index_of(target)
-    n = state.num_qubits
-    psi = np.moveaxis(state.amps.reshape([2] * n), (i, j), (0, 1))
+    psi = state.amps.reshape([2] * state.num_qubits)
+    control_set = tuple(1 if axis == i else slice(None) for axis in range(psi.ndim))
     out = psi.copy()
-    out[1, 0] = psi[1, 1]
-    out[1, 1] = psi[1, 0]
-    out = np.moveaxis(out, (0, 1), (i, j))
-    return StateVector(state.qubits, out.reshape(-1))
+    # indexing with an integer drops the control axis
+    out[control_set] = np.flip(psi[control_set], axis=j - (j > i))
+    return _state(state.qubits, out)
 
 
 def inner_product(a: StateVector, b: StateVector) -> complex:
@@ -207,15 +219,6 @@ def inner_product(a: StateVector, b: StateVector) -> complex:
     if a.qubits != b.qubits:
         raise ValueError("inner product requires identical registers")
     return complex(np.vdot(a.amps, b.amps))
-
-
-def _partition(state: StateVector, targets: Sequence[QubitId]) -> tuple[np.ndarray, tuple[QubitId, ...]]:
-    """Reshape to (2**k, rest) with the k targets as leading axes."""
-    idx = [state.index_of(q) for q in targets]
-    n = state.num_qubits
-    moved = np.moveaxis(state.amps.reshape([2] * n), idx, range(len(idx)))
-    remaining = tuple(q for q in state.qubits if q not in targets)
-    return moved.reshape(1 << len(idx), -1), remaining
 
 
 def _sample(rng: np.random.Generator, probs: Sequence[float]) -> int:
@@ -235,8 +238,16 @@ def _sample(rng: np.random.Generator, probs: Sequence[float]) -> int:
     return last
 
 
-def _branch_probs(branches: np.ndarray) -> list[float]:
-    return [float(np.real(np.vdot(row, row))) for row in branches]
+def _measure(bras: np.ndarray, psi: np.ndarray, rng: np.random.Generator) -> tuple[int, np.ndarray]:
+    """Project the middle axis of ``psi`` (shape (a, d, b)) onto the d
+    rows of ``bras``; returns the sampled outcome and its renormalised
+    (a, b) branch."""
+    branches = bras @ psi
+    weights = np.abs(branches)
+    weights *= weights
+    probs = weights.sum(axis=(0, 2)).tolist()
+    k = _sample(rng, probs)
+    return k, branches[:, k] / math.sqrt(probs[k])
 
 
 def measure_qubit(
@@ -246,10 +257,9 @@ def measure_qubit(
     rng: np.random.Generator,
 ) -> tuple[int, StateVector]:
     """Projective measurement; the measured qubit leaves the register."""
-    mat, remaining = _partition(state, (target,))
-    branches = basis.vectors.conj() @ mat
-    k = _sample(rng, _branch_probs(branches))
-    return k, StateVector(remaining, branches[k])
+    j = state.index_of(target)
+    k, branch = _measure(_BASIS_BRAS[basis], state.amps.reshape(1 << j, 2, -1), rng)
+    return k, _state(state.qubits[:j] + state.qubits[j + 1 :], branch)
 
 
 def collapse_qubit(
@@ -260,13 +270,10 @@ def collapse_qubit(
 ) -> tuple[int, StateVector]:
     """Measure-and-resend: the qubit stays, reset to the sampled eigenstate."""
     j = state.index_of(target)
-    mat, _ = _partition(state, (target,))
-    branches = basis.vectors.conj() @ mat
-    k = _sample(rng, _branch_probs(branches))
-    eig = basis.vectors[k]
-    post = np.outer(eig, branches[k]).reshape([2] * state.num_qubits)
-    post = np.moveaxis(post, 0, j)
-    return k, StateVector(state.qubits, post.reshape(-1))
+    k, branch = _measure(_BASIS_BRAS[basis], state.amps.reshape(1 << j, 2, -1), rng)
+    # back to (2**j, 2, rest), the sampled eigenvector on the middle axis
+    post = basis.vectors[k][:, None] * branch[:, None, :]
+    return k, _state(state.qubits, post)
 
 
 def measure_bell(
@@ -278,7 +285,8 @@ def measure_bell(
     a, b = pair
     if a == b:
         raise ValueError("bell pair must be two distinct qubits")
-    mat, remaining = _partition(state, (a, b))
-    branches = _BELL_MATRIX.conj() @ mat
-    k = _sample(rng, _branch_probs(branches))
-    return BELL_OUTCOMES[k], StateVector(remaining, branches[k])
+    i, j = state.index_of(a), state.index_of(b)
+    rest = [m for m in range(state.num_qubits) if m != i and m != j]
+    psi = state.amps.reshape([2] * state.num_qubits).transpose([i, j, *rest])
+    k, branch = _measure(_BELL_BRAS, psi.reshape(1, 4, -1), rng)
+    return BELL_OUTCOMES[k], _state(tuple(state.qubits[m] for m in rest), branch)

@@ -124,6 +124,8 @@ def test_attack_basis_flag_is_accepted():
         ["--mode", "frobnicate"],
         ["--mode", "sweep", "--check-fraction", "nan"],
         ["--mode", "sweep", "--check-fraction", "inf"],
+        ["--mode", "run", "--triplets", "8", "--message", "0001", "--parties", "30"],
+        ["--mode", "sweep", "--parties", "30"],
     ],
 )
 def test_bad_usage_exits_one(args):
@@ -247,6 +249,15 @@ def test_detection_sweep_script_prints_one_row_per_attack():
     assert header.split("\t")[:3] == ["attack", "fraction", "checked/session"]
     assert len(rows) == 5
     assert all(row.split("\t")[1:3] == ["0.5", "4"] for row in rows)
+
+
+@pytest.mark.parametrize("args", [["--trials", "0"], ["--triplets", "7"]])
+def test_detection_sweep_script_rejects_bad_counts_as_usage_errors(args):
+    proc = run_script("detection_sweep.py", *args)
+    assert proc.returncode == 2
+    assert "error" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_identity_report_script_runs():

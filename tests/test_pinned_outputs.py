@@ -1,0 +1,69 @@
+"""Byte-level pins of CLI output beyond the golden transcript.
+
+The golden file covers one honest T=8, P=3 session.  These digests also
+pin multi-controller rounds, both attack taps (``collapse_qubit`` and
+``apply_cnot``), the ancilla read-outs and aborted sessions, plus one
+sweep.  Each digest is the sha256 of the transcript bytes followed by
+the stats bytes (the stats bytes alone for the sweep); a change to any
+kernel that shifts one sampled outcome or one RNG draw changes it.
+"""
+
+import hashlib
+
+import pytest
+
+from csdcsim import cli
+
+RUN_CASES = {
+    "p5-none": (
+        ["--triplets", "16", "--parties", "5", "--message", "10110010", "--seed", "3"],
+        cli.EXIT_OK,
+        "2ce41162c3e5e956058e17c0dab2c13e42b9229b4008fc991526c82b6d839aef",
+    ),
+    "p4-intercept-resend-completed": (
+        ["--triplets", "8", "--parties", "4", "--message", "0110", "--seed", "5",
+         "--attack", "intercept-resend", "--attack-basis", "random"],
+        cli.EXIT_OK,
+        "b26d3c13de17ddfb2e4d9ce6ae3e00c1dfb381bdf4719419845435f81ed49513",
+    ),
+    "p4-intercept-resend-aborted": (
+        ["--triplets", "8", "--parties", "4", "--message", "0110", "--seed", "1",
+         "--attack", "intercept-resend", "--attack-basis", "random"],
+        cli.EXIT_EAVESDROPPER,
+        "2d4cf43504a9b89e01f8f0abed59969fd3c1c1b6ff15ff30f144629490cf747c",
+    ),
+    "p3-entangle-measure-completed": (
+        ["--triplets", "8", "--message", "0110", "--seed", "2", "--attack", "entangle-measure"],
+        cli.EXIT_OK,
+        "7bcdbbb9dd4650bf88cd392192fb79a7b534c5e56fa9853faae87605ef72b297",
+    ),
+    "p3-entangle-measure-aborted": (
+        ["--triplets", "8", "--message", "0110", "--seed", "1", "--attack", "entangle-measure"],
+        cli.EXIT_EAVESDROPPER,
+        "4dd138cd54e3766bd2d8962c641a696ef437ed4ff0bcaae8d6a4e177c8ba023a",
+    ),
+}
+
+SWEEP_ARGV = ["--mode", "sweep", "--parties", "4", "--trials", "20"]
+SWEEP_DIGEST = "7e08e9767cce112c1cfb2fe85f1d382d252fbd2f0a76da1630d8c2cb3eae4462"
+
+
+def sha256(*paths):
+    return hashlib.sha256(b"".join(path.read_bytes() for path in paths)).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(RUN_CASES))
+def test_run_outputs_match_their_pinned_digests(tmp_path, case):
+    argv, code, digest = RUN_CASES[case]
+    transcript, stats = tmp_path / "transcript.tsv", tmp_path / "stats.tsv"
+    got = cli.main(
+        ["--mode", "run", *argv, "--transcript", str(transcript), "--stats", str(stats)]
+    )
+    assert got == code
+    assert sha256(transcript, stats) == digest
+
+
+def test_sweep_output_matches_its_pinned_digest(tmp_path):
+    stats = tmp_path / "stats.tsv"
+    assert cli.main([*SWEEP_ARGV, "--stats", str(stats)]) == cli.EXIT_OK
+    assert sha256(stats) == SWEEP_DIGEST

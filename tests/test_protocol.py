@@ -11,6 +11,8 @@ from csdcsim.protocol import (
     ALICE,
     BOB,
     ConfigError,
+    InternalError,
+    MAX_PARTIES,
     Phase,
     ProtocolConfig,
     Session,
@@ -62,6 +64,12 @@ def test_capacity_rule_rejects_fractions_outside_the_open_interval(fraction):
         session_capacity(8, fraction)
 
 
+@pytest.mark.parametrize("triplets", [7, 0, -2])
+def test_capacity_rule_rejects_triplet_counts_that_are_not_positive_and_even(triplets):
+    with pytest.raises(ConfigError):
+        session_capacity(triplets, 0.5)
+
+
 @pytest.mark.parametrize(
     "overrides",
     [
@@ -77,11 +85,18 @@ def test_capacity_rule_rejects_fractions_outside_the_open_interval(fraction):
         dict(message_bits="000"),
         dict(sender="EVE"),
         dict(sender="ALICE"),  # collides with the default receiver
+        dict(party_count=MAX_PARTIES + 1),
     ],
 )
 def test_invalid_configs_are_rejected(overrides):
     with pytest.raises(ConfigError):
         config(**overrides)
+
+
+def test_twelve_parties_are_within_the_ceiling():
+    # the widest benchmark workload, run-wide, has 12 parties
+    assert MAX_PARTIES >= 12
+    assert config(party_count=12).party_count == 12
 
 
 def test_two_triplets_leave_no_encoding_capacity():
@@ -200,6 +215,15 @@ def test_all_photons_accounted_for():
     sess = Session(config())
     sess.run()
     assert sess.unmeasured_qubits() == set()
+
+
+def test_measuring_a_photon_twice_is_an_internal_error():
+    sess = Session(config())
+    sess.run()
+    with pytest.raises(InternalError):
+        sess._measure(QubitId(1, "t"), MeasurementBasis.COMPUTATIONAL, BOB)
+    with pytest.raises(InternalError):
+        sess._measure_bell_pair((QubitId(1, "h"), QubitId(2, "h")), ALICE)
 
 
 def test_phases_are_monotonic():

@@ -1,5 +1,6 @@
 """Unit tests for the dense statevector core."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from csdcsim.attacks import _apply_single, _cnot_vector
 from csdcsim.states import (
     ATOL,
     BELL_OUTCOMES,
@@ -15,6 +17,7 @@ from csdcsim.states import (
     MeasurementBasis,
     QubitId,
     StateVector,
+    _sample,
     apply_cnot,
     apply_gate,
     collapse_qubit,
@@ -285,3 +288,62 @@ def test_bell_measurement_probabilities_are_complete(seed):
         for o in BELL_OUTCOMES
     )
     assert np.isclose(total, 1.0, atol=1e-10)
+
+
+# --- kernels against a plain-array reference ------------------------------
+# The kernels reshape around their target; the reference moves axes on
+# plain arrays, as the exact oracle in attacks.py does.  Both sample with
+# _sample from generators with the same seed, so a kernel agrees with the
+# reference when it picks the same outcome and its post-state matches
+# within ATOL.
+
+
+def reference_measure(state, axes, vectors, seed):
+    """Project the qubits at ``axes`` onto the rows of ``vectors``; returns
+    the sampled outcome and the renormalised rest of the register."""
+    n = state.num_qubits
+    psi = np.moveaxis(state.amps.reshape([2] * n), axes, range(len(axes)))
+    branches = vectors.conj() @ psi.reshape(len(vectors), -1)
+    probs = [float(np.vdot(row, row).real) for row in branches]
+    k = _sample(np.random.default_rng(seed), probs)
+    return k, branches[k] / math.sqrt(probs[k])
+
+
+def close(a, b):
+    return np.allclose(a, b, rtol=0.0, atol=ATOL)
+
+
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_single_qubit_kernels_match_the_moveaxis_reference(n, seed):
+    state = random_state(Q[:n], seed)
+    for j, target in enumerate(state.qubits):
+        for gate in Gate:
+            expected = _apply_single(state.amps, n, j, gate.matrix)
+            assert close(apply_gate(state, gate, target).amps, expected)
+        for basis in MeasurementBasis:
+            k, branch = reference_measure(state, [j], basis.vectors, seed)
+            got, rest = measure_qubit(state, target, basis, np.random.default_rng(seed))
+            assert got == k
+            assert rest.qubits == state.qubits[:j] + state.qubits[j + 1 :]
+            assert close(rest.amps, branch)
+            got, kept = collapse_qubit(state, target, basis, np.random.default_rng(seed))
+            assert got == k
+            post = np.outer(basis.vectors[k], branch).reshape([2] * n)
+            assert kept.qubits == state.qubits
+            assert close(kept.amps, np.moveaxis(post, 0, j).reshape(-1))
+
+
+@given(st.integers(2, 6), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_two_qubit_kernels_match_the_moveaxis_reference(n, seed):
+    state = random_state(Q[:n], seed)
+    bell_rows = np.stack([outcome.vector for outcome in BELL_OUTCOMES])
+    for i, j in itertools.permutations(range(n), 2):
+        a, b = state.qubits[i], state.qubits[j]
+        assert close(apply_cnot(state, a, b).amps, _cnot_vector(state.amps, n, i, j))
+        k, branch = reference_measure(state, [i, j], bell_rows, seed)
+        got, rest = measure_bell(state, (a, b), np.random.default_rng(seed))
+        assert got is BELL_OUTCOMES[k]
+        assert rest.qubits == tuple(q for q in state.qubits if q not in (a, b))
+        assert close(rest.amps, branch)
