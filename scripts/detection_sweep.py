@@ -9,23 +9,9 @@ the exact predictions, so drift is visible at a glance.
 import argparse
 from dataclasses import replace
 
-from csdcsim.attacks import (
-    BasisStrategy,
-    EntangleMeasure,
-    InterceptResend,
-    abort_probability,
-    detection_oracle,
-    estimate_detection,
-)
+from csdcsim.attacks import abort_probability, detection_oracle, estimate_detection
+from csdcsim.cli import SWEEP_CELLS
 from csdcsim.protocol import ConfigError, ProtocolConfig, session_capacity
-
-ATTACKS = (
-    None,
-    InterceptResend(BasisStrategy.RANDOM),
-    InterceptResend(BasisStrategy.ALWAYS_Z),
-    InterceptResend(BasisStrategy.ALWAYS_X),
-    EntangleMeasure(),
-)
 
 
 def main() -> None:
@@ -45,6 +31,18 @@ def main() -> None:
         parser.error(f"--trials must be at least 1, got {args.trials}")
     try:
         capacities = [session_capacity(args.triplets, f) for f in args.fractions]
+        # None marks a fraction that leaves no encoding capacity
+        bases = [
+            ProtocolConfig(
+                triplet_count=args.triplets,
+                message_bits="0" * capacity,
+                check_fraction=fraction,
+                seed=args.seed,
+            )
+            if capacity > 0
+            else None
+            for fraction, capacity in zip(args.fractions, capacities)
+        ]
     except ConfigError as exc:
         parser.error(str(exc))
 
@@ -53,18 +51,12 @@ def main() -> None:
         "predicted_rate", "measured_abort", "predicted_abort",
     )
     print("\t".join(header))
-    for fraction, capacity in zip(args.fractions, capacities):
-        if capacity <= 0:
+    for fraction, base in zip(args.fractions, bases):
+        if base is None:
             print(f"# skipping fraction {fraction}: no encoding capacity left")
             continue
-        base = ProtocolConfig(
-            triplet_count=args.triplets,
-            message_bits="0" * capacity,
-            check_fraction=fraction,
-            seed=args.seed,
-        )
         k = 2 * base.checking_group_count
-        for attack in ATTACKS:
+        for attack in SWEEP_CELLS:
             stats = estimate_detection(replace(base, attack=attack), args.trials)
             predicted_rate = detection_oracle(attack)
             predicted_abort = abort_probability(attack, checked_triplets=k)

@@ -15,11 +15,13 @@ from enum import Enum
 
 import numpy as np
 
+from .bases import EncodingOp, bell_product_amplitudes, ghz_state_vector
 from .states import (
     MeasurementBasis,
     QubitId,
     StateVector,
     apply_cnot,
+    apply_gate,
     collapse_qubit,
     make_state,
     tensor,
@@ -38,25 +40,8 @@ class BasisStrategy(Enum):
 
 
 @dataclass(frozen=True)
-class EveTap:
-    """What the eavesdropper did to one travel photon in transit."""
-
-    triplet: int
-    basis: str | None = None
-    outcome: int | None = None
-    probe: str | None = None
-
-    def detail(self) -> str:
-        if self.probe is not None:
-            return f"triplet={self.triplet} probe={self.probe}"
-        return f"triplet={self.triplet} basis={self.basis} outcome={self.outcome}"
-
-
-@dataclass(frozen=True)
 class NoAttack:
     """Identity tap: the channel is untouched."""
-
-    label: str = "none"
 
     def tap(self, qubit: QubitId, state: StateVector, rng: np.random.Generator):
         return state, None
@@ -67,7 +52,6 @@ class InterceptResend:
     """Measure each travel photon in flight and forward the eigenstate."""
 
     strategy: BasisStrategy = BasisStrategy.RANDOM
-    label: str = "intercept-resend"
 
     def tap(self, qubit: QubitId, state: StateVector, rng: np.random.Generator):
         if self.strategy is BasisStrategy.ALWAYS_Z:
@@ -81,7 +65,7 @@ class InterceptResend:
                 else MeasurementBasis.DIAGONAL
             )
         outcome, post = collapse_qubit(state, qubit, basis, rng)
-        return post, EveTap(qubit.triplet, basis=basis.value, outcome=outcome)
+        return post, f"triplet={qubit.triplet} basis={basis.value} outcome={outcome}"
 
 
 @dataclass(frozen=True)
@@ -93,15 +77,15 @@ class EntangleMeasure:
     on ancilla pairs for encoding groups.
     """
 
-    label: str = "entangle-measure"
-
     def tap(self, qubit: QubitId, state: StateVector, rng: np.random.Generator):
         ancilla = QubitId(qubit.triplet, "e")
         grown = tensor(state, make_state((ancilla,), [1.0, 0.0]))
         grown = apply_cnot(grown, qubit, ancilla)
-        return grown, EveTap(qubit.triplet, probe="cnot")
+        return grown, f"triplet={qubit.triplet} probe=cnot"
 
 
+# Every model's tap(qubit, state, rng) takes one travel photon in transit
+# and returns the new register and the detail of the TAP record, or None.
 AttackModel = NoAttack | InterceptResend | EntangleMeasure
 
 
@@ -308,9 +292,6 @@ def eve_group_information() -> float:
     the value does not depend on the party count; it is identical for
     every controller-parity pattern, which is asserted by enumeration.
     """
-    from .bases import EncodingOp, bell_state_vector, ghz_state_vector
-    from .states import BELL_OUTCOMES, apply_gate, inner_product, reorder
-
     h1, t1, e1 = QubitId(1, "h"), QubitId(1, "t"), QubitId(1, "e")
     h2, t2, e2 = QubitId(2, "h"), QubitId(2, "t"), QubitId(2, "e")
 
@@ -323,21 +304,12 @@ def eve_group_information() -> float:
             joint: dict[tuple, float] = {}
             for op in EncodingOp:
                 encoded = apply_gate(base, op.gate, t1)
-                for s in BELL_OUTCOMES:
-                    for r in BELL_OUTCOMES:
-                        for e in BELL_OUTCOMES:
-                            basis = tensor(
-                                tensor(
-                                    bell_state_vector(s, (t1, t2)),
-                                    bell_state_vector(r, (h1, h2)),
-                                ),
-                                bell_state_vector(e, (e1, e2)),
-                            )
-                            amp = inner_product(reorder(basis, encoded.qubits), encoded)
-                            prob = abs(amp) ** 2
-                            if prob > 1e-15:
-                                key = (op, s, e)
-                                joint[key] = joint.get(key, 0.0) + 0.25 * prob
+                amps = bell_product_amplitudes(encoded, (t1, t2), (h1, h2), (e1, e2))
+                for (s, r, e), amp in amps.items():
+                    prob = abs(amp) ** 2
+                    if prob > 1e-15:
+                        key = (op, s, e)
+                        joint[key] = joint.get(key, 0.0) + 0.25 * prob
             marginal: dict[tuple, float] = {}
             for (op, s, e), p in joint.items():
                 marginal[(s, e)] = marginal.get((s, e), 0.0) + p

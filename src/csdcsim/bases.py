@@ -21,6 +21,7 @@ that do not.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -156,17 +157,14 @@ def ghz_orthonormality_residual() -> float:
 
 
 def bell_product_amplitudes(
-    state: StateVector,
-    pair_a: tuple[QubitId, QubitId],
-    pair_b: tuple[QubitId, QubitId],
-) -> dict[tuple[BellOutcome, BellOutcome], complex]:
-    """Amplitudes of a four-qubit state in the Bell product basis of two pairs."""
-    table: dict[tuple[BellOutcome, BellOutcome], complex] = {}
-    for a in BELL_OUTCOMES:
-        for b in BELL_OUTCOMES:
-            basis = tensor(bell_state_vector(a, pair_a), bell_state_vector(b, pair_b))
-            basis = reorder(basis, state.qubits)
-            table[(a, b)] = inner_product(basis, state)
+    state: StateVector, *pairs: tuple[QubitId, QubitId]
+) -> dict[tuple[BellOutcome, ...], complex]:
+    """Amplitudes of a state in the Bell product basis of the given pairs,
+    which must cover its qubits; keyed by one outcome per pair."""
+    table: dict[tuple[BellOutcome, ...], complex] = {}
+    for outcomes in itertools.product(BELL_OUTCOMES, repeat=len(pairs)):
+        basis = functools.reduce(tensor, map(bell_state_vector, outcomes, pairs))
+        table[outcomes] = inner_product(reorder(basis, state.qubits), state)
     return table
 
 

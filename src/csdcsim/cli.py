@@ -28,7 +28,8 @@ from .attacks import (
     estimate_detection,
 )
 from .protocol import (
-    MAX_PARTIES, ConfigError, InternalError, ProtocolConfig, Session, session_capacity,
+    MAX_PARTIES, MAX_TRIPLETS, ConfigError, InternalError, ProtocolConfig, Session,
+    session_capacity,
 )
 from .states import BELL_OUTCOMES
 from .transcript import format_transcript
@@ -70,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--triplets", type=int, default=DEFAULT_TRIPLETS, metavar="N",
-        help=f"number of GHZ triplets, even (default: {DEFAULT_TRIPLETS})",
+        help=f"number of GHZ triplets, even, at most {MAX_TRIPLETS} (default: {DEFAULT_TRIPLETS})",
     )
     parser.add_argument(
         "--message", metavar="BITS", default=None,

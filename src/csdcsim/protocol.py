@@ -66,6 +66,9 @@ MAX_SEED = 2**64 - 1
 # Every triplet is prepared up front as a dense register of 2**P
 # amplitudes (2**(P+1) with a probe ancilla); P=12 is 64 KiB a triplet.
 MAX_PARTIES = 12
+# The register pool and the transcript grow linearly with the triplet
+# count; at the party ceiling, 4096 triplets are 256 MiB of amplitudes.
+MAX_TRIPLETS = 4096
 
 
 class ConfigError(ValueError):
@@ -118,9 +121,13 @@ def coincidence_ok(basis: MeasurementBasis, bits: Sequence[int]) -> bool:
 def session_capacity(triplet_count: int, check_fraction: float) -> int:
     """Message bits one session carries: two per group of consecutive
     triplets, after ceil(check_fraction * groups) groups are reserved for
-    checking.  Rejects a triplet count that is not positive and even."""
-    if triplet_count <= 0 or triplet_count % 2 != 0:
-        raise ConfigError(f"triplet count must be a positive even integer, got {triplet_count}")
+    checking.  Rejects a triplet count that is not positive, even and at
+    most MAX_TRIPLETS."""
+    if not (0 < triplet_count <= MAX_TRIPLETS) or triplet_count % 2 != 0:
+        raise ConfigError(
+            f"triplet count must be a positive even integer of at most {MAX_TRIPLETS}, "
+            f"got {triplet_count}"
+        )
     if not (0.0 < check_fraction < 1.0):
         raise ConfigError(f"check fraction must lie strictly between 0 and 1, got {check_fraction}")
     groups = triplet_count // 2
@@ -141,8 +148,9 @@ class ProtocolConfig:
     receiver: str = ALICE
 
     def __post_init__(self) -> None:
-        # session_capacity rejects a bad triplet count or check fraction
-        capacity = session_capacity(self.triplet_count, self.check_fraction)
+        # capacity_bits calls session_capacity, which rejects a bad triplet
+        # count or check fraction
+        capacity = self.capacity_bits
         if not (3 <= self.party_count <= MAX_PARTIES):
             raise ConfigError(
                 f"party count must be between 3 and {MAX_PARTIES}, got {self.party_count}"
@@ -189,7 +197,7 @@ class ProtocolConfig:
     def encoding_group_count(self) -> int:
         return self.capacity_bits // 2
 
-    @property
+    @cached_property
     def capacity_bits(self) -> int:
         return session_capacity(self.triplet_count, self.check_fraction)
 
@@ -237,25 +245,25 @@ class Session:
             for i, name in enumerate(stream_names)
         }
         self.records: list[TranscriptRecord] = []
-        self._seq = 0
         self.phase = Phase.S1
         # disentangled subsystems, merged lazily when a joint operation
-        # spans two of them
-        self._pool: list[StateVector | None] = []
+        # spans two of them; triplet n starts in slot n - 1
+        self._pool: list[StateVector | None] = [None] * config.triplet_count
         self._where: dict[QubitId, int] = {}
         self._created: set[QubitId] = set()
         self._measured: set[QubitId] = set()
         self.groups: list[GroupState] = []
-        self._check_bases: dict[int, MeasurementBasis] = {}
+        self.checking_groups: list[GroupState] = []
+        self.encoding_groups: list[GroupState] = []
         self.checked_triplets = 0
         self.violations = 0
         self.abort_triplet: int | None = None
         self.decoded_bits: str | None = None
 
-        # the role of the photon each party holds in every triplet
-        self._role_of = {config.receiver: "h", config.sender: "t"}
-        for j, name in enumerate(config.controllers, start=1):
-            self._role_of[name] = f"c{j}"
+        # the photon roles of every triplet, and the one each party holds
+        self._roles = ("h", "t") + tuple(f"c{j}" for j in range(1, config.party_count - 1))
+        holders = (config.receiver, config.sender) + config.controllers
+        self._role_of = dict(zip(holders, self._roles))
 
     # -- transcript and channel helpers ---------------------------------
 
@@ -269,20 +277,23 @@ class Session:
     def _emit(self, actor: str, action: str, detail: str) -> None:
         # Announcements are authenticated: the eavesdropper reads them but
         # cannot alter or suppress them.
-        self._seq += 1
         self.records.append(
-            TranscriptRecord(self._seq, self.phase.value, actor, action, detail)
+            TranscriptRecord(len(self.records) + 1, self.phase.value, actor, action, detail)
         )
 
     # -- quantum register pool -------------------------------------------
-    # _where maps each live qubit to its slot.  Only creation (_add_state,
-    # an attack tap) and _merge move qubits into a slot, so only they write
-    # it; a measured qubit leaves it, so measuring it again fails in _slot_of.
+    # _where maps each live qubit to its slot.  _store is its only writer:
+    # preparation, an attack tap and _merge store a register, and a
+    # measurement stores what is left; a measured qubit leaves _where, so
+    # measuring it again fails in _slot_of.
 
-    def _add_state(self, state: StateVector) -> None:
-        self._where.update(dict.fromkeys(state.qubits, len(self._pool)))
-        self._pool.append(state)
+    def _store(self, slot: int, state: StateVector, measured: Sequence[QubitId] = ()) -> None:
+        for q in measured:
+            del self._where[q]
+        self._measured.update(measured)
+        self._where.update(dict.fromkeys(state.qubits, slot))
         self._created.update(state.qubits)
+        self._pool[slot] = state if state.num_qubits else None
 
     def _slot_of(self, qubit: QubitId) -> int:
         slot = self._where.get(qubit)
@@ -290,20 +301,12 @@ class Session:
             raise InternalError(f"qubit {qubit} is absent (never created or already measured)")
         return slot
 
-    def _merge(self, qubits: Sequence[QubitId]) -> int:
-        slots = []
-        for q in qubits:
-            s = self._slot_of(q)
-            if s not in slots:
-                slots.append(s)
-        target = slots[0]
-        state = self._pool[target]
-        for s in slots[1:]:
-            state = tensor(state, self._pool[s])
-            self._pool[s] = None
-        self._pool[target] = state
-        self._where.update(dict.fromkeys(state.qubits, target))
-        return target
+    def _merge(self, a: QubitId, b: QubitId) -> int:
+        slot, other = self._slot_of(a), self._slot_of(b)
+        if other != slot:
+            self._store(slot, tensor(self._pool[slot], self._pool[other]))
+            self._pool[other] = None
+        return slot
 
     def _apply(self, gate: Gate, qubit: QubitId) -> None:
         slot = self._slot_of(qubit)
@@ -312,18 +315,13 @@ class Session:
     def _measure(self, qubit: QubitId, basis: MeasurementBasis, party: str) -> int:
         slot = self._slot_of(qubit)
         outcome, post = measure_qubit(self._pool[slot], qubit, basis, self._rngs[party])
-        del self._where[qubit]
-        self._measured.add(qubit)
-        self._pool[slot] = post if post.num_qubits else None
+        self._store(slot, post, measured=(qubit,))
         return outcome
 
     def _measure_bell_pair(self, pair: tuple[QubitId, QubitId], party: str) -> BellOutcome:
-        slot = self._merge(pair)
+        slot = self._merge(*pair)
         outcome, post = measure_bell(self._pool[slot], pair, self._rngs[party])
-        for q in pair:
-            del self._where[q]
-            self._measured.add(q)
-        self._pool[slot] = post if post.num_qubits else None
+        self._store(slot, post, measured=pair)
         return outcome
 
     # -- protocol phases ---------------------------------------------------
@@ -335,11 +333,10 @@ class Session:
             "PREPARE",
             f"triplets={cfg.triplet_count} parties={cfg.party_count} groups={cfg.group_count}",
         )
-        roles = ("h", "t") + tuple(f"c{j}" for j in range(1, cfg.party_count - 1))
-        ghz = np.zeros(1 << len(roles))
+        ghz = np.zeros(1 << len(self._roles))
         ghz[0] = ghz[-1] = 1.0
         for n in range(1, cfg.triplet_count + 1):
-            self._add_state(make_state(tuple(QubitId(n, role) for role in roles), ghz))
+            self._store(n - 1, make_state(tuple(QubitId(n, role) for role in self._roles), ghz))
 
         self._emit(
             cfg.receiver, "SEND", f"to={cfg.sender} sequence=travel count={cfg.triplet_count}"
@@ -349,13 +346,10 @@ class Session:
             for n in range(1, cfg.triplet_count + 1):
                 travel = QubitId(n, "t")
                 slot = self._slot_of(travel)
-                state, record = attack.tap(travel, self._pool[slot], self._rngs[EVE])
-                new_qubits = set(state.qubits) - set(self._pool[slot].qubits)
-                self._pool[slot] = state
-                self._where.update(dict.fromkeys(new_qubits, slot))
-                self._created.update(new_qubits)
-                if record is not None:
-                    self._emit(EVE, "TAP", record.detail())
+                state, detail = attack.tap(travel, self._pool[slot], self._rngs[EVE])
+                self._store(slot, state)
+                if detail is not None:
+                    self._emit(EVE, "TAP", detail)
         for ctrl in cfg.controllers:
             self._emit(
                 cfg.receiver, "SEND", f"to={ctrl} sequence=control count={cfg.triplet_count}"
@@ -375,20 +369,17 @@ class Session:
         order = self._rngs[cfg.sender].permutation(cfg.group_count) + 1
         checking = sorted(int(g) for g in order[: cfg.checking_group_count])
         encoding = sorted(int(g) for g in order[cfg.checking_group_count :])
-        checked = set(checking)
-        for group in self.groups:
-            group.kind = "checking" if group.index in checked else "encoding"
+        self.checking_groups = [self.groups[k - 1] for k in checking]
+        self.encoding_groups = [self.groups[k - 1] for k in encoding]
+        for group in self.checking_groups:
+            group.kind = "checking"
+        for group in self.encoding_groups:
+            group.kind = "encoding"
         self._emit(
             cfg.sender,
             "GROUP_SELECTION",
             f"checking={','.join(map(str, checking))} encoding={','.join(map(str, encoding))}",
         )
-
-    def _checking_groups(self) -> list[GroupState]:
-        return [g for g in self.groups if g.kind == "checking"]
-
-    def _encoding_groups(self) -> list[GroupState]:
-        return [g for g in self.groups if g.kind == "encoding"]
 
     def run_check(self) -> bool:
         """Measure every checked triplet and compare; abort on any violation.
@@ -398,14 +389,15 @@ class Session:
         """
         cfg = self.config
         self._advance(Phase.S4)
-        for group in self._checking_groups():
+        check_bases: dict[int, MeasurementBasis] = {}
+        for group in self.checking_groups:
             for n in group.triplets:
                 basis = (
                     MeasurementBasis.COMPUTATIONAL
                     if int(self._rngs[cfg.sender].integers(0, 2)) == 0
                     else MeasurementBasis.DIAGONAL
                 )
-                self._check_bases[n] = basis
+                check_bases[n] = basis
                 bits = [self._measure(QubitId(n, "t"), basis, cfg.sender)]
                 self._emit(
                     cfg.sender,
@@ -427,15 +419,15 @@ class Session:
                         self.abort_triplet = n
 
         # a probe ancilla is read out only after the bases are public
-        for group in self._checking_groups():
+        for group in self.checking_groups:
             for n in group.triplets:
                 ancilla = QubitId(n, "e")
                 if ancilla in self._where:
-                    outcome = self._measure(ancilla, self._check_bases[n], EVE)
+                    outcome = self._measure(ancilla, check_bases[n], EVE)
                     self._emit(
                         EVE,
                         "ANCILLA_MEASURE",
-                        f"triplet={n} basis={self._check_bases[n].value} outcome={outcome}",
+                        f"triplet={n} basis={check_bases[n].value} outcome={outcome}",
                     )
 
         passed = self.violations == 0
@@ -456,21 +448,21 @@ class Session:
         cfg = self.config
         self._advance(Phase.S5)
         bits: dict[tuple[str, int], int] = {}
-        for j, ctrl in enumerate(cfg.controllers, start=1):
-            for group in self._encoding_groups():
+        for ctrl in cfg.controllers:
+            for group in self.encoding_groups:
                 for n in group.triplets:
-                    qubit = QubitId(n, f"c{j}")
+                    qubit = QubitId(n, self._role_of[ctrl])
                     self._apply(Gate.HADAMARD, qubit)
                     outcome = self._measure(qubit, MeasurementBasis.COMPUTATIONAL, ctrl)
                     bits[(ctrl, n)] = outcome
                     self._emit(ctrl, "HADAMARD_MEASURE", f"triplet={n} outcome={outcome}")
 
         self._advance(Phase.S6)
-        encoding_triplets = [n for g in self._encoding_groups() for n in g.triplets]
+        encoding_triplets = [n for g in self.encoding_groups for n in g.triplets]
         for ctrl in cfg.controllers:
             listed = ",".join(f"{n}:{bits[(ctrl, n)]}" for n in encoding_triplets)
             self._emit(ctrl, "CONTROLLER_OUTCOMES", f"party={ctrl} outcomes={listed}")
-        for group in self._encoding_groups():
+        for group in self.encoding_groups:
             group.parities = tuple(
                 triplet_parity([bits[(ctrl, n)] for ctrl in cfg.controllers])
                 for n in group.triplets
@@ -479,8 +471,7 @@ class Session:
     def encode_and_announce(self) -> None:
         cfg = self.config
         self._advance(Phase.S7)
-        encoding = self._encoding_groups()
-        for i, group in enumerate(encoding):
+        for i, group in enumerate(self.encoding_groups):
             chunk = cfg.message_bits[2 * i : 2 * i + 2]
             op = EncodingOp.from_bits(chunk)
             group.encoded_bits = chunk
@@ -500,7 +491,7 @@ class Session:
             )
 
         self._advance(Phase.S8)
-        for group in encoding:
+        for group in self.encoding_groups:
             self._emit(
                 cfg.sender,
                 "BELL_ANNOUNCE",
@@ -511,8 +502,7 @@ class Session:
         cfg = self.config
         self._advance(Phase.S9)
         table = default_decode_table()
-        decoded_parts: list[str] = []
-        for group in self._encoding_groups():
+        for group in self.encoding_groups:
             first, second = group.triplets
             outcome = self._measure_bell_pair(
                 (QubitId(first, "h"), QubitId(second, "h")), cfg.receiver
@@ -537,9 +527,8 @@ class Session:
                 f"group={group.index} parities={group.parities[0]}{group.parities[1]} "
                 f"sender={group.sender_bell.value} receiver={outcome.value} bits={bits}",
             )
-            decoded_parts.append(bits)
 
-        for group in self._encoding_groups():
+        for group in self.encoding_groups:
             first, second = group.triplets
             pair = (QubitId(first, "e"), QubitId(second, "e"))
             if pair[0] in self._where and pair[1] in self._where:
@@ -550,7 +539,7 @@ class Session:
                     f"group={group.index} pair=e{first},e{second} outcome={outcome.value}",
                 )
 
-        self.decoded_bits = "".join(decoded_parts)
+        self.decoded_bits = "".join(g.decoded_bits for g in self.encoding_groups)
         self._advance(Phase.S11)
         self._emit(cfg.receiver, "COMPLETE", f"decoded={self.decoded_bits}")
         return self.decoded_bits

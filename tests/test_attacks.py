@@ -48,30 +48,31 @@ def test_intercept_resend_collapses_to_an_eigenstate():
     qubit = QubitId(1, "t")
     for seed in range(20):
         state = make_state((qubit,), [0.6, 0.8])
-        out, tap = InterceptResend(BasisStrategy.ALWAYS_Z).tap(
+        out, detail = InterceptResend(BasisStrategy.ALWAYS_Z).tap(
             qubit, state, np.random.default_rng(seed)
         )
-        assert tap is not None and tap.basis is not None
-        assert np.isclose(abs(out.amplitude(str(tap.outcome))), 1.0)
+        assert detail.startswith("triplet=1 basis=Z outcome=")
+        outcome = detail.rsplit("=", 1)[1]
+        assert np.isclose(abs(out.amplitude(outcome)), 1.0)
 
 
 def test_entangle_measure_adds_one_ancilla():
     qubit = QubitId(3, "t")
     state = make_state((qubit,), [1, 0])
-    out, tap = EntangleMeasure().tap(qubit, state, np.random.default_rng(0))
-    assert tap is not None and tap.probe == "cnot"
+    out, detail = EntangleMeasure().tap(qubit, state, np.random.default_rng(0))
+    assert detail == "triplet=3 probe=cnot"
     assert set(out.qubits) == {qubit, QubitId(3, "e")}
 
 
 def test_tap_detail_formats():
     qubit = QubitId(1, "t")
     state = make_state((qubit,), [1, 0])
-    _, tap = InterceptResend(BasisStrategy.ALWAYS_Z).tap(
+    _, detail = InterceptResend(BasisStrategy.ALWAYS_Z).tap(
         qubit, state, np.random.default_rng(0)
     )
-    assert tap.detail() == "triplet=1 basis=Z outcome=0"
-    _, tap = EntangleMeasure().tap(qubit, state, np.random.default_rng(0))
-    assert tap.detail() == "triplet=1 probe=cnot"
+    assert detail == "triplet=1 basis=Z outcome=0"
+    _, detail = EntangleMeasure().tap(qubit, state, np.random.default_rng(0))
+    assert detail == "triplet=1 probe=cnot"
 
 
 def test_attack_cell_labels():

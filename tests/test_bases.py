@@ -161,6 +161,22 @@ def test_bell_product_amplitudes_are_complete():
             assert np.isclose(total, 1.0, atol=1e-10)
 
 
+def test_bell_product_amplitudes_of_three_bell_states_have_one_unit_cell():
+    q = [QubitId(i, "q") for i in range(1, 7)]
+    pairs = ((q[0], q[1]), (q[2], q[3]), (q[4], q[5]))
+    outcomes = (BellOutcome.PSI_MINUS, BellOutcome.PHI_PLUS, BellOutcome.PSI_PLUS)
+    state = tensor(
+        tensor(bell_state_vector(outcomes[0], pairs[0]), bell_state_vector(outcomes[1], pairs[1])),
+        bell_state_vector(outcomes[2], pairs[2]),
+    )
+    # ask for the pairs in another order than the register holds them
+    amps = bell_product_amplitudes(state, pairs[2], pairs[0], pairs[1])
+    assert len(amps) == 4**3
+    cell = (outcomes[2], outcomes[0], outcomes[1])
+    assert [c for c, amp in amps.items() if abs(amp) > ATOL] == [cell]
+    assert np.isclose(abs(amps[cell]), 1.0, atol=ATOL)
+
+
 # --- encoding operations ------------------------------------------------
 
 

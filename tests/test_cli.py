@@ -1,14 +1,20 @@
 """CLI contract tests: flags, exit codes, and output formats."""
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csdcsim import cli
-from csdcsim.protocol import InternalError, Session
+from csdcsim.protocol import (
+    MAX_PARTIES, MAX_SEED, MAX_TRIPLETS, ConfigError, InternalError, Session, session_capacity,
+)
 from csdcsim.transcript import parse_transcript
 
 RUN = [sys.executable, "-m", "csdcsim.cli"]
@@ -126,6 +132,8 @@ def test_attack_basis_flag_is_accepted():
         ["--mode", "sweep", "--check-fraction", "inf"],
         ["--mode", "run", "--triplets", "8", "--message", "0001", "--parties", "30"],
         ["--mode", "sweep", "--parties", "30"],
+        ["--mode", "run", "--triplets", "4098", "--message", "0" * 2048],
+        ["--mode", "sweep", "--triplets", "1000000000000"],
     ],
 )
 def test_bad_usage_exits_one(args):
@@ -133,6 +141,66 @@ def test_bad_usage_exits_one(args):
     assert proc.returncode == 1
     assert "error" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+# Every mode is run with no bad flag and with each flag bad in turn; every
+# other flag is left out or gets a small valid value, so that one argv runs
+# in milliseconds.  --trials is never left out, because the default of 100
+# trials makes a sweep slow.
+BAD_NUMBERS = ["-2", "0", "nan", "inf", "x", ""]
+FLAGS = {
+    "--triplets": (
+        st.integers(1, 8).map(lambda k: str(2 * k)),
+        BAD_NUMBERS + ["7", str(MAX_TRIPLETS + 2), "1000000000000"],
+    ),
+    "--check-fraction": (
+        st.sampled_from(["0.25", "0.5", "0.75"]), BAD_NUMBERS + ["1", "1.5", "-inf"]
+    ),
+    "--parties": (st.integers(3, 5).map(str), BAD_NUMBERS + ["2", str(MAX_PARTIES + 1)]),
+    "--attack": (st.sampled_from(["none", "intercept-resend", "entangle-measure"]), ["tap"]),
+    "--attack-basis": (st.sampled_from(["random", "z", "x"]), ["y"]),
+    "--seed": (st.integers(0, MAX_SEED).map(str), BAD_NUMBERS + ["-1", str(MAX_SEED + 1)]),
+    "--trials": (st.integers(1, 3).map(str), BAD_NUMBERS),
+}
+
+
+@st.composite
+def flag_values(draw, bad_flag):
+    argv = []
+    for flag, (valid, bad) in FLAGS.items():
+        if flag == bad_flag:
+            value = draw(st.sampled_from(bad))
+        else:
+            value = draw(valid if flag == "--trials" else st.one_of(st.none(), valid))
+        if value is not None:
+            argv += [flag, value]
+    # a message that fits the drawn capacity, a malformed one, or none
+    try:
+        options = dict(zip(argv[::2], argv[1::2]))
+        fits = "0" * session_capacity(
+            int(options.get("--triplets", cli.DEFAULT_TRIPLETS)),
+            float(options.get("--check-fraction", cli.DEFAULT_CHECK_FRACTION)),
+        )
+    except (ConfigError, ValueError):
+        fits = "0001"
+    message = draw(st.one_of(
+        st.just(fits), st.sampled_from([None, "0a01", "", "0" * 5]), st.text("01", max_size=6)
+    ))
+    if message is not None:
+        argv += ["--message", message]
+    return argv
+
+
+@pytest.mark.parametrize("bad_flag", [None, *FLAGS])
+@pytest.mark.parametrize("mode", ["run", "sweep", "verify", "frobnicate"])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_any_argv_ends_in_a_documented_exit_code(mode, bad_flag, data):
+    argv = ["--mode", mode] + data.draw(flag_values(bad_flag))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2, 3), (argv, err.getvalue())
 
 
 # --- verify mode --------------------------------------------------------
@@ -251,7 +319,15 @@ def test_detection_sweep_script_prints_one_row_per_attack():
     assert all(row.split("\t")[1:3] == ["0.5", "4"] for row in rows)
 
 
-@pytest.mark.parametrize("args", [["--trials", "0"], ["--triplets", "7"]])
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--trials", "0"],
+        ["--triplets", "7"],
+        ["--seed", "-1"],
+        ["--seed", "18446744073709551616"],
+    ],
+)
 def test_detection_sweep_script_rejects_bad_counts_as_usage_errors(args):
     proc = run_script("detection_sweep.py", *args)
     assert proc.returncode == 2

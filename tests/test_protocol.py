@@ -13,6 +13,7 @@ from csdcsim.protocol import (
     ConfigError,
     InternalError,
     MAX_PARTIES,
+    MAX_TRIPLETS,
     Phase,
     ProtocolConfig,
     Session,
@@ -64,7 +65,7 @@ def test_capacity_rule_rejects_fractions_outside_the_open_interval(fraction):
         session_capacity(8, fraction)
 
 
-@pytest.mark.parametrize("triplets", [7, 0, -2])
+@pytest.mark.parametrize("triplets", [7, 0, -2, MAX_TRIPLETS + 2])
 def test_capacity_rule_rejects_triplet_counts_that_are_not_positive_and_even(triplets):
     with pytest.raises(ConfigError):
         session_capacity(triplets, 0.5)
@@ -86,6 +87,7 @@ def test_capacity_rule_rejects_triplet_counts_that_are_not_positive_and_even(tri
         dict(sender="EVE"),
         dict(sender="ALICE"),  # collides with the default receiver
         dict(party_count=MAX_PARTIES + 1),
+        dict(triplet_count=MAX_TRIPLETS + 2),
     ],
 )
 def test_invalid_configs_are_rejected(overrides):
