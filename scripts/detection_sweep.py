@@ -11,7 +11,7 @@ from dataclasses import replace
 
 from csdcsim.attacks import abort_probability, detection_oracle, estimate_detection
 from csdcsim.cli import SWEEP_CELLS
-from csdcsim.protocol import ConfigError, ProtocolConfig, session_capacity
+from csdcsim.protocol import MAX_SEED, ConfigError, ProtocolConfig, session_capacity
 
 
 def main() -> None:
@@ -29,6 +29,9 @@ def main() -> None:
     args = parser.parse_args()
     if args.trials < 1:
         parser.error(f"--trials must be at least 1, got {args.trials}")
+    # checked here too, because a fraction with no capacity builds no config
+    if not (0 <= args.seed <= MAX_SEED):
+        parser.error(f"--seed must fit in an unsigned 64-bit integer, got {args.seed}")
     try:
         capacities = [session_capacity(args.triplets, f) for f in args.fractions]
         # None marks a fraction that leaves no encoding capacity

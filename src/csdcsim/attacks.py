@@ -26,7 +26,7 @@ from .states import (
     make_state,
     tensor,
 )
-from .protocol import ProtocolConfig, Session
+from .protocol import ProtocolConfig, Session, draw_random_bases
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 
@@ -54,18 +54,20 @@ class InterceptResend:
     strategy: BasisStrategy = BasisStrategy.RANDOM
 
     def tap(self, qubit: QubitId, state: StateVector, rng: np.random.Generator):
-        if self.strategy is BasisStrategy.ALWAYS_Z:
-            basis = MeasurementBasis.COMPUTATIONAL
-        elif self.strategy is BasisStrategy.ALWAYS_X:
-            basis = MeasurementBasis.DIAGONAL
+        if self.strategy is BasisStrategy.RANDOM:
+            bases, uniforms = draw_random_bases(rng, state.rows)
         else:
             basis = (
                 MeasurementBasis.COMPUTATIONAL
-                if int(rng.integers(0, 2)) == 0
+                if self.strategy is BasisStrategy.ALWAYS_Z
                 else MeasurementBasis.DIAGONAL
             )
-        outcome, post = collapse_qubit(state, qubit, basis, rng)
-        return post, f"triplet={qubit.triplet} basis={basis.value} outcome={outcome}"
+            bases, uniforms = [basis] * state.rows, rng.random(state.rows)
+        outcomes, post = collapse_qubit(state, qubit, bases, uniforms)
+        return post, [
+            f"triplet={qubit.triplet + row} basis={basis.value} outcome={outcome}"
+            for row, (basis, outcome) in enumerate(zip(bases, outcomes.tolist()))
+        ]
 
 
 @dataclass(frozen=True)
@@ -81,11 +83,13 @@ class EntangleMeasure:
         ancilla = QubitId(qubit.triplet, "e")
         grown = tensor(state, make_state((ancilla,), [1.0, 0.0]))
         grown = apply_cnot(grown, qubit, ancilla)
-        return grown, f"triplet={qubit.triplet} probe=cnot"
+        return grown, [f"triplet={qubit.triplet + row} probe=cnot" for row in range(state.rows)]
 
 
-# Every model's tap(qubit, state, rng) takes one travel photon in transit
-# and returns the new register and the detail of the TAP record, or None.
+# Every model's tap(qubit, state, rng) takes a stack of registers whose
+# travel photons are in transit; row r holds triplet qubit.triplet + r.
+# It returns the new stack and the details of the TAP records, one per
+# row, or None.
 AttackModel = NoAttack | InterceptResend | EntangleMeasure
 
 

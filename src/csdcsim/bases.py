@@ -151,7 +151,7 @@ def verify_ghz_expansion(index: int) -> ExpansionReport:
 def ghz_orthonormality_residual() -> float:
     """Max deviation of the GHZ Gram matrix from the identity."""
     triple = (QubitId(0, "h"), QubitId(0, "t"), QubitId(0, "c"))
-    vectors = np.stack([ghz_state_vector(i, triple).amps for i in GHZ_INDICES])
+    vectors = np.concatenate([ghz_state_vector(i, triple).amps for i in GHZ_INDICES])
     gram = vectors.conj() @ vectors.T
     return float(np.max(np.abs(gram - np.eye(len(GHZ_INDICES)))))
 

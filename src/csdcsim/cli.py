@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 from dataclasses import replace
 from typing import IO, Iterator
@@ -193,11 +194,14 @@ def _bool_text(value: bool) -> str:
 
 def run_single(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
+    stats_path = args.stats if args.stats is not None else "-"
+    files = [os.path.realpath(p) for p in (args.transcript, stats_path) if p not in (None, "-")]
+    if len(set(files)) < len(files):
+        raise ConfigError("--transcript and --stats name the same file")
     result = Session(config).run()
     with _open_out(args.transcript) as transcript_out:
         if transcript_out is not None:
             transcript_out.write(format_transcript(result.records))
-    stats_path = args.stats if args.stats is not None else "-"
     with _open_out(stats_path) as stats_out:
         decoded = result.decoded_bits if result.decoded_bits is not None else ""
         stats_out.write(f"decoded\t{decoded}\n")

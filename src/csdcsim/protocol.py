@@ -25,9 +25,22 @@ sender and receiver roles exchanged; ``ProtocolConfig.sender`` and
 ``.receiver`` accept any two distinct party names, and the remaining
 parties act as controllers.
 
+Every phase is columnar: the registers it acts on sit in one stack, one
+row per triplet (``StateVector`` rows), and each party's operation is one
+kernel call over the stack.  The phase stacks are the prepared registers
+(S1; one shared GHZ row until a tap sets the triplets apart), the
+encoding triplets' (home, travel[, probe]) rows after S5, and the
+groups' joined rows after S7.  Rows are processed in blocks of at most
+AMPLITUDE_BUDGET amplitudes, so no stack outgrows a few registers of the
+widest kind.  Records are emitted after each phase's array work, in
+protocol order.
+
 Randomness: every draw comes from one master seed through a named
 substream per party (ALICE, BOB, CTRL1..k, then EVE, spawn keys 0..),
 so changing one party's behavior never shifts another party's draws.
+A party draws a phase's uniforms at once with ``rng.random(n)``, the
+same doubles as n scalar draws; a stream that interleaves basis choices
+and uniforms is drawn in a scalar loop first (``draw_random_bases``).
 """
 
 from __future__ import annotations
@@ -36,7 +49,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -48,9 +61,11 @@ from .states import (
     QubitId,
     StateVector,
     apply_gate,
+    join_rows,
     make_state,
     measure_bell,
     measure_qubit,
+    take_rows,
     tensor,
 )
 from .transcript import TranscriptRecord, format_transcript
@@ -63,12 +78,13 @@ BOB = "BOB"
 EVE = "EVE"
 
 MAX_SEED = 2**64 - 1
-# Every triplet is prepared up front as a dense register of 2**P
-# amplitudes (2**(P+1) with a probe ancilla); P=12 is 64 KiB a triplet.
+# Every triplet is a dense register of 2**P amplitudes (2**(P+1) with a
+# probe ancilla); P=12 is 64 KiB a triplet.
 MAX_PARTIES = 12
-# The register pool and the transcript grow linearly with the triplet
+# The tapped registers and the transcript grow linearly with the triplet
 # count; at the party ceiling, 4096 triplets are 256 MiB of amplitudes.
 MAX_TRIPLETS = 4096
+AMPLITUDE_BUDGET = 1 << 16  # per block of phase-stack rows; 16 P=12 registers
 
 
 class ConfigError(ValueError):
@@ -232,6 +248,29 @@ class SessionResult:
         return format_transcript(self.records)
 
 
+def draw_random_bases(
+    rng: np.random.Generator, count: int
+) -> tuple[list[MeasurementBasis], np.ndarray]:
+    """For each of ``count`` photons, a uniformly random basis and then the
+    uniform draw that measures it.  The two kinds of draw interleave on
+    one stream, so they are taken in a scalar loop."""
+    draws = [(int(rng.integers(0, 2)), rng.random()) for _ in range(count)]
+    bases = [MeasurementBasis.DIAGONAL if b else MeasurementBasis.COMPUTATIONAL for b, _ in draws]
+    return bases, np.array([u for _, u in draws], dtype=float)
+
+
+def _labels(position: int, roles: Sequence[str]) -> tuple[QubitId, ...]:
+    return tuple(QubitId(position, role) for role in roles)
+
+
+def _per_block(count: int, width: int, step: Callable[[slice], StateVector]) -> StateVector:
+    """Run ``step`` on consecutive blocks of range(count), each small enough
+    that a stack of ``width``-qubit registers stays within AMPLITUDE_BUDGET
+    amplitudes (one row at least), and stack the rows it returns."""
+    size = max(1, AMPLITUDE_BUDGET >> width)
+    return join_rows([step(slice(i, min(i + size, count))) for i in range(0, count, size)])
+
+
 class Session:
     """Drives one protocol run; all state lives on the instance."""
 
@@ -246,12 +285,6 @@ class Session:
         }
         self.records: list[TranscriptRecord] = []
         self.phase = Phase.S1
-        # disentangled subsystems, merged lazily when a joint operation
-        # spans two of them; triplet n starts in slot n - 1
-        self._pool: list[StateVector | None] = [None] * config.triplet_count
-        self._where: dict[QubitId, int] = {}
-        self._created: set[QubitId] = set()
-        self._measured: set[QubitId] = set()
         self.groups: list[GroupState] = []
         self.checking_groups: list[GroupState] = []
         self.encoding_groups: list[GroupState] = []
@@ -265,7 +298,15 @@ class Session:
         holders = (config.receiver, config.sender) + config.controllers
         self._role_of = dict(zip(holders, self._roles))
 
-    # -- transcript and channel helpers ---------------------------------
+        # Phase stacks (see the module docstring).  Row _row_of[n - 1] of
+        # _prepared holds triplet n; _taken marks the rows taken out of it.
+        self._prepared: StateVector | None = None
+        self._row_of = np.zeros(config.triplet_count, np.intp)
+        self._taken = np.zeros(config.triplet_count, bool)
+        self._encoding: StateVector | None = None
+        self._pairs: StateVector | None = None
+
+    # -- transcript and register helpers ---------------------------------
 
     def _advance(self, phase: Phase) -> None:
         if phase.order < self.phase.order:
@@ -281,83 +322,48 @@ class Session:
             TranscriptRecord(len(self.records) + 1, self.phase.value, actor, action, detail)
         )
 
-    # -- quantum register pool -------------------------------------------
-    # _where maps each live qubit to its slot.  _store is its only writer:
-    # preparation, an attack tap and _merge store a register, and a
-    # measurement stores what is left; a measured qubit leaves _where, so
-    # measuring it again fails in _slot_of.
-
-    def _store(self, slot: int, state: StateVector, measured: Sequence[QubitId] = ()) -> None:
-        for q in measured:
-            del self._where[q]
-        self._measured.update(measured)
-        self._where.update(dict.fromkeys(state.qubits, slot))
-        self._created.update(state.qubits)
-        self._pool[slot] = state if state.num_qubits else None
-
-    def _slot_of(self, qubit: QubitId) -> int:
-        slot = self._where.get(qubit)
-        if slot is None:
-            raise InternalError(f"qubit {qubit} is absent (never created or already measured)")
-        return slot
-
-    def _merge(self, a: QubitId, b: QubitId) -> int:
-        slot, other = self._slot_of(a), self._slot_of(b)
-        if other != slot:
-            self._store(slot, tensor(self._pool[slot], self._pool[other]))
-            self._pool[other] = None
-        return slot
-
-    def _apply(self, gate: Gate, qubit: QubitId) -> None:
-        slot = self._slot_of(qubit)
-        self._pool[slot] = apply_gate(self._pool[slot], gate, qubit)
-
-    def _measure(self, qubit: QubitId, basis: MeasurementBasis, party: str) -> int:
-        slot = self._slot_of(qubit)
-        outcome, post = measure_qubit(self._pool[slot], qubit, basis, self._rngs[party])
-        self._store(slot, post, measured=(qubit,))
-        return outcome
-
-    def _measure_bell_pair(self, pair: tuple[QubitId, QubitId], party: str) -> BellOutcome:
-        slot = self._merge(*pair)
-        outcome, post = measure_bell(self._pool[slot], pair, self._rngs[party])
-        self._store(slot, post, measured=pair)
-        return outcome
+    def _take(self, triplets: Sequence[int]) -> StateVector:
+        """Take the prepared registers of ``triplets`` out for measurement,
+        one per row.  Each is taken once, so no photon is measured twice."""
+        index = np.asarray(triplets, dtype=np.intp) - 1
+        taken = np.count_nonzero(self._taken)
+        self._taken[index] = True
+        if np.count_nonzero(self._taken) - taken != len(index):
+            raise InternalError(f"a photon of triplets {list(triplets)} would be measured twice")
+        return take_rows(self._prepared, self._row_of[index])
 
     # -- protocol phases ---------------------------------------------------
 
     def prepare_and_distribute(self) -> None:
-        cfg = self.config
-        self._emit(
-            cfg.receiver,
-            "PREPARE",
-            f"triplets={cfg.triplet_count} parties={cfg.party_count} groups={cfg.group_count}",
-        )
+        cfg, emit, count = self.config, self._emit, self.config.triplet_count
+        sizes = f"triplets={count} parties={cfg.party_count} groups={cfg.group_count}"
+        emit(cfg.receiver, "PREPARE", sizes)
         ghz = np.zeros(1 << len(self._roles))
         ghz[0] = ghz[-1] = 1.0
-        for n in range(1, cfg.triplet_count + 1):
-            self._store(n - 1, make_state(tuple(QubitId(n, role) for role in self._roles), ghz))
+        # one row stands for every triplet until a tap sets them apart
+        self._prepared = make_state(_labels(1, self._roles), ghz)
 
-        self._emit(
-            cfg.receiver, "SEND", f"to={cfg.sender} sequence=travel count={cfg.triplet_count}"
-        )
-        attack = cfg.attack
-        if attack is not None:
-            for n in range(1, cfg.triplet_count + 1):
-                travel = QubitId(n, "t")
-                slot = self._slot_of(travel)
-                state, detail = attack.tap(travel, self._pool[slot], self._rngs[EVE])
-                self._store(slot, state)
-                if detail is not None:
-                    self._emit(EVE, "TAP", detail)
+        emit(cfg.receiver, "SEND", f"to={cfg.sender} sequence=travel count={count}")
+        if cfg.attack is not None:
+
+            def tap(block: slice) -> StateVector:
+                first = block.start + 1
+                sent = take_rows(self._prepared, self._row_of[block], _labels(first, self._roles))
+                state, details = cfg.attack.tap(QubitId(first, "t"), sent, self._rngs[EVE])
+                for detail in details or ():
+                    emit(EVE, "TAP", detail)
+                return state
+
+            # the first block, and so the stack, is labelled as triplet 1;
+            # a tap may add a probe ancilla to each register
+            self._prepared = _per_block(count, self._prepared.num_qubits + 1, tap)
+            self._row_of = np.arange(count)
         for ctrl in cfg.controllers:
-            self._emit(
-                cfg.receiver, "SEND", f"to={ctrl} sequence=control count={cfg.triplet_count}"
-            )
+            emit(cfg.receiver, "SEND", f"to={ctrl} sequence=control count={count}")
 
         self._advance(Phase.S2)
         for party in (cfg.sender,) + cfg.controllers:
-            self._emit(party, "RECEIPT", f"party={party} count={cfg.triplet_count}")
+            emit(party, "RECEIPT", f"party={party} count={count}")
         self.groups = [
             GroupState(index=k, triplets=(2 * k - 1, 2 * k))
             for k in range(1, cfg.group_count + 1)
@@ -387,172 +393,170 @@ class Session:
         All checked photons are consumed even after a violation, so the
         per-triplet violation rate is well defined for statistics.
         """
-        cfg = self.config
+        cfg, emit = self.config, self._emit
         self._advance(Phase.S4)
-        check_bases: dict[int, MeasurementBasis] = {}
-        for group in self.checking_groups:
-            for n in group.triplets:
-                basis = (
-                    MeasurementBasis.COMPUTATIONAL
-                    if int(self._rngs[cfg.sender].integers(0, 2)) == 0
-                    else MeasurementBasis.DIAGONAL
-                )
-                check_bases[n] = basis
-                bits = [self._measure(QubitId(n, "t"), basis, cfg.sender)]
-                self._emit(
-                    cfg.sender,
-                    "CHECK_ANNOUNCE",
-                    f"triplet={n} basis={basis.value} outcome={bits[0]}",
-                )
-                for party in (cfg.receiver,) + cfg.controllers:
-                    outcome = self._measure(QubitId(n, self._role_of[party]), basis, party)
-                    bits.append(outcome)
-                    self._emit(
-                        party,
-                        "CHECK_REPLY",
-                        f"party={party} triplet={n} basis={basis.value} outcome={outcome}",
-                    )
-                self.checked_triplets += 1
-                if not coincidence_ok(basis, bits):
-                    self.violations += 1
-                    if self.abort_triplet is None:
-                        self.abort_triplet = n
+        checked = [n for group in self.checking_groups for n in group.triplets]
+        bases, sender_draws = draw_random_bases(self._rngs[cfg.sender], len(checked))
+        parties = (cfg.sender, cfg.receiver) + cfg.controllers
+        # per triplet: the sender, the receiver, the controllers, then a
+        # probe ancilla, which is read out only after the bases are public
+        measuring = [(party, self._role_of[party]) for party in parties]
+        if QubitId(1, "e") in self._prepared.qubits:
+            measuring.append((EVE, "e"))
+        draws = {party: self._rngs[party].random(len(checked)) for party, _ in measuring[1:]}
+        draws[cfg.sender] = sender_draws
+        outcomes = {party: np.empty(len(checked), np.intp) for party, _ in measuring}
 
-        # a probe ancilla is read out only after the bases are public
-        for group in self.checking_groups:
-            for n in group.triplets:
-                ancilla = QubitId(n, "e")
-                if ancilla in self._where:
-                    outcome = self._measure(ancilla, check_bases[n], EVE)
-                    self._emit(
-                        EVE,
-                        "ANCILLA_MEASURE",
-                        f"triplet={n} basis={check_bases[n].value} outcome={outcome}",
-                    )
+        def measure(block: slice) -> StateVector:
+            state = self._take(checked[block])
+            for party, role in measuring:
+                outcomes[party][block], state = measure_qubit(
+                    state, QubitId(1, role), bases[block], draws[party][block]
+                )
+            return state
+
+        if _per_block(len(checked), self._prepared.num_qubits, measure).num_qubits:
+            raise InternalError("checked photons were left unmeasured")
+
+        bits = {party: column.tolist() for party, column in outcomes.items()}
+        for i, (n, basis) in enumerate(zip(checked, bases)):
+            label, outcome = basis.value, bits[cfg.sender][i]
+            emit(cfg.sender, "CHECK_ANNOUNCE", f"triplet={n} basis={label} outcome={outcome}")
+            for party in parties[1:]:
+                detail = f"party={party} triplet={n} basis={label} outcome={bits[party][i]}"
+                emit(party, "CHECK_REPLY", detail)
+            self.checked_triplets += 1
+            if not coincidence_ok(basis, [bits[party][i] for party in parties]):
+                self.violations += 1
+                if self.abort_triplet is None:
+                    self.abort_triplet = n
+        for n, basis, outcome in zip(checked, bases, bits.get(EVE, ())):
+            emit(EVE, "ANCILLA_MEASURE", f"triplet={n} basis={basis.value} outcome={outcome}")
 
         passed = self.violations == 0
-        self._emit(
-            cfg.sender,
-            "CHECK_VERDICT",
-            f"verdict={'pass' if passed else 'abort'} checked={self.checked_triplets} "
-            f"violations={self.violations}",
-        )
+        verdict = "pass" if passed else "abort"
+        counts = f"checked={self.checked_triplets} violations={self.violations}"
+        emit(cfg.sender, "CHECK_VERDICT", f"verdict={verdict} {counts}")
         if not passed:
-            self._emit(
-                cfg.sender, "ABORT", f"reason=check_failed triplet={self.abort_triplet}"
-            )
+            emit(cfg.sender, "ABORT", f"reason=check_failed triplet={self.abort_triplet}")
             self._advance(Phase.ABORTED)
         return passed
 
     def controller_round(self) -> None:
-        cfg = self.config
+        cfg, emit = self.config, self._emit
         self._advance(Phase.S5)
-        bits: dict[tuple[str, int], int] = {}
+        triplets = [n for group in self.encoding_groups for n in group.triplets]
+        draws = {ctrl: self._rngs[ctrl].random(len(triplets)) for ctrl in cfg.controllers}
+        outcomes = {ctrl: np.empty(len(triplets), np.intp) for ctrl in cfg.controllers}
+
+        def rotate_and_measure(block: slice) -> StateVector:
+            state = self._take(triplets[block])
+            for ctrl in cfg.controllers:
+                qubit = QubitId(1, self._role_of[ctrl])
+                state = apply_gate(state, Gate.HADAMARD, qubit)
+                outcomes[ctrl][block], state = measure_qubit(
+                    state, qubit, MeasurementBasis.COMPUTATIONAL, draws[ctrl][block]
+                )
+            return state
+
+        # (home, travel[, probe ancilla]) of each encoding triplet, in order
+        self._encoding = _per_block(len(triplets), self._prepared.num_qubits, rotate_and_measure)
+        bits = {ctrl: column.tolist() for ctrl, column in outcomes.items()}
         for ctrl in cfg.controllers:
-            for group in self.encoding_groups:
-                for n in group.triplets:
-                    qubit = QubitId(n, self._role_of[ctrl])
-                    self._apply(Gate.HADAMARD, qubit)
-                    outcome = self._measure(qubit, MeasurementBasis.COMPUTATIONAL, ctrl)
-                    bits[(ctrl, n)] = outcome
-                    self._emit(ctrl, "HADAMARD_MEASURE", f"triplet={n} outcome={outcome}")
+            for n, outcome in zip(triplets, bits[ctrl]):
+                emit(ctrl, "HADAMARD_MEASURE", f"triplet={n} outcome={outcome}")
 
         self._advance(Phase.S6)
-        encoding_triplets = [n for g in self.encoding_groups for n in g.triplets]
         for ctrl in cfg.controllers:
-            listed = ",".join(f"{n}:{bits[(ctrl, n)]}" for n in encoding_triplets)
-            self._emit(ctrl, "CONTROLLER_OUTCOMES", f"party={ctrl} outcomes={listed}")
-        for group in self.encoding_groups:
-            group.parities = tuple(
-                triplet_parity([bits[(ctrl, n)] for ctrl in cfg.controllers])
-                for n in group.triplets
-            )
+            listed = ",".join(f"{n}:{outcome}" for n, outcome in zip(triplets, bits[ctrl]))
+            emit(ctrl, "CONTROLLER_OUTCOMES", f"party={ctrl} outcomes={listed}")
+        parities = [triplet_parity(column) for column in zip(*bits.values())]
+        for i, group in enumerate(self.encoding_groups):
+            group.parities = (parities[2 * i], parities[2 * i + 1])
 
     def encode_and_announce(self) -> None:
-        cfg = self.config
+        cfg, emit = self.config, self._emit
         self._advance(Phase.S7)
-        for i, group in enumerate(self.encoding_groups):
-            chunk = cfg.message_bits[2 * i : 2 * i + 2]
-            op = EncodingOp.from_bits(chunk)
-            group.encoded_bits = chunk
+        groups = self.encoding_groups
+        chunks = [cfg.message_bits[2 * i : 2 * i + 2] for i in range(len(groups))]
+        ops = [EncodingOp.from_bits(chunk) for chunk in chunks]
+        draws = self._rngs[cfg.sender].random(len(groups))
+        encoding, self._encoding = self._encoding, None
+        second_labels = _labels(2, [q.role for q in encoding.qubits])
+        travel_pair = (QubitId(1, "t"), QubitId(2, "t"))
+        outcomes = []
+
+        def encode_and_measure(block: slice) -> StateVector:
+            rows = range(2 * block.start, 2 * block.stop)
+            firsts = take_rows(encoding, slice(rows.start, rows.stop, 2))
+            seconds = take_rows(encoding, slice(rows.start + 1, rows.stop, 2), second_labels)
+            firsts = apply_gate(firsts, [op.gate for op in ops[block]], travel_pair[0])
+            got, state = measure_bell(tensor(firsts, seconds), travel_pair, draws[block])
+            outcomes.extend(got)
+            return state
+
+        # (home 1[, probe 1], home 2[, probe 2]) of each encoding group
+        self._pairs = _per_block(len(groups), 2 * encoding.num_qubits, encode_and_measure)
+        for group, chunk, op, outcome in zip(groups, chunks, ops, outcomes):
             first, second = group.triplets
-            self._apply(op.gate, QubitId(first, "t"))
-            self._emit(
-                cfg.sender, "ENCODE", f"group={group.index} bits={chunk} op={op.name}"
-            )
-            outcome = self._measure_bell_pair(
-                (QubitId(first, "t"), QubitId(second, "t")), cfg.sender
-            )
-            group.sender_bell = outcome
-            self._emit(
-                cfg.sender,
-                "BELL_MEASURE",
-                f"group={group.index} pair=t{first},t{second} outcome={outcome.value}",
-            )
+            group.encoded_bits, group.sender_bell = chunk, outcome
+            emit(cfg.sender, "ENCODE", f"group={group.index} bits={chunk} op={op.name}")
+            detail = f"group={group.index} pair=t{first},t{second} outcome={outcome.value}"
+            emit(cfg.sender, "BELL_MEASURE", detail)
 
         self._advance(Phase.S8)
-        for group in self.encoding_groups:
-            self._emit(
-                cfg.sender,
-                "BELL_ANNOUNCE",
-                f"group={group.index} outcome={group.sender_bell.value}",
-            )
+        for group in groups:
+            detail = f"group={group.index} outcome={group.sender_bell.value}"
+            emit(cfg.sender, "BELL_ANNOUNCE", detail)
 
     def receiver_decode(self) -> str:
-        cfg = self.config
+        cfg, emit = self.config, self._emit
         self._advance(Phase.S9)
         table = default_decode_table()
-        for group in self.encoding_groups:
+        groups = self.encoding_groups
+        pairs, self._pairs = self._pairs, None
+        measuring = [(cfg.receiver, (QubitId(1, "h"), QubitId(2, "h")))]
+        if QubitId(1, "e") in pairs.qubits:
+            measuring.append((EVE, (QubitId(1, "e"), QubitId(2, "e"))))
+        draws = {party: self._rngs[party].random(len(groups)) for party, _ in measuring}
+        outcomes: dict[str, list[BellOutcome]] = {party: [] for party, _ in measuring}
+
+        def measure(block: slice) -> StateVector:
+            state = take_rows(pairs, block)
+            for party, pair in measuring:
+                got, state = measure_bell(state, pair, draws[party][block])
+                outcomes[party].extend(got)
+            return state
+
+        if _per_block(len(groups), pairs.num_qubits, measure).num_qubits:
+            raise InternalError("encoding photons were left unmeasured")
+
+        for group, outcome in zip(groups, outcomes[cfg.receiver]):
             first, second = group.triplets
-            outcome = self._measure_bell_pair(
-                (QubitId(first, "h"), QubitId(second, "h")), cfg.receiver
-            )
             group.receiver_bell = outcome
-            self._emit(
-                cfg.receiver,
-                "BELL_MEASURE",
-                f"group={group.index} pair=h{first},h{second} outcome={outcome.value}",
-            )
-            key = DecodeKey(
-                group.parities[0], group.parities[1], group.sender_bell, outcome
-            )
+            detail = f"group={group.index} pair=h{first},h{second} outcome={outcome.value}"
+            emit(cfg.receiver, "BELL_MEASURE", detail)
+            key = DecodeKey(group.parities[0], group.parities[1], group.sender_bell, outcome)
             try:
                 bits = table.decode(key)
             except KeyError as exc:  # the table is total; this cannot happen
                 raise InternalError(f"no decode entry for {key}") from exc
             group.decoded_bits = bits
-            self._emit(
-                cfg.receiver,
-                "DECODE",
-                f"group={group.index} parities={group.parities[0]}{group.parities[1]} "
-                f"sender={group.sender_bell.value} receiver={outcome.value} bits={bits}",
-            )
-
-        for group in self.encoding_groups:
+            parities = f"{group.parities[0]}{group.parities[1]}"
+            bells = f"sender={group.sender_bell.value} receiver={outcome.value}"
+            detail = f"group={group.index} parities={parities} {bells} bits={bits}"
+            emit(cfg.receiver, "DECODE", detail)
+        for group, outcome in zip(groups, outcomes.get(EVE, ())):
             first, second = group.triplets
-            pair = (QubitId(first, "e"), QubitId(second, "e"))
-            if pair[0] in self._where and pair[1] in self._where:
-                outcome = self._measure_bell_pair(pair, EVE)
-                self._emit(
-                    EVE,
-                    "ANCILLA_BELL",
-                    f"group={group.index} pair=e{first},e{second} outcome={outcome.value}",
-                )
+            detail = f"group={group.index} pair=e{first},e{second} outcome={outcome.value}"
+            emit(EVE, "ANCILLA_BELL", detail)
 
         self.decoded_bits = "".join(g.decoded_bits for g in self.encoding_groups)
         self._advance(Phase.S11)
-        self._emit(cfg.receiver, "COMPLETE", f"decoded={self.decoded_bits}")
+        emit(cfg.receiver, "COMPLETE", f"decoded={self.decoded_bits}")
         return self.decoded_bits
 
     # -- driver -----------------------------------------------------------
-
-    def unmeasured_qubits(self) -> set[QubitId]:
-        return set(self._where)
-
-    def _check_conservation(self) -> None:
-        alive = set(self._where)
-        if alive & self._measured or (alive | self._measured) != self._created:
-            raise InternalError("qubit conservation violated")
 
     def run(self) -> SessionResult:
         self.prepare_and_distribute()
@@ -562,7 +566,11 @@ class Session:
             self.controller_round()
             self.encode_and_announce()
             self.receiver_decode()
-        self._check_conservation()
+        # every prepared register was taken out and measured, except the
+        # encoding triplets' after an abort, which stay alive
+        taken = np.count_nonzero(self._taken)
+        if taken != (self.config.triplet_count if passed else self.checked_triplets):
+            raise InternalError("qubit conservation violated")
         return SessionResult(
             config=self.config,
             completed=passed,

@@ -13,10 +13,15 @@ Conventions used throughout the package:
   behind in the sampled eigenstate.
 * Bell outcomes are stated against ordered pairs: PSI_PLUS on (a, b)
   is (|0_a 1_b> + |1_a 0_b>)/sqrt(2), and likewise for the others.
+* A ``StateVector`` is a stack of registers, one per row of ``amps``,
+  sharing one qubit layout.  A kernel treats the rows independently, so
+  a stack of n rows gives bit for bit what n one-row calls give.  Gates
+  and bases may be given per row; measurements take one uniform draw
+  per row, so the caller orders its draws, and return one outcome each.
 
 Invariant: ``make_state`` is the only place that validates a register
-and normalises amplitudes.  Every kernel takes a normalised state and
-returns one, built directly with read-only amplitudes and no further
+and normalises amplitudes.  Every kernel takes normalised rows and
+returns them, built directly with read-only amplitudes and no further
 checks.  Gates are unitary, so only the measurements
 (``measure_qubit``, ``collapse_qubit``, ``measure_bell``) renormalise,
 dividing the sampled branch by the square root of its probability.
@@ -24,7 +29,6 @@ dividing the sampled branch by the square root of its probability.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, NamedTuple, Sequence
@@ -131,18 +135,23 @@ _BELL_BRAS = _frozen(_BELL_MATRIX.conj())
 
 @dataclass(frozen=True, eq=False)
 class StateVector:
-    """Normalized pure state over an ordered register of labeled qubits.
+    """A stack of normalized pure states, one per row of ``amps``, over
+    one ordered register layout of labeled qubits.
 
     Build one with ``make_state``; the kernels construct their results
     directly (see the module docstring).
     """
 
     qubits: tuple[QubitId, ...]
-    amps: np.ndarray
+    amps: np.ndarray  # (rows, 2**num_qubits)
 
     @property
     def num_qubits(self) -> int:
         return len(self.qubits)
+
+    @property
+    def rows(self) -> int:
+        return self.amps.shape[0]
 
     def index_of(self, qubit: QubitId) -> int:
         try:
@@ -151,22 +160,26 @@ class StateVector:
             raise ValueError(f"qubit {qubit} is not in this register") from None
 
     def amplitude(self, bits: str) -> complex:
-        """Amplitude of the computational basis string (qubit 0 leftmost)."""
+        """Amplitude of the computational basis string (qubit 0 leftmost)
+        in a one-row stack."""
         if len(bits) != self.num_qubits or set(bits) - {"0", "1"}:
             raise ValueError(f"expected a {self.num_qubits}-bit string, got {bits!r}")
-        return complex(self.amps[int(bits, 2)]) if bits else complex(self.amps[0])
+        if self.rows != 1:
+            raise ValueError(f"amplitude reads a one-row stack, this one has {self.rows}")
+        return complex(self.amps[0, int(bits, 2) if bits else 0])
 
 
 def _state(qubits: tuple[QubitId, ...], amps: np.ndarray) -> StateVector:
-    """Wrap fresh kernel output: flattened and read-only, not re-checked."""
-    amps = amps.reshape(-1)
+    """Wrap fresh kernel output: one flat row per register and read-only,
+    not re-checked."""
+    amps = amps.reshape(amps.shape[0], -1)
     amps.flags.writeable = False
     return StateVector(qubits, amps)
 
 
 def make_state(qubits: Iterable[QubitId], amplitudes: Sequence[complex]) -> StateVector:
-    """Build a normalized state; rejects duplicate qubit ids, length
-    mismatches and zero vectors."""
+    """Build a normalized one-row state; rejects duplicate qubit ids,
+    length mismatches and zero vectors."""
     qubits = tuple(qubits)
     if len(set(qubits)) != len(qubits):
         raise ValueError("duplicate qubit ids in register")
@@ -178,13 +191,33 @@ def make_state(qubits: Iterable[QubitId], amplitudes: Sequence[complex]) -> Stat
     norm = float(np.linalg.norm(amps))
     if norm <= ATOL:
         raise ValueError("state vector has zero norm")
-    return _state(qubits, amps / norm)
+    return _state(qubits, (amps / norm)[None])
+
+
+def take_rows(state: StateVector, rows, qubits: Sequence[QubitId] | None = None) -> StateVector:
+    """The rows (an index array or a slice) of a stack, under new labels
+    ``qubits`` for the same layout if given."""
+    return _state(state.qubits if qubits is None else tuple(qubits), state.amps[rows])
+
+
+def join_rows(parts: Sequence[StateVector]) -> StateVector:
+    """Stack the rows of ``parts``, which share one layout, in order,
+    under the labels of the first."""
+    return _state(parts[0].qubits, np.concatenate([part.amps for part in parts]))
+
+
+def _per_row(table: dict, choice) -> np.ndarray:
+    """The (d, d) matrix of one choice, or a (rows, 1, d, d) stack of one per row."""
+    if isinstance(choice, Enum):
+        return table[choice]
+    return np.stack([table[c] for c in choice])[:, None]
 
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:
+    """Row-wise product; a one-row operand pairs with every row of the other."""
     if not set(a.qubits).isdisjoint(b.qubits):
         raise ValueError("tensor operands share qubit ids")
-    return _state(a.qubits + b.qubits, np.outer(a.amps, b.amps))
+    return _state(a.qubits + b.qubits, a.amps[:, :, None] * b.amps[:, None, :])
 
 
 def reorder(state: StateVector, new_order: Sequence[QubitId]) -> StateVector:
@@ -192,101 +225,110 @@ def reorder(state: StateVector, new_order: Sequence[QubitId]) -> StateVector:
     new_order = tuple(new_order)
     if set(new_order) != set(state.qubits) or len(new_order) != state.num_qubits:
         raise ValueError("new order must be a permutation of the register")
-    perm = [state.index_of(q) for q in new_order]
-    return _state(new_order, state.amps.reshape([2] * state.num_qubits).transpose(perm))
+    perm = [0] + [state.index_of(q) + 1 for q in new_order]
+    psi = state.amps.reshape([state.rows] + [2] * state.num_qubits)
+    return _state(new_order, psi.transpose(perm))
 
 
-def apply_gate(state: StateVector, gate: Gate, target: QubitId) -> StateVector:
-    # (2**j, 2, rest): qubit j alone on the middle axis
-    psi = state.amps.reshape(1 << state.index_of(target), 2, -1)
-    return _state(state.qubits, gate.matrix @ psi)
+def _around(state: StateVector, target: QubitId) -> np.ndarray:
+    """The amplitudes as (rows, 2**j, 2, rest): qubit j, the target, alone on axis 2."""
+    return state.amps.reshape(state.rows, 1 << state.index_of(target), 2, -1)
+
+
+def apply_gate(state: StateVector, gate: Gate | Sequence[Gate], target: QubitId) -> StateVector:
+    """One gate on every row, or a sequence of gates, one per row."""
+    return _state(state.qubits, _per_row(_GATE_MATRICES, gate) @ _around(state, target))
 
 
 def apply_cnot(state: StateVector, control: QubitId, target: QubitId) -> StateVector:
     if control == target:
         raise ValueError("control and target must differ")
     i, j = state.index_of(control), state.index_of(target)
-    psi = state.amps.reshape([2] * state.num_qubits)
-    control_set = tuple(1 if axis == i else slice(None) for axis in range(psi.ndim))
+    # axis 0 holds the rows, so qubit q is on axis q + 1
+    psi = state.amps.reshape([state.rows] + [2] * state.num_qubits)
+    control_set = tuple(1 if axis == i + 1 else slice(None) for axis in range(psi.ndim))
     out = psi.copy()
     # indexing with an integer drops the control axis
-    out[control_set] = np.flip(psi[control_set], axis=j - (j > i))
+    out[control_set] = np.flip(psi[control_set], axis=j + 1 - (j > i))
     return _state(state.qubits, out)
 
 
 def inner_product(a: StateVector, b: StateVector) -> complex:
-    """<a|b> for states over the identical ordered register."""
+    """<a|b> for one-row states over the identical ordered register."""
     if a.qubits != b.qubits:
         raise ValueError("inner product requires identical registers")
     return complex(np.vdot(a.amps, b.amps))
 
 
-def _sample(rng: np.random.Generator, probs: Sequence[float]) -> int:
-    """Born sampling; a branch with exactly zero probability is never chosen."""
-    r = float(rng.random())
-    acc = 0.0
-    last = -1
-    for k, p in enumerate(probs):
-        if p <= 0.0:
-            continue
-        acc += p
-        last = k
-        if r < acc:
-            return k
-    if last < 0:
+def _sample(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Born sampling, one outcome per row of ``probs`` (rows, d): the first
+    branch whose running total exceeds the row's uniform draw, else the
+    last positive branch.  A branch with exactly zero probability is
+    never chosen: it adds nothing to the running total."""
+    positive = probs > 0.0
+    if not positive.any(axis=1).all():
         raise ValueError("no branch has positive probability")
-    return last
+    hit = uniforms[:, None] < np.cumsum(probs, axis=1)
+    last = probs.shape[1] - 1 - np.argmax(positive[:, ::-1], axis=1)
+    return np.where(hit.any(axis=1), np.argmax(hit, axis=1), last)
 
 
-def _measure(bras: np.ndarray, psi: np.ndarray, rng: np.random.Generator) -> tuple[int, np.ndarray]:
-    """Project the middle axis of ``psi`` (shape (a, d, b)) onto the d
-    rows of ``bras``; returns the sampled outcome and its renormalised
-    (a, b) branch."""
+def _measure(
+    bras: np.ndarray, psi: np.ndarray, uniforms: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Project axis 2 of ``psi`` (rows, a, d, b) onto the d rows of
+    ``bras``, (d, d) or one per row (rows, 1, d, d); returns each row's
+    sampled outcome and its renormalised (rows, a, b) branch."""
     branches = bras @ psi
     weights = np.abs(branches)
     weights *= weights
-    probs = weights.sum(axis=(0, 2)).tolist()
-    k = _sample(rng, probs)
-    return k, branches[:, k] / math.sqrt(probs[k])
+    probs = weights.sum(axis=(1, 3))
+    k = _sample(probs, uniforms)
+    rows = np.arange(len(k))
+    return k, branches[rows, :, k] / np.sqrt(probs[rows, k])[:, None, None]
 
 
 def measure_qubit(
     state: StateVector,
     target: QubitId,
-    basis: MeasurementBasis,
-    rng: np.random.Generator,
-) -> tuple[int, StateVector]:
-    """Projective measurement; the measured qubit leaves the register."""
-    j = state.index_of(target)
-    k, branch = _measure(_BASIS_BRAS[basis], state.amps.reshape(1 << j, 2, -1), rng)
-    return k, _state(state.qubits[:j] + state.qubits[j + 1 :], branch)
+    basis: MeasurementBasis | Sequence[MeasurementBasis],
+    uniforms: np.ndarray,
+) -> tuple[np.ndarray, StateVector]:
+    """Projective measurement of every row, in one basis or one per row;
+    the measured qubit leaves the register."""
+    k, branch = _measure(_per_row(_BASIS_BRAS, basis), _around(state, target), uniforms)
+    return k, _state(tuple(q for q in state.qubits if q != target), branch)
 
 
 def collapse_qubit(
     state: StateVector,
     target: QubitId,
-    basis: MeasurementBasis,
-    rng: np.random.Generator,
-) -> tuple[int, StateVector]:
+    basis: MeasurementBasis | Sequence[MeasurementBasis],
+    uniforms: np.ndarray,
+) -> tuple[np.ndarray, StateVector]:
     """Measure-and-resend: the qubit stays, reset to the sampled eigenstate."""
-    j = state.index_of(target)
-    k, branch = _measure(_BASIS_BRAS[basis], state.amps.reshape(1 << j, 2, -1), rng)
-    # back to (2**j, 2, rest), the sampled eigenvector on the middle axis
-    post = basis.vectors[k][:, None] * branch[:, None, :]
+    k, branch = _measure(_per_row(_BASIS_BRAS, basis), _around(state, target), uniforms)
+    vectors = np.broadcast_to(_per_row(_BASIS_VECTORS, basis), (len(k), 1, 2, 2))
+    eigenvectors = vectors[np.arange(len(k)), 0, k]
+    # back to (rows, 2**j, 2, rest), the sampled eigenvector on axis 2
+    post = eigenvectors[:, None, :, None] * branch[:, :, None, :]
     return k, _state(state.qubits, post)
 
 
 def measure_bell(
     state: StateVector,
     pair: tuple[QubitId, QubitId],
-    rng: np.random.Generator,
-) -> tuple[BellOutcome, StateVector]:
-    """Bell measurement on the ordered pair; both qubits leave the register."""
+    uniforms: np.ndarray,
+) -> tuple[list[BellOutcome], StateVector]:
+    """Bell measurement of every row on the ordered pair; both qubits
+    leave the register."""
     a, b = pair
     if a == b:
         raise ValueError("bell pair must be two distinct qubits")
     i, j = state.index_of(a), state.index_of(b)
     rest = [m for m in range(state.num_qubits) if m != i and m != j]
-    psi = state.amps.reshape([2] * state.num_qubits).transpose([i, j, *rest])
-    k, branch = _measure(_BELL_BRAS, psi.reshape(1, 4, -1), rng)
-    return BELL_OUTCOMES[k], _state(tuple(state.qubits[m] for m in rest), branch)
+    psi = state.amps.reshape([state.rows] + [2] * state.num_qubits)
+    psi = psi.transpose([0, i + 1, j + 1, *(m + 1 for m in rest)])
+    k, branch = _measure(_BELL_BRAS, psi.reshape(state.rows, 1, 4, -1), uniforms)
+    outcomes = [BELL_OUTCOMES[index] for index in k.tolist()]
+    return outcomes, _state(tuple(state.qubits[m] for m in rest), branch)

@@ -11,39 +11,41 @@ and seed compare byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 FIELD_SEP = "\t"
 
 
-@dataclass(frozen=True)
-class TranscriptRecord:
+class TranscriptRecord(NamedTuple):
+    """One record; plain storage.  ``format_line`` and ``parse_line``
+    check it at the file boundary."""
+
     seq: int
     phase: str
     actor: str
     action: str
     detail: str
 
-    def __post_init__(self) -> None:
-        if self.seq < 1:
-            raise ValueError("sequence numbers start at 1")
-        for field in (self.phase, self.actor, self.action, self.detail):
-            if FIELD_SEP in field or "\n" in field or "\r" in field:
-                raise ValueError(f"transcript field contains a separator: {field!r}")
-
 
 def format_line(record: TranscriptRecord) -> str:
-    return FIELD_SEP.join(
+    line = FIELD_SEP.join(
         (str(record.seq), record.phase, record.actor, record.action, record.detail)
     )
+    if record.seq < 1:
+        raise ValueError("sequence numbers start at 1")
+    # five fields hold exactly four separators and no line break
+    if line.count(FIELD_SEP) != 4 or "\n" in line or "\r" in line:
+        raise ValueError(f"transcript field contains a separator: {line!r}")
+    return line
 
 
 def parse_line(line: str) -> TranscriptRecord:
     parts = line.rstrip("\n").split(FIELD_SEP)
     if len(parts) != 5:
         raise ValueError(f"expected 5 tab-separated fields, got {len(parts)}")
-    return TranscriptRecord(int(parts[0]), parts[1], parts[2], parts[3], parts[4])
+    record = TranscriptRecord(int(parts[0]), parts[1], parts[2], parts[3], parts[4])
+    format_line(record)  # a record parses only if it formats back
+    return record
 
 
 def format_transcript(records: Iterable[TranscriptRecord]) -> str:

@@ -122,7 +122,9 @@ def test_controller_collapse_sign_tracks_the_outcome():
     for _ in range(trials):
         state = ghz_state_vector(1, (home, travel, ctrl))
         state = apply_gate(state, Gate.HADAMARD, ctrl)
-        outcome, rest = measure_qubit(state, ctrl, MeasurementBasis.COMPUTATIONAL, rng)
+        (outcome,), rest = measure_qubit(
+            state, ctrl, MeasurementBasis.COMPUTATIONAL, rng.random(1)
+        )
         ones += outcome
         sign = -1.0 if outcome else 1.0
         assert abs(rest.amplitude("00") - inv) < 1e-12
@@ -190,8 +192,8 @@ def test_joint_bell_outcomes_are_uniform_for_identity_encoding():
             bell_state_vector(BellOutcome.PHI_PLUS, (h2, t2)),
         )
         state = apply_gate(state, EncodingOp.U1.gate, t1)
-        sender, state = measure_bell(state, (t1, t2), rng)
-        receiver, _ = measure_bell(state, (h1, h2), rng)
+        (sender,), state = measure_bell(state, (t1, t2), rng.random(1))
+        (receiver,), _ = measure_bell(state, (h1, h2), rng.random(1))
         counts[(sender, receiver)] = counts.get((sender, receiver), 0) + 1
 
     compatible = {(b, b) for b in BELL_OUTCOMES}

@@ -48,7 +48,7 @@ def test_intercept_resend_collapses_to_an_eigenstate():
     qubit = QubitId(1, "t")
     for seed in range(20):
         state = make_state((qubit,), [0.6, 0.8])
-        out, detail = InterceptResend(BasisStrategy.ALWAYS_Z).tap(
+        out, (detail,) = InterceptResend(BasisStrategy.ALWAYS_Z).tap(
             qubit, state, np.random.default_rng(seed)
         )
         assert detail.startswith("triplet=1 basis=Z outcome=")
@@ -59,7 +59,7 @@ def test_intercept_resend_collapses_to_an_eigenstate():
 def test_entangle_measure_adds_one_ancilla():
     qubit = QubitId(3, "t")
     state = make_state((qubit,), [1, 0])
-    out, detail = EntangleMeasure().tap(qubit, state, np.random.default_rng(0))
+    out, (detail,) = EntangleMeasure().tap(qubit, state, np.random.default_rng(0))
     assert detail == "triplet=3 probe=cnot"
     assert set(out.qubits) == {qubit, QubitId(3, "e")}
 
@@ -67,11 +67,11 @@ def test_entangle_measure_adds_one_ancilla():
 def test_tap_detail_formats():
     qubit = QubitId(1, "t")
     state = make_state((qubit,), [1, 0])
-    _, detail = InterceptResend(BasisStrategy.ALWAYS_Z).tap(
+    _, (detail,) = InterceptResend(BasisStrategy.ALWAYS_Z).tap(
         qubit, state, np.random.default_rng(0)
     )
     assert detail == "triplet=1 basis=Z outcome=0"
-    _, detail = EntangleMeasure().tap(qubit, state, np.random.default_rng(0))
+    _, (detail,) = EntangleMeasure().tap(qubit, state, np.random.default_rng(0))
     assert detail == "triplet=1 probe=cnot"
 
 

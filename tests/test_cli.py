@@ -134,6 +134,8 @@ def test_attack_basis_flag_is_accepted():
         ["--mode", "sweep", "--parties", "30"],
         ["--mode", "run", "--triplets", "4098", "--message", "0" * 2048],
         ["--mode", "sweep", "--triplets", "1000000000000"],
+        ["--mode", "run", "--triplets", "8", "--message", "0001",
+         "--transcript", "same.tsv", "--stats", "./same.tsv"],
     ],
 )
 def test_bad_usage_exits_one(args):
@@ -326,6 +328,7 @@ def test_detection_sweep_script_prints_one_row_per_attack():
         ["--triplets", "7"],
         ["--seed", "-1"],
         ["--seed", "18446744073709551616"],
+        ["--triplets", "2", "--seed", "-1"],
     ],
 )
 def test_detection_sweep_script_rejects_bad_counts_as_usage_errors(args):

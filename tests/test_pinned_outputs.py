@@ -3,16 +3,21 @@
 The golden file covers one honest T=8, P=3 session.  These digests also
 pin multi-controller rounds, both attack taps (``collapse_qubit`` and
 ``apply_cnot``), the ancilla read-outs and aborted sessions, plus one
-sweep.  Each digest is the sha256 of the transcript bytes followed by
+sweep, and a seeded draw of a few hundred small run configurations.
+Each digest is the sha256 of the transcript bytes followed by
 the stats bytes (the stats bytes alone for the sweep); a change to any
 kernel that shifts one sampled outcome or one RNG draw changes it.
 """
 
+import contextlib
 import hashlib
+import io
 
+import numpy as np
 import pytest
 
 from csdcsim import cli
+from csdcsim.protocol import session_capacity
 
 RUN_CASES = {
     "p5-none": (
@@ -67,3 +72,49 @@ def test_sweep_output_matches_its_pinned_digest(tmp_path):
     stats = tmp_path / "stats.tsv"
     assert cli.main([*SWEEP_ARGV, "--stats", str(stats)]) == cli.EXIT_OK
     assert sha256(stats) == SWEEP_DIGEST
+
+
+ATTACK_ARGV = (
+    [],
+    ["--attack", "intercept-resend", "--attack-basis", "random"],
+    ["--attack", "intercept-resend", "--attack-basis", "z"],
+    ["--attack", "intercept-resend", "--attack-basis", "x"],
+    ["--attack", "entangle-measure"],
+)
+DRAWN_CONFIGS = 300
+DRAWN_DIGEST = "58c7cd57a39b8bf7f21232b73412b454020e9bdb0cf4e5da8c5950217ac8b4bd"
+
+
+def drawn_run_argvs():
+    """A fixed draw of --mode run argvs: T <= 64, P 3-12, every attack cell."""
+    rng = np.random.default_rng(20261018)
+    argvs = []
+    while len(argvs) < DRAWN_CONFIGS:
+        triplets = 2 * int(rng.integers(2, 33))
+        fraction = str(rng.choice(["0.25", "0.5", "0.75"]))
+        parties = int(rng.integers(3, 13))
+        seed = int(rng.integers(0, 2**63))
+        capacity = session_capacity(triplets, float(fraction))
+        if capacity == 0:
+            continue
+        message = "".join(map(str, rng.integers(0, 2, size=capacity)))
+        argvs.append([
+            "--mode", "run", "--triplets", str(triplets), "--parties", str(parties),
+            "--check-fraction", fraction, "--message", message, "--seed", str(seed),
+            *ATTACK_ARGV[len(argvs) % len(ATTACK_ARGV)],
+            "--transcript", "-", "--stats", "-",
+        ])
+    return argvs
+
+
+def test_drawn_run_configurations_match_their_pinned_digest():
+    digest = hashlib.sha256()
+    codes = set()
+    for argv in drawn_run_argvs():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            codes.add(cli.main(argv))
+        digest.update(out.getvalue().encode("utf-8"))
+    # the draw covers completed and aborted sessions
+    assert codes == {cli.EXIT_OK, cli.EXIT_EAVESDROPPER}
+    assert digest.hexdigest() == DRAWN_DIGEST

@@ -24,7 +24,7 @@ from csdcsim.protocol import (
     triplet_parity,
 )
 from csdcsim.attacks import BasisStrategy, InterceptResend
-from csdcsim.states import ATOL, MeasurementBasis, QubitId, reorder
+from csdcsim.states import ATOL, MeasurementBasis, QubitId, reorder, take_rows
 from csdcsim.transcript import format_transcript, parse_transcript
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -151,9 +151,10 @@ def test_prepared_triplets_are_ghz(parties):
     sess = Session(cfg)
     sess.prepare_and_distribute()
     width = 2 + (parties - 2)
+    prepared = sess._prepared
+    assert prepared.num_qubits == width
     for n in range(1, cfg.triplet_count + 1):
-        state = sess._pool[sess._slot_of(QubitId(n, "h"))]
-        assert state is not None and state.num_qubits == width
+        state = take_rows(prepared, [sess._row_of[n - 1]])
         ends = "0" * width, "1" * width
         for bits in ends:
             assert np.isclose(state.amplitude(bits), INV_SQRT2, atol=ATOL)
@@ -181,12 +182,14 @@ def test_controller_collapse_leaves_signed_pair():
         sess.select_groups()
         assert sess.run_check()
         sess.controller_round()
-        for group in sess.groups:
-            if group.kind != "encoding":
-                continue
-            for slot_index, triplet in enumerate(group.triplets):
-                home, travel = QubitId(triplet, "h"), QubitId(triplet, "t")
-                state = sess._pool[sess._slot_of(home)]
+        # one row per encoding triplet, in group order
+        encoding = sess._encoding
+        assert encoding.rows == 2 * len(sess.encoding_groups)
+        home, travel = QubitId(1, "h"), QubitId(1, "t")
+        for i, group in enumerate(sess.encoding_groups):
+            assert group.kind == "encoding"
+            for slot_index in range(2):
+                state = take_rows(encoding, [2 * i + slot_index])
                 state = reorder(state, (home, travel))
                 sign = -1.0 if group.parities[slot_index] else 1.0
                 assert np.isclose(state.amplitude("00"), INV_SQRT2, atol=ATOL)
@@ -216,16 +219,24 @@ def test_roles_can_rotate():
 def test_all_photons_accounted_for():
     sess = Session(config())
     sess.run()
-    assert sess.unmeasured_qubits() == set()
+    # every prepared register was taken out, and the phase stacks are spent
+    assert sess._taken.all()
+    assert sess._encoding is None and sess._pairs is None
 
 
 def test_measuring_a_photon_twice_is_an_internal_error():
     sess = Session(config())
+    sess.prepare_and_distribute()
+    sess.select_groups()
+    assert sess.run_check()
+    # a checking group's photons were all measured in S4
+    sess.encoding_groups.append(sess.checking_groups[0])
+    with pytest.raises(InternalError):
+        sess.controller_round()
+    sess = Session(config())
     sess.run()
     with pytest.raises(InternalError):
-        sess._measure(QubitId(1, "t"), MeasurementBasis.COMPUTATIONAL, BOB)
-    with pytest.raises(InternalError):
-        sess._measure_bell_pair((QubitId(1, "h"), QubitId(2, "h")), ALICE)
+        sess._take([1])
 
 
 def test_phases_are_monotonic():
@@ -290,8 +301,9 @@ def test_checked_photons_are_consumed_even_on_abort():
         int(detail_fields(r)["triplet"]) for r in sess.records if r.action == "CHECK_ANNOUNCE"
     }
     assert len(checked) == 4
-    # encoding-group photons are left alive after an abort
-    assert all(q.triplet not in checked for q in sess.unmeasured_qubits())
+    # exactly the checked registers were taken out; the encoding groups'
+    # photons are left alive after an abort
+    assert set((np.flatnonzero(sess._taken) + 1).tolist()) == checked
 
 
 def test_message_detail_formats():

@@ -22,10 +22,12 @@ from csdcsim.states import (
     apply_gate,
     collapse_qubit,
     inner_product,
+    join_rows,
     make_state,
     measure_bell,
     measure_qubit,
     reorder,
+    take_rows,
     tensor,
 )
 
@@ -211,7 +213,7 @@ def test_self_inverse_gates_round_trip():
 def test_measure_removes_qubit():
     state = make_state((Q[0], Q[1]), [1, 0, 0, 0])
     rng = np.random.default_rng(0)
-    outcome, rest = measure_qubit(state, Q[0], MeasurementBasis.COMPUTATIONAL, rng)
+    (outcome,), rest = measure_qubit(state, Q[0], MeasurementBasis.COMPUTATIONAL, rng.random(1))
     assert outcome == 0
     assert rest.qubits == (Q[1],)
 
@@ -219,7 +221,9 @@ def test_measure_removes_qubit():
 def test_collapse_keeps_qubit():
     plus = apply_gate(make_state((Q[0],), [1, 0]), Gate.HADAMARD, Q[0])
     rng = np.random.default_rng(3)
-    outcome, collapsed = collapse_qubit(plus, Q[0], MeasurementBasis.COMPUTATIONAL, rng)
+    (outcome,), collapsed = collapse_qubit(
+        plus, Q[0], MeasurementBasis.COMPUTATIONAL, rng.random(1)
+    )
     assert collapsed.qubits == (Q[0],)
     assert np.isclose(abs(collapsed.amplitude(str(outcome))), 1.0, atol=ATOL)
 
@@ -229,9 +233,11 @@ def test_eigenstate_measurement_is_deterministic():
         rng = np.random.default_rng(seed)
         plus = apply_gate(make_state((Q[0],), [1, 0]), Gate.HADAMARD, Q[0])
         state = tensor(plus, make_state((Q[1],), [0, 1]))
-        outcome, _ = measure_qubit(state, Q[0], MeasurementBasis.DIAGONAL, rng)
+        (outcome,), _ = measure_qubit(state, Q[0], MeasurementBasis.DIAGONAL, rng.random(1))
         assert outcome == 0
-        outcome, _ = measure_qubit(state, Q[1], MeasurementBasis.COMPUTATIONAL, rng)
+        (outcome,), _ = measure_qubit(
+            state, Q[1], MeasurementBasis.COMPUTATIONAL, rng.random(1)
+        )
         assert outcome == 1
 
 
@@ -241,7 +247,7 @@ def test_plus_state_computational_frequency():
     ones = 0
     for _ in range(trials):
         plus = apply_gate(make_state((Q[0],), [1, 0]), Gate.HADAMARD, Q[0])
-        outcome, _ = measure_qubit(plus, Q[0], MeasurementBasis.COMPUTATIONAL, rng)
+        (outcome,), _ = measure_qubit(plus, Q[0], MeasurementBasis.COMPUTATIONAL, rng.random(1))
         ones += outcome
     assert abs(ones / trials - 0.5) < 0.015
 
@@ -251,7 +257,9 @@ def test_measurement_collapse_is_consistent():
     for seed in range(50):
         rng = np.random.default_rng(seed)
         psi = make_state((Q[0], Q[1]), [0, INV_SQRT2, INV_SQRT2, 0])
-        outcome, rest = measure_qubit(psi, Q[0], MeasurementBasis.COMPUTATIONAL, rng)
+        (outcome,), rest = measure_qubit(
+            psi, Q[0], MeasurementBasis.COMPUTATIONAL, rng.random(1)
+        )
         assert np.isclose(abs(rest.amplitude(str(1 - outcome))), 1.0, atol=ATOL)
 
 
@@ -263,7 +271,7 @@ def test_measure_bell_removes_pair_and_is_sharp():
                 make_state((Q[0], Q[1]), outcome.vector),
                 make_state((Q[2],), [1, 0]),
             )
-            got, rest = measure_bell(state, (Q[0], Q[1]), rng)
+            (got,), rest = measure_bell(state, (Q[0], Q[1]), rng.random(1))
             assert got is outcome
             assert rest.qubits == (Q[2],)
 
@@ -276,7 +284,7 @@ def test_bell_outcome_serialization():
 def test_measure_missing_qubit_fails():
     state = make_state((Q[0],), [1, 0])
     with pytest.raises(ValueError):
-        measure_qubit(state, Q[1], MeasurementBasis.COMPUTATIONAL, np.random.default_rng(0))
+        measure_qubit(state, Q[1], MeasurementBasis.COMPUTATIONAL, np.random.default_rng(0).random(1))
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -293,19 +301,19 @@ def test_bell_measurement_probabilities_are_complete(seed):
 # --- kernels against a plain-array reference ------------------------------
 # The kernels reshape around their target; the reference moves axes on
 # plain arrays, as the exact oracle in attacks.py does.  Both sample with
-# _sample from generators with the same seed, so a kernel agrees with the
+# _sample from the same uniform draw, so a kernel agrees with the
 # reference when it picks the same outcome and its post-state matches
 # within ATOL.
 
 
-def reference_measure(state, axes, vectors, seed):
+def reference_measure(state, axes, vectors, uniform):
     """Project the qubits at ``axes`` onto the rows of ``vectors``; returns
     the sampled outcome and the renormalised rest of the register."""
     n = state.num_qubits
     psi = np.moveaxis(state.amps.reshape([2] * n), axes, range(len(axes)))
     branches = vectors.conj() @ psi.reshape(len(vectors), -1)
     probs = [float(np.vdot(row, row).real) for row in branches]
-    k = _sample(np.random.default_rng(seed), probs)
+    (k,) = _sample(np.array([probs]), uniform)
     return k, branches[k] / math.sqrt(probs[k])
 
 
@@ -322,12 +330,13 @@ def test_single_qubit_kernels_match_the_moveaxis_reference(n, seed):
             expected = _apply_single(state.amps, n, j, gate.matrix)
             assert close(apply_gate(state, gate, target).amps, expected)
         for basis in MeasurementBasis:
-            k, branch = reference_measure(state, [j], basis.vectors, seed)
-            got, rest = measure_qubit(state, target, basis, np.random.default_rng(seed))
+            uniform = np.random.default_rng(seed).random(1)
+            k, branch = reference_measure(state, [j], basis.vectors, uniform)
+            (got,), rest = measure_qubit(state, target, basis, uniform)
             assert got == k
             assert rest.qubits == state.qubits[:j] + state.qubits[j + 1 :]
             assert close(rest.amps, branch)
-            got, kept = collapse_qubit(state, target, basis, np.random.default_rng(seed))
+            (got,), kept = collapse_qubit(state, target, basis, uniform)
             assert got == k
             post = np.outer(basis.vectors[k], branch).reshape([2] * n)
             assert kept.qubits == state.qubits
@@ -342,8 +351,75 @@ def test_two_qubit_kernels_match_the_moveaxis_reference(n, seed):
     for i, j in itertools.permutations(range(n), 2):
         a, b = state.qubits[i], state.qubits[j]
         assert close(apply_cnot(state, a, b).amps, _cnot_vector(state.amps, n, i, j))
-        k, branch = reference_measure(state, [i, j], bell_rows, seed)
-        got, rest = measure_bell(state, (a, b), np.random.default_rng(seed))
+        uniform = np.random.default_rng(seed).random(1)
+        k, branch = reference_measure(state, [i, j], bell_rows, uniform)
+        (got,), rest = measure_bell(state, (a, b), uniform)
         assert got is BELL_OUTCOMES[k]
         assert rest.qubits == tuple(q for q in state.qubits if q not in (a, b))
         assert close(rest.amps, branch)
+
+
+# --- stacks against one-row calls ------------------------------------------
+# A stack of n rows must give bit for bit what n one-row calls give: the
+# session engine relies on it to reproduce transcripts exactly.
+
+
+def random_stack(qubits, rows, rng):
+    return join_rows([random_state(qubits, int(s)) for s in rng.integers(0, 2**32, size=rows)])
+
+
+def assert_rows_equal(stacked, singles):
+    assert stacked.rows == len(singles)
+    for row, single in zip(stacked.amps, singles):
+        assert single.rows == 1 and single.qubits == stacked.qubits
+        assert np.array_equal(row, single.amps[0])
+
+
+@given(st.integers(1, 13), st.integers(1, 64), st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_stacked_kernels_match_one_row_calls_bit_for_bit(n, rows, seed):
+    rng = np.random.default_rng(seed)
+    qubits = tuple(QubitId(k, "q") for k in range(n))
+    stack = random_stack(qubits, rows, rng)
+    singles = [take_rows(stack, [r]) for r in range(rows)]
+    uniforms = rng.random(rows)
+    gates = [list(Gate)[g] for g in rng.integers(0, len(Gate), size=rows)]
+    bases = [list(MeasurementBasis)[b] for b in rng.integers(0, 2, size=rows)]
+    j = int(rng.integers(0, n))
+    target = qubits[j]
+
+    assert_rows_equal(
+        apply_gate(stack, gates, target),
+        [apply_gate(one, gate, target) for one, gate in zip(singles, gates)],
+    )
+    assert_rows_equal(
+        apply_gate(stack, Gate.HADAMARD, target),
+        [apply_gate(one, Gate.HADAMARD, target) for one in singles],
+    )
+    for kernel in (measure_qubit, collapse_qubit):
+        outcomes, post = kernel(stack, target, bases, uniforms)
+        calls = [
+            kernel(one, target, basis, uniforms[r : r + 1])
+            for r, (one, basis) in enumerate(zip(singles, bases))
+        ]
+        assert outcomes.tolist() == [k for (k,), _ in calls]
+        assert_rows_equal(post, [single for _, single in calls])
+    if n == 1:
+        return
+
+    other = qubits[(j + int(rng.integers(1, n))) % n]
+    assert_rows_equal(
+        apply_cnot(stack, target, other), [apply_cnot(one, target, other) for one in singles]
+    )
+    outcomes, post = measure_bell(stack, (target, other), uniforms)
+    calls = [measure_bell(one, (target, other), uniforms[r : r + 1]) for r, one in enumerate(singles)]
+    assert outcomes == [k for (k,), _ in calls]
+    assert_rows_equal(post, [single for _, single in calls])
+
+    split = int(rng.integers(1, n))
+    left = random_stack(qubits[:split], rows, rng)
+    right = random_stack(qubits[split:], rows, rng)
+    assert_rows_equal(
+        tensor(left, right),
+        [tensor(take_rows(left, [r]), take_rows(right, [r])) for r in range(rows)],
+    )

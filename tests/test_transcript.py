@@ -24,16 +24,24 @@ def test_record_fields_round_trip():
     assert parse_line(format_line(record)) == record
 
 
+# Records are plain storage; they are checked where they are formatted
+# or parsed.
+
+
 def test_sequence_must_be_positive():
     with pytest.raises(ValueError):
-        TranscriptRecord(0, "S1", "ALICE", "PREPARE", "x")
+        format_line(TranscriptRecord(0, "S1", "ALICE", "PREPARE", "x"))
+    with pytest.raises(ValueError):
+        parse_line("0\tS1\tALICE\tPREPARE\tx")
 
 
 def test_fields_may_not_contain_separators():
     with pytest.raises(ValueError):
-        TranscriptRecord(1, "S1", "A\tB", "PREPARE", "x")
+        format_line(TranscriptRecord(1, "S1", "A\tB", "PREPARE", "x"))
     with pytest.raises(ValueError):
-        TranscriptRecord(1, "S1", "ALICE", "PRE\nPARE", "x")
+        format_line(TranscriptRecord(1, "S1", "ALICE", "PRE\nPARE", "x"))
+    with pytest.raises(ValueError):
+        parse_line("1\tS1\tALICE\tPRE\rPARE\tx")
 
 
 def test_parse_rejects_wrong_field_count():
