@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -26,7 +27,10 @@ from .states import (
     make_state,
     tensor,
 )
-from .protocol import ProtocolConfig, Session, draw_random_bases
+from .protocol import MAX_PARTIES, ProtocolConfig, Session, draw_random_bases
+
+if TYPE_CHECKING:  # pragma: no cover; naming np.random here would import it
+    Streams = Sequence[tuple[np.random.Generator, int]]
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 
@@ -43,7 +47,7 @@ class BasisStrategy(Enum):
 class NoAttack:
     """Identity tap: the channel is untouched."""
 
-    def tap(self, qubit: QubitId, state: StateVector, rng: np.random.Generator):
+    def tap(self, qubit: QubitId, state: StateVector, streams: Streams):
         return state, None
 
 
@@ -53,20 +57,23 @@ class InterceptResend:
 
     strategy: BasisStrategy = BasisStrategy.RANDOM
 
-    def tap(self, qubit: QubitId, state: StateVector, rng: np.random.Generator):
+    def tap(self, qubit: QubitId, state: StateVector, streams: Streams):
         if self.strategy is BasisStrategy.RANDOM:
-            bases, uniforms = draw_random_bases(rng, state.rows)
+            drawn = [draw_random_bases(rng, rows) for rng, rows in streams]
+            bases = [basis for got, _ in drawn for basis in got]
+            uniforms = np.concatenate([u for _, u in drawn])
         else:
             basis = (
                 MeasurementBasis.COMPUTATIONAL
                 if self.strategy is BasisStrategy.ALWAYS_Z
                 else MeasurementBasis.DIAGONAL
             )
-            bases, uniforms = [basis] * state.rows, rng.random(state.rows)
+            bases = [basis] * state.rows
+            uniforms = np.concatenate([rng.random(rows) for rng, rows in streams])
         outcomes, post = collapse_qubit(state, qubit, bases, uniforms)
         return post, [
-            f"triplet={qubit.triplet + row} basis={basis.value} outcome={outcome}"
-            for row, (basis, outcome) in enumerate(zip(bases, outcomes.tolist()))
+            f"basis={basis.value} outcome={outcome}"
+            for basis, outcome in zip(bases, outcomes.tolist())
         ]
 
 
@@ -79,17 +86,18 @@ class EntangleMeasure:
     on ancilla pairs for encoding groups.
     """
 
-    def tap(self, qubit: QubitId, state: StateVector, rng: np.random.Generator):
+    def tap(self, qubit: QubitId, state: StateVector, streams: Streams):
         ancilla = QubitId(qubit.triplet, "e")
         grown = tensor(state, make_state((ancilla,), [1.0, 0.0]))
         grown = apply_cnot(grown, qubit, ancilla)
-        return grown, [f"triplet={qubit.triplet + row} probe=cnot" for row in range(state.rows)]
+        return grown, ["probe=cnot"] * state.rows
 
 
-# Every model's tap(qubit, state, rng) takes a stack of registers whose
-# travel photons are in transit; row r holds triplet qubit.triplet + r.
-# It returns the new stack and the details of the TAP records, one per
-# row, or None.
+# Every model's tap(qubit, state, streams) takes a stack of registers
+# whose travel photons, ``qubit``, are in transit, and the streams its
+# draws come from: (generator, rows) runs that cover the stack's rows in
+# order.  It returns the new stack and the details of the TAP records,
+# one per row and without the triplet number, or None.
 AttackModel = NoAttack | InterceptResend | EntangleMeasure
 
 
@@ -245,31 +253,39 @@ def _trial_seed(base_seed: int, trial: int) -> int:
 
 def _trial_message(base_seed: int, trial: int, capacity: int) -> str:
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(base_seed, trial, 1)))
-    return "".join(str(int(b)) for b in rng.integers(0, 2, size=capacity))
+    return "".join(map(str, rng.integers(0, 2, size=capacity).tolist()))
 
 
 def estimate_detection(config: ProtocolConfig, trials: int) -> DetectionStats:
-    """Run independent sessions with derived seeds and random messages."""
+    """Run independent trials with derived seeds and random messages,
+    stacked into sessions of a few trials each."""
     if trials < 1:
         raise ValueError("trials must be positive")
+    # A session's tapped registers (a probe ancilla on each) hold at most
+    # as many amplitudes as one register of the widest kind, or it holds
+    # one trial.  Its phases keep several copies of them at once: chunks
+    # as large as AMPLITUDE_BUDGET allows ran no faster, and raised a
+    # sweep's peak memory.
+    chunk = max(1, (1 << MAX_PARTIES) // (config.triplet_count << (config.party_count + 1)))
     checked = violations = aborts = 0
     bits_total = bits_correct = 0
-    for trial in range(trials):
-        cfg = replace(
-            config,
-            seed=_trial_seed(config.seed, trial),
-            message_bits=_trial_message(config.seed, trial, config.capacity_bits),
-        )
-        result = Session(cfg).run()
-        checked += result.checked_triplets
-        violations += result.violations
-        if not result.completed:
-            aborts += 1
-        else:
-            bits_total += len(cfg.message_bits)
-            bits_correct += sum(
-                1 for a, b in zip(result.decoded_bits, cfg.message_bits) if a == b
+    for start in range(0, trials, chunk):
+        session = Session(*(
+            replace(
+                config,
+                seed=_trial_seed(config.seed, trial),
+                message_bits=_trial_message(config.seed, trial, config.capacity_bits),
             )
+            for trial in range(start, min(start + chunk, trials))
+        ))
+        session.run_trials()
+        checked += session.checked_triplets * len(session.configs)
+        violations += int(session.violations.sum())
+        aborts += int(np.count_nonzero(~session.completed))
+        for cfg, decoded in zip(session.configs, session.decoded_bits):
+            if decoded is not None:
+                bits_total += len(decoded)
+                bits_correct += sum(map(str.__eq__, decoded, cfg.message_bits))
     return DetectionStats(
         attack=attack_cell_label(config.attack),
         trials=trials,

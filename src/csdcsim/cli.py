@@ -257,6 +257,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
 
     try:
+        for flag, value in (("--transcript", args.transcript), ("--message", args.message)):
+            if value is not None and args.mode != "run":
+                raise ConfigError(f"{flag} applies only to --mode run")
         if args.mode == "verify":
             with _open_out(args.stats if args.stats is not None else "-") as out:
                 return run_verify(out)

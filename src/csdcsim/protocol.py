@@ -32,15 +32,27 @@ kernel call over the stack.  The phase stacks are the prepared registers
 encoding triplets' (home, travel[, probe]) rows after S5, and the
 groups' joined rows after S7.  Rows are processed in blocks of at most
 AMPLITUDE_BUDGET amplitudes, so no stack outgrows a few registers of the
-widest kind.  Records are emitted after each phase's array work, in
-protocol order.
+widest kind.
 
-Randomness: every draw comes from one master seed through a named
+A session holds one or more trials: runs that share the triplet count,
+party count, check fraction, attack and roles, and differ only in seed
+and message.  ``Session(config)`` is the one-trial case; a sweep cell
+runs its trials as one session (``attacks.estimate_detection``).  The
+trial is the outer axis of every stack: triplet n of trial k is row
+k*T + n - 1 of the prepared stack (T triplets a trial), and the later
+stacks keep the trials in order, so a phase is still one kernel call per
+party over every trial's rows.  A trial that aborts in S4 leaves S5-S9
+by a mask.  The phases store their outcomes in per-trial arrays; a
+trial's transcript is built from them only when its ``SessionResult`` is
+asked for, so a sweep builds no records.
+
+Randomness: every trial draws from its own master seed through a named
 substream per party (ALICE, BOB, CTRL1..k, then EVE, spawn keys 0..),
-so changing one party's behavior never shifts another party's draws.
-A party draws a phase's uniforms at once with ``rng.random(n)``, the
-same doubles as n scalar draws; a stream that interleaves basis choices
-and uniforms is drawn in a scalar loop first (``draw_random_bases``).
+so changing one party's behavior never shifts another party's draws,
+and a trial draws the same numbers alone or stacked with others.  A
+party draws a phase's uniforms at once with ``rng.random(n)``, the same
+doubles as n scalar draws; a stream that interleaves basis choices and
+uniforms is drawn in a scalar loop first (``draw_random_bases``).
 """
 
 from __future__ import annotations
@@ -106,11 +118,10 @@ class Phase(Enum):
     S8 = "S8"
     S9 = "S9"
     S11 = "S11"
-    ABORTED = "ABORT"
 
     @property
     def order(self) -> int:
-        return 99 if self is Phase.ABORTED else int(self.value[1:])
+        return int(self.value[1:])
 
 
 def roster_names(party_count: int) -> tuple[str, ...]:
@@ -118,20 +129,23 @@ def roster_names(party_count: int) -> tuple[str, ...]:
     return (ALICE, BOB) + tuple(f"CTRL{j}" for j in range(1, party_count - 1))
 
 
-def triplet_parity(controller_bits: Sequence[int]) -> int:
-    """XOR of all controller outcomes for one triplet (or of any bits)."""
-    parity = 0
-    for b in controller_bits:
-        parity ^= b
-    return parity
+def triplet_parity(controller_bits) -> np.ndarray:
+    """XOR of the bits along the first axis: of all controller outcomes
+    for one triplet, or for each triplet of a row of them."""
+    return np.sum(controller_bits, axis=0) % 2
 
 
-def coincidence_ok(basis: MeasurementBasis, bits: Sequence[int]) -> bool:
+def coincidence_ok(basis: MeasurementBasis | Sequence[MeasurementBasis], bits) -> np.ndarray:
     """Checking rule: computational outcomes must all agree, diagonal
-    outcomes must have even parity."""
-    if basis is MeasurementBasis.COMPUTATIONAL:
-        return len(set(bits)) == 1
-    return triplet_parity(bits) == 0
+    outcomes must have even parity.  ``bits`` holds one outcome per party
+    along its first axis, for one triplet or for each of a row of them;
+    ``basis`` is one basis or one per triplet."""
+    bits = np.asarray(bits)
+    if isinstance(basis, MeasurementBasis):
+        diagonal = basis is MeasurementBasis.DIAGONAL
+    else:
+        diagonal = np.array([b is MeasurementBasis.DIAGONAL for b in basis])
+    return np.where(diagonal, triplet_parity(bits) == 0, (bits == bits[0]).all(axis=0))
 
 
 def session_capacity(triplet_count: int, check_fraction: float) -> int:
@@ -217,19 +231,14 @@ class ProtocolConfig:
     def capacity_bits(self) -> int:
         return session_capacity(self.triplet_count, self.check_fraction)
 
-
-@dataclass
-class GroupState:
-    """Bookkeeping for one pair of consecutive triplets."""
-
-    index: int
-    triplets: tuple[int, int]
-    kind: str | None = None  # "checking" | "encoding"
-    parities: tuple[int, int] | None = None
-    sender_bell: BellOutcome | None = None
-    receiver_bell: BellOutcome | None = None
-    encoded_bits: str | None = None
-    decoded_bits: str | None = None
+    @property
+    def shape(self) -> tuple:
+        """Every field but the seed and the message: what the trials of
+        one session share."""
+        return (
+            self.triplet_count, self.party_count, self.check_fraction,
+            self.attack, self.sender, self.receiver,
+        )
 
 
 @dataclass(frozen=True)
@@ -271,186 +280,185 @@ def _per_block(count: int, width: int, step: Callable[[slice], StateVector]) -> 
     return join_rows([step(slice(i, min(i + size, count))) for i in range(0, count, size)])
 
 
-class Session:
-    """Drives one protocol run; all state lives on the instance."""
+def _pair_triplets(groups: np.ndarray) -> np.ndarray:
+    """The triplets 2g-1, 2g of each group g, in order along the last axis."""
+    return (2 * groups[..., None] + np.array([-1, 0])).reshape(*groups.shape[:-1], -1)
 
-    def __init__(self, config: ProtocolConfig) -> None:
-        self.config = config
+
+class Session:
+    """Drives one protocol run per trial, all trials at once; all state
+    lives on the instance."""
+
+    def __init__(self, *configs: ProtocolConfig) -> None:
+        if not configs or any(c.shape != configs[0].shape for c in configs):
+            raise ConfigError("a session runs one or more trials differing only in seed and message")
+        self.configs = configs
+        self.config = config = configs[0]  # the shape every trial shares
         stream_names = config.roster + (EVE,)
+        # each party's stream in every trial
         self._rngs = {
-            name: np.random.default_rng(
-                np.random.SeedSequence(entropy=config.seed, spawn_key=(i,))
-            )
+            name: [
+                np.random.default_rng(np.random.SeedSequence(entropy=c.seed, spawn_key=(i,)))
+                for c in configs
+            ]
             for i, name in enumerate(stream_names)
         }
-        self.records: list[TranscriptRecord] = []
-        self.phase = Phase.S1
-        self.groups: list[GroupState] = []
-        self.checking_groups: list[GroupState] = []
-        self.encoding_groups: list[GroupState] = []
-        self.checked_triplets = 0
-        self.violations = 0
-        self.abort_triplet: int | None = None
-        self.decoded_bits: str | None = None
 
         # the photon roles of every triplet, and the one each party holds
         self._roles = ("h", "t") + tuple(f"c{j}" for j in range(1, config.party_count - 1))
         holders = (config.receiver, config.sender) + config.controllers
         self._role_of = dict(zip(holders, self._roles))
 
-        # Phase stacks (see the module docstring).  Row _row_of[n - 1] of
-        # _prepared holds triplet n; _taken marks the rows taken out of it.
+        # Phase stacks (see the module docstring).  Row _row_of[k*T + n - 1]
+        # of _prepared holds triplet n of trial k; _taken marks the rows
+        # taken out of it.
+        rows = len(configs) * config.triplet_count
         self._prepared: StateVector | None = None
-        self._row_of = np.zeros(config.triplet_count, np.intp)
-        self._taken = np.zeros(config.triplet_count, bool)
+        self._row_of = np.zeros(rows, np.intp)
+        self._taken = np.zeros(rows, bool)
         self._encoding: StateVector | None = None
         self._pairs: StateVector | None = None
 
-    # -- transcript and register helpers ---------------------------------
+        # Outcomes: one row per trial, or from S5 on per trial that passed
+        # the check (_live); the Bell outcomes and the decoded chunks are
+        # flat lists, one per encoding group of those trials.
+        trials = len(configs)
+        self._tap_details: list[str] = []  # one per prepared row, if tapped
+        self.checking_groups = np.zeros((trials, 0), np.intp)
+        self.encoding_groups = np.zeros((trials, 0), np.intp)
+        self.checked_triplets = 0  # in each trial
+        self._checked = np.zeros((trials, 0), np.intp)
+        self._check_bases: list[MeasurementBasis] = []
+        self._check_bits: dict[str, np.ndarray] = {}
+        self.violations = np.zeros(trials, np.intp)
+        self.abort_triplet = np.zeros(trials, np.intp)  # 0 where none
+        self.completed = np.zeros(trials, bool)
+        self._live = np.zeros(0, np.intp)
+        self._controller_bits: dict[str, np.ndarray] = {}
+        self.parities = np.zeros((0, 0), np.intp)
+        self._ops: list[EncodingOp] = []
+        self._sender_bell: list[BellOutcome] = []
+        self._receiver_bell: list[BellOutcome] = []
+        self._ancilla_bell: list[BellOutcome] = []
+        self._decoded: list[str] = []
+        self.decoded_bits: list[str | None] = [None] * trials
 
-    def _advance(self, phase: Phase) -> None:
-        if phase.order < self.phase.order:
-            raise InternalError(f"phase regression {self.phase.value} -> {phase.value}")
-        if phase is Phase.ABORTED and self.phase is not Phase.S4:
-            raise InternalError("sessions abort only from the checking phase")
-        self.phase = phase
+    # -- register and stream helpers ---------------------------------------
 
-    def _emit(self, actor: str, action: str, detail: str) -> None:
-        # Announcements are authenticated: the eavesdropper reads them but
-        # cannot alter or suppress them.
-        self.records.append(
-            TranscriptRecord(len(self.records) + 1, self.phase.value, actor, action, detail)
-        )
-
-    def _take(self, triplets: Sequence[int]) -> StateVector:
-        """Take the prepared registers of ``triplets`` out for measurement,
-        one per row.  Each is taken once, so no photon is measured twice."""
-        index = np.asarray(triplets, dtype=np.intp) - 1
+    def _take(self, rows: np.ndarray) -> StateVector:
+        """Take the prepared registers at ``rows`` out for measurement, one
+        per row.  Each is taken once, so no photon is measured twice."""
         taken = np.count_nonzero(self._taken)
-        self._taken[index] = True
-        if np.count_nonzero(self._taken) - taken != len(index):
-            raise InternalError(f"a photon of triplets {list(triplets)} would be measured twice")
-        return take_rows(self._prepared, self._row_of[index])
+        self._taken[rows] = True
+        if np.count_nonzero(self._taken) - taken != len(rows):
+            raise InternalError("a photon would be measured twice")
+        return take_rows(self._prepared, self._row_of[rows])
+
+    def _uniforms(self, party: str, count: int, trials: Sequence[int]) -> np.ndarray:
+        """``count`` uniforms from the party's stream in each of ``trials``."""
+        streams = self._rngs[party]
+        return np.concatenate([streams[k].random(count) for k in trials])
+
+    def _rows(self, triplets: np.ndarray, trials: np.ndarray) -> np.ndarray:
+        """Prepared-stack rows of the (trials, n) triplet numbers, flat."""
+        return (trials[:, None] * self.config.triplet_count + triplets - 1).ravel()
 
     # -- protocol phases ---------------------------------------------------
 
     def prepare_and_distribute(self) -> None:
-        cfg, emit, count = self.config, self._emit, self.config.triplet_count
-        sizes = f"triplets={count} parties={cfg.party_count} groups={cfg.group_count}"
-        emit(cfg.receiver, "PREPARE", sizes)
+        cfg, count = self.config, self.config.triplet_count
         ghz = np.zeros(1 << len(self._roles))
         ghz[0] = ghz[-1] = 1.0
         # one row stands for every triplet until a tap sets them apart
         self._prepared = make_state(_labels(1, self._roles), ghz)
+        if cfg.attack is None:
+            return
+        eve = self._rngs[EVE]
 
-        emit(cfg.receiver, "SEND", f"to={cfg.sender} sequence=travel count={count}")
-        if cfg.attack is not None:
+        def tap(block: slice) -> StateVector:
+            sent = take_rows(self._prepared, self._row_of[block])
+            # the block's rows run over one or more trials; each trial's
+            # rows draw from that trial's stream
+            trials = range(block.start // count, (block.stop - 1) // count + 1)
+            streams = [
+                (eve[k], min(block.stop, (k + 1) * count) - max(block.start, k * count))
+                for k in trials
+            ]
+            state, details = cfg.attack.tap(QubitId(1, "t"), sent, streams)
+            self._tap_details.extend(details or ())
+            return state
 
-            def tap(block: slice) -> StateVector:
-                first = block.start + 1
-                sent = take_rows(self._prepared, self._row_of[block], _labels(first, self._roles))
-                state, details = cfg.attack.tap(QubitId(first, "t"), sent, self._rngs[EVE])
-                for detail in details or ():
-                    emit(EVE, "TAP", detail)
-                return state
-
-            # the first block, and so the stack, is labelled as triplet 1;
-            # a tap may add a probe ancilla to each register
-            self._prepared = _per_block(count, self._prepared.num_qubits + 1, tap)
-            self._row_of = np.arange(count)
-        for ctrl in cfg.controllers:
-            emit(cfg.receiver, "SEND", f"to={ctrl} sequence=control count={count}")
-
-        self._advance(Phase.S2)
-        for party in (cfg.sender,) + cfg.controllers:
-            emit(party, "RECEIPT", f"party={party} count={count}")
-        self.groups = [
-            GroupState(index=k, triplets=(2 * k - 1, 2 * k))
-            for k in range(1, cfg.group_count + 1)
-        ]
+        # a tap may add a probe ancilla to each register
+        rows = len(self._row_of)
+        self._prepared = _per_block(rows, self._prepared.num_qubits + 1, tap)
+        self._row_of = np.arange(rows)
 
     def select_groups(self) -> None:
-        cfg = self.config
-        self._advance(Phase.S3)
-        order = self._rngs[cfg.sender].permutation(cfg.group_count) + 1
-        checking = sorted(int(g) for g in order[: cfg.checking_group_count])
-        encoding = sorted(int(g) for g in order[cfg.checking_group_count :])
-        self.checking_groups = [self.groups[k - 1] for k in checking]
-        self.encoding_groups = [self.groups[k - 1] for k in encoding]
-        for group in self.checking_groups:
-            group.kind = "checking"
-        for group in self.encoding_groups:
-            group.kind = "encoding"
-        self._emit(
-            cfg.sender,
-            "GROUP_SELECTION",
-            f"checking={','.join(map(str, checking))} encoding={','.join(map(str, encoding))}",
-        )
+        cfg, trials = self.config, len(self.configs)
+        orders = np.array([rng.permutation(cfg.group_count) for rng in self._rngs[cfg.sender]])
+        # the first checking_group_count groups of each trial's order check;
+        # the groups of each kind are listed in increasing order
+        checking = np.zeros(orders.shape, bool)
+        checking[np.arange(trials)[:, None], orders[:, : cfg.checking_group_count]] = True
+        self.checking_groups = np.nonzero(checking)[1].reshape(trials, -1) + 1
+        self.encoding_groups = np.nonzero(~checking)[1].reshape(trials, -1) + 1
 
     def run_check(self) -> bool:
-        """Measure every checked triplet and compare; abort on any violation.
+        """Measure every checked triplet of every trial and compare; a trial
+        with any violation aborts.  Returns whether any trial passed.
 
         All checked photons are consumed even after a violation, so the
         per-triplet violation rate is well defined for statistics.
         """
-        cfg, emit = self.config, self._emit
-        self._advance(Phase.S4)
-        checked = [n for group in self.checking_groups for n in group.triplets]
-        bases, sender_draws = draw_random_bases(self._rngs[cfg.sender], len(checked))
+        cfg, trials = self.config, np.arange(len(self.configs))
+        checked = _pair_triplets(self.checking_groups)
+        count = self.checked_triplets = checked.shape[1]
+        drawn = [draw_random_bases(rng, count) for rng in self._rngs[cfg.sender]]
+        bases = [basis for got, _ in drawn for basis in got]
         parties = (cfg.sender, cfg.receiver) + cfg.controllers
         # per triplet: the sender, the receiver, the controllers, then a
         # probe ancilla, which is read out only after the bases are public
         measuring = [(party, self._role_of[party]) for party in parties]
         if QubitId(1, "e") in self._prepared.qubits:
             measuring.append((EVE, "e"))
-        draws = {party: self._rngs[party].random(len(checked)) for party, _ in measuring[1:]}
-        draws[cfg.sender] = sender_draws
-        outcomes = {party: np.empty(len(checked), np.intp) for party, _ in measuring}
+        draws = {party: self._uniforms(party, count, trials) for party, _ in measuring[1:]}
+        draws[cfg.sender] = np.concatenate([uniforms for _, uniforms in drawn])
+        rows = self._rows(checked, trials)
+        outcomes = {party: np.empty(len(rows), np.intp) for party, _ in measuring}
 
         def measure(block: slice) -> StateVector:
-            state = self._take(checked[block])
+            state = self._take(rows[block])
             for party, role in measuring:
                 outcomes[party][block], state = measure_qubit(
                     state, QubitId(1, role), bases[block], draws[party][block]
                 )
             return state
 
-        if _per_block(len(checked), self._prepared.num_qubits, measure).num_qubits:
+        if _per_block(len(rows), self._prepared.num_qubits, measure).num_qubits:
             raise InternalError("checked photons were left unmeasured")
 
-        bits = {party: column.tolist() for party, column in outcomes.items()}
-        for i, (n, basis) in enumerate(zip(checked, bases)):
-            label, outcome = basis.value, bits[cfg.sender][i]
-            emit(cfg.sender, "CHECK_ANNOUNCE", f"triplet={n} basis={label} outcome={outcome}")
-            for party in parties[1:]:
-                detail = f"party={party} triplet={n} basis={label} outcome={bits[party][i]}"
-                emit(party, "CHECK_REPLY", detail)
-            self.checked_triplets += 1
-            if not coincidence_ok(basis, [bits[party][i] for party in parties]):
-                self.violations += 1
-                if self.abort_triplet is None:
-                    self.abort_triplet = n
-        for n, basis, outcome in zip(checked, bases, bits.get(EVE, ())):
-            emit(EVE, "ANCILLA_MEASURE", f"triplet={n} basis={basis.value} outcome={outcome}")
-
-        passed = self.violations == 0
-        verdict = "pass" if passed else "abort"
-        counts = f"checked={self.checked_triplets} violations={self.violations}"
-        emit(cfg.sender, "CHECK_VERDICT", f"verdict={verdict} {counts}")
-        if not passed:
-            emit(cfg.sender, "ABORT", f"reason=check_failed triplet={self.abort_triplet}")
-            self._advance(Phase.ABORTED)
-        return passed
+        ok = coincidence_ok(bases, np.stack([outcomes[party] for party in parties]))
+        failed = ~ok.reshape(len(trials), count)
+        self.violations = np.count_nonzero(failed, axis=1)
+        self.completed = self.violations == 0
+        first = checked[trials, np.argmax(failed, axis=1)]
+        self.abort_triplet = np.where(self.completed, 0, first)
+        self._live = np.flatnonzero(self.completed)
+        self._checked, self._check_bases = checked, bases
+        self._check_bits = {
+            party: column.reshape(len(trials), count) for party, column in outcomes.items()
+        }
+        return len(self._live) > 0
 
     def controller_round(self) -> None:
-        cfg, emit = self.config, self._emit
-        self._advance(Phase.S5)
-        triplets = [n for group in self.encoding_groups for n in group.triplets]
-        draws = {ctrl: self._rngs[ctrl].random(len(triplets)) for ctrl in cfg.controllers}
-        outcomes = {ctrl: np.empty(len(triplets), np.intp) for ctrl in cfg.controllers}
+        cfg, live = self.config, self._live
+        triplets = _pair_triplets(self.encoding_groups[live])
+        draws = {ctrl: self._uniforms(ctrl, triplets.shape[1], live) for ctrl in cfg.controllers}
+        rows = self._rows(triplets, live)
+        outcomes = {ctrl: np.empty(len(rows), np.intp) for ctrl in cfg.controllers}
 
         def rotate_and_measure(block: slice) -> StateVector:
-            state = self._take(triplets[block])
+            state = self._take(rows[block])
             for ctrl in cfg.controllers:
                 qubit = QubitId(1, self._role_of[ctrl])
                 state = apply_gate(state, Gate.HADAMARD, qubit)
@@ -460,65 +468,46 @@ class Session:
             return state
 
         # (home, travel[, probe ancilla]) of each encoding triplet, in order
-        self._encoding = _per_block(len(triplets), self._prepared.num_qubits, rotate_and_measure)
-        bits = {ctrl: column.tolist() for ctrl, column in outcomes.items()}
-        for ctrl in cfg.controllers:
-            for n, outcome in zip(triplets, bits[ctrl]):
-                emit(ctrl, "HADAMARD_MEASURE", f"triplet={n} outcome={outcome}")
-
-        self._advance(Phase.S6)
-        for ctrl in cfg.controllers:
-            listed = ",".join(f"{n}:{outcome}" for n, outcome in zip(triplets, bits[ctrl]))
-            emit(ctrl, "CONTROLLER_OUTCOMES", f"party={ctrl} outcomes={listed}")
-        parities = [triplet_parity(column) for column in zip(*bits.values())]
-        for i, group in enumerate(self.encoding_groups):
-            group.parities = (parities[2 * i], parities[2 * i + 1])
+        self._encoding = _per_block(len(rows), self._prepared.num_qubits, rotate_and_measure)
+        self._controller_bits = {
+            ctrl: column.reshape(triplets.shape) for ctrl, column in outcomes.items()
+        }
+        self.parities = triplet_parity(np.stack(list(self._controller_bits.values())))
 
     def encode_and_announce(self) -> None:
-        cfg, emit = self.config, self._emit
-        self._advance(Phase.S7)
-        groups = self.encoding_groups
-        chunks = [cfg.message_bits[2 * i : 2 * i + 2] for i in range(len(groups))]
-        ops = [EncodingOp.from_bits(chunk) for chunk in chunks]
-        draws = self._rngs[cfg.sender].random(len(groups))
+        cfg, live = self.config, self._live
+        groups = cfg.encoding_group_count
+        self._ops = [
+            EncodingOp.from_bits(self.configs[k].message_bits[2 * i : 2 * i + 2])
+            for k in live.tolist()
+            for i in range(groups)
+        ]
+        draws = self._uniforms(cfg.sender, groups, live)
         encoding, self._encoding = self._encoding, None
         second_labels = _labels(2, [q.role for q in encoding.qubits])
         travel_pair = (QubitId(1, "t"), QubitId(2, "t"))
-        outcomes = []
+        outcomes = self._sender_bell = []
 
         def encode_and_measure(block: slice) -> StateVector:
             rows = range(2 * block.start, 2 * block.stop)
             firsts = take_rows(encoding, slice(rows.start, rows.stop, 2))
             seconds = take_rows(encoding, slice(rows.start + 1, rows.stop, 2), second_labels)
-            firsts = apply_gate(firsts, [op.gate for op in ops[block]], travel_pair[0])
+            firsts = apply_gate(firsts, [op.gate for op in self._ops[block]], travel_pair[0])
             got, state = measure_bell(tensor(firsts, seconds), travel_pair, draws[block])
             outcomes.extend(got)
             return state
 
         # (home 1[, probe 1], home 2[, probe 2]) of each encoding group
-        self._pairs = _per_block(len(groups), 2 * encoding.num_qubits, encode_and_measure)
-        for group, chunk, op, outcome in zip(groups, chunks, ops, outcomes):
-            first, second = group.triplets
-            group.encoded_bits, group.sender_bell = chunk, outcome
-            emit(cfg.sender, "ENCODE", f"group={group.index} bits={chunk} op={op.name}")
-            detail = f"group={group.index} pair=t{first},t{second} outcome={outcome.value}"
-            emit(cfg.sender, "BELL_MEASURE", detail)
+        self._pairs = _per_block(len(self._ops), 2 * encoding.num_qubits, encode_and_measure)
 
-        self._advance(Phase.S8)
-        for group in groups:
-            detail = f"group={group.index} outcome={group.sender_bell.value}"
-            emit(cfg.sender, "BELL_ANNOUNCE", detail)
-
-    def receiver_decode(self) -> str:
-        cfg, emit = self.config, self._emit
-        self._advance(Phase.S9)
-        table = default_decode_table()
-        groups = self.encoding_groups
+    def receiver_decode(self) -> None:
+        cfg, live = self.config, self._live
+        groups = cfg.encoding_group_count
         pairs, self._pairs = self._pairs, None
         measuring = [(cfg.receiver, (QubitId(1, "h"), QubitId(2, "h")))]
         if QubitId(1, "e") in pairs.qubits:
             measuring.append((EVE, (QubitId(1, "e"), QubitId(2, "e"))))
-        draws = {party: self._rngs[party].random(len(groups)) for party, _ in measuring}
+        draws = {party: self._uniforms(party, groups, live) for party, _ in measuring}
         outcomes: dict[str, list[BellOutcome]] = {party: [] for party, _ in measuring}
 
         def measure(block: slice) -> StateVector:
@@ -528,61 +517,145 @@ class Session:
                 outcomes[party].extend(got)
             return state
 
-        if _per_block(len(groups), pairs.num_qubits, measure).num_qubits:
+        if _per_block(len(self._ops), pairs.num_qubits, measure).num_qubits:
             raise InternalError("encoding photons were left unmeasured")
 
-        for group, outcome in zip(groups, outcomes[cfg.receiver]):
-            first, second = group.triplets
-            group.receiver_bell = outcome
-            detail = f"group={group.index} pair=h{first},h{second} outcome={outcome.value}"
-            emit(cfg.receiver, "BELL_MEASURE", detail)
-            key = DecodeKey(group.parities[0], group.parities[1], group.sender_bell, outcome)
-            try:
-                bits = table.decode(key)
-            except KeyError as exc:  # the table is total; this cannot happen
-                raise InternalError(f"no decode entry for {key}") from exc
-            group.decoded_bits = bits
-            parities = f"{group.parities[0]}{group.parities[1]}"
-            bells = f"sender={group.sender_bell.value} receiver={outcome.value}"
-            detail = f"group={group.index} parities={parities} {bells} bits={bits}"
-            emit(cfg.receiver, "DECODE", detail)
-        for group, outcome in zip(groups, outcomes.get(EVE, ())):
-            first, second = group.triplets
-            detail = f"group={group.index} pair=e{first},e{second} outcome={outcome.value}"
-            emit(EVE, "ANCILLA_BELL", detail)
+        self._receiver_bell = outcomes[cfg.receiver]
+        self._ancilla_bell = outcomes.get(EVE, [])
+        table = default_decode_table()
+        keys = [
+            DecodeKey(p1, p2, sender, receiver)
+            for (p1, p2), sender, receiver in zip(
+                self.parities.reshape(-1, 2).tolist(), self._sender_bell, self._receiver_bell
+            )
+        ]
+        try:
+            self._decoded = [table.decode(key) for key in keys]
+        except KeyError as exc:  # the table is total; this cannot happen
+            raise InternalError(f"no decode entry: {exc}") from exc
+        for j, k in enumerate(live.tolist()):
+            self.decoded_bits[k] = "".join(self._decoded[j * groups : (j + 1) * groups])
 
-        self.decoded_bits = "".join(g.decoded_bits for g in self.encoding_groups)
-        self._advance(Phase.S11)
-        emit(cfg.receiver, "COMPLETE", f"decoded={self.decoded_bits}")
-        return self.decoded_bits
+    # -- drivers ----------------------------------------------------------
 
-    # -- driver -----------------------------------------------------------
-
-    def run(self) -> SessionResult:
+    def run_trials(self) -> None:
+        """Run every phase over every trial; a trial that aborts in S4
+        takes no part in S5-S9."""
         self.prepare_and_distribute()
         self.select_groups()
-        passed = self.run_check()
-        if passed:
+        if self.run_check():
             self.controller_round()
             self.encode_and_announce()
             self.receiver_decode()
         # every prepared register was taken out and measured, except the
-        # encoding triplets' after an abort, which stay alive
-        taken = np.count_nonzero(self._taken)
-        if taken != (self.config.triplet_count if passed else self.checked_triplets):
+        # encoding triplets' of an aborted trial, which stay alive
+        taken = np.count_nonzero(self._taken.reshape(len(self.configs), -1), axis=1)
+        expected = np.where(self.completed, self.config.triplet_count, self.checked_triplets)
+        if not np.array_equal(taken, expected):
             raise InternalError("qubit conservation violated")
+
+    def run(self) -> SessionResult:
+        """Run every trial; the result of the first (of a one-trial
+        session, its only one)."""
+        self.run_trials()
+        return self.result(0)
+
+    def result(self, trial: int) -> SessionResult:
+        """One trial's result, with its transcript."""
+        cfg = self.configs[trial]
+        completed = bool(self.completed[trial])
+        decoded = self.decoded_bits[trial]
         return SessionResult(
-            config=self.config,
-            completed=passed,
-            decoded_bits=self.decoded_bits,
-            match=passed and self.decoded_bits == self.config.message_bits,
+            config=cfg,
+            completed=completed,
+            decoded_bits=decoded,
+            match=completed and decoded == cfg.message_bits,
             checked_triplets=self.checked_triplets,
-            violations=self.violations,
-            abort_triplet=self.abort_triplet,
-            records=tuple(self.records),
+            violations=int(self.violations[trial]),
+            abort_triplet=None if completed else int(self.abort_triplet[trial]),
+            records=self._records(trial),
         )
+
+    def _records(self, trial: int) -> tuple[TranscriptRecord, ...]:
+        """The transcript of one trial, in protocol order, from the outcomes
+        the phases stored.  Announcements are authenticated: the
+        eavesdropper reads them but cannot alter or suppress them."""
+        cfg, count = self.configs[trial], self.config.triplet_count
+        records: list[TranscriptRecord] = []
+
+        def emit(phase: Phase, actor: str, action: str, detail: str) -> None:
+            records.append(TranscriptRecord(len(records) + 1, phase.value, actor, action, detail))
+
+        sizes = f"triplets={count} parties={cfg.party_count} groups={cfg.group_count}"
+        emit(Phase.S1, cfg.receiver, "PREPARE", sizes)
+        emit(Phase.S1, cfg.receiver, "SEND", f"to={cfg.sender} sequence=travel count={count}")
+        taps = self._tap_details[trial * count : (trial + 1) * count]
+        for n, detail in enumerate(taps, 1):
+            emit(Phase.S1, EVE, "TAP", f"triplet={n} {detail}")
+        for ctrl in cfg.controllers:
+            emit(Phase.S1, cfg.receiver, "SEND", f"to={ctrl} sequence=control count={count}")
+        for party in (cfg.sender,) + cfg.controllers:
+            emit(Phase.S2, party, "RECEIPT", f"party={party} count={count}")
+
+        checking = self.checking_groups[trial].tolist()
+        encoding = self.encoding_groups[trial].tolist()
+        selection = f"checking={','.join(map(str, checking))} encoding={','.join(map(str, encoding))}"
+        emit(Phase.S3, cfg.sender, "GROUP_SELECTION", selection)
+
+        checked = self._checked[trial].tolist()
+        bases = self._check_bases[trial * len(checked) : (trial + 1) * len(checked)]
+        bits = {party: column[trial].tolist() for party, column in self._check_bits.items()}
+        parties = (cfg.sender, cfg.receiver) + cfg.controllers
+        for i, (n, basis) in enumerate(zip(checked, bases)):
+            label, outcome = basis.value, bits[cfg.sender][i]
+            emit(Phase.S4, cfg.sender, "CHECK_ANNOUNCE", f"triplet={n} basis={label} outcome={outcome}")
+            for party in parties[1:]:
+                detail = f"party={party} triplet={n} basis={label} outcome={bits[party][i]}"
+                emit(Phase.S4, party, "CHECK_REPLY", detail)
+        for n, basis, outcome in zip(checked, bases, bits.get(EVE, ())):
+            emit(Phase.S4, EVE, "ANCILLA_MEASURE", f"triplet={n} basis={basis.value} outcome={outcome}")
+        counts = f"checked={len(checked)} violations={self.violations[trial]}"
+        if not self.completed[trial]:
+            emit(Phase.S4, cfg.sender, "CHECK_VERDICT", f"verdict=abort {counts}")
+            detail = f"reason=check_failed triplet={self.abort_triplet[trial]}"
+            emit(Phase.S4, cfg.sender, "ABORT", detail)
+            return tuple(records)
+        emit(Phase.S4, cfg.sender, "CHECK_VERDICT", f"verdict=pass {counts}")
+
+        # the trial's place among those that passed, and its groups there
+        j = int(np.count_nonzero(self.completed[:trial]))
+        groups = slice(j * len(encoding), (j + 1) * len(encoding))
+        triplets = _pair_triplets(np.array(encoding)).tolist()
+        controller_bits = {ctrl: column[j].tolist() for ctrl, column in self._controller_bits.items()}
+        for ctrl in cfg.controllers:
+            for n, outcome in zip(triplets, controller_bits[ctrl]):
+                emit(Phase.S5, ctrl, "HADAMARD_MEASURE", f"triplet={n} outcome={outcome}")
+        for ctrl in cfg.controllers:
+            listed = ",".join(f"{n}:{outcome}" for n, outcome in zip(triplets, controller_bits[ctrl]))
+            emit(Phase.S6, ctrl, "CONTROLLER_OUTCOMES", f"party={ctrl} outcomes={listed}")
+
+        sender_bell = self._sender_bell[groups]
+        for g, op, outcome in zip(encoding, self._ops[groups], sender_bell):
+            emit(Phase.S7, cfg.sender, "ENCODE", f"group={g} bits={op.bits} op={op.name}")
+            detail = f"group={g} pair=t{2 * g - 1},t{2 * g} outcome={outcome.value}"
+            emit(Phase.S7, cfg.sender, "BELL_MEASURE", detail)
+        for g, outcome in zip(encoding, sender_bell):
+            emit(Phase.S8, cfg.sender, "BELL_ANNOUNCE", f"group={g} outcome={outcome.value}")
+
+        parities = self.parities[j].tolist()
+        decoded = zip(encoding, sender_bell, self._receiver_bell[groups], self._decoded[groups])
+        for i, (g, sender, receiver, chunk) in enumerate(decoded):
+            detail = f"group={g} pair=h{2 * g - 1},h{2 * g} outcome={receiver.value}"
+            emit(Phase.S9, cfg.receiver, "BELL_MEASURE", detail)
+            bells = f"sender={sender.value} receiver={receiver.value}"
+            detail = f"group={g} parities={parities[2 * i]}{parities[2 * i + 1]} {bells} bits={chunk}"
+            emit(Phase.S9, cfg.receiver, "DECODE", detail)
+        for g, outcome in zip(encoding, self._ancilla_bell[groups]):
+            detail = f"group={g} pair=e{2 * g - 1},e{2 * g} outcome={outcome.value}"
+            emit(Phase.S9, EVE, "ANCILLA_BELL", detail)
+        emit(Phase.S11, cfg.receiver, "COMPLETE", f"decoded={self.decoded_bits[trial]}")
+        return tuple(records)
 
 
 def run_session(config: ProtocolConfig) -> SessionResult:
     return Session(config).run()
-

@@ -210,7 +210,9 @@ def _per_row(table: dict, choice) -> np.ndarray:
     """The (d, d) matrix of one choice, or a (rows, 1, d, d) stack of one per row."""
     if isinstance(choice, Enum):
         return table[choice]
-    return np.stack([table[c] for c in choice])[:, None]
+    # list.index compares members by identity, with no Enum hashing per row
+    members = list(table)
+    return np.array(list(table.values()))[list(map(members.index, choice))][:, None]
 
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:

@@ -298,11 +298,11 @@ def test_equal_controller_parity_patterns_decode_identically():
         sess = Session(cfg)
         result = sess.run()
         assert result.completed and result.match
-        for group in sess.groups:
-            if group.kind != "encoding":
-                continue
-            key = DecodeKey(
-                group.parities[0], group.parities[1],
-                group.sender_bell, group.receiver_bell,
-            )
-            assert table.decode(key) == group.decoded_bits == group.encoded_bits
+        # the one trial's encoding groups, in order
+        groups = zip(
+            sess.parities[0].reshape(-1, 2).tolist(),
+            sess._sender_bell, sess._receiver_bell, sess._decoded,
+        )
+        for i, ((p1, p2), sender, receiver, decoded) in enumerate(groups):
+            key = DecodeKey(p1, p2, sender, receiver)
+            assert table.decode(key) == decoded == cfg.message_bits[2 * i : 2 * i + 2]

@@ -1,10 +1,12 @@
 """Unit tests for eavesdropping models and detection statistics."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from csdcsim import states
 from csdcsim.attacks import (
     BasisStrategy,
     EntangleMeasure,
@@ -15,8 +17,11 @@ from csdcsim.attacks import (
     detection_oracle,
     estimate_detection,
     eve_group_information,
+    _trial_message,
+    _trial_seed,
 )
-from csdcsim.protocol import ProtocolConfig, Session
+from csdcsim.cli import SWEEP_CELLS
+from csdcsim.protocol import ProtocolConfig, Session, run_session
 from csdcsim.states import QubitId, make_state
 
 ALL_ATTACKS = [
@@ -39,7 +44,7 @@ def config(**overrides) -> ProtocolConfig:
 def test_no_attack_is_the_identity():
     qubit = QubitId(1, "t")
     state = make_state((qubit,), [0.6, 0.8])
-    out, tap = NoAttack().tap(qubit, state, np.random.default_rng(0))
+    out, tap = NoAttack().tap(qubit, state, [(np.random.default_rng(0), 1)])
     assert out is state
     assert tap is None
 
@@ -49,9 +54,9 @@ def test_intercept_resend_collapses_to_an_eigenstate():
     for seed in range(20):
         state = make_state((qubit,), [0.6, 0.8])
         out, (detail,) = InterceptResend(BasisStrategy.ALWAYS_Z).tap(
-            qubit, state, np.random.default_rng(seed)
+            qubit, state, [(np.random.default_rng(seed), 1)]
         )
-        assert detail.startswith("triplet=1 basis=Z outcome=")
+        assert detail.startswith("basis=Z outcome=")
         outcome = detail.rsplit("=", 1)[1]
         assert np.isclose(abs(out.amplitude(outcome)), 1.0)
 
@@ -59,8 +64,8 @@ def test_intercept_resend_collapses_to_an_eigenstate():
 def test_entangle_measure_adds_one_ancilla():
     qubit = QubitId(3, "t")
     state = make_state((qubit,), [1, 0])
-    out, (detail,) = EntangleMeasure().tap(qubit, state, np.random.default_rng(0))
-    assert detail == "triplet=3 probe=cnot"
+    out, (detail,) = EntangleMeasure().tap(qubit, state, [(np.random.default_rng(0), 1)])
+    assert detail == "probe=cnot"
     assert set(out.qubits) == {qubit, QubitId(3, "e")}
 
 
@@ -68,11 +73,11 @@ def test_tap_detail_formats():
     qubit = QubitId(1, "t")
     state = make_state((qubit,), [1, 0])
     _, (detail,) = InterceptResend(BasisStrategy.ALWAYS_Z).tap(
-        qubit, state, np.random.default_rng(0)
+        qubit, state, [(np.random.default_rng(0), 1)]
     )
-    assert detail == "triplet=1 basis=Z outcome=0"
-    _, (detail,) = EntangleMeasure().tap(qubit, state, np.random.default_rng(0))
-    assert detail == "triplet=1 probe=cnot"
+    assert detail == "basis=Z outcome=0"
+    _, (detail,) = EntangleMeasure().tap(qubit, state, [(np.random.default_rng(0), 1)])
+    assert detail == "probe=cnot"
 
 
 def test_attack_cell_labels():
@@ -202,6 +207,54 @@ def test_estimate_decode_accuracy_is_nan_when_nothing_completes():
         assert math.isnan(stats.decode_accuracy)
     else:  # vanishingly unlikely at these settings, but keep the test honest
         assert 0.0 <= stats.decode_accuracy <= 1.0
+
+
+@pytest.mark.parametrize("attack", SWEEP_CELLS, ids=attack_cell_label)
+@pytest.mark.parametrize("parties", [3, 5])
+def test_stacked_trials_match_one_trial_sessions(parties, attack):
+    # a trial reaches the same result stacked with others as alone: the
+    # abort mask and the row bookkeeping never mix trials
+    base = ProtocolConfig(
+        triplet_count=16, message_bits="0" * 8, party_count=parties, attack=attack, seed=77
+    )
+    configs = [
+        replace(base, seed=_trial_seed(77, trial), message_bits=_trial_message(77, trial, 8))
+        for trial in range(20)
+    ]
+    stacked = Session(*configs)
+    stacked.run_trials()
+    for trial, cfg in enumerate(configs):
+        single = run_session(cfg)
+        # what estimate_detection tallies, read from the stacked arrays
+        assert stacked.completed[trial] == single.completed
+        assert stacked.checked_triplets == single.checked_triplets
+        assert stacked.violations[trial] == single.violations
+        assert stacked.decoded_bits[trial] == single.decoded_bits
+        # and the whole result, with the abort triplet and the transcript
+        assert stacked.result(trial) == single
+
+
+def test_sweep_stacks_stay_within_one_sessions_widest(monkeypatch):
+    # stacking trials must not let a wide sweep build a larger register
+    # stack than one session of the same shape does
+    real = states._state
+    largest = [0]
+
+    def recording(qubits, amps):
+        state = real(qubits, amps)
+        largest[0] = max(largest[0], state.amps.size)
+        return state
+
+    monkeypatch.setattr(states, "_state", recording)
+    base = ProtocolConfig(triplet_count=64, message_bits="0" * 32, party_count=12, seed=8)
+    for attack in SWEEP_CELLS:
+        cfg = replace(base, attack=attack)
+        largest[0] = 0
+        run_session(cfg)
+        single = largest[0]
+        largest[0] = 0
+        estimate_detection(cfg, trials=3)
+        assert 0 < largest[0] <= single, attack
 
 
 def test_trials_must_be_positive():

@@ -136,6 +136,10 @@ def test_attack_basis_flag_is_accepted():
         ["--mode", "sweep", "--triplets", "1000000000000"],
         ["--mode", "run", "--triplets", "8", "--message", "0001",
          "--transcript", "same.tsv", "--stats", "./same.tsv"],
+        ["--mode", "sweep", "--triplets", "4", "--trials", "3", "--transcript", "F"],
+        ["--mode", "sweep", "--triplets", "4", "--trials", "3", "--message", "01"],
+        ["--mode", "verify", "--transcript", "-"],
+        ["--mode", "verify", "--message", "0001"],
     ],
 )
 def test_bad_usage_exits_one(args):
@@ -143,6 +147,7 @@ def test_bad_usage_exits_one(args):
     assert proc.returncode == 1
     assert "error" in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 # Every mode is run with no bad flag and with each flag bad in turn; every

@@ -118,3 +118,44 @@ def test_drawn_run_configurations_match_their_pinned_digest():
     # the draw covers completed and aborted sessions
     assert codes == {cli.EXIT_OK, cli.EXIT_EAVESDROPPER}
     assert digest.hexdigest() == DRAWN_DIGEST
+
+
+DRAWN_SWEEPS = 40
+SWEEP_DRAW_DIGEST = "1d4965eff3d666cb5a484d3d6a0c04a402bf62dfa1304a7d88b6fd414e83c1ba"
+
+
+def drawn_sweep_argvs():
+    """A fixed draw of --mode sweep argvs: T 4-64, P 3-8 plus one P=12 case,
+    several check fractions, at most 20 trials."""
+    rng = np.random.default_rng(20261019)
+    argvs = []
+    while len(argvs) < DRAWN_SWEEPS:
+        triplets = 2 * int(rng.integers(2, 33))
+        fraction = str(rng.choice(["0.1", "0.25", "0.5", "0.75"]))
+        parties = 12 if len(argvs) == DRAWN_SWEEPS - 1 else int(rng.integers(3, 9))
+        if session_capacity(triplets, float(fraction)) == 0:
+            continue
+        argvs.append([
+            "--mode", "sweep", "--triplets", str(triplets), "--parties", str(parties),
+            "--check-fraction", fraction, "--trials", str(int(rng.integers(1, 21))),
+            "--seed", str(int(rng.integers(0, 2**63))), "--stats", "-",
+        ])
+    return argvs
+
+
+def test_drawn_sweeps_match_their_pinned_digest():
+    digest = hashlib.sha256()
+    accuracies = []
+    for argv in drawn_sweep_argvs():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(argv) == cli.EXIT_OK
+        digest.update(out.getvalue().encode("utf-8"))
+        rows = [line.split("\t") for line in out.getvalue().splitlines()[1:]]
+        accuracies += [(row[0], row[4], row[5]) for row in rows]
+    # the draw covers attacked cells where every trial aborts (no decoded
+    # bits, so the accuracy reads nan) and attacked cells where none does
+    attacked = [row for row in accuracies if row[0] != "none"]
+    assert any(accuracy == "nan" for _, _, accuracy in attacked)
+    assert any(abort_rate == "0.000000" for _, abort_rate, _ in attacked)
+    assert digest.hexdigest() == SWEEP_DRAW_DIGEST

@@ -95,6 +95,15 @@ def test_invalid_configs_are_rejected(overrides):
         config(**overrides)
 
 
+def test_trials_of_one_session_differ_only_in_seed_and_message():
+    Session(config(), config(seed=7, message_bits="1110"))
+    for other in (config(party_count=4), config(attack=InterceptResend())):
+        with pytest.raises(ConfigError):
+            Session(config(), other)
+    with pytest.raises(ConfigError):
+        Session()
+
+
 def test_twelve_parties_are_within_the_ceiling():
     # the widest benchmark workload, run-wide, has 12 parties
     assert MAX_PARTIES >= 12
@@ -167,9 +176,11 @@ def test_group_selection_is_seed_deterministic():
     second = Session(config())
     second.prepare_and_distribute()
     second.select_groups()
-    assert [g.kind for g in first.groups] == [g.kind for g in second.groups]
-    kinds = {g.kind for g in first.groups}
-    assert kinds == {"checking", "encoding"}
+    assert np.array_equal(first.checking_groups, second.checking_groups)
+    assert np.array_equal(first.encoding_groups, second.encoding_groups)
+    # every group is checking or encoding, and both kinds occur
+    kinds = first.checking_groups[0].tolist(), first.encoding_groups[0].tolist()
+    assert all(kinds) and sorted(kinds[0] + kinds[1]) == list(range(1, 5))
 
 
 def test_controller_collapse_leaves_signed_pair():
@@ -184,14 +195,13 @@ def test_controller_collapse_leaves_signed_pair():
         sess.controller_round()
         # one row per encoding triplet, in group order
         encoding = sess._encoding
-        assert encoding.rows == 2 * len(sess.encoding_groups)
+        assert encoding.rows == 2 * sess.encoding_groups.shape[1]
         home, travel = QubitId(1, "h"), QubitId(1, "t")
-        for i, group in enumerate(sess.encoding_groups):
-            assert group.kind == "encoding"
+        for i in range(sess.encoding_groups.shape[1]):
             for slot_index in range(2):
                 state = take_rows(encoding, [2 * i + slot_index])
                 state = reorder(state, (home, travel))
-                sign = -1.0 if group.parities[slot_index] else 1.0
+                sign = -1.0 if sess.parities[0, 2 * i + slot_index] else 1.0
                 assert np.isclose(state.amplitude("00"), INV_SQRT2, atol=ATOL)
                 assert np.isclose(state.amplitude("11"), sign * INV_SQRT2, atol=ATOL)
                 assert abs(state.amplitude("01")) < ATOL
@@ -230,13 +240,13 @@ def test_measuring_a_photon_twice_is_an_internal_error():
     sess.select_groups()
     assert sess.run_check()
     # a checking group's photons were all measured in S4
-    sess.encoding_groups.append(sess.checking_groups[0])
+    sess.encoding_groups[0, 0] = sess.checking_groups[0, 0]
     with pytest.raises(InternalError):
         sess.controller_round()
     sess = Session(config())
     sess.run()
     with pytest.raises(InternalError):
-        sess._take([1])
+        sess._take([0])
 
 
 def test_phases_are_monotonic():
@@ -270,9 +280,8 @@ def test_different_seed_different_run():
 
 
 def test_verdict_counts_every_checked_triplet():
-    sess = Session(config())
-    sess.run()
-    verdicts = [r for r in sess.records if r.action == "CHECK_VERDICT"]
+    result = Session(config()).run()
+    verdicts = [r for r in result.records if r.action == "CHECK_VERDICT"]
     assert len(verdicts) == 1
     assert detail_fields(verdicts[0])["checked"] == "4"
 
@@ -298,7 +307,7 @@ def test_checked_photons_are_consumed_even_on_abort():
     result = sess.run()
     assert not result.completed
     checked = {
-        int(detail_fields(r)["triplet"]) for r in sess.records if r.action == "CHECK_ANNOUNCE"
+        int(detail_fields(r)["triplet"]) for r in result.records if r.action == "CHECK_ANNOUNCE"
     }
     assert len(checked) == 4
     # exactly the checked registers were taken out; the encoding groups'
@@ -307,10 +316,9 @@ def test_checked_photons_are_consumed_even_on_abort():
 
 
 def test_message_detail_formats():
-    sess = Session(config())
-    sess.run()
+    result = Session(config()).run()
     by_action = {}
-    for record in sess.records:
+    for record in result.records:
         by_action.setdefault(record.action, record)
     assert by_action["PREPARE"].detail == "triplets=8 parties=3 groups=4"
     selection = by_action["GROUP_SELECTION"].detail
