@@ -53,7 +53,7 @@ def ghz_section() -> None:
 
 def decode_section() -> None:
     table = build_decode_table()
-    print(f"decode table: {len(table)} keys, collision free")
+    print(f"decode table: {len(table.entries)} keys, collision free")
     print()
     print("zero-parity slice (sender outcome, receiver outcome -> operation):")
     by_op: dict[EncodingOp, list[str]] = {op: [] for op in EncodingOp}

@@ -2,56 +2,4 @@
 protocol built on GHZ states, entanglement swapping, and local unitary
 encodings, with eavesdropping attack models and detection statistics."""
 
-from .states import (
-    ATOL,
-    BELL_OUTCOMES,
-    BellOutcome,
-    Gate,
-    MeasurementBasis,
-    QubitId,
-    StateVector,
-    apply_cnot,
-    apply_gate,
-    collapse_qubit,
-    inner_product,
-    make_state,
-    measure_bell,
-    measure_qubit,
-    reorder,
-    tensor,
-)
-from .bases import (
-    DecodeKey,
-    DecodeTable,
-    EncodingOp,
-    GHZ_INDICES,
-    bell_state_vector,
-    build_decode_table,
-    default_decode_table,
-    ghz_state_vector,
-    verify_ghz_expansion,
-    verify_swap_identity,
-)
-from .protocol import (
-    ConfigError,
-    InternalError,
-    ProtocolConfig,
-    Session,
-    SessionResult,
-    coincidence_ok,
-    run_session,
-    triplet_parity,
-)
-from .attacks import (
-    AttackModel,
-    BasisStrategy,
-    DetectionStats,
-    EntangleMeasure,
-    InterceptResend,
-    NoAttack,
-    abort_probability,
-    detection_oracle,
-    estimate_detection,
-)
-
 __version__ = "0.1.0"

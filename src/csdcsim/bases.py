@@ -251,14 +251,8 @@ class DecodeKey(NamedTuple):
 class DecodeTable:
     entries: dict[DecodeKey, EncodingOp]
 
-    def op_for(self, key: DecodeKey) -> EncodingOp:
-        return self.entries[key]
-
     def decode(self, key: DecodeKey) -> str:
         return self.entries[key].bits
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 def build_decode_table() -> DecodeTable:

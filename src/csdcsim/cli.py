@@ -170,7 +170,7 @@ def run_verify(out: IO[str]) -> int:
         failures += 1
         out.write(f"decode-table\tFAIL\t{exc}\n")
     else:
-        out.write(f"decode-table\tpass\tkeys={len(table)}\n")
+        out.write(f"decode-table\tpass\tkeys={len(table.entries)}\n")
 
     return EXIT_OK if failures == 0 else EXIT_VERIFY_FAILED
 
@@ -188,14 +188,15 @@ def _config_from_args(args: argparse.Namespace) -> ProtocolConfig:
     )
 
 
-def _bool_text(value: bool) -> str:
-    return "true" if value else "false"
-
-
 def run_single(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     stats_path = args.stats if args.stats is not None else "-"
-    files = [os.path.realpath(p) for p in (args.transcript, stats_path) if p not in (None, "-")]
+    # one output would truncate the other only in a regular file; a device
+    # such as /dev/null may take both
+    files = [
+        os.path.realpath(p) for p in (args.transcript, stats_path)
+        if p not in (None, "-") and (os.path.isfile(p) or not os.path.exists(p))
+    ]
     if len(set(files)) < len(files):
         raise ConfigError("--transcript and --stats name the same file")
     result = Session(config).run()
@@ -205,7 +206,7 @@ def run_single(args: argparse.Namespace) -> int:
     with _open_out(stats_path) as stats_out:
         decoded = result.decoded_bits if result.decoded_bits is not None else ""
         stats_out.write(f"decoded\t{decoded}\n")
-        stats_out.write(f"match\t{_bool_text(result.match)}\n")
+        stats_out.write(f"match\t{str(result.match).lower()}\n")
         stats_out.write(f"checked_triplets\t{result.checked_triplets}\n")
         stats_out.write(f"violations\t{result.violations}\n")
     return EXIT_OK if result.completed else EXIT_EAVESDROPPER

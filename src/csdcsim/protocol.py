@@ -59,7 +59,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -80,7 +79,7 @@ from .states import (
     take_rows,
     tensor,
 )
-from .transcript import TranscriptRecord, format_transcript
+from .transcript import TranscriptRecord
 
 if TYPE_CHECKING:  # pragma: no cover
     from .attacks import AttackModel
@@ -94,7 +93,8 @@ MAX_SEED = 2**64 - 1
 # probe ancilla); P=12 is 64 KiB a triplet.
 MAX_PARTIES = 12
 # The tapped registers and the transcript grow linearly with the triplet
-# count; at the party ceiling, 4096 triplets are 256 MiB of amplitudes.
+# count; at the party ceiling, 4096 tapped triplets are 256 MiB of
+# amplitudes, or 512 MiB with a probe ancilla, held once.
 MAX_TRIPLETS = 4096
 AMPLITUDE_BUDGET = 1 << 16  # per block of phase-stack rows; 16 P=12 registers
 
@@ -105,23 +105,6 @@ class ConfigError(ValueError):
 
 class InternalError(RuntimeError):
     """A simulator invariant broke; maps to exit code 4 at the CLI."""
-
-
-class Phase(Enum):
-    S1 = "S1"
-    S2 = "S2"
-    S3 = "S3"
-    S4 = "S4"
-    S5 = "S5"
-    S6 = "S6"
-    S7 = "S7"
-    S8 = "S8"
-    S9 = "S9"
-    S11 = "S11"
-
-    @property
-    def order(self) -> int:
-        return int(self.value[1:])
 
 
 def roster_names(party_count: int) -> tuple[str, ...]:
@@ -252,10 +235,6 @@ class SessionResult:
     abort_triplet: int | None
     records: tuple[TranscriptRecord, ...] = field(repr=False)
 
-    @property
-    def transcript_text(self) -> str:
-        return format_transcript(self.records)
-
 
 def draw_random_bases(
     rng: np.random.Generator, count: int
@@ -275,9 +254,10 @@ def _labels(position: int, roles: Sequence[str]) -> tuple[QubitId, ...]:
 def _per_block(count: int, width: int, step: Callable[[slice], StateVector]) -> StateVector:
     """Run ``step`` on consecutive blocks of range(count), each small enough
     that a stack of ``width``-qubit registers stays within AMPLITUDE_BUDGET
-    amplitudes (one row at least), and stack the rows it returns."""
+    amplitudes (one row at least), and stack the rows it returns, one per
+    row of the block, as each block finishes."""
     size = max(1, AMPLITUDE_BUDGET >> width)
-    return join_rows([step(slice(i, min(i + size, count))) for i in range(0, count, size)])
+    return join_rows((step(slice(i, min(i + size, count))) for i in range(0, count, size)), count)
 
 
 def _pair_triplets(groups: np.ndarray) -> np.ndarray:
@@ -583,24 +563,24 @@ class Session:
         cfg, count = self.configs[trial], self.config.triplet_count
         records: list[TranscriptRecord] = []
 
-        def emit(phase: Phase, actor: str, action: str, detail: str) -> None:
-            records.append(TranscriptRecord(len(records) + 1, phase.value, actor, action, detail))
+        def emit(phase: str, actor: str, action: str, detail: str) -> None:
+            records.append(TranscriptRecord(len(records) + 1, phase, actor, action, detail))
 
         sizes = f"triplets={count} parties={cfg.party_count} groups={cfg.group_count}"
-        emit(Phase.S1, cfg.receiver, "PREPARE", sizes)
-        emit(Phase.S1, cfg.receiver, "SEND", f"to={cfg.sender} sequence=travel count={count}")
+        emit("S1", cfg.receiver, "PREPARE", sizes)
+        emit("S1", cfg.receiver, "SEND", f"to={cfg.sender} sequence=travel count={count}")
         taps = self._tap_details[trial * count : (trial + 1) * count]
         for n, detail in enumerate(taps, 1):
-            emit(Phase.S1, EVE, "TAP", f"triplet={n} {detail}")
+            emit("S1", EVE, "TAP", f"triplet={n} {detail}")
         for ctrl in cfg.controllers:
-            emit(Phase.S1, cfg.receiver, "SEND", f"to={ctrl} sequence=control count={count}")
+            emit("S1", cfg.receiver, "SEND", f"to={ctrl} sequence=control count={count}")
         for party in (cfg.sender,) + cfg.controllers:
-            emit(Phase.S2, party, "RECEIPT", f"party={party} count={count}")
+            emit("S2", party, "RECEIPT", f"party={party} count={count}")
 
         checking = self.checking_groups[trial].tolist()
         encoding = self.encoding_groups[trial].tolist()
         selection = f"checking={','.join(map(str, checking))} encoding={','.join(map(str, encoding))}"
-        emit(Phase.S3, cfg.sender, "GROUP_SELECTION", selection)
+        emit("S3", cfg.sender, "GROUP_SELECTION", selection)
 
         checked = self._checked[trial].tolist()
         bases = self._check_bases[trial * len(checked) : (trial + 1) * len(checked)]
@@ -608,19 +588,19 @@ class Session:
         parties = (cfg.sender, cfg.receiver) + cfg.controllers
         for i, (n, basis) in enumerate(zip(checked, bases)):
             label, outcome = basis.value, bits[cfg.sender][i]
-            emit(Phase.S4, cfg.sender, "CHECK_ANNOUNCE", f"triplet={n} basis={label} outcome={outcome}")
+            emit("S4", cfg.sender, "CHECK_ANNOUNCE", f"triplet={n} basis={label} outcome={outcome}")
             for party in parties[1:]:
                 detail = f"party={party} triplet={n} basis={label} outcome={bits[party][i]}"
-                emit(Phase.S4, party, "CHECK_REPLY", detail)
+                emit("S4", party, "CHECK_REPLY", detail)
         for n, basis, outcome in zip(checked, bases, bits.get(EVE, ())):
-            emit(Phase.S4, EVE, "ANCILLA_MEASURE", f"triplet={n} basis={basis.value} outcome={outcome}")
+            emit("S4", EVE, "ANCILLA_MEASURE", f"triplet={n} basis={basis.value} outcome={outcome}")
         counts = f"checked={len(checked)} violations={self.violations[trial]}"
         if not self.completed[trial]:
-            emit(Phase.S4, cfg.sender, "CHECK_VERDICT", f"verdict=abort {counts}")
+            emit("S4", cfg.sender, "CHECK_VERDICT", f"verdict=abort {counts}")
             detail = f"reason=check_failed triplet={self.abort_triplet[trial]}"
-            emit(Phase.S4, cfg.sender, "ABORT", detail)
+            emit("S4", cfg.sender, "ABORT", detail)
             return tuple(records)
-        emit(Phase.S4, cfg.sender, "CHECK_VERDICT", f"verdict=pass {counts}")
+        emit("S4", cfg.sender, "CHECK_VERDICT", f"verdict=pass {counts}")
 
         # the trial's place among those that passed, and its groups there
         j = int(np.count_nonzero(self.completed[:trial]))
@@ -629,33 +609,29 @@ class Session:
         controller_bits = {ctrl: column[j].tolist() for ctrl, column in self._controller_bits.items()}
         for ctrl in cfg.controllers:
             for n, outcome in zip(triplets, controller_bits[ctrl]):
-                emit(Phase.S5, ctrl, "HADAMARD_MEASURE", f"triplet={n} outcome={outcome}")
+                emit("S5", ctrl, "HADAMARD_MEASURE", f"triplet={n} outcome={outcome}")
         for ctrl in cfg.controllers:
             listed = ",".join(f"{n}:{outcome}" for n, outcome in zip(triplets, controller_bits[ctrl]))
-            emit(Phase.S6, ctrl, "CONTROLLER_OUTCOMES", f"party={ctrl} outcomes={listed}")
+            emit("S6", ctrl, "CONTROLLER_OUTCOMES", f"party={ctrl} outcomes={listed}")
 
         sender_bell = self._sender_bell[groups]
         for g, op, outcome in zip(encoding, self._ops[groups], sender_bell):
-            emit(Phase.S7, cfg.sender, "ENCODE", f"group={g} bits={op.bits} op={op.name}")
+            emit("S7", cfg.sender, "ENCODE", f"group={g} bits={op.bits} op={op.name}")
             detail = f"group={g} pair=t{2 * g - 1},t{2 * g} outcome={outcome.value}"
-            emit(Phase.S7, cfg.sender, "BELL_MEASURE", detail)
+            emit("S7", cfg.sender, "BELL_MEASURE", detail)
         for g, outcome in zip(encoding, sender_bell):
-            emit(Phase.S8, cfg.sender, "BELL_ANNOUNCE", f"group={g} outcome={outcome.value}")
+            emit("S8", cfg.sender, "BELL_ANNOUNCE", f"group={g} outcome={outcome.value}")
 
         parities = self.parities[j].tolist()
         decoded = zip(encoding, sender_bell, self._receiver_bell[groups], self._decoded[groups])
         for i, (g, sender, receiver, chunk) in enumerate(decoded):
             detail = f"group={g} pair=h{2 * g - 1},h{2 * g} outcome={receiver.value}"
-            emit(Phase.S9, cfg.receiver, "BELL_MEASURE", detail)
+            emit("S9", cfg.receiver, "BELL_MEASURE", detail)
             bells = f"sender={sender.value} receiver={receiver.value}"
             detail = f"group={g} parities={parities[2 * i]}{parities[2 * i + 1]} {bells} bits={chunk}"
-            emit(Phase.S9, cfg.receiver, "DECODE", detail)
+            emit("S9", cfg.receiver, "DECODE", detail)
         for g, outcome in zip(encoding, self._ancilla_bell[groups]):
             detail = f"group={g} pair=e{2 * g - 1},e{2 * g} outcome={outcome.value}"
-            emit(Phase.S9, EVE, "ANCILLA_BELL", detail)
-        emit(Phase.S11, cfg.receiver, "COMPLETE", f"decoded={self.decoded_bits[trial]}")
+            emit("S9", EVE, "ANCILLA_BELL", detail)
+        emit("S11", cfg.receiver, "COMPLETE", f"decoded={self.decoded_bits[trial]}")
         return tuple(records)
-
-
-def run_session(config: ProtocolConfig) -> SessionResult:
-    return Session(config).run()

@@ -200,10 +200,20 @@ def take_rows(state: StateVector, rows, qubits: Sequence[QubitId] | None = None)
     return _state(state.qubits if qubits is None else tuple(qubits), state.amps[rows])
 
 
-def join_rows(parts: Sequence[StateVector]) -> StateVector:
-    """Stack the rows of ``parts``, which share one layout, in order,
-    under the labels of the first."""
-    return _state(parts[0].qubits, np.concatenate([part.amps for part in parts]))
+def join_rows(parts: Iterable[StateVector], rows: int) -> StateVector:
+    """Stack the rows of ``parts``, which share one layout and hold
+    ``rows`` rows in all, in order, under the labels of the first.  Each
+    part is copied into one preallocated stack as it arrives, so a
+    generator of parts never holds them all beside the stack."""
+    amps, qubits, start = None, (), 0
+    for part in parts:
+        if amps is None:
+            amps, qubits = np.empty((rows, part.amps.shape[1]), complex), part.qubits
+        amps[start : start + part.rows] = part.amps
+        start += part.rows
+    if amps is None or start != rows:
+        raise ValueError(f"expected {rows} row(s) to join, got {start}")
+    return _state(qubits, amps)
 
 
 def _per_row(table: dict, choice) -> np.ndarray:

@@ -32,7 +32,7 @@ from csdcsim.bases import (
     verify_ghz_expansion,
     verify_swap_identity,
 )
-from csdcsim.protocol import ProtocolConfig, Session, run_session
+from csdcsim.protocol import ProtocolConfig, Session
 from csdcsim.states import (
     BELL_OUTCOMES,
     BellOutcome,
@@ -45,6 +45,7 @@ from csdcsim.states import (
     measure_qubit,
     tensor,
 )
+from csdcsim.transcript import format_transcript
 
 GOLDEN = Path(__file__).parent / "data" / "golden_transcript.tsv"
 
@@ -148,7 +149,7 @@ def test_decode_table_zero_parity_slice_is_reproduced():
     assert len(rows) == 16
     table = default_decode_table()
     for (sender, receiver), op in rows.items():
-        assert table.op_for(DecodeKey(0, 0, sender, receiver)) is op
+        assert table.entries[DecodeKey(0, 0, sender, receiver)] is op
     zero_slice = {
         key for key in table.entries
         if (key.controller_parity_1, key.controller_parity_2) == (0, 0)
@@ -171,7 +172,7 @@ def test_thousand_honest_sessions_decode_perfectly():
             party_count=parties,
             seed=int(rng.integers(0, 2**63)),
         )
-        result = run_session(cfg)
+        result = Session(cfg).run()
         if not result.completed:
             aborts += 1
             continue
@@ -238,8 +239,8 @@ def test_detection_rates_match_the_exact_oracle():
 
 def test_transcripts_are_byte_identical_and_match_the_golden_file():
     cfg = ProtocolConfig(triplet_count=8, message_bits="0001", seed=42)
-    first = run_session(cfg).transcript_text
-    second = run_session(cfg).transcript_text
+    first = format_transcript(Session(cfg).run().records)
+    second = format_transcript(Session(cfg).run().records)
     assert first == second
     assert first.encode() == GOLDEN.read_bytes()
 

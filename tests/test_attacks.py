@@ -1,6 +1,7 @@
 """Unit tests for eavesdropping models and detection statistics."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -21,7 +22,7 @@ from csdcsim.attacks import (
     _trial_seed,
 )
 from csdcsim.cli import SWEEP_CELLS
-from csdcsim.protocol import ProtocolConfig, Session, run_session
+from csdcsim.protocol import ProtocolConfig, Session
 from csdcsim.states import QubitId, make_state
 
 ALL_ATTACKS = [
@@ -224,7 +225,7 @@ def test_stacked_trials_match_one_trial_sessions(parties, attack):
     stacked = Session(*configs)
     stacked.run_trials()
     for trial, cfg in enumerate(configs):
-        single = run_session(cfg)
+        single = Session(cfg).run()
         # what estimate_detection tallies, read from the stacked arrays
         assert stacked.completed[trial] == single.completed
         assert stacked.checked_triplets == single.checked_triplets
@@ -250,11 +251,30 @@ def test_sweep_stacks_stay_within_one_sessions_widest(monkeypatch):
     for attack in SWEEP_CELLS:
         cfg = replace(base, attack=attack)
         largest[0] = 0
-        run_session(cfg)
+        Session(cfg).run()
         single = largest[0]
         largest[0] = 0
         estimate_detection(cfg, trials=3)
         assert 0 < largest[0] <= single, attack
+
+
+@pytest.mark.parametrize("attack, probe", [(EntangleMeasure(), 1), (InterceptResend(), 0)])
+def test_a_wide_tapped_stack_is_held_once(attack, probe):
+    # the tapped registers dominate a wide attacked session; the engine
+    # must not hold a second copy of them while joining its blocks
+    triplets, parties = 256, 12
+    cfg = ProtocolConfig(
+        triplet_count=triplets, message_bits="0" * 128, party_count=parties, attack=attack
+    )
+    tapped_bytes = triplets * 2 ** (parties + probe) * 16
+    session = Session(cfg)
+    tracemalloc.start()
+    try:
+        session.run_trials()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * tapped_bytes, peak / tapped_bytes
 
 
 def test_trials_must_be_positive():

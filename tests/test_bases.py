@@ -215,7 +215,7 @@ def test_encoding_gate_identities():
 
 def test_decode_table_is_complete_and_collision_free():
     table = build_decode_table()
-    assert len(table) == 64
+    assert len(table.entries) == 64
     keys = set(table.entries)
     assert len(keys) == 64
 
@@ -241,7 +241,7 @@ def test_decode_table_zero_parity_slice():
         (BellOutcome.PSI_MINUS, BellOutcome.PSI_PLUS): EncodingOp.U4,
     }
     for (sender, receiver), op in expected.items():
-        assert table.op_for(DecodeKey(0, 0, sender, receiver)) is op
+        assert table.entries[DecodeKey(0, 0, sender, receiver)] is op
 
 
 def _sign_flip(outcome: BellOutcome) -> BellOutcome:
@@ -257,11 +257,11 @@ def test_parity_flips_act_as_sender_sign_flips():
     table = default_decode_table()
     for sender in BELL_OUTCOMES:
         for receiver in BELL_OUTCOMES:
-            base = table.op_for(DecodeKey(0, 0, _sign_flip(sender), receiver))
-            assert table.op_for(DecodeKey(1, 0, sender, receiver)) is base
-            assert table.op_for(DecodeKey(0, 1, sender, receiver)) is base
-            both = table.op_for(DecodeKey(0, 0, sender, receiver))
-            assert table.op_for(DecodeKey(1, 1, sender, receiver)) is both
+            base = table.entries[DecodeKey(0, 0, _sign_flip(sender), receiver)]
+            assert table.entries[DecodeKey(1, 0, sender, receiver)] is base
+            assert table.entries[DecodeKey(0, 1, sender, receiver)] is base
+            both = table.entries[DecodeKey(0, 0, sender, receiver)]
+            assert table.entries[DecodeKey(1, 1, sender, receiver)] is both
 
 
 @given(
@@ -274,7 +274,7 @@ def test_decode_is_bijective_per_announcement(p1, p2, sender):
     # with parities and the sender outcome fixed, the receiver outcome
     # determines the operation uniquely and covers all four
     table = default_decode_table()
-    ops = {table.op_for(DecodeKey(p1, p2, sender, r)) for r in BELL_OUTCOMES}
+    ops = {table.entries[DecodeKey(p1, p2, sender, r)] for r in BELL_OUTCOMES}
     assert ops == set(EncodingOp)
 
 
@@ -287,4 +287,4 @@ def test_decode_returns_bit_strings():
 def test_decode_rejects_unknown_keys():
     table = default_decode_table()
     with pytest.raises(KeyError):
-        table.op_for((0, 0, "PHI+", "PHI+"))  # type: ignore[arg-type]
+        table.decode((0, 0, "PHI+", "PHI+"))  # type: ignore[arg-type]

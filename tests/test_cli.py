@@ -84,6 +84,17 @@ def test_transcript_goes_to_stdout_with_dash():
     assert records[-1].action == "COMPLETE"
 
 
+@pytest.mark.skipif(os.devnull != "/dev/null", reason="no /dev/null device")
+def test_both_outputs_may_go_to_the_null_device():
+    # the same-file rule guards regular files only
+    proc = invoke(
+        "--mode", "run", "--triplets", "8", "--message", "0001",
+        "--transcript", "/dev/null", "--stats", "/dev/null",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ""
+
+
 def test_transcript_is_not_written_unless_requested(tmp_path):
     proc = invoke(
         "--mode", "run", "--triplets", "8", "--message", "0001", "--seed", "42",

@@ -6,12 +6,16 @@ pin multi-controller rounds, both attack taps (``collapse_qubit`` and
 sweep, and a seeded draw of a few hundred small run configurations.
 Each digest is the sha256 of the transcript bytes followed by
 the stats bytes (the stats bytes alone for the sweep); a change to any
-kernel that shifts one sampled outcome or one RNG draw changes it.
+kernel that shifts one sampled outcome or one RNG draw changes it.  The
+two scripts' stdout is pinned too.
 """
 
 import contextlib
 import hashlib
 import io
+import runpy
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -159,3 +163,26 @@ def test_drawn_sweeps_match_their_pinned_digest():
     assert any(accuracy == "nan" for _, _, accuracy in attacked)
     assert any(abort_rate == "0.000000" for _, abort_rate, _ in attacked)
     assert digest.hexdigest() == SWEEP_DRAW_DIGEST
+
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+SCRIPT_CASES = {
+    "identity_report.py": (
+        [], "7f47aec47b6208ce01c893834f8195e25b3392962d2c0588e7be5f22d12b05e3",
+    ),
+    "detection_sweep.py": (
+        ["--triplets", "8", "--trials", "20", "--seed", "3"],
+        "628f4418c72142cf3dba625ba7aa6ec924bfa668fecfa10e91253dcb81314bf5",
+    ),
+}
+
+
+@pytest.mark.parametrize("script", sorted(SCRIPT_CASES))
+def test_script_outputs_match_their_pinned_digests(monkeypatch, script):
+    args, digest = SCRIPT_CASES[script]
+    path = str(SCRIPTS / script)
+    monkeypatch.setattr(sys, "argv", [path, *args])
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runpy.run_path(path, run_name="__main__")
+    assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == digest

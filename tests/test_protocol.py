@@ -14,16 +14,14 @@ from csdcsim.protocol import (
     InternalError,
     MAX_PARTIES,
     MAX_TRIPLETS,
-    Phase,
     ProtocolConfig,
     Session,
     coincidence_ok,
     roster_names,
-    run_session,
     session_capacity,
     triplet_parity,
 )
-from csdcsim.attacks import BasisStrategy, InterceptResend
+from csdcsim.attacks import BasisStrategy, EntangleMeasure, InterceptResend
 from csdcsim.states import ATOL, MeasurementBasis, QubitId, reorder, take_rows
 from csdcsim.transcript import format_transcript, parse_transcript
 
@@ -212,7 +210,7 @@ def test_controller_collapse_leaves_signed_pair():
 
 
 def test_honest_session_decodes_the_message():
-    result = run_session(config())
+    result = Session(config()).run()
     assert result.completed
     assert result.match
     assert result.decoded_bits == "0001"
@@ -222,7 +220,7 @@ def test_honest_session_decodes_the_message():
 
 def test_roles_can_rotate():
     for sender, receiver in [(ALICE, BOB), ("CTRL1", ALICE), (BOB, "CTRL1")]:
-        result = run_session(config(sender=sender, receiver=receiver))
+        result = Session(config(sender=sender, receiver=receiver)).run()
         assert result.completed and result.match, (sender, receiver)
 
 
@@ -249,34 +247,47 @@ def test_measuring_a_photon_twice_is_an_internal_error():
         sess._take([0])
 
 
+# the wire labels of the protocol module's docstring, in protocol order
+PHASE_LABELS = ("S1", "S2", "S3", "S4", "S5", "S6", "S7", "S8", "S9", "S11")
+
+
 def test_phases_are_monotonic():
-    result = run_session(config())
-    orders = [Phase(r.phase).order for r in result.records]
-    assert orders == sorted(orders)
+    # an honest session; an eavesdropped one that aborts (TAP,
+    # ANCILLA_MEASURE and ABORT records); one that completes (ANCILLA_BELL)
+    sessions = ({}, dict(seed=1, attack=EntangleMeasure()), dict(seed=0, attack=EntangleMeasure()))
+    actions = set()
+    for overrides in sessions:
+        records = Session(config(**overrides)).run().records
+        labels = [r.phase for r in records]
+        assert set(labels) <= set(PHASE_LABELS), overrides
+        orders = [PHASE_LABELS.index(label) for label in labels]
+        assert orders == sorted(orders), overrides
+        actions.update(r.action for r in records)
+    assert {"TAP", "ANCILLA_MEASURE", "ABORT", "ANCILLA_BELL", "COMPLETE"} <= actions
 
 
 def test_sequence_numbers_are_dense():
-    result = run_session(config())
+    result = Session(config()).run()
     assert [r.seq for r in result.records] == list(range(1, len(result.records) + 1))
 
 
 def test_transcript_round_trips():
-    result = run_session(config())
-    text = result.transcript_text
+    result = Session(config()).run()
+    text = format_transcript(result.records)
     assert parse_transcript(text) == list(result.records)
     assert format_transcript(parse_transcript(text)) == text
 
 
 def test_same_seed_same_transcript():
-    a = run_session(config())
-    b = run_session(config())
-    assert a.transcript_text == b.transcript_text
+    a = Session(config()).run()
+    b = Session(config()).run()
+    assert format_transcript(a.records) == format_transcript(b.records)
 
 
 def test_different_seed_different_run():
-    a = run_session(config(seed=1))
-    b = run_session(config(seed=2))
-    assert a.transcript_text != b.transcript_text
+    a = Session(config(seed=1)).run()
+    b = Session(config(seed=2)).run()
+    assert format_transcript(a.records) != format_transcript(b.records)
 
 
 def test_verdict_counts_every_checked_triplet():
@@ -289,7 +300,7 @@ def test_verdict_counts_every_checked_triplet():
 def test_abort_ends_the_transcript():
     # a frozen seed known to trip the eavesdropping check
     cfg = config(seed=2, attack=InterceptResend(BasisStrategy.RANDOM))
-    result = run_session(cfg)
+    result = Session(cfg).run()
     assert not result.completed
     assert result.decoded_bits is None
     assert not result.match

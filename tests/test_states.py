@@ -365,7 +365,16 @@ def test_two_qubit_kernels_match_the_moveaxis_reference(n, seed):
 
 
 def random_stack(qubits, rows, rng):
-    return join_rows([random_state(qubits, int(s)) for s in rng.integers(0, 2**32, size=rows)])
+    seeds = rng.integers(0, 2**32, size=rows)
+    return join_rows([random_state(qubits, int(s)) for s in seeds], rows)
+
+
+def test_join_rows_rejects_a_wrong_row_count():
+    parts = [random_state((QubitId(1, "q"),), seed) for seed in range(3)]
+    assert np.array_equal(join_rows(iter(parts), 3).amps[2], parts[2].amps[0])
+    for rows in (0, 2, 4):
+        with pytest.raises(ValueError):
+            join_rows(parts, rows)
 
 
 def assert_rows_equal(stacked, singles):
