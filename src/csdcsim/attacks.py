@@ -182,8 +182,8 @@ def detection_oracle(attack: AttackModel | None, parties: int = 3) -> float:
     Enumerates the eavesdropper's basis choice and outcome, then the
     uniformly chosen checking basis, then every party-outcome branch.
     """
-    if parties < 3:
-        raise ValueError("the protocol needs at least 3 parties")
+    if not (3 <= parties <= MAX_PARTIES):
+        raise ValueError(f"the protocol needs 3 to {MAX_PARTIES} parties, got {parties}")
     if attack is None or isinstance(attack, NoAttack):
         return 0.0
 

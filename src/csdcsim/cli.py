@@ -6,6 +6,12 @@ Three modes share one flag set:
     run     execute one session, optionally writing transcript and stats
     sweep   run batches of sessions across every attack model
 
+Verify prints one tab-separated ``label<TAB>status<TAB>detail`` line
+per check: the sixteen swap products with their four signed terms, GHZ
+orthonormality and expansions, the decode table with its zero-parity
+slice, and last the exact detection rate and abort probability of each
+sweep cell for the --parties, --triplets and --check-fraction given.
+
 Exit codes: 0 success, 1 usage error, 2 session aborted after an
 eavesdropper was detected, 3 structural verification failure,
 4 internal simulator error.
@@ -26,6 +32,9 @@ from .attacks import (
     BasisStrategy,
     EntangleMeasure,
     InterceptResend,
+    abort_probability,
+    attack_cell_label,
+    detection_oracle,
     estimate_detection,
 )
 from .protocol import (
@@ -134,8 +143,10 @@ def _open_out(path: str | None) -> Iterator[IO[str] | None]:
             yield handle
 
 
-def run_verify(out: IO[str]) -> int:
-    """Check every structural identity; findings are reported, not fatal."""
+def run_verify(out: IO[str], config: ProtocolConfig) -> int:
+    """Check every structural identity, then print the exact detection
+    rates for ``config``'s parties and checked triplets; findings are
+    reported, not fatal."""
     failures = 0
 
     for left in BELL_OUTCOMES:
@@ -143,9 +154,14 @@ def run_verify(out: IO[str]) -> int:
             report = bases.verify_swap_identity(left, right)
             status = "pass" if report.holds else "FAIL"
             failures += 0 if report.holds else 1
+            terms = " ".join(
+                f"{'+' if coeff.real >= 0 else '-'}1/2 {a.value}*{b.value}"
+                for (a, b), coeff in report.outcome_table.items()
+                if abs(coeff) > bases.ATOL
+            )
             out.write(
                 f"swap-product {left.value}x{right.value}\t{status}\t"
-                f"residual={report.max_residual:.2e}\n"
+                f"residual={report.max_residual:.2e}\t{terms}\n"
             )
 
     gram_residual = bases.ghz_orthonormality_residual()
@@ -171,16 +187,38 @@ def run_verify(out: IO[str]) -> int:
         out.write(f"decode-table\tFAIL\t{exc}\n")
     else:
         out.write(f"decode-table\tpass\tkeys={len(table.entries)}\n")
+        for op in bases.EncodingOp:
+            pairs = sorted(
+                f"({key.sender_bell.value},{key.receiver_bell.value})"
+                for key, entry in table.entries.items()
+                if entry is op and key.controller_parity_1 == key.controller_parity_2 == 0
+            )
+            out.write(f"decode-slice {op.name} bits={op.bits}\tpass\t{' '.join(pairs)}\n")
+
+    checked = 2 * config.checking_group_count
+    for attack in SWEEP_CELLS:
+        rate = detection_oracle(attack, config.party_count)
+        claim = 0.0 if attack is None else 0.25
+        abort = abort_probability(attack, checked, config.party_count)
+        out.write(
+            f"detection-oracle {attack_cell_label(attack)}\t"
+            f"{'pass' if abs(rate - claim) <= bases.ATOL else 'finding'}\t"
+            f"rate={rate:.6f} checked={checked} abort={abort:.6f}\n"
+        )
 
     return EXIT_OK if failures == 0 else EXIT_VERIFY_FAILED
 
 
 def _config_from_args(args: argparse.Namespace) -> ProtocolConfig:
-    if args.message is None:
+    message = args.message
+    if args.mode != "run":
+        # sweep and verify send no message; any that fills the capacity will do
+        message = "0" * session_capacity(args.triplets, args.check_fraction)
+    elif message is None:
         raise ConfigError("run mode requires --message")
     return ProtocolConfig(
         triplet_count=args.triplets,
-        message_bits=args.message,
+        message_bits=message,
         party_count=args.parties,
         check_fraction=args.check_fraction,
         attack=_build_attack(args),
@@ -224,14 +262,8 @@ SWEEP_CELLS: tuple[AttackModel | None, ...] = (
 def run_sweep(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise ConfigError("sweep needs a positive --trials")
-    # sweep sessions carry random messages, so any valid capacity works
-    base = ProtocolConfig(
-        triplet_count=args.triplets,
-        message_bits="0" * session_capacity(args.triplets, args.check_fraction),
-        party_count=args.parties,
-        check_fraction=args.check_fraction,
-        seed=args.seed,
-    )
+    # each trial gets a random message; the cells replace the attack
+    base = _config_from_args(args)
     stats_path = args.stats if args.stats is not None else "-"
     with _open_out(stats_path) as out:
         out.write(
@@ -262,8 +294,10 @@ def main(argv: list[str] | None = None) -> int:
             if value is not None and args.mode != "run":
                 raise ConfigError(f"{flag} applies only to --mode run")
         if args.mode == "verify":
+            # built before anything is printed, so verify rejects what sweep does
+            config = _config_from_args(args)
             with _open_out(args.stats if args.stats is not None else "-") as out:
-                return run_verify(out)
+                return run_verify(out, config)
         if args.mode == "run":
             return run_single(args)
         return run_sweep(args)

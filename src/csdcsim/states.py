@@ -179,7 +179,7 @@ def _state(qubits: tuple[QubitId, ...], amps: np.ndarray) -> StateVector:
 
 def make_state(qubits: Iterable[QubitId], amplitudes: Sequence[complex]) -> StateVector:
     """Build a normalized one-row state; rejects duplicate qubit ids,
-    length mismatches and zero vectors."""
+    length mismatches, zero vectors and vectors whose norm is not finite."""
     qubits = tuple(qubits)
     if len(set(qubits)) != len(qubits):
         raise ValueError("duplicate qubit ids in register")
@@ -189,6 +189,8 @@ def make_state(qubits: Iterable[QubitId], amplitudes: Sequence[complex]) -> Stat
             f"amplitude length {amps.shape[0]} does not match {len(qubits)} qubit(s)"
         )
     norm = float(np.linalg.norm(amps))
+    if not np.isfinite(norm):
+        raise ValueError("state vector has a non-finite norm")
     if norm <= ATOL:
         raise ValueError("state vector has zero norm")
     return _state(qubits, (amps / norm)[None])

@@ -22,7 +22,7 @@ from csdcsim.attacks import (
     _trial_seed,
 )
 from csdcsim.cli import SWEEP_CELLS
-from csdcsim.protocol import ProtocolConfig, Session
+from csdcsim.protocol import MAX_PARTIES, ProtocolConfig, Session
 from csdcsim.states import QubitId, make_state
 
 ALL_ATTACKS = [
@@ -102,6 +102,12 @@ def test_oracle_is_one_quarter_for_every_attack():
     for attack in ALL_ATTACKS:
         for parties in (3, 4, 5):
             assert np.isclose(detection_oracle(attack, parties), 0.25, atol=1e-12)
+
+
+@pytest.mark.parametrize("parties", [2, MAX_PARTIES + 1])
+def test_oracle_rejects_party_counts_outside_the_protocol(parties):
+    with pytest.raises(ValueError, match="parties"):
+        detection_oracle(EntangleMeasure(), parties)
 
 
 def test_abort_probability_compounds_per_triplet():

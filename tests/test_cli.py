@@ -25,9 +25,6 @@ RUN = [sys.executable, "-m", "csdcsim.cli"]
 PACKAGE_ROOT = str(Path(cli.__file__).resolve().parents[1])
 
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
-
-
 def child_env():
     inherited = os.environ.get("PYTHONPATH")
     path = PACKAGE_ROOT + (os.pathsep + inherited if inherited else "")
@@ -151,6 +148,9 @@ def test_attack_basis_flag_is_accepted():
         ["--mode", "sweep", "--triplets", "4", "--trials", "3", "--message", "01"],
         ["--mode", "verify", "--transcript", "-"],
         ["--mode", "verify", "--message", "0001"],
+        ["--mode", "verify", "--triplets", "7"],
+        ["--mode", "verify", "--parties", "30"],
+        ["--mode", "verify", "--check-fraction", "nan"],
     ],
 )
 def test_bad_usage_exits_one(args):
@@ -231,6 +231,10 @@ def test_verify_passes_and_reports_findings():
     swap = [l for l in lines if l.startswith("swap-product")]
     assert len(swap) == 16
     assert all("\tpass\t" in l for l in swap)
+    for line in swap:
+        terms = line.split("\t")[3].split()
+        assert len(terms) == 8  # four "±1/2 X*Y" terms
+        assert all(sign in ("+1/2", "-1/2") for sign in terms[::2])
     assert any(l.startswith("ghz-orthonormality\tpass") for l in lines)
     findings = [l for l in lines if "\tfinding\t" in l]
     assert sorted(f.split("\t")[0] for f in findings) == [
@@ -238,6 +242,38 @@ def test_verify_passes_and_reports_findings():
         "ghz-expansion index=4",
     ]
     assert any(l.startswith("decode-table\tpass\tkeys=64") for l in lines)
+    slices = [l.split("\t") for l in lines if l.startswith("decode-slice")]
+    assert [label for label, _, _ in slices] == [
+        "decode-slice U1 bits=00", "decode-slice U2 bits=01",
+        "decode-slice U3 bits=10", "decode-slice U4 bits=11",
+    ]
+    assert all(status == "pass" and len(pairs.split()) == 4 for _, status, pairs in slices)
+    oracle = [l.split("\t") for l in lines if l.startswith("detection-oracle")]
+    assert [status for _, status, _ in oracle] == ["pass"] * 5
+    assert lines[-5:] == ["\t".join(fields) for fields in oracle]
+
+
+@pytest.mark.parametrize(
+    "fraction, checked, abort",
+    [("0.25", "2", "0.437500"), ("0.5", "4", "0.683594"), ("0.75", "6", "0.822021")],
+)
+def test_verify_reports_the_exact_rates_for_the_check_fraction(fraction, checked, abort):
+    proc = invoke("--mode", "verify", "--triplets", "8", "--check-fraction", fraction)
+    assert proc.returncode == 0, proc.stderr
+    oracle = [
+        line.split("\t") for line in proc.stdout.splitlines()
+        if line.startswith("detection-oracle")
+    ]
+    assert oracle[0] == [
+        "detection-oracle none", "pass", f"rate=0.000000 checked={checked} abort=0.000000"
+    ]
+    assert oracle[1:] == [
+        [f"detection-oracle {label}", "pass", f"rate=0.250000 checked={checked} abort={abort}"]
+        for label in (
+            "intercept-resend:random", "intercept-resend:z",
+            "intercept-resend:x", "entangle-measure",
+        )
+    ]
 
 
 def test_verify_structural_failure_exits_three(monkeypatch, capsys):
@@ -316,46 +352,3 @@ def test_stats_file_destination(tmp_path):
     assert proc.returncode == 0
     assert proc.stdout == ""
     assert stats_dict(out.read_text())["decoded"] == "0001"
-
-
-# --- scripts ------------------------------------------------------------
-
-
-def run_script(name, *args):
-    return subprocess.run(
-        [sys.executable, str(SCRIPTS / name), *args], capture_output=True, text=True,
-        timeout=120, env=child_env(),
-    )
-
-
-def test_detection_sweep_script_prints_one_row_per_attack():
-    proc = run_script("detection_sweep.py", "--triplets", "8", "--trials", "5", "--fractions", "0.5")
-    assert proc.returncode == 0, proc.stderr
-    header, *rows = proc.stdout.strip().splitlines()
-    assert header.split("\t")[:3] == ["attack", "fraction", "checked/session"]
-    assert len(rows) == 5
-    assert all(row.split("\t")[1:3] == ["0.5", "4"] for row in rows)
-
-
-@pytest.mark.parametrize(
-    "args",
-    [
-        ["--trials", "0"],
-        ["--triplets", "7"],
-        ["--seed", "-1"],
-        ["--seed", "18446744073709551616"],
-        ["--triplets", "2", "--seed", "-1"],
-    ],
-)
-def test_detection_sweep_script_rejects_bad_counts_as_usage_errors(args):
-    proc = run_script("detection_sweep.py", *args)
-    assert proc.returncode == 2
-    assert "error" in proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert proc.stdout == ""
-
-
-def test_identity_report_script_runs():
-    proc = run_script("identity_report.py")
-    assert proc.returncode == 0, proc.stderr
-    assert "decode table: 64 keys" in proc.stdout

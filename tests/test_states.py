@@ -66,6 +66,15 @@ def test_make_state_rejects_zero_vector():
         make_state((Q[0],), [0, 0])
 
 
+# neither a NaN nor an infinite norm is <= ATOL, so the zero-norm test alone lets it through
+@pytest.mark.parametrize(
+    "amplitudes", [[math.nan, 1], [math.inf, 1], [1, 1j * math.inf]], ids=["nan", "inf", "inf-imag"]
+)
+def test_make_state_rejects_non_finite_amplitudes(amplitudes):
+    with pytest.raises(ValueError, match="non-finite"):
+        make_state((Q[0],), amplitudes)
+
+
 def test_amplitudes_are_frozen():
     state = make_state((Q[0],), [1, 0])
     with pytest.raises(ValueError):
