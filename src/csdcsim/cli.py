@@ -6,6 +6,9 @@ Three modes share one flag set:
     run     execute one session, optionally writing transcript and stats
     sweep   run batches of sessions across every attack model
 
+A flag that the mode does not read (``MODE_FLAGS``) must keep its
+default; any other value is a usage error, not silently ignored.
+
 Verify prints one tab-separated ``label<TAB>status<TAB>detail`` line
 per check: the sixteen swap products with their four signed terms, GHZ
 orthonormality and expansions, the decode table with its zero-parity
@@ -54,6 +57,17 @@ DEFAULT_TRIPLETS = 16
 DEFAULT_CHECK_FRACTION = 0.5
 DEFAULT_PARTIES = 3
 DEFAULT_TRIALS = 100
+
+# The flags each mode reads, by argparse dest; --attack-basis is read only
+# with --attack intercept-resend.
+MODE_FLAGS = {
+    "run": (
+        "triplets", "message", "check_fraction", "parties", "attack", "attack_basis",
+        "seed", "transcript", "stats",
+    ),
+    "sweep": ("triplets", "check_fraction", "parties", "seed", "trials", "stats"),
+    "verify": ("triplets", "check_fraction", "parties", "stats"),
+}
 
 
 class _UsageError(Exception):
@@ -290,9 +304,15 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
 
     try:
-        for flag, value in (("--transcript", args.transcript), ("--message", args.message)):
-            if value is not None and args.mode != "run":
-                raise ConfigError(f"{flag} applies only to --mode run")
+        # a flag set away from its default where nothing reads it
+        for dest, value in vars(args).items():
+            if dest == "mode" or value == parser.get_default(dest):
+                continue
+            flag = "--" + dest.replace("_", "-")
+            if dest not in MODE_FLAGS[args.mode]:
+                raise ConfigError(f"{flag} is not read by --mode {args.mode}")
+            if dest == "attack_basis" and args.attack != "intercept-resend":
+                raise ConfigError(f"{flag} is read only with --attack intercept-resend")
         if args.mode == "verify":
             # built before anything is printed, so verify rejects what sweep does
             config = _config_from_args(args)

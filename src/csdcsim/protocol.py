@@ -11,8 +11,8 @@ under these wire labels:
     S4   per checked triplet: sender picks a basis at random, measures
          and announces; everyone else measures in the same basis and
          replies; any coincidence violation aborts the session
-    S5   controllers rotate (Hadamard) and measure their control
-         photons of the encoding groups
+    S5   controllers measure their control photons of the encoding
+         groups in the diagonal basis (a Hadamard, then Z)
     S6   controllers broadcast their outcome lists
     S7   sender encodes two message bits per group on the first travel
          photon and Bell-measures each travel pair
@@ -28,11 +28,11 @@ parties act as controllers.
 Every phase is columnar: the registers it acts on sit in one stack, one
 row per triplet (``StateVector`` rows), and each party's operation is one
 kernel call over the stack.  The phase stacks are the prepared registers
-(S1; one shared GHZ row until a tap sets the triplets apart), the
-encoding triplets' (home, travel[, probe]) rows after S5, and the
-groups' joined rows after S7.  Rows are processed in blocks of at most
-AMPLITUDE_BUDGET amplitudes, so no stack outgrows a few registers of the
-widest kind.
+(S1; each row a read-only view of one GHZ register until a tap sets the
+triplets apart), the encoding triplets' (home, travel[, probe]) rows
+after S5, and the groups' joined rows after S7.  S4 and S5 are one
+read-out step.  Rows are processed in blocks of at most AMPLITUDE_BUDGET
+amplitudes, so no stack outgrows a few registers of the widest kind.
 
 A session holds one or more trials: runs that share the triplet count,
 party count, check fraction, attack and roles, and differ only in seed
@@ -67,7 +67,6 @@ import numpy as np
 from .bases import DecodeKey, EncodingOp, default_decode_table
 from .states import (
     BellOutcome,
-    Gate,
     MeasurementBasis,
     QubitId,
     StateVector,
@@ -289,13 +288,10 @@ class Session:
         holders = (config.receiver, config.sender) + config.controllers
         self._role_of = dict(zip(holders, self._roles))
 
-        # Phase stacks (see the module docstring).  Row _row_of[k*T + n - 1]
-        # of _prepared holds triplet n of trial k; _taken marks the rows
-        # taken out of it.
-        rows = len(configs) * config.triplet_count
+        # Phase stacks (see the module docstring): row k*T + n - 1 of _prepared
+        # holds triplet n of trial k, and _taken marks the rows taken out of it.
         self._prepared: StateVector | None = None
-        self._row_of = np.zeros(rows, np.intp)
-        self._taken = np.zeros(rows, bool)
+        self._taken = np.zeros(len(configs) * config.triplet_count, bool)
         self._encoding: StateVector | None = None
         self._pairs: StateVector | None = None
 
@@ -325,15 +321,6 @@ class Session:
 
     # -- register and stream helpers ---------------------------------------
 
-    def _take(self, rows: np.ndarray) -> StateVector:
-        """Take the prepared registers at ``rows`` out for measurement, one
-        per row.  Each is taken once, so no photon is measured twice."""
-        taken = np.count_nonzero(self._taken)
-        self._taken[rows] = True
-        if np.count_nonzero(self._taken) - taken != len(rows):
-            raise InternalError("a photon would be measured twice")
-        return take_rows(self._prepared, self._row_of[rows])
-
     def _uniforms(self, party: str, count: int, trials: Sequence[int]) -> np.ndarray:
         """``count`` uniforms from the party's stream in each of ``trials``."""
         streams = self._rngs[party]
@@ -343,20 +330,47 @@ class Session:
         """Prepared-stack rows of the (trials, n) triplet numbers, flat."""
         return (trials[:, None] * self.config.triplet_count + triplets - 1).ravel()
 
+    def _measure_photons(
+        self, rows: np.ndarray, measuring: Sequence[tuple[str, str]],
+        bases: Sequence[MeasurementBasis], draws: dict[str, np.ndarray],
+    ) -> tuple[dict[str, np.ndarray], StateVector]:
+        """Take the prepared registers at ``rows`` out; each (party, role)
+        of ``measuring`` in turn measures its photon in the row's basis with
+        the party's draws.  Returns each party's outcomes and the stack left.
+        A register is taken once, so no photon is measured twice."""
+        taken = np.count_nonzero(self._taken)
+        self._taken[rows] = True
+        if np.count_nonzero(self._taken) - taken != len(rows):
+            raise InternalError("a photon would be measured twice")
+        outcomes = {party: np.empty(len(rows), np.intp) for party, _ in measuring}
+
+        def measure(block: slice) -> StateVector:
+            state = take_rows(self._prepared, rows[block])
+            for party, role in measuring:
+                outcomes[party][block], state = measure_qubit(
+                    state, QubitId(1, role), bases[block], draws[party][block]
+                )
+            return state
+
+        return outcomes, _per_block(len(rows), self._prepared.num_qubits, measure)
+
     # -- protocol phases ---------------------------------------------------
 
     def prepare_and_distribute(self) -> None:
         cfg, count = self.config, self.config.triplet_count
         ghz = np.zeros(1 << len(self._roles))
         ghz[0] = ghz[-1] = 1.0
-        # one row stands for every triplet until a tap sets them apart
-        self._prepared = make_state(_labels(1, self._roles), ghz)
+        # every triplet's row views one register until a tap sets them apart
+        register = make_state(_labels(1, self._roles), ghz)
+        rows = len(self._taken)
+        self._prepared = StateVector(register.qubits, np.broadcast_to(register.amps, (rows, len(ghz))))
         if cfg.attack is None:
             return
         eve = self._rngs[EVE]
 
         def tap(block: slice) -> StateVector:
-            sent = take_rows(self._prepared, self._row_of[block])
+            # indexed, so a copy: the kernels run slower on the view's rows
+            sent = take_rows(self._prepared, np.arange(block.start, block.stop))
             # the block's rows run over one or more trials; each trial's
             # rows draw from that trial's stream
             trials = range(block.start // count, (block.stop - 1) // count + 1)
@@ -369,9 +383,7 @@ class Session:
             return state
 
         # a tap may add a probe ancilla to each register
-        rows = len(self._row_of)
         self._prepared = _per_block(rows, self._prepared.num_qubits + 1, tap)
-        self._row_of = np.arange(rows)
 
     def select_groups(self) -> None:
         cfg, trials = self.config, len(self.configs)
@@ -404,17 +416,8 @@ class Session:
         draws = {party: self._uniforms(party, count, trials) for party, _ in measuring[1:]}
         draws[cfg.sender] = np.concatenate([uniforms for _, uniforms in drawn])
         rows = self._rows(checked, trials)
-        outcomes = {party: np.empty(len(rows), np.intp) for party, _ in measuring}
-
-        def measure(block: slice) -> StateVector:
-            state = self._take(rows[block])
-            for party, role in measuring:
-                outcomes[party][block], state = measure_qubit(
-                    state, QubitId(1, role), bases[block], draws[party][block]
-                )
-            return state
-
-        if _per_block(len(rows), self._prepared.num_qubits, measure).num_qubits:
+        outcomes, left = self._measure_photons(rows, measuring, bases, draws)
+        if left.num_qubits:
             raise InternalError("checked photons were left unmeasured")
 
         ok = coincidence_ok(bases, np.stack([outcomes[party] for party in parties]))
@@ -435,20 +438,11 @@ class Session:
         triplets = _pair_triplets(self.encoding_groups[live])
         draws = {ctrl: self._uniforms(ctrl, triplets.shape[1], live) for ctrl in cfg.controllers}
         rows = self._rows(triplets, live)
-        outcomes = {ctrl: np.empty(len(rows), np.intp) for ctrl in cfg.controllers}
-
-        def rotate_and_measure(block: slice) -> StateVector:
-            state = self._take(rows[block])
-            for ctrl in cfg.controllers:
-                qubit = QubitId(1, self._role_of[ctrl])
-                state = apply_gate(state, Gate.HADAMARD, qubit)
-                outcomes[ctrl][block], state = measure_qubit(
-                    state, qubit, MeasurementBasis.COMPUTATIONAL, draws[ctrl][block]
-                )
-            return state
-
+        measuring = [(ctrl, self._role_of[ctrl]) for ctrl in cfg.controllers]
+        # a Hadamard then a computational measurement: a diagonal read-out
+        diagonal = [MeasurementBasis.DIAGONAL] * len(rows)
         # (home, travel[, probe ancilla]) of each encoding triplet, in order
-        self._encoding = _per_block(len(rows), self._prepared.num_qubits, rotate_and_measure)
+        outcomes, self._encoding = self._measure_photons(rows, measuring, diagonal, draws)
         self._controller_bits = {
             ctrl: column.reshape(triplets.shape) for ctrl, column in outcomes.items()
         }

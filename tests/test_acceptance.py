@@ -32,6 +32,7 @@ from csdcsim.bases import (
     verify_ghz_expansion,
     verify_swap_identity,
 )
+from csdcsim.cli import SWEEP_CELLS
 from csdcsim.protocol import ProtocolConfig, Session
 from csdcsim.states import (
     BELL_OUTCOMES,
@@ -235,6 +236,40 @@ def test_detection_rates_match_the_exact_oracle():
         expected_abort = abort_probability(attack, checked_triplets=8)
         abort_sigma = math.sqrt(expected_abort * (1.0 - expected_abort) / trials)
         assert abs(stats.abort_rate - expected_abort) <= 3 * abort_sigma, attack
+
+
+def test_decode_accuracy_of_each_sweep_cell_matches_its_exact_value():
+    """The receiver's decode accuracy over the sessions an attack lets pass.
+
+    A Z-type disturbance (intercept-resend in z, or the CNOT probe once
+    its ancilla is traced out) leaves only the bit-flip part of the
+    operation readable; the phase bit is a coin flip, so both bits are
+    right or both are wrong: 1/2.  An X-type disturbance leaves the first
+    bit exact and the second a coin flip: 3/4.  A mixed group carries
+    nothing: 1/2.  So a random basis gives (1/2 + 3/4 + 2 * 1/2) / 4 = 9/16.
+
+    Each sample is a group of two correlated bits, so a group's mean has a
+    variance of at most 1/4.
+    """
+    exact = {
+        None: 1.0,
+        InterceptResend(BasisStrategy.RANDOM): 9 / 16,
+        InterceptResend(BasisStrategy.ALWAYS_Z): 1 / 2,
+        InterceptResend(BasisStrategy.ALWAYS_X): 3 / 4,
+        EntangleMeasure(): 1 / 2,
+    }
+    assert tuple(exact) == SWEEP_CELLS
+    base = ProtocolConfig(
+        triplet_count=64, message_bits="0" * 60, check_fraction=0.05, seed=12
+    )
+    for attack, accuracy in exact.items():
+        stats = estimate_detection(replace(base, attack=attack), trials=300)
+        if attack is None:
+            assert stats.decode_accuracy == 1.0
+            continue
+        groups = stats.decoded_bits_total // 2
+        sigma = math.sqrt(0.25 / groups)
+        assert abs(stats.decode_accuracy - accuracy) <= 3 * sigma, (attack, stats)
 
 
 def test_transcripts_are_byte_identical_and_match_the_golden_file():

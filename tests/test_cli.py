@@ -151,6 +151,11 @@ def test_attack_basis_flag_is_accepted():
         ["--mode", "verify", "--triplets", "7"],
         ["--mode", "verify", "--parties", "30"],
         ["--mode", "verify", "--check-fraction", "nan"],
+        # a flag that the mode does not read
+        ["--mode", "sweep", "--attack", "entangle-measure", "--triplets", "8", "--trials", "3"],
+        ["--mode", "run", "--triplets", "8", "--message", "0001", "--trials", "0"],
+        ["--mode", "run", "--triplets", "8", "--message", "0001", "--attack-basis", "z"],
+        ["--mode", "verify", "--seed", "5"],
     ],
 )
 def test_bad_usage_exits_one(args):
@@ -161,10 +166,11 @@ def test_bad_usage_exits_one(args):
     assert proc.stdout == ""
 
 
-# Every mode is run with no bad flag and with each flag bad in turn; every
-# other flag is left out or gets a small valid value, so that one argv runs
-# in milliseconds.  --trials is never left out, because the default of 100
-# trials makes a sweep slow.
+# Every mode is run with no bad flag and with each flag bad in turn.  Every
+# other flag is passed only in a mode that reads it, where it is left out
+# or gets a small valid value, so that one argv runs in milliseconds; a
+# flag that the mode does not read would make the argv a usage error.
+# Sweep always gets --trials, because the default of 100 trials is slow.
 BAD_NUMBERS = ["-2", "0", "nan", "inf", "x", ""]
 FLAGS = {
     "--triplets": (
@@ -180,18 +186,35 @@ FLAGS = {
     "--seed": (st.integers(0, MAX_SEED).map(str), BAD_NUMBERS + ["-1", str(MAX_SEED + 1)]),
     "--trials": (st.integers(1, 3).map(str), BAD_NUMBERS),
 }
+# the flags each mode reads; --attack-basis only with --attack intercept-resend
+READS = {
+    "run": {
+        "--triplets", "--check-fraction", "--parties", "--attack", "--attack-basis", "--seed",
+        "--message",
+    },
+    "sweep": {"--triplets", "--check-fraction", "--parties", "--seed", "--trials"},
+    "verify": {"--triplets", "--check-fraction", "--parties"},
+    "frobnicate": set(FLAGS) | {"--message"},
+}
 
 
 @st.composite
-def flag_values(draw, bad_flag):
+def flag_values(draw, mode, bad_flag):
     argv = []
     for flag, (valid, bad) in FLAGS.items():
+        options = dict(zip(argv[::2], argv[1::2]))
         if flag == bad_flag:
             value = draw(st.sampled_from(bad))
+        elif flag not in READS[mode] or (
+            flag == "--attack-basis" and options.get("--attack") != "intercept-resend"
+        ):
+            value = None
         else:
             value = draw(valid if flag == "--trials" else st.one_of(st.none(), valid))
         if value is not None:
             argv += [flag, value]
+    if "--message" not in READS[mode]:
+        return argv
     # a message that fits the drawn capacity, a malformed one, or none
     try:
         options = dict(zip(argv[::2], argv[1::2]))
@@ -214,7 +237,7 @@ def flag_values(draw, bad_flag):
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
 def test_any_argv_ends_in_a_documented_exit_code(mode, bad_flag, data):
-    argv = ["--mode", mode] + data.draw(flag_values(bad_flag))
+    argv = ["--mode", mode] + data.draw(flag_values(mode, bad_flag))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)

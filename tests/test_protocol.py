@@ -160,8 +160,9 @@ def test_prepared_triplets_are_ghz(parties):
     width = 2 + (parties - 2)
     prepared = sess._prepared
     assert prepared.num_qubits == width
+    assert prepared.rows == cfg.triplet_count
     for n in range(1, cfg.triplet_count + 1):
-        state = take_rows(prepared, [sess._row_of[n - 1]])
+        state = take_rows(prepared, [n - 1])
         ends = "0" * width, "1" * width
         for bits in ends:
             assert np.isclose(state.amplitude(bits), INV_SQRT2, atol=ATOL)
@@ -244,7 +245,9 @@ def test_measuring_a_photon_twice_is_an_internal_error():
     sess = Session(config())
     sess.run()
     with pytest.raises(InternalError):
-        sess._take([0])
+        sess._measure_photons(
+            np.array([0]), [(ALICE, "h")], [MeasurementBasis.COMPUTATIONAL], {ALICE: np.zeros(1)}
+        )
 
 
 # the wire labels of the protocol module's docstring, in protocol order

@@ -422,6 +422,14 @@ def test_stacked_kernels_match_one_row_calls_bit_for_bit(n, rows, seed):
         ]
         assert outcomes.tolist() == [k for (k,), _ in calls]
         assert_rows_equal(post, [single for _, single in calls])
+    # the session reads a Hadamard then a computational measurement out as
+    # one diagonal measurement, with one basis or one per row
+    rotated = apply_gate(stack, Gate.HADAMARD, target)
+    expected, then = measure_qubit(rotated, target, MeasurementBasis.COMPUTATIONAL, uniforms)
+    for diagonal in (MeasurementBasis.DIAGONAL, [MeasurementBasis.DIAGONAL] * rows):
+        outcomes, post = measure_qubit(stack, target, diagonal, uniforms)
+        assert np.array_equal(outcomes, expected)
+        assert post.qubits == then.qubits and np.array_equal(post.amps, then.amps)
     if n == 1:
         return
 
