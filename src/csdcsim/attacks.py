@@ -2,9 +2,10 @@
 
 Two independent routes to the detection probability are kept on
 purpose: ``detection_oracle`` enumerates every branch of the attacked
-checking round exactly (over plain arrays, not the simulator's state
-machinery), while ``estimate_detection`` runs full Monte Carlo
-sessions.  Tests require the two to agree.
+checking round exactly, while ``estimate_detection`` runs full Monte
+Carlo sessions.  Tests require the two to agree.  Both exact analyses,
+``detection_oracle`` and ``eve_group_information``, run on plain arrays,
+independent of ``StateVector`` and the kernels the sessions run on.
 """
 
 from __future__ import annotations
@@ -16,13 +17,13 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .bases import EncodingOp, bell_product_amplitudes, ghz_state_vector
+from .bases import EncodingOp
 from .states import (
+    BELL_OUTCOMES,
     MeasurementBasis,
     QubitId,
     StateVector,
     apply_cnot,
-    apply_gate,
     collapse_qubit,
     make_state,
     tensor,
@@ -137,17 +138,6 @@ def _cnot_vector(vec: np.ndarray, total: int, control: int, target: int) -> np.n
     return np.moveaxis(psi, (0, 1), (control, target)).reshape(-1)
 
 
-def _project_travel(vec: np.ndarray, total: int, eigvec: np.ndarray) -> tuple[float, np.ndarray]:
-    """Project the travel qubit (axis 1) onto the eigenvector, keeping it."""
-    psi = np.moveaxis(vec.reshape([2] * total), 1, 0)
-    component = np.tensordot(eigvec.conj(), psi, axes=([0], [0]))
-    prob = float(np.sum(np.abs(component) ** 2))
-    if prob <= 0.0:
-        return 0.0, vec
-    post = np.tensordot(eigvec, component, axes=0) / math.sqrt(prob)
-    return prob, np.moveaxis(post, 0, 1).reshape(-1)
-
-
 def _violation_probability(vec: np.ndarray, parties: int, total: int, diagonal: bool) -> float:
     """Probability the coincidence rule fails when all parties measure.
 
@@ -170,9 +160,12 @@ def _violation_probability(vec: np.ndarray, parties: int, total: int, diagonal: 
     return violating
 
 
-_EIGENVECTORS = {
-    "z": (np.array([1.0, 0.0]), np.array([0.0, 1.0])),
-    "x": (np.array([_SQRT_HALF, _SQRT_HALF]), np.array([_SQRT_HALF, -_SQRT_HALF])),
+# The bases each intercepting strategy measures in, each chosen equally
+# often; a basis is given by its eigenvectors as rows (Z: eye, X: _H).
+_INTERCEPT_BASES = {
+    BasisStrategy.RANDOM: (np.eye(2), _H),
+    BasisStrategy.ALWAYS_Z: (np.eye(2),),
+    BasisStrategy.ALWAYS_X: (_H,),
 }
 
 
@@ -190,17 +183,14 @@ def detection_oracle(attack: AttackModel | None, parties: int = 3) -> float:
     ghz = _ghz_vector(parties)
     branches: list[tuple[float, np.ndarray, int]] = []  # weight, vector, total qubits
     if isinstance(attack, InterceptResend):
-        if attack.strategy is BasisStrategy.RANDOM:
-            chosen = (("z", 0.5), ("x", 0.5))
-        elif attack.strategy is BasisStrategy.ALWAYS_Z:
-            chosen = (("z", 1.0),)
-        else:
-            chosen = (("x", 1.0),)
-        for basis, weight in chosen:
-            for eigvec in _EIGENVECTORS[basis]:
-                prob, post = _project_travel(ghz, parties, eigvec)
+        chosen = _INTERCEPT_BASES[attack.strategy]
+        for eigvecs in chosen:
+            for eigvec in eigvecs:
+                # project the travel qubit onto the eigenvector, keeping it
+                post = _apply_single(ghz, parties, 1, np.outer(eigvec, eigvec.conj()))
+                prob = float(np.sum(np.abs(post) ** 2))
                 if prob > 0.0:
-                    branches.append((weight * prob, post, parties))
+                    branches.append((prob / len(chosen), post / math.sqrt(prob), parties))
     elif isinstance(attack, EntangleMeasure):
         probed = np.kron(ghz, np.array([1.0, 0.0]))
         probed = _cnot_vector(probed, parties + 1, 1, parties)
@@ -279,7 +269,7 @@ def estimate_detection(config: ProtocolConfig, trials: int) -> DetectionStats:
             for trial in range(start, min(start + chunk, trials))
         ))
         session.run_trials()
-        checked += session.checked_triplets * len(session.configs)
+        checked += config.checked_triplets * len(session.configs)
         violations += int(session.violations.sum())
         aborts += int(np.count_nonzero(~session.completed))
         for cfg, decoded in zip(session.configs, session.decoded_bits):
@@ -312,32 +302,26 @@ def eve_group_information() -> float:
     the value does not depend on the party count; it is identical for
     every controller-parity pattern, which is asserted by enumeration.
     """
-    h1, t1, e1 = QubitId(1, "h"), QubitId(1, "t"), QubitId(1, "e")
-    h2, t2, e2 = QubitId(2, "h"), QubitId(2, "t"), QubitId(2, "e")
-
+    # a Bell outcome's vector is indexed by its ordered pair's two bits
+    bras = np.array([outcome.vector for outcome in BELL_OUTCOMES]).conj().reshape(-1, 2, 2)
     values = []
-    for p1 in (0, 1):
-        for p2 in (0, 1):
-            triplet1 = ghz_state_vector(1 if p1 == 0 else 2, (h1, t1, e1))
-            triplet2 = ghz_state_vector(1 if p2 == 0 else 2, (h2, t2, e2))
-            base = tensor(triplet1, triplet2)
-            joint: dict[tuple, float] = {}
-            for op in EncodingOp:
-                encoded = apply_gate(base, op.gate, t1)
-                amps = bell_product_amplitudes(encoded, (t1, t2), (h1, h2), (e1, e2))
-                for (s, r, e), amp in amps.items():
-                    prob = abs(amp) ** 2
-                    if prob > 1e-15:
-                        key = (op, s, e)
-                        joint[key] = joint.get(key, 0.0) + 0.25 * prob
-            marginal: dict[tuple, float] = {}
-            for (op, s, e), p in joint.items():
-                marginal[(s, e)] = marginal.get((s, e), 0.0) + p
-            info = sum(
-                p * math.log2(p / (0.25 * marginal[(s, e)]))
-                for (op, s, e), p in joint.items()
-            )
-            values.append(info)
+    for p1, p2 in np.ndindex(2, 2):
+        triplet1, triplet2 = _ghz_vector(3), _ghz_vector(3).reshape(2, 2, 2)
+        triplet1[-1] *= (-1) ** p1
+        triplet2[1, 1, 1] *= (-1) ** p2
+        # joint[op, s, e]: P(operation, travel-pair outcome s, ancilla-pair
+        # outcome e), summed over the receiver's home-pair outcome
+        joint = np.zeros((4, 4, 4))
+        for k, op in enumerate(EncodingOp):
+            encoded = _apply_single(triplet1, 3, 1, op.gate.matrix).reshape(2, 2, 2)
+            # (h1, t1, e1) is abc and (h2, t2, e2) def, read out in the
+            # pairs (t1, t2), (h1, h2) and (e1, e2)
+            amps = np.einsum("sbe,rad,qcf,abc,def->srq", bras, bras, bras, encoded, triplet2)
+            probs = np.abs(amps) ** 2
+            joint[k] = 0.25 * np.where(probs > 1e-15, probs, 0.0).sum(axis=1)
+        seen = joint > 0.0
+        independent = np.broadcast_to(0.25 * joint.sum(axis=0), joint.shape)[seen]
+        values.append(float(np.sum(joint[seen] * np.log2(joint[seen] / independent))))
     if max(values) - min(values) > 1e-9:
         raise AssertionError("probe information should not depend on parities")
     return values[0]

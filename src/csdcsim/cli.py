@@ -209,7 +209,7 @@ def run_verify(out: IO[str], config: ProtocolConfig) -> int:
             )
             out.write(f"decode-slice {op.name} bits={op.bits}\tpass\t{' '.join(pairs)}\n")
 
-    checked = 2 * config.checking_group_count
+    checked = config.checked_triplets
     for attack in SWEEP_CELLS:
         rate = detection_oracle(attack, config.party_count)
         claim = 0.0 if attack is None else 0.25
@@ -244,9 +244,11 @@ def run_single(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     stats_path = args.stats if args.stats is not None else "-"
     # one output would truncate the other only in a regular file; a device
-    # such as /dev/null may take both
+    # such as /dev/null may take both.  A file that exists is known by its
+    # device and inode, so two hard links to it are one file.
     files = [
-        os.path.realpath(p) for p in (args.transcript, stats_path)
+        (os.stat(p).st_dev, os.stat(p).st_ino) if os.path.exists(p) else os.path.realpath(p)
+        for p in (args.transcript, stats_path)
         if p not in (None, "-") and (os.path.isfile(p) or not os.path.exists(p))
     ]
     if len(set(files)) < len(files):

@@ -206,6 +206,11 @@ class ProtocolConfig:
         return self.group_count - self.encoding_group_count
 
     @property
+    def checked_triplets(self) -> int:
+        """Triplets measured in S4: both of each checking group."""
+        return 2 * self.checking_group_count
+
+    @property
     def encoding_group_count(self) -> int:
         return self.capacity_bits // 2
 
@@ -296,14 +301,12 @@ class Session:
         self._pairs: StateVector | None = None
 
         # Outcomes: one row per trial, or from S5 on per trial that passed
-        # the check (_live); the Bell outcomes and the decoded chunks are
-        # flat lists, one per encoding group of those trials.
+        # the check (_live); the operations and Bell outcomes are flat
+        # lists, one per encoding group of those trials.
         trials = len(configs)
         self._tap_details: list[str] = []  # one per prepared row, if tapped
         self.checking_groups = np.zeros((trials, 0), np.intp)
         self.encoding_groups = np.zeros((trials, 0), np.intp)
-        self.checked_triplets = 0  # in each trial
-        self._checked = np.zeros((trials, 0), np.intp)
         self._check_bases: list[MeasurementBasis] = []
         self._check_bits: dict[str, np.ndarray] = {}
         self.violations = np.zeros(trials, np.intp)
@@ -316,7 +319,6 @@ class Session:
         self._sender_bell: list[BellOutcome] = []
         self._receiver_bell: list[BellOutcome] = []
         self._ancilla_bell: list[BellOutcome] = []
-        self._decoded: list[str] = []
         self.decoded_bits: list[str | None] = [None] * trials
 
     # -- register and stream helpers ---------------------------------------
@@ -404,7 +406,7 @@ class Session:
         """
         cfg, trials = self.config, np.arange(len(self.configs))
         checked = _pair_triplets(self.checking_groups)
-        count = self.checked_triplets = checked.shape[1]
+        count = cfg.checked_triplets
         drawn = [draw_random_bases(rng, count) for rng in self._rngs[cfg.sender]]
         bases = [basis for got, _ in drawn for basis in got]
         parties = (cfg.sender, cfg.receiver) + cfg.controllers
@@ -427,7 +429,7 @@ class Session:
         first = checked[trials, np.argmax(failed, axis=1)]
         self.abort_triplet = np.where(self.completed, 0, first)
         self._live = np.flatnonzero(self.completed)
-        self._checked, self._check_bases = checked, bases
+        self._check_bases = bases
         self._check_bits = {
             party: column.reshape(len(trials), count) for party, column in outcomes.items()
         }
@@ -504,11 +506,11 @@ class Session:
             )
         ]
         try:
-            self._decoded = [table.decode(key) for key in keys]
+            decoded = [table.decode(key) for key in keys]
         except KeyError as exc:  # the table is total; this cannot happen
             raise InternalError(f"no decode entry: {exc}") from exc
         for j, k in enumerate(live.tolist()):
-            self.decoded_bits[k] = "".join(self._decoded[j * groups : (j + 1) * groups])
+            self.decoded_bits[k] = "".join(decoded[j * groups : (j + 1) * groups])
 
     # -- drivers ----------------------------------------------------------
 
@@ -524,7 +526,7 @@ class Session:
         # every prepared register was taken out and measured, except the
         # encoding triplets' of an aborted trial, which stay alive
         taken = np.count_nonzero(self._taken.reshape(len(self.configs), -1), axis=1)
-        expected = np.where(self.completed, self.config.triplet_count, self.checked_triplets)
+        expected = np.where(self.completed, self.config.triplet_count, self.config.checked_triplets)
         if not np.array_equal(taken, expected):
             raise InternalError("qubit conservation violated")
 
@@ -544,7 +546,7 @@ class Session:
             completed=completed,
             decoded_bits=decoded,
             match=completed and decoded == cfg.message_bits,
-            checked_triplets=self.checked_triplets,
+            checked_triplets=cfg.checked_triplets,
             violations=int(self.violations[trial]),
             abort_triplet=None if completed else int(self.abort_triplet[trial]),
             records=self._records(trial),
@@ -576,7 +578,7 @@ class Session:
         selection = f"checking={','.join(map(str, checking))} encoding={','.join(map(str, encoding))}"
         emit("S3", cfg.sender, "GROUP_SELECTION", selection)
 
-        checked = self._checked[trial].tolist()
+        checked = _pair_triplets(self.checking_groups[trial]).tolist()
         bases = self._check_bases[trial * len(checked) : (trial + 1) * len(checked)]
         bits = {party: column[trial].tolist() for party, column in self._check_bits.items()}
         parties = (cfg.sender, cfg.receiver) + cfg.controllers
@@ -617,8 +619,10 @@ class Session:
             emit("S8", cfg.sender, "BELL_ANNOUNCE", f"group={g} outcome={outcome.value}")
 
         parities = self.parities[j].tolist()
-        decoded = zip(encoding, sender_bell, self._receiver_bell[groups], self._decoded[groups])
-        for i, (g, sender, receiver, chunk) in enumerate(decoded):
+        decoded = self.decoded_bits[trial]
+        chunks = [decoded[k : k + 2] for k in range(0, len(decoded), 2)]
+        read = zip(encoding, sender_bell, self._receiver_bell[groups], chunks)
+        for i, (g, sender, receiver, chunk) in enumerate(read):
             detail = f"group={g} pair=h{2 * g - 1},h{2 * g} outcome={receiver.value}"
             emit("S9", cfg.receiver, "BELL_MEASURE", detail)
             bells = f"sender={sender.value} receiver={receiver.value}"

@@ -335,9 +335,11 @@ def test_equal_controller_parity_patterns_decode_identically():
         result = sess.run()
         assert result.completed and result.match
         # the one trial's encoding groups, in order
+        decoded = sess.decoded_bits[0]
         groups = zip(
             sess.parities[0].reshape(-1, 2).tolist(),
-            sess._sender_bell, sess._receiver_bell, sess._decoded,
+            sess._sender_bell, sess._receiver_bell,
+            [decoded[k : k + 2] for k in range(0, len(decoded), 2)],
         )
         for i, ((p1, p2), sender, receiver, decoded) in enumerate(groups):
             key = DecodeKey(p1, p2, sender, receiver)

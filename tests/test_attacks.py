@@ -234,7 +234,7 @@ def test_stacked_trials_match_one_trial_sessions(parties, attack):
         single = Session(cfg).run()
         # what estimate_detection tallies, read from the stacked arrays
         assert stacked.completed[trial] == single.completed
-        assert stacked.checked_triplets == single.checked_triplets
+        assert stacked.config.checked_triplets == single.checked_triplets
         assert stacked.violations[trial] == single.violations
         assert stacked.decoded_bits[trial] == single.decoded_bits
         # and the whole result, with the abort triplet and the transcript
@@ -292,4 +292,18 @@ def test_trials_must_be_positive():
 
 
 def test_cnot_probe_extracts_one_bit_per_group():
-    assert np.isclose(eve_group_information(), 1.0, atol=1e-9)
+    assert np.isclose(eve_group_information(), 1.0, atol=1e-12)
+
+
+def test_exact_analyses_run_without_the_state_kernels(monkeypatch):
+    # the exact analyses are the reference the sessions' kernels are checked
+    # against, so neither may build a StateVector
+    def refuse(qubits, amps):
+        raise AssertionError("an exact analysis built a StateVector")
+
+    monkeypatch.setattr(states, "_state", refuse)
+    assert np.isclose(eve_group_information(), 1.0, atol=1e-12)
+    for cell in SWEEP_CELLS:
+        for parties in (3, 12):
+            expected = 0.0 if cell is None else 0.25
+            assert np.isclose(detection_oracle(cell, parties), expected, atol=1e-12)

@@ -92,6 +92,21 @@ def test_both_outputs_may_go_to_the_null_device():
     assert proc.stdout == ""
 
 
+def test_hard_links_to_one_file_are_the_same_file(tmp_path):
+    # two names of one regular file: writing both would lose the transcript
+    first, second = tmp_path / "a", tmp_path / "b"
+    first.touch()
+    os.link(first, second)
+    proc = invoke(
+        "--mode", "run", "--triplets", "8", "--message", "0001", "--seed", "42",
+        "--transcript", str(first), "--stats", str(second),
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "same file" in proc.stderr
+    assert proc.stdout == ""
+    assert first.read_text() == ""
+
+
 def test_transcript_is_not_written_unless_requested(tmp_path):
     proc = invoke(
         "--mode", "run", "--triplets", "8", "--message", "0001", "--seed", "42",
