@@ -19,6 +19,7 @@ import numpy as np
 
 from .bases import EncodingOp
 from .states import (
+    BASES,
     BELL_OUTCOMES,
     MeasurementBasis,
     QubitId,
@@ -61,21 +62,14 @@ class InterceptResend:
     def tap(self, qubit: QubitId, state: StateVector, streams: Streams):
         if self.strategy is BasisStrategy.RANDOM:
             drawn = [draw_random_bases(rng, rows) for rng, rows in streams]
-            bases = [basis for got, _ in drawn for basis in got]
-            uniforms = np.concatenate([u for _, u in drawn])
+            bases, uniforms = (np.concatenate(column) for column in zip(*drawn))
         else:
-            basis = (
-                MeasurementBasis.COMPUTATIONAL
-                if self.strategy is BasisStrategy.ALWAYS_Z
-                else MeasurementBasis.DIAGONAL
-            )
-            bases = [basis] * state.rows
+            z = self.strategy is BasisStrategy.ALWAYS_Z
+            basis = MeasurementBasis.COMPUTATIONAL if z else MeasurementBasis.DIAGONAL
+            bases = np.full(state.rows, BASES.index(basis))
             uniforms = np.concatenate([rng.random(rows) for rng, rows in streams])
         outcomes, post = collapse_qubit(state, qubit, bases, uniforms)
-        return post, [
-            f"basis={basis.value} outcome={outcome}"
-            for basis, outcome in zip(bases, outcomes.tolist())
-        ]
+        return post, (bases, outcomes)
 
 
 @dataclass(frozen=True)
@@ -91,14 +85,15 @@ class EntangleMeasure:
         ancilla = QubitId(qubit.triplet, "e")
         grown = tensor(state, make_state((ancilla,), [1.0, 0.0]))
         grown = apply_cnot(grown, qubit, ancilla)
-        return grown, ["probe=cnot"] * state.rows
+        return grown, None
 
 
 # Every model's tap(qubit, state, streams) takes a stack of registers
 # whose travel photons, ``qubit``, are in transit, and the streams its
 # draws come from: (generator, rows) runs that cover the stack's rows in
-# order.  It returns the new stack and the details of the TAP records,
-# one per row and without the triplet number, or None.
+# order.  It returns the new stack and, if it measured the photons, their
+# bases (positions in BASES) and outcomes as two arrays, else None.  Only
+# the session's transcript names them, and a probe ancilla's coupling.
 AttackModel = NoAttack | InterceptResend | EntangleMeasure
 
 

@@ -53,7 +53,8 @@ class EncodingOp(Enum):
 
     Acting on the travel photon of a (|00>+|11>)/sqrt(2) pair:
     U1 leaves it, U2 flips to psi+, U3 flips to psi- and U4 phases
-    to phi- (all up to a global phase).
+    to phi- (all up to a global phase).  An operation's position in
+    ``tuple(EncodingOp)``, as the session engine carries it, is ``int(bits, 2)``.
     """
 
     U1 = ("00", Gate.IDENTITY)
@@ -68,13 +69,6 @@ class EncodingOp(Enum):
     @property
     def gate(self) -> Gate:
         return self.value[1]
-
-    @classmethod
-    def from_bits(cls, bits: str) -> "EncodingOp":
-        for op in cls:
-            if op.bits == bits:
-                return op
-        raise ValueError(f"no encoding operation for bits {bits!r}")
 
 
 def bell_state_vector(outcome: BellOutcome, pair: tuple[QubitId, QubitId]) -> StateVector:
@@ -253,6 +247,16 @@ class DecodeTable:
 
     def decode(self, key: DecodeKey) -> str:
         return self.entries[key].bits
+
+    @functools.cached_property
+    def dense(self) -> np.ndarray:
+        """The operations' positions, (2, 2, 4, 4), indexed by both parities
+        and the sender's and receiver's positions in BELL_OUTCOMES."""
+        dense = np.zeros((2, 2, 4, 4), np.intp)
+        for (p1, p2, s, r), op in self.entries.items():
+            dense[p1, p2, BELL_OUTCOMES.index(s), BELL_OUTCOMES.index(r)] = int(op.bits, 2)
+        dense.flags.writeable = False
+        return dense
 
 
 def build_decode_table() -> DecodeTable:

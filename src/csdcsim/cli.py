@@ -131,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the run transcript here ('-' for stdout; default: not written)",
     )
     parser.add_argument(
-        "--stats", metavar="PATH", default=None,
+        "--stats", metavar="PATH", default="-",
         help="write statistics here ('-' for stdout; default: stdout)",
     )
     return parser
@@ -242,13 +242,12 @@ def _config_from_args(args: argparse.Namespace) -> ProtocolConfig:
 
 def run_single(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    stats_path = args.stats if args.stats is not None else "-"
     # one output would truncate the other only in a regular file; a device
     # such as /dev/null may take both.  A file that exists is known by its
     # device and inode, so two hard links to it are one file.
     files = [
         (os.stat(p).st_dev, os.stat(p).st_ino) if os.path.exists(p) else os.path.realpath(p)
-        for p in (args.transcript, stats_path)
+        for p in (args.transcript, args.stats)
         if p not in (None, "-") and (os.path.isfile(p) or not os.path.exists(p))
     ]
     if len(set(files)) < len(files):
@@ -257,11 +256,11 @@ def run_single(args: argparse.Namespace) -> int:
     with _open_out(args.transcript) as transcript_out:
         if transcript_out is not None:
             transcript_out.write(format_transcript(result.records))
-    with _open_out(stats_path) as stats_out:
+    with _open_out(args.stats) as stats_out:
         decoded = result.decoded_bits if result.decoded_bits is not None else ""
         stats_out.write(f"decoded\t{decoded}\n")
         stats_out.write(f"match\t{str(result.match).lower()}\n")
-        stats_out.write(f"checked_triplets\t{result.checked_triplets}\n")
+        stats_out.write(f"checked_triplets\t{result.config.checked_triplets}\n")
         stats_out.write(f"violations\t{result.violations}\n")
     return EXIT_OK if result.completed else EXIT_EAVESDROPPER
 
@@ -280,8 +279,7 @@ def run_sweep(args: argparse.Namespace) -> int:
         raise ConfigError("sweep needs a positive --trials")
     # each trial gets a random message; the cells replace the attack
     base = _config_from_args(args)
-    stats_path = args.stats if args.stats is not None else "-"
-    with _open_out(stats_path) as out:
+    with _open_out(args.stats) as out:
         out.write(
             "attack\ttrials\tchecked_triplets\tdetection_rate\t"
             "abort_rate\tdecode_accuracy\n"
@@ -318,7 +316,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.mode == "verify":
             # built before anything is printed, so verify rejects what sweep does
             config = _config_from_args(args)
-            with _open_out(args.stats if args.stats is not None else "-") as out:
+            with _open_out(args.stats) as out:
                 return run_verify(out, config)
         if args.mode == "run":
             return run_single(args)

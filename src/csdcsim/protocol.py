@@ -42,9 +42,10 @@ trial is the outer axis of every stack: triplet n of trial k is row
 k*T + n - 1 of the prepared stack (T triplets a trial), and the later
 stacks keep the trials in order, so a phase is still one kernel call per
 party over every trial's rows.  A trial that aborts in S4 leaves S5-S9
-by a mask.  The phases store their outcomes in per-trial arrays; a
-trial's transcript is built from them only when its ``SessionResult`` is
-asked for, so a sweep builds no records.
+by a mask.  The phases store their outcomes in per-trial arrays of
+positions in ``BASES``, ``BELL_OUTCOMES`` and ``EncodingOp``; a trial's
+transcript names them, built only when its ``SessionResult`` is asked
+for, so a sweep builds no records.
 
 Randomness: every trial draws from its own master seed through a named
 substream per party (ALICE, BOB, CTRL1..k, then EVE, spawn keys 0..),
@@ -64,9 +65,11 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from .bases import DecodeKey, EncodingOp, default_decode_table
+from .bases import EncodingOp, default_decode_table
 from .states import (
-    BellOutcome,
+    BASES,
+    BELL_OUTCOMES,
+    Gate,
     MeasurementBasis,
     QubitId,
     StateVector,
@@ -97,6 +100,9 @@ MAX_PARTIES = 12
 MAX_TRIPLETS = 4096
 AMPLITUDE_BUDGET = 1 << 16  # per block of phase-stack rows; 16 P=12 registers
 
+_DIAGONAL = BASES.index(MeasurementBasis.DIAGONAL)
+_OP_GATES = np.array([tuple(Gate).index(op.gate) for op in EncodingOp])  # positions in Gate
+
 
 class ConfigError(ValueError):
     """Rejected configuration; maps to a usage error at the CLI."""
@@ -117,16 +123,13 @@ def triplet_parity(controller_bits) -> np.ndarray:
     return np.sum(controller_bits, axis=0) % 2
 
 
-def coincidence_ok(basis: MeasurementBasis | Sequence[MeasurementBasis], bits) -> np.ndarray:
+def coincidence_ok(bases, bits) -> np.ndarray:
     """Checking rule: computational outcomes must all agree, diagonal
     outcomes must have even parity.  ``bits`` holds one outcome per party
     along its first axis, for one triplet or for each of a row of them;
-    ``basis`` is one basis or one per triplet."""
+    ``bases`` is one position in BASES or one per triplet."""
     bits = np.asarray(bits)
-    if isinstance(basis, MeasurementBasis):
-        diagonal = basis is MeasurementBasis.DIAGONAL
-    else:
-        diagonal = np.array([b is MeasurementBasis.DIAGONAL for b in basis])
+    diagonal = np.asarray(bases) == _DIAGONAL
     return np.where(diagonal, triplet_parity(bits) == 0, (bits == bits[0]).all(axis=0))
 
 
@@ -234,21 +237,17 @@ class SessionResult:
     completed: bool
     decoded_bits: str | None
     match: bool
-    checked_triplets: int
     violations: int
     abort_triplet: int | None
     records: tuple[TranscriptRecord, ...] = field(repr=False)
 
 
-def draw_random_bases(
-    rng: np.random.Generator, count: int
-) -> tuple[list[MeasurementBasis], np.ndarray]:
-    """For each of ``count`` photons, a uniformly random basis and then the
-    uniform draw that measures it.  The two kinds of draw interleave on
-    one stream, so they are taken in a scalar loop."""
-    draws = [(int(rng.integers(0, 2)), rng.random()) for _ in range(count)]
-    bases = [MeasurementBasis.DIAGONAL if b else MeasurementBasis.COMPUTATIONAL for b, _ in draws]
-    return bases, np.array([u for _, u in draws], dtype=float)
+def draw_random_bases(rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """For each of ``count`` photons, a uniformly random basis, its position
+    in BASES, and then the uniform draw that measures it.  The two kinds
+    of draw interleave on one stream, so they are taken in a scalar loop."""
+    draws = np.array([(rng.integers(0, 2), rng.random()) for _ in range(count)]).reshape(count, 2)
+    return draws[:, 0].astype(np.intp), draws[:, 1]
 
 
 def _labels(position: int, roles: Sequence[str]) -> tuple[QubitId, ...]:
@@ -300,25 +299,22 @@ class Session:
         self._encoding: StateVector | None = None
         self._pairs: StateVector | None = None
 
-        # Outcomes: one row per trial, or from S5 on per trial that passed
-        # the check (_live); the operations and Bell outcomes are flat
-        # lists, one per encoding group of those trials.
-        trials = len(configs)
-        self._tap_details: list[str] = []  # one per prepared row, if tapped
+        # Outcomes, as positions: one row per trial, or from S5 on per trial
+        # that passed the check (_live); the tap's and the check's bases and
+        # outcomes are flat, one per photon, and the operations and Bell
+        # outcomes one per encoding group of those trials.
+        trials, empty = len(configs), np.zeros(0, np.intp)
+        self._tap_bases = self._tap_bits = empty  # if the tap measured them in transit
         self.checking_groups = np.zeros((trials, 0), np.intp)
         self.encoding_groups = np.zeros((trials, 0), np.intp)
-        self._check_bases: list[MeasurementBasis] = []
+        self._check_bases = self._live = empty
         self._check_bits: dict[str, np.ndarray] = {}
         self.violations = np.zeros(trials, np.intp)
         self.abort_triplet = np.zeros(trials, np.intp)  # 0 where none
         self.completed = np.zeros(trials, bool)
-        self._live = np.zeros(0, np.intp)
         self._controller_bits: dict[str, np.ndarray] = {}
         self.parities = np.zeros((0, 0), np.intp)
-        self._ops: list[EncodingOp] = []
-        self._sender_bell: list[BellOutcome] = []
-        self._receiver_bell: list[BellOutcome] = []
-        self._ancilla_bell: list[BellOutcome] = []
+        self._ops = self._sender_bell = self._receiver_bell = self._ancilla_bell = empty
         self.decoded_bits: list[str | None] = [None] * trials
 
     # -- register and stream helpers ---------------------------------------
@@ -334,7 +330,7 @@ class Session:
 
     def _measure_photons(
         self, rows: np.ndarray, measuring: Sequence[tuple[str, str]],
-        bases: Sequence[MeasurementBasis], draws: dict[str, np.ndarray],
+        bases: np.ndarray, draws: dict[str, np.ndarray],
     ) -> tuple[dict[str, np.ndarray], StateVector]:
         """Take the prepared registers at ``rows`` out; each (party, role)
         of ``measuring`` in turn measures its photon in the row's basis with
@@ -369,6 +365,7 @@ class Session:
         if cfg.attack is None:
             return
         eve = self._rngs[EVE]
+        measured = []
 
         def tap(block: slice) -> StateVector:
             # indexed, so a copy: the kernels run slower on the view's rows
@@ -380,12 +377,15 @@ class Session:
                 (eve[k], min(block.stop, (k + 1) * count) - max(block.start, k * count))
                 for k in trials
             ]
-            state, details = cfg.attack.tap(QubitId(1, "t"), sent, streams)
-            self._tap_details.extend(details or ())
+            state, seen = cfg.attack.tap(QubitId(1, "t"), sent, streams)
+            if seen is not None:
+                measured.append(seen)
             return state
 
         # a tap may add a probe ancilla to each register
         self._prepared = _per_block(rows, self._prepared.num_qubits + 1, tap)
+        if measured:
+            self._tap_bases, self._tap_bits = map(np.concatenate, zip(*measured))
 
     def select_groups(self) -> None:
         cfg, trials = self.config, len(self.configs)
@@ -408,7 +408,7 @@ class Session:
         checked = _pair_triplets(self.checking_groups)
         count = cfg.checked_triplets
         drawn = [draw_random_bases(rng, count) for rng in self._rngs[cfg.sender]]
-        bases = [basis for got, _ in drawn for basis in got]
+        bases = np.concatenate([got for got, _ in drawn])
         parties = (cfg.sender, cfg.receiver) + cfg.controllers
         # per triplet: the sender, the receiver, the controllers, then a
         # probe ancilla, which is read out only after the bases are public
@@ -442,7 +442,7 @@ class Session:
         rows = self._rows(triplets, live)
         measuring = [(ctrl, self._role_of[ctrl]) for ctrl in cfg.controllers]
         # a Hadamard then a computational measurement: a diagonal read-out
-        diagonal = [MeasurementBasis.DIAGONAL] * len(rows)
+        diagonal = np.full(len(rows), _DIAGONAL)
         # (home, travel[, probe ancilla]) of each encoding triplet, in order
         outcomes, self._encoding = self._measure_photons(rows, measuring, diagonal, draws)
         self._controller_bits = {
@@ -453,24 +453,21 @@ class Session:
     def encode_and_announce(self) -> None:
         cfg, live = self.config, self._live
         groups = cfg.encoding_group_count
-        self._ops = [
-            EncodingOp.from_bits(self.configs[k].message_bits[2 * i : 2 * i + 2])
-            for k in live.tolist()
-            for i in range(groups)
-        ]
+        # each group's two message bits, read as a number, name its operation
+        message = "".join(self.configs[k].message_bits for k in live.tolist()).encode()
+        self._ops = (np.frombuffer(message, np.uint8).reshape(-1, 2) - ord("0")) @ np.array([2, 1])
         draws = self._uniforms(cfg.sender, groups, live)
         encoding, self._encoding = self._encoding, None
         second_labels = _labels(2, [q.role for q in encoding.qubits])
         travel_pair = (QubitId(1, "t"), QubitId(2, "t"))
-        outcomes = self._sender_bell = []
+        outcomes = self._sender_bell = np.empty(len(self._ops), np.intp)
 
         def encode_and_measure(block: slice) -> StateVector:
             rows = range(2 * block.start, 2 * block.stop)
             firsts = take_rows(encoding, slice(rows.start, rows.stop, 2))
             seconds = take_rows(encoding, slice(rows.start + 1, rows.stop, 2), second_labels)
-            firsts = apply_gate(firsts, [op.gate for op in self._ops[block]], travel_pair[0])
-            got, state = measure_bell(tensor(firsts, seconds), travel_pair, draws[block])
-            outcomes.extend(got)
+            firsts = apply_gate(firsts, _OP_GATES[self._ops[block]], travel_pair[0])
+            outcomes[block], state = measure_bell(tensor(firsts, seconds), travel_pair, draws[block])
             return state
 
         # (home 1[, probe 1], home 2[, probe 2]) of each encoding group
@@ -484,33 +481,25 @@ class Session:
         if QubitId(1, "e") in pairs.qubits:
             measuring.append((EVE, (QubitId(1, "e"), QubitId(2, "e"))))
         draws = {party: self._uniforms(party, groups, live) for party, _ in measuring}
-        outcomes: dict[str, list[BellOutcome]] = {party: [] for party, _ in measuring}
+        outcomes = {party: np.empty(len(self._ops), np.intp) for party, _ in measuring}
 
         def measure(block: slice) -> StateVector:
             state = take_rows(pairs, block)
             for party, pair in measuring:
-                got, state = measure_bell(state, pair, draws[party][block])
-                outcomes[party].extend(got)
+                outcomes[party][block], state = measure_bell(state, pair, draws[party][block])
             return state
 
         if _per_block(len(self._ops), pairs.num_qubits, measure).num_qubits:
             raise InternalError("encoding photons were left unmeasured")
 
         self._receiver_bell = outcomes[cfg.receiver]
-        self._ancilla_bell = outcomes.get(EVE, [])
-        table = default_decode_table()
-        keys = [
-            DecodeKey(p1, p2, sender, receiver)
-            for (p1, p2), sender, receiver in zip(
-                self.parities.reshape(-1, 2).tolist(), self._sender_bell, self._receiver_bell
-            )
-        ]
-        try:
-            decoded = [table.decode(key) for key in keys]
-        except KeyError as exc:  # the table is total; this cannot happen
-            raise InternalError(f"no decode entry: {exc}") from exc
-        for j, k in enumerate(live.tolist()):
-            self.decoded_bits[k] = "".join(decoded[j * groups : (j + 1) * groups])
+        self._ancilla_bell = outcomes.get(EVE, self._ancilla_bell)
+        p1, p2 = self.parities.reshape(-1, 2).T
+        ops = default_decode_table().dense[p1, p2, self._sender_bell, self._receiver_bell]
+        # an operation's position is its two bits read as a number
+        chars = (ops[:, None] >> np.array([1, 0]) & 1).astype(np.uint8) + ord("0")
+        for k, decoded in zip(live.tolist(), chars.reshape(len(live), -1)):
+            self.decoded_bits[k] = decoded.tobytes().decode()
 
     # -- drivers ----------------------------------------------------------
 
@@ -546,7 +535,6 @@ class Session:
             completed=completed,
             decoded_bits=decoded,
             match=completed and decoded == cfg.message_bits,
-            checked_triplets=cfg.checked_triplets,
             violations=int(self.violations[trial]),
             abort_triplet=None if completed else int(self.abort_triplet[trial]),
             records=self._records(trial),
@@ -558,6 +546,10 @@ class Session:
         eavesdropper reads them but cannot alter or suppress them."""
         cfg, count = self.configs[trial], self.config.triplet_count
         records: list[TranscriptRecord] = []
+        # the names of the positions the phases stored
+        basis_names = [basis.value for basis in BASES]
+        bell_names = [outcome.value for outcome in BELL_OUTCOMES]
+        ops = tuple(EncodingOp)
 
         def emit(phase: str, actor: str, action: str, detail: str) -> None:
             records.append(TranscriptRecord(len(records) + 1, phase, actor, action, detail))
@@ -565,7 +557,11 @@ class Session:
         sizes = f"triplets={count} parties={cfg.party_count} groups={cfg.group_count}"
         emit("S1", cfg.receiver, "PREPARE", sizes)
         emit("S1", cfg.receiver, "SEND", f"to={cfg.sender} sequence=travel count={count}")
-        taps = self._tap_details[trial * count : (trial + 1) * count]
+        rows = slice(trial * count, (trial + 1) * count)
+        seen = zip(self._tap_bases[rows].tolist(), self._tap_bits[rows].tolist())
+        taps = [f"basis={basis_names[basis]} outcome={outcome}" for basis, outcome in seen]
+        if QubitId(1, "e") in self._prepared.qubits:  # a probe coupled, nothing measured
+            taps = ["probe=cnot"] * count
         for n, detail in enumerate(taps, 1):
             emit("S1", EVE, "TAP", f"triplet={n} {detail}")
         for ctrl in cfg.controllers:
@@ -580,16 +576,17 @@ class Session:
 
         checked = _pair_triplets(self.checking_groups[trial]).tolist()
         bases = self._check_bases[trial * len(checked) : (trial + 1) * len(checked)]
+        labels = [basis_names[basis] for basis in bases.tolist()]
         bits = {party: column[trial].tolist() for party, column in self._check_bits.items()}
         parties = (cfg.sender, cfg.receiver) + cfg.controllers
-        for i, (n, basis) in enumerate(zip(checked, bases)):
-            label, outcome = basis.value, bits[cfg.sender][i]
+        for i, (n, label) in enumerate(zip(checked, labels)):
+            outcome = bits[cfg.sender][i]
             emit("S4", cfg.sender, "CHECK_ANNOUNCE", f"triplet={n} basis={label} outcome={outcome}")
             for party in parties[1:]:
                 detail = f"party={party} triplet={n} basis={label} outcome={bits[party][i]}"
                 emit("S4", party, "CHECK_REPLY", detail)
-        for n, basis, outcome in zip(checked, bases, bits.get(EVE, ())):
-            emit("S4", EVE, "ANCILLA_MEASURE", f"triplet={n} basis={basis.value} outcome={outcome}")
+        for n, label, outcome in zip(checked, labels, bits.get(EVE, ())):
+            emit("S4", EVE, "ANCILLA_MEASURE", f"triplet={n} basis={label} outcome={outcome}")
         counts = f"checked={len(checked)} violations={self.violations[trial]}"
         if not self.completed[trial]:
             emit("S4", cfg.sender, "CHECK_VERDICT", f"verdict=abort {counts}")
@@ -610,26 +607,27 @@ class Session:
             listed = ",".join(f"{n}:{outcome}" for n, outcome in zip(triplets, controller_bits[ctrl]))
             emit("S6", ctrl, "CONTROLLER_OUTCOMES", f"party={ctrl} outcomes={listed}")
 
-        sender_bell = self._sender_bell[groups]
-        for g, op, outcome in zip(encoding, self._ops[groups], sender_bell):
-            emit("S7", cfg.sender, "ENCODE", f"group={g} bits={op.bits} op={op.name}")
-            detail = f"group={g} pair=t{2 * g - 1},t{2 * g} outcome={outcome.value}"
+        sender_bell = [bell_names[k] for k in self._sender_bell[groups].tolist()]
+        for g, k, outcome in zip(encoding, self._ops[groups].tolist(), sender_bell):
+            emit("S7", cfg.sender, "ENCODE", f"group={g} bits={ops[k].bits} op={ops[k].name}")
+            detail = f"group={g} pair=t{2 * g - 1},t{2 * g} outcome={outcome}"
             emit("S7", cfg.sender, "BELL_MEASURE", detail)
         for g, outcome in zip(encoding, sender_bell):
-            emit("S8", cfg.sender, "BELL_ANNOUNCE", f"group={g} outcome={outcome.value}")
+            emit("S8", cfg.sender, "BELL_ANNOUNCE", f"group={g} outcome={outcome}")
 
         parities = self.parities[j].tolist()
         decoded = self.decoded_bits[trial]
         chunks = [decoded[k : k + 2] for k in range(0, len(decoded), 2)]
-        read = zip(encoding, sender_bell, self._receiver_bell[groups], chunks)
+        receiver_bell = [bell_names[k] for k in self._receiver_bell[groups].tolist()]
+        read = zip(encoding, sender_bell, receiver_bell, chunks)
         for i, (g, sender, receiver, chunk) in enumerate(read):
-            detail = f"group={g} pair=h{2 * g - 1},h{2 * g} outcome={receiver.value}"
+            detail = f"group={g} pair=h{2 * g - 1},h{2 * g} outcome={receiver}"
             emit("S9", cfg.receiver, "BELL_MEASURE", detail)
-            bells = f"sender={sender.value} receiver={receiver.value}"
+            bells = f"sender={sender} receiver={receiver}"
             detail = f"group={g} parities={parities[2 * i]}{parities[2 * i + 1]} {bells} bits={chunk}"
             emit("S9", cfg.receiver, "DECODE", detail)
-        for g, outcome in zip(encoding, self._ancilla_bell[groups]):
-            detail = f"group={g} pair=e{2 * g - 1},e{2 * g} outcome={outcome.value}"
+        for g, k in zip(encoding, self._ancilla_bell[groups].tolist()):
+            detail = f"group={g} pair=e{2 * g - 1},e{2 * g} outcome={bell_names[k]}"
             emit("S9", EVE, "ANCILLA_BELL", detail)
         emit("S11", cfg.receiver, "COMPLETE", f"decoded={self.decoded_bits[trial]}")
         return tuple(records)

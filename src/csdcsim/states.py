@@ -16,8 +16,9 @@ Conventions used throughout the package:
 * A ``StateVector`` is a stack of registers, one per row of ``amps``,
   sharing one qubit layout.  A kernel treats the rows independently, so
   a stack of n rows gives bit for bit what n one-row calls give.  Gates
-  and bases may be given per row; measurements take one uniform draw
-  per row, so the caller orders its draws, and return one outcome each.
+  and bases may be given per row, as positions in ``Gate`` and ``BASES``;
+  measurements take one uniform draw per row, so the caller orders its
+  draws, and return one outcome each, a bit or a position in ``BELL_OUTCOMES``.
 
 Invariant: ``make_state`` is the only place that validates a register
 and normalises amplitudes.  Every kernel takes normalised rows and
@@ -115,10 +116,11 @@ class BellOutcome(Enum):
     @property
     def vector(self) -> np.ndarray:
         """Amplitudes over the two-bit index of the ordered pair."""
-        return _BELL_MATRIX[_BELL_INDEX[self]]
+        return _BELL_MATRIX[BELL_OUTCOMES.index(self)]
 
 
 BELL_OUTCOMES: tuple[BellOutcome, ...] = tuple(BellOutcome)
+BASES: tuple[MeasurementBasis, ...] = tuple(MeasurementBasis)
 
 # Rows follow BELL_OUTCOMES order; columns are |00>, |01>, |10>, |11>.
 _BELL_MATRIX = _frozen(
@@ -129,7 +131,6 @@ _BELL_MATRIX = _frozen(
         [_SQRT_HALF, 0, 0, -_SQRT_HALF],
     ]
 )
-_BELL_INDEX = {outcome: k for k, outcome in enumerate(BELL_OUTCOMES)}
 _BELL_BRAS = _frozen(_BELL_MATRIX.conj())
 
 
@@ -219,12 +220,10 @@ def join_rows(parts: Iterable[StateVector], rows: int) -> StateVector:
 
 
 def _per_row(table: dict, choice) -> np.ndarray:
-    """The (d, d) matrix of one choice, or a (rows, 1, d, d) stack of one per row."""
+    """One choice's (d, d) matrix, or a (rows, 1, d, d) stack from per-row positions."""
     if isinstance(choice, Enum):
         return table[choice]
-    # list.index compares members by identity, with no Enum hashing per row
-    members = list(table)
-    return np.array(list(table.values()))[list(map(members.index, choice))][:, None]
+    return np.array(list(table.values()))[choice][:, None]
 
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:
@@ -249,8 +248,8 @@ def _around(state: StateVector, target: QubitId) -> np.ndarray:
     return state.amps.reshape(state.rows, 1 << state.index_of(target), 2, -1)
 
 
-def apply_gate(state: StateVector, gate: Gate | Sequence[Gate], target: QubitId) -> StateVector:
-    """One gate on every row, or a sequence of gates, one per row."""
+def apply_gate(state: StateVector, gate: Gate | np.ndarray, target: QubitId) -> StateVector:
+    """One gate on every row, or one per row as positions in ``Gate``."""
     return _state(state.qubits, _per_row(_GATE_MATRICES, gate) @ _around(state, target))
 
 
@@ -305,11 +304,11 @@ def _measure(
 def measure_qubit(
     state: StateVector,
     target: QubitId,
-    basis: MeasurementBasis | Sequence[MeasurementBasis],
+    basis: MeasurementBasis | np.ndarray,
     uniforms: np.ndarray,
 ) -> tuple[np.ndarray, StateVector]:
-    """Projective measurement of every row, in one basis or one per row;
-    the measured qubit leaves the register."""
+    """Projective measurement of every row, in one basis or one per row as
+    positions in ``BASES``; the measured qubit leaves the register."""
     k, branch = _measure(_per_row(_BASIS_BRAS, basis), _around(state, target), uniforms)
     return k, _state(tuple(q for q in state.qubits if q != target), branch)
 
@@ -317,7 +316,7 @@ def measure_qubit(
 def collapse_qubit(
     state: StateVector,
     target: QubitId,
-    basis: MeasurementBasis | Sequence[MeasurementBasis],
+    basis: MeasurementBasis | np.ndarray,
     uniforms: np.ndarray,
 ) -> tuple[np.ndarray, StateVector]:
     """Measure-and-resend: the qubit stays, reset to the sampled eigenstate."""
@@ -333,9 +332,9 @@ def measure_bell(
     state: StateVector,
     pair: tuple[QubitId, QubitId],
     uniforms: np.ndarray,
-) -> tuple[list[BellOutcome], StateVector]:
-    """Bell measurement of every row on the ordered pair; both qubits
-    leave the register."""
+) -> tuple[np.ndarray, StateVector]:
+    """Bell measurement of every row on the ordered pair, each outcome a
+    position in ``BELL_OUTCOMES``; both qubits leave the register."""
     a, b = pair
     if a == b:
         raise ValueError("bell pair must be two distinct qubits")
@@ -344,5 +343,4 @@ def measure_bell(
     psi = state.amps.reshape([state.rows] + [2] * state.num_qubits)
     psi = psi.transpose([0, i + 1, j + 1, *(m + 1 for m in rest)])
     k, branch = _measure(_BELL_BRAS, psi.reshape(state.rows, 1, 4, -1), uniforms)
-    outcomes = [BELL_OUTCOMES[index] for index in k.tolist()]
-    return outcomes, _state(tuple(state.qubits[m] for m in rest), branch)
+    return k, _state(tuple(state.qubits[m] for m in rest), branch)

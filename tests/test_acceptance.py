@@ -196,7 +196,8 @@ def test_joint_bell_outcomes_are_uniform_for_identity_encoding():
         state = apply_gate(state, EncodingOp.U1.gate, t1)
         (sender,), state = measure_bell(state, (t1, t2), rng.random(1))
         (receiver,), _ = measure_bell(state, (h1, h2), rng.random(1))
-        counts[(sender, receiver)] = counts.get((sender, receiver), 0) + 1
+        key = (BELL_OUTCOMES[sender], BELL_OUTCOMES[receiver])
+        counts[key] = counts.get(key, 0) + 1
 
     compatible = {(b, b) for b in BELL_OUTCOMES}
     assert set(counts) == compatible
@@ -338,9 +339,9 @@ def test_equal_controller_parity_patterns_decode_identically():
         decoded = sess.decoded_bits[0]
         groups = zip(
             sess.parities[0].reshape(-1, 2).tolist(),
-            sess._sender_bell, sess._receiver_bell,
+            sess._sender_bell.tolist(), sess._receiver_bell.tolist(),
             [decoded[k : k + 2] for k in range(0, len(decoded), 2)],
         )
         for i, ((p1, p2), sender, receiver, decoded) in enumerate(groups):
-            key = DecodeKey(p1, p2, sender, receiver)
+            key = DecodeKey(p1, p2, BELL_OUTCOMES[sender], BELL_OUTCOMES[receiver])
             assert table.decode(key) == decoded == cfg.message_bits[2 * i : 2 * i + 2]

@@ -1,6 +1,7 @@
 """Unit tests for eavesdropping models and detection statistics."""
 
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -23,7 +24,7 @@ from csdcsim.attacks import (
 )
 from csdcsim.cli import SWEEP_CELLS
 from csdcsim.protocol import MAX_PARTIES, ProtocolConfig, Session
-from csdcsim.states import QubitId, make_state
+from csdcsim.states import BASES, MeasurementBasis, QubitId, make_state
 
 ALL_ATTACKS = [
     InterceptResend(BasisStrategy.RANDOM),
@@ -54,31 +55,40 @@ def test_intercept_resend_collapses_to_an_eigenstate():
     qubit = QubitId(1, "t")
     for seed in range(20):
         state = make_state((qubit,), [0.6, 0.8])
-        out, (detail,) = InterceptResend(BasisStrategy.ALWAYS_Z).tap(
+        out, (bases, outcomes) = InterceptResend(BasisStrategy.ALWAYS_Z).tap(
             qubit, state, [(np.random.default_rng(seed), 1)]
         )
-        assert detail.startswith("basis=Z outcome=")
-        outcome = detail.rsplit("=", 1)[1]
-        assert np.isclose(abs(out.amplitude(outcome)), 1.0)
+        assert bases.tolist() == [BASES.index(MeasurementBasis.COMPUTATIONAL)]
+        assert np.isclose(abs(out.amplitude(str(outcomes[0]))), 1.0)
 
 
 def test_entangle_measure_adds_one_ancilla():
     qubit = QubitId(3, "t")
     state = make_state((qubit,), [1, 0])
-    out, (detail,) = EntangleMeasure().tap(qubit, state, [(np.random.default_rng(0), 1)])
-    assert detail == "probe=cnot"
+    out, seen = EntangleMeasure().tap(qubit, state, [(np.random.default_rng(0), 1)])
+    assert seen is None
     assert set(out.qubits) == {qubit, QubitId(3, "e")}
 
 
-def test_tap_detail_formats():
-    qubit = QubitId(1, "t")
-    state = make_state((qubit,), [1, 0])
-    _, (detail,) = InterceptResend(BasisStrategy.ALWAYS_Z).tap(
-        qubit, state, [(np.random.default_rng(0), 1)]
-    )
-    assert detail == "basis=Z outcome=0"
-    _, (detail,) = EntangleMeasure().tap(qubit, state, [(np.random.default_rng(0), 1)])
-    assert detail == "probe=cnot"
+def test_tap_records_name_what_the_tap_saw():
+    # the taps return positions; only the transcript names them
+    expected = [
+        (InterceptResend(BasisStrategy.ALWAYS_Z), "basis=Z outcome=[01]"),
+        (EntangleMeasure(), "probe=cnot"),
+        (NoAttack(), None),
+        (None, None),
+    ]
+    for attack, detail in expected:
+        for seed in range(3):
+            records = Session(config(attack=attack, seed=seed)).run().records
+            taps = [(r.phase, r.actor, r.detail) for r in records if r.action == "TAP"]
+            if detail is None:
+                assert taps == []
+                continue
+            assert len(taps) == 8
+            for n, (phase, actor, got) in enumerate(taps, 1):
+                assert (phase, actor) == ("S1", "EVE")
+                assert re.fullmatch(f"triplet={n} {detail}", got), got
 
 
 def test_attack_cell_labels():
@@ -234,7 +244,7 @@ def test_stacked_trials_match_one_trial_sessions(parties, attack):
         single = Session(cfg).run()
         # what estimate_detection tallies, read from the stacked arrays
         assert stacked.completed[trial] == single.completed
-        assert stacked.config.checked_triplets == single.checked_triplets
+        assert stacked.config.checked_triplets == single.config.checked_triplets
         assert stacked.violations[trial] == single.violations
         assert stacked.decoded_bits[trial] == single.decoded_bits
         # and the whole result, with the abort triplet and the transcript

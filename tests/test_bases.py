@@ -181,11 +181,10 @@ def test_bell_product_amplitudes_of_three_bell_states_have_one_unit_cell():
 
 
 def test_encoding_bits_round_trip():
+    # an operation's position is its bits read as a number
     for op in EncodingOp:
-        assert EncodingOp.from_bits(op.bits) is op
+        assert tuple(EncodingOp)[int(op.bits, 2)] is op
     assert [op.bits for op in EncodingOp] == ["00", "01", "10", "11"]
-    with pytest.raises(ValueError):
-        EncodingOp.from_bits("2x")
 
 
 def test_encoding_gates_map_phi_plus_to_distinct_bell_states():
@@ -276,6 +275,15 @@ def test_decode_is_bijective_per_announcement(p1, p2, sender):
     table = default_decode_table()
     ops = {table.entries[DecodeKey(p1, p2, sender, r)] for r in BELL_OUTCOMES}
     assert ops == set(EncodingOp)
+
+
+def test_dense_decode_view_matches_decode_on_every_key():
+    table = default_decode_table()
+    dense = table.dense
+    assert dense.shape == (2, 2, 4, 4)
+    for p1, p2, s, r in np.ndindex(dense.shape):
+        key = DecodeKey(p1, p2, BELL_OUTCOMES[s], BELL_OUTCOMES[r])
+        assert tuple(EncodingOp)[dense[p1, p2, s, r]].bits == table.decode(key)
 
 
 def test_decode_returns_bit_strings():

@@ -17,12 +17,13 @@ from csdcsim.protocol import (
     ProtocolConfig,
     Session,
     coincidence_ok,
+    draw_random_bases,
     roster_names,
     session_capacity,
     triplet_parity,
 )
 from csdcsim.attacks import BasisStrategy, EntangleMeasure, InterceptResend
-from csdcsim.states import ATOL, MeasurementBasis, QubitId, reorder, take_rows
+from csdcsim.states import ATOL, BASES, MeasurementBasis, QubitId, reorder, take_rows
 from csdcsim.transcript import format_transcript, parse_transcript
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -122,25 +123,48 @@ def test_message_must_fill_capacity_exactly():
 
 # --- checking rule ------------------------------------------------------
 
+Z, X = map(BASES.index, (MeasurementBasis.COMPUTATIONAL, MeasurementBasis.DIAGONAL))
+
 
 def test_computational_rule_accepts_equal_bits():
-    assert coincidence_ok(MeasurementBasis.COMPUTATIONAL, (0, 0, 0))
-    assert coincidence_ok(MeasurementBasis.COMPUTATIONAL, (1, 1, 1, 1))
-    assert not coincidence_ok(MeasurementBasis.COMPUTATIONAL, (0, 1, 0))
+    assert coincidence_ok(Z, (0, 0, 0))
+    assert coincidence_ok(Z, (1, 1, 1, 1))
+    assert not coincidence_ok(Z, (0, 1, 0))
 
 
 def test_diagonal_rule_accepts_even_parity():
-    assert coincidence_ok(MeasurementBasis.DIAGONAL, (0, 0, 0))
-    assert coincidence_ok(MeasurementBasis.DIAGONAL, (1, 1, 0))
-    assert coincidence_ok(MeasurementBasis.DIAGONAL, (0, 1, 1))
-    assert not coincidence_ok(MeasurementBasis.DIAGONAL, (1, 0, 0))
-    assert not coincidence_ok(MeasurementBasis.DIAGONAL, (1, 1, 1))
+    assert coincidence_ok(X, (0, 0, 0))
+    assert coincidence_ok(X, (1, 1, 0))
+    assert coincidence_ok(X, (0, 1, 1))
+    assert not coincidence_ok(X, (1, 0, 0))
+    assert not coincidence_ok(X, (1, 1, 1))
 
 
 @given(st.lists(st.integers(0, 1), min_size=2, max_size=6))
 @settings(max_examples=60, deadline=None)
 def test_diagonal_rule_is_the_xor(bits):
-    assert coincidence_ok(MeasurementBasis.DIAGONAL, bits) == (sum(bits) % 2 == 0)
+    assert coincidence_ok(X, bits) == (sum(bits) % 2 == 0)
+
+
+def reference_random_bases(rng, count):
+    """The scalar loop draw_random_bases must reproduce: per photon, a basis
+    position, then its uniform, interleaved on one stream."""
+    bases, uniforms = [], []
+    for _ in range(count):
+        bases.append(int(rng.integers(0, 2)))
+        uniforms.append(rng.random())
+    return bases, uniforms
+
+
+def test_random_bases_match_the_scalar_reference_loop():
+    for seed in range(50):
+        for count in (0, 1, 2, 7, 64, 513):
+            rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+            bases, uniforms = draw_random_bases(rng, count)
+            expected_bases, expected_uniforms = reference_random_bases(reference, count)
+            assert bases.tolist() == expected_bases
+            assert uniforms.tolist() == expected_uniforms
+            assert rng.bit_generator.state == reference.bit_generator.state
 
 
 def test_triplet_parity_is_xor():
@@ -216,7 +240,7 @@ def test_honest_session_decodes_the_message():
     assert result.match
     assert result.decoded_bits == "0001"
     assert result.violations == 0
-    assert result.checked_triplets == 4
+    assert result.config.checked_triplets == 4
 
 
 def test_roles_can_rotate():

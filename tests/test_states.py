@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from csdcsim.attacks import _apply_single, _cnot_vector
 from csdcsim.states import (
     ATOL,
+    BASES,
     BELL_OUTCOMES,
     BellOutcome,
     Gate,
@@ -281,7 +282,7 @@ def test_measure_bell_removes_pair_and_is_sharp():
                 make_state((Q[2],), [1, 0]),
             )
             (got,), rest = measure_bell(state, (Q[0], Q[1]), rng.random(1))
-            assert got is outcome
+            assert BELL_OUTCOMES[got] is outcome
             assert rest.qubits == (Q[2],)
 
 
@@ -363,7 +364,7 @@ def test_two_qubit_kernels_match_the_moveaxis_reference(n, seed):
         uniform = np.random.default_rng(seed).random(1)
         k, branch = reference_measure(state, [i, j], bell_rows, uniform)
         (got,), rest = measure_bell(state, (a, b), uniform)
-        assert got is BELL_OUTCOMES[k]
+        assert got == k
         assert rest.qubits == tuple(q for q in state.qubits if q not in (a, b))
         assert close(rest.amps, branch)
 
@@ -401,14 +402,15 @@ def test_stacked_kernels_match_one_row_calls_bit_for_bit(n, rows, seed):
     stack = random_stack(qubits, rows, rng)
     singles = [take_rows(stack, [r]) for r in range(rows)]
     uniforms = rng.random(rows)
-    gates = [list(Gate)[g] for g in rng.integers(0, len(Gate), size=rows)]
-    bases = [list(MeasurementBasis)[b] for b in rng.integers(0, 2, size=rows)]
+    # per-row gates and bases are positions in Gate and BASES
+    gates = rng.integers(0, len(Gate), size=rows)
+    bases = rng.integers(0, len(BASES), size=rows)
     j = int(rng.integers(0, n))
     target = qubits[j]
 
     assert_rows_equal(
         apply_gate(stack, gates, target),
-        [apply_gate(one, gate, target) for one, gate in zip(singles, gates)],
+        [apply_gate(one, list(Gate)[gate], target) for one, gate in zip(singles, gates)],
     )
     assert_rows_equal(
         apply_gate(stack, Gate.HADAMARD, target),
@@ -417,7 +419,7 @@ def test_stacked_kernels_match_one_row_calls_bit_for_bit(n, rows, seed):
     for kernel in (measure_qubit, collapse_qubit):
         outcomes, post = kernel(stack, target, bases, uniforms)
         calls = [
-            kernel(one, target, basis, uniforms[r : r + 1])
+            kernel(one, target, BASES[basis], uniforms[r : r + 1])
             for r, (one, basis) in enumerate(zip(singles, bases))
         ]
         assert outcomes.tolist() == [k for (k,), _ in calls]
@@ -426,7 +428,8 @@ def test_stacked_kernels_match_one_row_calls_bit_for_bit(n, rows, seed):
     # one diagonal measurement, with one basis or one per row
     rotated = apply_gate(stack, Gate.HADAMARD, target)
     expected, then = measure_qubit(rotated, target, MeasurementBasis.COMPUTATIONAL, uniforms)
-    for diagonal in (MeasurementBasis.DIAGONAL, [MeasurementBasis.DIAGONAL] * rows):
+    diagonal_rows = np.full(rows, BASES.index(MeasurementBasis.DIAGONAL))
+    for diagonal in (MeasurementBasis.DIAGONAL, diagonal_rows):
         outcomes, post = measure_qubit(stack, target, diagonal, uniforms)
         assert np.array_equal(outcomes, expected)
         assert post.qubits == then.qubits and np.array_equal(post.amps, then.amps)
@@ -439,7 +442,7 @@ def test_stacked_kernels_match_one_row_calls_bit_for_bit(n, rows, seed):
     )
     outcomes, post = measure_bell(stack, (target, other), uniforms)
     calls = [measure_bell(one, (target, other), uniforms[r : r + 1]) for r, one in enumerate(singles)]
-    assert outcomes == [k for (k,), _ in calls]
+    assert outcomes.tolist() == [k for (k,), _ in calls]
     assert_rows_equal(post, [single for _, single in calls])
 
     split = int(rng.integers(1, n))
