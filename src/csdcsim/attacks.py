@@ -17,10 +17,9 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .bases import EncodingOp
+from .bases import EncodingOp, bell_pair_amplitudes
 from .states import (
     BASES,
-    BELL_OUTCOMES,
     MeasurementBasis,
     QubitId,
     StateVector,
@@ -297,8 +296,6 @@ def eve_group_information() -> float:
     the value does not depend on the party count; it is identical for
     every controller-parity pattern, which is asserted by enumeration.
     """
-    # a Bell outcome's vector is indexed by its ordered pair's two bits
-    bras = np.array([outcome.vector for outcome in BELL_OUTCOMES]).conj().reshape(-1, 2, 2)
     values = []
     for p1, p2 in np.ndindex(2, 2):
         triplet1, triplet2 = _ghz_vector(3), _ghz_vector(3).reshape(2, 2, 2)
@@ -309,11 +306,9 @@ def eve_group_information() -> float:
         joint = np.zeros((4, 4, 4))
         for k, op in enumerate(EncodingOp):
             encoded = _apply_single(triplet1, 3, 1, op.gate.matrix).reshape(2, 2, 2)
-            # (h1, t1, e1) is abc and (h2, t2, e2) def, read out in the
-            # pairs (t1, t2), (h1, h2) and (e1, e2)
-            amps = np.einsum("sbe,rad,qcf,abc,def->srq", bras, bras, bras, encoded, triplet2)
-            probs = np.abs(amps) ** 2
-            joint[k] = 0.25 * np.where(probs > 1e-15, probs, 0.0).sum(axis=1)
+            # read out in the pairs (h1, h2), (t1, t2) and (e1, e2)
+            probs = np.abs(bell_pair_amplitudes(encoded, triplet2)) ** 2
+            joint[k] = 0.25 * np.where(probs > 1e-15, probs, 0.0).sum(axis=0)
         seen = joint > 0.0
         independent = np.broadcast_to(0.25 * joint.sum(axis=0), joint.shape)[seen]
         values.append(float(np.sum(joint[seen] * np.log2(joint[seen] / independent))))

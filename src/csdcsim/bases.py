@@ -3,6 +3,10 @@
 Holds the canonical orthonormal bases, the two-bit encoding map, the
 entanglement-swapping re-expansion check, and the brute-force decode
 table that turns announced measurement outcomes back into message bits.
+These checks and the table run on plain arrays, read out in Bell pairs
+by ``bell_pair_amplitudes``, not on the state kernels the sessions run
+on, so a kernel fault cannot write itself into the table the sessions
+decode with; the tests cross-check both against the kernels.
 
 The eight-element GHZ basis used everywhere is the orthonormal set
 
@@ -21,7 +25,6 @@ that do not.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -36,11 +39,7 @@ from .states import (
     MeasurementBasis,
     QubitId,
     StateVector,
-    apply_gate,
-    inner_product,
     make_state,
-    reorder,
-    tensor,
 )
 
 GHZ_INDICES = tuple(range(1, 9))
@@ -76,6 +75,20 @@ def bell_state_vector(outcome: BellOutcome, pair: tuple[QubitId, QubitId]) -> St
     return make_state(pair, outcome.vector)
 
 
+# A Bell outcome's bra over its ordered pair's two bits, by position in BELL_OUTCOMES.
+_BELL_BRAS = np.array([outcome.vector for outcome in BELL_OUTCOMES]).conj().reshape(4, 2, 2)
+
+
+def bell_pair_amplitudes(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Amplitudes of ``first`` x ``second``, two k-qubit kets as (2,)*k
+    arrays, in the Bell basis of the k pairs (qubit i of first, qubit i of
+    second): one axis per pair, indexed by position in BELL_OUTCOMES."""
+    k = first.ndim
+    a, b, out = range(k), range(k, 2 * k), range(2 * k, 3 * k)
+    bras = (arg for i in range(k) for arg in (_BELL_BRAS, [out[i], a[i], b[i]]))
+    return np.einsum(first, [*a], second, [*b], *bras, [*out])
+
+
 _GHZ_KETS = {
     1: ("000", "111", 1.0),
     2: ("000", "111", -1.0),
@@ -88,15 +101,19 @@ _GHZ_KETS = {
 }
 
 
-def ghz_state_vector(index: int, triple: tuple[QubitId, QubitId, QubitId]) -> StateVector:
-    """Canonical GHZ basis element on the ordered (home, travel, control) triple."""
+def _ghz_amps(index: int) -> np.ndarray:
     if index not in _GHZ_KETS:
         raise ValueError(f"GHZ index must be 1..8, got {index}")
     first, second, sign = _GHZ_KETS[index]
-    amps = np.zeros(8, dtype=complex)
+    amps = np.zeros(8)
     amps[int(first, 2)] = _SQRT_HALF
     amps[int(second, 2)] = sign * _SQRT_HALF
-    return make_state(triple, amps)
+    return amps
+
+
+def ghz_state_vector(index: int, triple: tuple[QubitId, QubitId, QubitId]) -> StateVector:
+    """Canonical GHZ basis element on the ordered (home, travel, control) triple."""
+    return make_state(triple, _ghz_amps(index))
 
 
 # Tabulated diagonal-basis expansions, one per GHZ index.  Terms are
@@ -113,18 +130,6 @@ _DIAGONAL_EXPANSION_TERMS: dict[int, tuple[tuple[int, int, int, float], ...]] = 
     8: ((0, 0, 1, 1.0), (0, 1, 0, -1.0), (1, 1, 1, 1.0), (1, 0, 0, -1.0)),
 }
 
-def reference_diagonal_expansion(
-    index: int, triple: tuple[QubitId, QubitId, QubitId]
-) -> StateVector:
-    """The tabulated diagonal-basis expansion for the indexed element."""
-    if index not in _DIAGONAL_EXPANSION_TERMS:
-        raise ValueError(f"GHZ index must be 1..8, got {index}")
-    diag = MeasurementBasis.DIAGONAL.vectors
-    amps = np.zeros(8, dtype=complex)
-    for h, t, c, coeff in _DIAGONAL_EXPANSION_TERMS[index]:
-        amps += 0.5 * coeff * np.kron(np.kron(diag[h], diag[t]), diag[c])
-    return make_state(triple, amps)
-
 
 @dataclass(frozen=True)
 class ExpansionReport:
@@ -134,32 +139,23 @@ class ExpansionReport:
 
 
 def verify_ghz_expansion(index: int) -> ExpansionReport:
-    """Compare the tabulated expansion against the canonical basis element."""
-    triple = (QubitId(0, "h"), QubitId(0, "t"), QubitId(0, "c"))
-    canonical = ghz_state_vector(index, triple)
-    reference = reference_diagonal_expansion(index, triple)
-    residual = float(np.max(np.abs(canonical.amps - reference.amps)))
+    """Compare the tabulated expansion, as written, against the canonical
+    basis element."""
+    canonical = _ghz_amps(index)
+    diag = MeasurementBasis.DIAGONAL.vectors
+    tabulated = sum(
+        0.5 * coeff * np.kron(np.kron(diag[h], diag[t]), diag[c])
+        for h, t, c, coeff in _DIAGONAL_EXPANSION_TERMS[index]
+    )
+    residual = float(np.max(np.abs(canonical - tabulated)))
     return ExpansionReport(index, residual < ATOL, residual)
 
 
 def ghz_orthonormality_residual() -> float:
     """Max deviation of the GHZ Gram matrix from the identity."""
-    triple = (QubitId(0, "h"), QubitId(0, "t"), QubitId(0, "c"))
-    vectors = np.concatenate([ghz_state_vector(i, triple).amps for i in GHZ_INDICES])
-    gram = vectors.conj() @ vectors.T
+    vectors = np.array([_ghz_amps(i) for i in GHZ_INDICES])
+    gram = vectors @ vectors.T
     return float(np.max(np.abs(gram - np.eye(len(GHZ_INDICES)))))
-
-
-def bell_product_amplitudes(
-    state: StateVector, *pairs: tuple[QubitId, QubitId]
-) -> dict[tuple[BellOutcome, ...], complex]:
-    """Amplitudes of a state in the Bell product basis of the given pairs,
-    which must cover its qubits; keyed by one outcome per pair."""
-    table: dict[tuple[BellOutcome, ...], complex] = {}
-    for outcomes in itertools.product(BELL_OUTCOMES, repeat=len(pairs)):
-        basis = functools.reduce(tensor, map(bell_state_vector, outcomes, pairs))
-        table[outcomes] = inner_product(reorder(basis, state.qubits), state)
-    return table
 
 
 # Expected re-expansion of PSI_PLUS x (right) over the crossed pairs
@@ -210,11 +206,11 @@ def verify_swap_identity(left: BellOutcome, right: BellOutcome) -> SwapReport:
     magnitude 1/2 (probability 1/4), and that the pattern reproduces
     the reference sign table when the left pair is PSI_PLUS.
     """
-    q1, q2, q3, q4 = (QubitId(i, "q") for i in (1, 2, 3, 4))
-    state = tensor(bell_state_vector(left, (q1, q2)), bell_state_vector(right, (q3, q4)))
-    table = bell_product_amplitudes(state, (q1, q3), (q2, q4))
+    amps = bell_pair_amplitudes(left.vector.reshape(2, 2), right.vector.reshape(2, 2))
+    table = {
+        (BELL_OUTCOMES[s], BELL_OUTCOMES[r]): complex(amps[s, r]) for s, r in np.ndindex(4, 4)
+    }
 
-    amps = np.array([table[cell] for cell in table])
     completeness = abs(float(np.sum(np.abs(amps) ** 2)) - 1.0)
     # distance of each magnitude from the nearer of {0, 1/2}
     uniformity = float(np.max(np.minimum(np.abs(amps), np.abs(np.abs(amps) - 0.5))))
@@ -241,22 +237,23 @@ class DecodeKey(NamedTuple):
     receiver_bell: BellOutcome
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecodeTable:
-    entries: dict[DecodeKey, EncodingOp]
+    """The operations' positions, read-only (2, 2, 4, 4), indexed by both
+    parities and the sender's and receiver's positions in BELL_OUTCOMES."""
+
+    dense: np.ndarray
+
+    @functools.cached_property
+    def entries(self) -> dict[DecodeKey, EncodingOp]:
+        ops = tuple(EncodingOp)
+        return {
+            DecodeKey(p1, p2, BELL_OUTCOMES[s], BELL_OUTCOMES[r]): ops[self.dense[p1, p2, s, r]]
+            for p1, p2, s, r in np.ndindex(self.dense.shape)
+        }
 
     def decode(self, key: DecodeKey) -> str:
         return self.entries[key].bits
-
-    @functools.cached_property
-    def dense(self) -> np.ndarray:
-        """The operations' positions, (2, 2, 4, 4), indexed by both parities
-        and the sender's and receiver's positions in BELL_OUTCOMES."""
-        dense = np.zeros((2, 2, 4, 4), np.intp)
-        for (p1, p2, s, r), op in self.entries.items():
-            dense[p1, p2, BELL_OUTCOMES.index(s), BELL_OUTCOMES.index(r)] = int(op.bits, 2)
-        dense.flags.writeable = False
-        return dense
 
 
 def build_decode_table() -> DecodeTable:
@@ -269,31 +266,25 @@ def build_decode_table() -> DecodeTable:
     outcomes per case; every (parities, sender, receiver) combination
     must name a single operation or the table is unusable.
     """
-    h1, t1 = QubitId(1, "h"), QubitId(1, "t")
-    h2, t2 = QubitId(2, "h"), QubitId(2, "t")
-    entries: dict[DecodeKey, EncodingOp] = {}
-    for p1 in (0, 1):
-        for p2 in (0, 1):
-            pair1 = bell_state_vector(
-                BellOutcome.PHI_PLUS if p1 == 0 else BellOutcome.PHI_MINUS, (h1, t1)
-            )
-            pair2 = bell_state_vector(
-                BellOutcome.PHI_PLUS if p2 == 0 else BellOutcome.PHI_MINUS, (h2, t2)
-            )
-            base = tensor(pair1, pair2)
-            for op in EncodingOp:
-                encoded = apply_gate(base, op.gate, t1)
-                amps = bell_product_amplitudes(encoded, (t1, t2), (h1, h2))
-                for (sender, receiver), amp in amps.items():
-                    if abs(amp) ** 2 <= 1e-6:
-                        continue
-                    key = DecodeKey(p1, p2, sender, receiver)
-                    if key in entries:
-                        raise ValueError(f"decode table collision at {key}")
-                    entries[key] = op
-    if len(entries) != 64:
-        raise ValueError(f"decode table incomplete: {len(entries)} of 64 keys")
-    return DecodeTable(entries)
+    # (|00> +- |11>)/sqrt(2) by parity; symmetric, so each reads as
+    # (travel, home) too, and a gate on axis 0 acts on the travel photon
+    pairs = [BellOutcome.PHI_PLUS.vector.reshape(2, 2), BellOutcome.PHI_MINUS.vector.reshape(2, 2)]
+    marks = np.zeros((2, 2, 4, 4, 4), bool)  # (p1, p2, op, sender, receiver)
+    for p1, p2, k in np.ndindex(2, 2, 4):
+        encoded = tuple(EncodingOp)[k].gate.matrix @ pairs[p1]
+        marks[p1, p2, k] = np.abs(bell_pair_amplitudes(encoded, pairs[p2])) ** 2 > 1e-6
+    # a key marked again by a later operation collides
+    clashes = np.argwhere(np.cumsum(marks, axis=2) > 1).tolist()
+    if clashes:
+        p1, p2, _, s, r = clashes[0]
+        key = DecodeKey(p1, p2, BELL_OUTCOMES[s], BELL_OUTCOMES[r])
+        raise ValueError(f"decode table collision at {key}")
+    marked = marks.any(axis=2)
+    if not marked.all():
+        raise ValueError(f"decode table incomplete: {np.count_nonzero(marked)} of 64 keys")
+    dense = marks.argmax(axis=2)
+    dense.flags.writeable = False
+    return DecodeTable(dense)
 
 
 @functools.lru_cache(maxsize=1)

@@ -24,7 +24,6 @@ from csdcsim.bases import (
     GHZ_INDICES,
     DecodeKey,
     EncodingOp,
-    bell_product_amplitudes,
     bell_state_vector,
     default_decode_table,
     ghz_orthonormality_residual,
@@ -47,6 +46,8 @@ from csdcsim.states import (
     tensor,
 )
 from csdcsim.transcript import format_transcript
+
+from kernel_reference import bell_product_amplitudes
 
 GOLDEN = Path(__file__).parent / "data" / "golden_transcript.tsv"
 

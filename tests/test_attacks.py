@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from csdcsim import states
+from csdcsim import bases, states
 from csdcsim.attacks import (
     BasisStrategy,
     EntangleMeasure,
@@ -307,12 +307,20 @@ def test_cnot_probe_extracts_one_bit_per_group():
 
 def test_exact_analyses_run_without_the_state_kernels(monkeypatch):
     # the exact analyses are the reference the sessions' kernels are checked
-    # against, so neither may build a StateVector
+    # against, and the decode table is what the sessions decode with, so
+    # none of them may build a StateVector
     def refuse(qubits, amps):
         raise AssertionError("an exact analysis built a StateVector")
 
     monkeypatch.setattr(states, "_state", refuse)
     assert np.isclose(eve_group_information(), 1.0, atol=1e-12)
+    assert len(bases.build_decode_table().entries) == 64
+    for left in states.BELL_OUTCOMES:
+        for right in states.BELL_OUTCOMES:
+            assert bases.verify_swap_identity(left, right).holds, (left, right)
+    holding = [bases.verify_ghz_expansion(index).holds for index in bases.GHZ_INDICES]
+    assert holding == [True, True, False, False, True, True, True, True]
+    assert bases.ghz_orthonormality_residual() < states.ATOL
     for cell in SWEEP_CELLS:
         for parties in (3, 12):
             expected = 0.0 if cell is None else 0.25

@@ -1,23 +1,24 @@
 """Unit tests for Bell and GHZ basis algebra and the decode table."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from csdcsim import bases
 from csdcsim.bases import (
     GHZ_INDICES,
     DecodeKey,
     EncodingOp,
-    bell_product_amplitudes,
+    bell_pair_amplitudes,
     bell_state_vector,
     build_decode_table,
     default_decode_table,
     ghz_orthonormality_residual,
     ghz_state_vector,
-    reference_diagonal_expansion,
     verify_ghz_expansion,
     verify_swap_identity,
 )
@@ -26,11 +27,15 @@ from csdcsim.states import (
     BELL_OUTCOMES,
     BellOutcome,
     Gate,
+    MeasurementBasis,
     QubitId,
     apply_gate,
     inner_product,
+    make_state,
     tensor,
 )
+
+from kernel_reference import bell_product_amplitudes
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -102,9 +107,13 @@ def test_failing_expansions_have_the_known_residual():
 
 
 def test_reference_expansion_is_normalized():
+    # the tabulated terms as written, not renormalised
+    diag = MeasurementBasis.DIAGONAL.vectors
     for index in GHZ_INDICES:
-        ket = reference_diagonal_expansion(index, TRIPLE)
-        assert np.isclose(inner_product(ket, ket), 1.0, atol=ATOL)
+        terms = bases._DIAGONAL_EXPANSION_TERMS[index]
+        ket = sum(0.5 * coeff * np.kron(np.kron(diag[h], diag[t]), diag[c])
+                  for h, t, c, coeff in terms)
+        assert np.isclose(np.linalg.norm(ket), 1.0, atol=ATOL), index
 
 
 # --- entanglement swapping ----------------------------------------------
@@ -149,16 +158,35 @@ def test_psi_plus_squared_sign_pattern():
 
 
 def test_bell_product_amplitudes_are_complete():
+    # the plain-array read-out against the kernel route on every swap product
+    q1, q2, q3, q4 = (QubitId(i, "q") for i in (1, 2, 3, 4))
     for left in BELL_OUTCOMES:
         for right in BELL_OUTCOMES:
-            q1, q2, q3, q4 = (QubitId(i, "q") for i in (1, 2, 3, 4))
             state = tensor(
                 bell_state_vector(left, (q1, q2)),
                 bell_state_vector(right, (q3, q4)),
             )
-            amps = bell_product_amplitudes(state, (q1, q3), (q2, q4))
-            total = sum(abs(a) ** 2 for a in amps.values())
-            assert np.isclose(total, 1.0, atol=1e-10)
+            reference = bell_product_amplitudes(state, (q1, q3), (q2, q4))
+            amps = bell_pair_amplitudes(left.vector.reshape(2, 2), right.vector.reshape(2, 2))
+            assert amps.shape == (4, 4)
+            for (s, r), amp in reference.items():
+                assert np.isclose(amps[BELL_OUTCOMES.index(s), BELL_OUTCOMES.index(r)],
+                                  amp, atol=ATOL)
+            assert np.isclose(np.sum(np.abs(amps) ** 2), 1.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_bell_pair_amplitudes_match_the_kernel_route_on_three_pairs(seed):
+    rng = np.random.default_rng(seed)
+    a, b = (tuple(QubitId(n, role) for role in "abc") for n in (1, 2))
+    first, second = (
+        make_state(qubits, rng.normal(size=8) + 1j * rng.normal(size=8)) for qubits in (a, b)
+    )
+    reference = bell_product_amplitudes(tensor(first, second), *zip(a, b))
+    amps = bell_pair_amplitudes(first.amps.reshape(2, 2, 2), second.amps.reshape(2, 2, 2))
+    assert amps.shape == (4, 4, 4)
+    for cell, amp in reference.items():
+        assert np.isclose(amps[tuple(map(BELL_OUTCOMES.index, cell))], amp, atol=ATOL)
 
 
 def test_bell_product_amplitudes_of_three_bell_states_have_one_unit_cell():
@@ -217,6 +245,18 @@ def test_decode_table_is_complete_and_collision_free():
     assert len(table.entries) == 64
     keys = set(table.entries)
     assert len(keys) == 64
+
+
+def test_decode_table_build_rejects_an_ambiguous_or_incomplete_readout(monkeypatch):
+    # every operation seeing every pair collides at the first key a second
+    # operation marks; no operation seeing any pair leaves every key empty
+    monkeypatch.setattr(bases, "bell_pair_amplitudes", lambda a, b: np.ones((4,) * a.ndim))
+    first = DecodeKey(0, 0, BELL_OUTCOMES[0], BELL_OUTCOMES[0])
+    with pytest.raises(ValueError, match=re.escape(f"decode table collision at {first}")):
+        build_decode_table()
+    monkeypatch.setattr(bases, "bell_pair_amplitudes", lambda a, b: np.zeros((4,) * a.ndim))
+    with pytest.raises(ValueError, match="decode table incomplete: 0 of 64 keys"):
+        build_decode_table()
 
 
 def test_decode_table_zero_parity_slice():

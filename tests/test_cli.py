@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -327,6 +328,18 @@ def test_verify_structural_failure_exits_three(monkeypatch, capsys):
     monkeypatch.setattr(cli.bases, "verify_swap_identity", broken)
     code = cli.main(["--mode", "verify"])
     capsys.readouterr()
+    assert code == 3
+
+
+def test_verify_decode_table_failure_exits_three(monkeypatch, capsys):
+    # every operation sees every pair, so the table cannot be inverted
+    monkeypatch.setattr(cli.bases, "bell_pair_amplitudes", lambda a, b: np.ones((4,) * a.ndim))
+    code = cli.main(["--mode", "verify"])
+    lines = capsys.readouterr().out.splitlines()
+    table = [line for line in lines if line.startswith("decode-table")]
+    assert len(table) == 1
+    assert table[0].startswith("decode-table\tFAIL\tdecode table collision at DecodeKey(")
+    assert not [line for line in lines if line.startswith("decode-slice")]
     assert code == 3
 
 
