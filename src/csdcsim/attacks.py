@@ -28,7 +28,10 @@ from .states import (
     make_state,
     tensor,
 )
-from .protocol import MAX_PARTIES, ProtocolConfig, Session, draw_random_bases
+from .protocol import (
+    MAX_PARTIES, MAX_TRIALS, ProtocolConfig, Session, draw_random_bases, seed_state,
+    seeded_generator,
+)
 
 if TYPE_CHECKING:  # pragma: no cover; naming np.random here would import it
     Streams = Sequence[tuple[np.random.Generator, int]]
@@ -229,22 +232,27 @@ class DetectionStats:
         return self.decoded_bits_correct / self.decoded_bits_total
 
 
-def _trial_seed(base_seed: int, trial: int) -> int:
-    return int(
-        np.random.SeedSequence(entropy=(base_seed, trial)).generate_state(1, np.uint64)[0]
-    )
+def _trial_entropy(seed: int, trials: np.ndarray, *tail: int) -> np.ndarray:
+    """The words of ``SeedSequence((seed, trial, *tail))`` for each of ``trials``:
+    the seed's one word (below 2**32) or two, the trial, the tail, then zeros."""
+    words = ([seed & 0xFFFFFFFF, seed >> 32] if seed >> 32 else [seed]) + [trials, *tail]
+    return np.array(np.broadcast_arrays(*words, *[0] * (4 - len(words))), np.uint32)
 
 
-def _trial_message(base_seed: int, trial: int, capacity: int) -> str:
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=(base_seed, trial, 1)))
-    return "".join(map(str, rng.integers(0, 2, size=capacity).tolist()))
+def _message(stream: np.ndarray, config: ProtocolConfig) -> str:
+    bits = seeded_generator(stream).integers(0, 2, size=config.capacity_bits)
+    return "".join(map(str, bits.tolist()))
 
 
 def estimate_detection(config: ProtocolConfig, trials: int) -> DetectionStats:
     """Run independent trials with derived seeds and random messages,
     stacked into sessions of a few trials each."""
-    if trials < 1:
-        raise ValueError("trials must be positive")
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ValueError(f"trials must be between 1 and {MAX_TRIALS}")
+    # each trial's seed, SeedSequence((seed, trial)).generate_state(1, np.uint64)
+    # (the first of four words), and message stream, SeedSequence((seed, trial, 1))
+    seeds = seed_state(_trial_entropy(config.seed, np.arange(trials)))[:, 0].tolist()
+    message_words = seed_state(_trial_entropy(config.seed, np.arange(trials), 1))
     # A session's tapped registers (a probe ancilla on each) hold at most
     # as many amplitudes as one register of the widest kind, or it holds
     # one trial.  Its phases keep several copies of them at once: chunks
@@ -255,11 +263,7 @@ def estimate_detection(config: ProtocolConfig, trials: int) -> DetectionStats:
     bits_total = bits_correct = 0
     for start in range(0, trials, chunk):
         session = Session(*(
-            replace(
-                config,
-                seed=_trial_seed(config.seed, trial),
-                message_bits=_trial_message(config.seed, trial, config.capacity_bits),
-            )
+            replace(config, seed=seeds[trial], message_bits=_message(message_words[trial], config))
             for trial in range(start, min(start + chunk, trials))
         ))
         session.run_trials()

@@ -41,7 +41,7 @@ from .attacks import (
     estimate_detection,
 )
 from .protocol import (
-    MAX_PARTIES, MAX_TRIPLETS, ConfigError, InternalError, ProtocolConfig, Session,
+    MAX_PARTIES, MAX_TRIALS, MAX_TRIPLETS, ConfigError, InternalError, ProtocolConfig, Session,
     session_capacity,
 )
 from .states import BELL_OUTCOMES
@@ -124,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--trials", type=int, default=DEFAULT_TRIALS, metavar="T",
-        help=f"sessions per sweep cell (default: {DEFAULT_TRIALS})",
+        help=f"sessions per sweep cell, 1 to {MAX_TRIALS} (default: {DEFAULT_TRIALS})",
     )
     parser.add_argument(
         "--transcript", metavar="PATH", default=None,
@@ -275,8 +275,8 @@ SWEEP_CELLS: tuple[AttackModel | None, ...] = (
 
 
 def run_sweep(args: argparse.Namespace) -> int:
-    if args.trials < 1:
-        raise ConfigError("sweep needs a positive --trials")
+    if not 1 <= args.trials <= MAX_TRIALS:
+        raise ConfigError(f"sweep needs --trials between 1 and {MAX_TRIALS}")
     # each trial gets a random message; the cells replace the attack
     base = _config_from_args(args)
     with _open_out(args.stats) as out:

@@ -50,17 +50,21 @@ for, so a sweep builds no records.
 Randomness: every trial draws from its own master seed through a named
 substream per party (ALICE, BOB, CTRL1..k, then EVE, spawn keys 0..),
 so changing one party's behavior never shifts another party's draws,
-and a trial draws the same numbers alone or stacked with others.  A
-party draws a phase's uniforms at once with ``rng.random(n)``, the same
-doubles as n scalar draws; a stream that interleaves basis choices and
-uniforms is drawn in a scalar loop first (``draw_random_bases``).
+and a trial draws the same numbers alone or stacked with others.  The
+substreams are exactly numpy's ``SeedSequence`` spawn streams, each a
+PCG64 seeded from state words that ``seed_state`` computes for every
+trial and party in one pass; a test pins them against numpy.  A party
+draws a phase's uniforms at once with ``rng.random(n)``, the same doubles
+as n scalar draws; a stream that interleaves basis choices and uniforms
+is drawn in a scalar loop first (``draw_random_bases``), on purpose: a
+bit-exact array draw ran slower at the few photons a sweep trial draws.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
@@ -98,6 +102,9 @@ MAX_PARTIES = 12
 # count; at the party ceiling, 4096 tapped triplets are 256 MiB of
 # amplitudes, or 512 MiB with a probe ancilla, held once.
 MAX_TRIPLETS = 4096
+# A sweep cell holds every trial's seed and message words from its start,
+# under 80 bytes a trial, and a trial index must stay one entropy word.
+MAX_TRIALS = 1 << 20
 AMPLITUDE_BUDGET = 1 << 16  # per block of phase-stack rows; 16 P=12 registers
 
 _DIAGONAL = BASES.index(MeasurementBasis.DIAGONAL)
@@ -242,6 +249,76 @@ class SessionResult:
     records: tuple[TranscriptRecord, ...] = field(repr=False)
 
 
+# numpy's SeedSequence (O'Neill's seed_seq_fe) hashes entropy words into a
+# pool of four uint32 words, mixes it and hashes it out as state words.  Hash
+# k xors with constant k of its table and multiplies by constant k + 1; no
+# constant depends on the data, so each (xor, multiplier) pair is built once.
+_HASH_A, _HASH_B = (
+    np.array([[a * pow(m, k + j, 2**32) % 2**32 for k in range(20)] for j in (0, 1)], np.uint32)
+    for a, m in ((0x43B0D7E5, 0x931E8875), (0x8B51F9DD, 0x58F38DED))
+)
+_MIX_L, _MIX_R, _SHIFT = (np.array(c, np.uint32) for c in (0xCA01F9DD, 0x4973F715, 16))
+
+
+def _hashmix(values: np.ndarray, hashes: np.ndarray) -> np.ndarray:
+    values = (values ^ hashes[0]) * hashes[1]
+    return values ^ values >> _SHIFT
+
+
+# Hashes 0-3 fill the pool.  Cross-mix step s hashes word s once for each
+# other word d, in increasing d, from hash 4 + 3s (its row s goes unused).
+# A spawn key i, a fifth entropy word, is hashed once per word (hashes
+# 16-19), kept times MIX_MULT_R as (word, i, 1).
+_CROSS = [_HASH_A[:, np.arange(4) - (np.arange(4) > s) + 3 * s + 4, None] for s in range(4)]
+_KEYS = np.arange(MAX_PARTIES + 1, dtype=np.uint32)[:, None]  # each party's, then EVE's
+_SPAWN = _MIX_R * _hashmix(_KEYS, _HASH_A[:, 16:20, None, None])
+
+
+def seed_state(entropy: np.ndarray, streams: int | None = None) -> np.ndarray:
+    """numpy's ``SeedSequence(e).generate_state(4, np.uint64)`` for every
+    column e of ``entropy`` (4 x N uint32 words, zero-padded), in one pass:
+    (N, 4), C-contiguous.  With ``streams``, that of ``SeedSequence(e,
+    spawn_key=(i,))`` for each i < streams: (streams, N, 4)."""
+    pool = _hashmix(entropy, _HASH_A[:, :4, None])
+    for s, hashes in enumerate(_CROSS):
+        # mix each word with a hash of word s, which the step leaves as it is
+        mixed = pool * _MIX_L - _hashmix(pool[s], hashes) * _MIX_R
+        mixed ^= mixed >> _SHIFT
+        mixed[s] = pool[s]
+        pool = mixed
+    if streams is not None:
+        mixed = pool[:, None] * _MIX_L - _SPAWN[:, :streams]
+        pool = mixed ^ mixed >> _SHIFT
+    words = _hashmix(pool.reshape(4, -1), _HASH_B[:, :8].reshape(2, 2, 4, 1)).reshape(8, -1).T
+    # word pairs, low word first, as numpy reads them
+    state = np.ascontiguousarray(words, "<u4").view("<u8").astype(np.uint64, copy=False)
+    return state.reshape(*pool.shape[1:], 4)
+
+
+@cache
+def _words_type() -> type:
+    """An ISeedSequence of precomputed state words, all a PCG64 reads from its
+    seed sequence; made on first use, as numpy.random is slow to import."""
+
+    class Words(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words: np.ndarray) -> None:
+            self.words = words
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            # PCG64 reads them through a raw pointer, so they must be contiguous
+            words = np.ascontiguousarray(self.words, np.uint64)
+            if dtype is not np.uint64 or words.shape != (n_words,):
+                raise ValueError("precomputed words seed a PCG64 only")
+            return words
+
+    return Words
+
+
+def seeded_generator(words: np.ndarray) -> np.random.Generator:
+    """``default_rng`` of the seed sequence whose ``seed_state`` row this is."""
+    return np.random.Generator(np.random.PCG64(_words_type()(words)))
+
+
 def draw_random_bases(rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
     """For each of ``count`` photons, a uniformly random basis, its position
     in BASES, and then the uniform draw that measures it.  The two kinds
@@ -278,13 +355,11 @@ class Session:
         self.configs = configs
         self.config = config = configs[0]  # the shape every trial shares
         stream_names = config.roster + (EVE,)
-        # each party's stream in every trial
+        # each party's stream in every trial: a spawn key zero-pads the seed's words
+        entropy = np.array([(c.seed & 0xFFFFFFFF, c.seed >> 32, 0, 0) for c in configs], np.uint32)
+        words = seed_state(entropy.T, len(stream_names))
         self._rngs = {
-            name: [
-                np.random.default_rng(np.random.SeedSequence(entropy=c.seed, spawn_key=(i,)))
-                for c in configs
-            ]
-            for i, name in enumerate(stream_names)
+            name: [seeded_generator(w) for w in rows] for name, rows in zip(stream_names, words)
         }
 
         # the photon roles of every triplet, and the one each party holds

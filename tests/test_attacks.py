@@ -19,12 +19,11 @@ from csdcsim.attacks import (
     detection_oracle,
     estimate_detection,
     eve_group_information,
-    _trial_message,
-    _trial_seed,
 )
 from csdcsim.cli import SWEEP_CELLS
-from csdcsim.protocol import MAX_PARTIES, ProtocolConfig, Session
+from csdcsim.protocol import MAX_PARTIES, MAX_TRIALS, ProtocolConfig, Session
 from csdcsim.states import BASES, MeasurementBasis, QubitId, make_state
+from stream_reference import _trial_message, _trial_seed
 
 ALL_ATTACKS = [
     InterceptResend(BasisStrategy.RANDOM),
@@ -296,6 +295,11 @@ def test_a_wide_tapped_stack_is_held_once(attack, probe):
 def test_trials_must_be_positive():
     with pytest.raises(ValueError):
         estimate_detection(config(), trials=0)
+
+
+def test_trials_above_the_cap_are_rejected():
+    with pytest.raises(ValueError, match=str(MAX_TRIALS)):
+        estimate_detection(config(), trials=MAX_TRIALS + 1)
 
 
 # --- leakage of the probed register -------------------------------------

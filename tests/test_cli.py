@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from csdcsim import cli
 from csdcsim.protocol import (
-    MAX_PARTIES, MAX_SEED, MAX_TRIPLETS, ConfigError, InternalError, Session, session_capacity,
+    MAX_PARTIES, MAX_SEED, MAX_TRIALS, MAX_TRIPLETS, ConfigError, InternalError, Session,
+    session_capacity,
 )
 from csdcsim.transcript import parse_transcript
 
@@ -150,6 +151,9 @@ def test_attack_basis_flag_is_accepted():
         ["--mode", "run", "--triplets", "8", "--message", "0001", "--parties", "2"],
         ["--mode", "run", "--triplets", "8", "--message", "0001", "--check-fraction", "1.5"],
         ["--mode", "sweep", "--trials", "0"],
+        # rejected before the header, before any session starts
+        ["--mode", "sweep", "--trials", str(MAX_TRIALS + 1)],
+        ["--mode", "sweep", "--trials", "5000000000"],
         ["--unknown-flag"],
         ["--mode", "frobnicate"],
         ["--mode", "sweep", "--check-fraction", "nan"],
@@ -200,7 +204,7 @@ FLAGS = {
     "--attack": (st.sampled_from(["none", "intercept-resend", "entangle-measure"]), ["tap"]),
     "--attack-basis": (st.sampled_from(["random", "z", "x"]), ["y"]),
     "--seed": (st.integers(0, MAX_SEED).map(str), BAD_NUMBERS + ["-1", str(MAX_SEED + 1)]),
-    "--trials": (st.integers(1, 3).map(str), BAD_NUMBERS),
+    "--trials": (st.integers(1, 3).map(str), BAD_NUMBERS + [str(MAX_TRIALS + 1)]),
 }
 # the flags each mode reads; --attack-basis only with --attack intercept-resend
 READS = {

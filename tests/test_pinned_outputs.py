@@ -78,6 +78,21 @@ def test_sweep_output_matches_its_pinned_digest(tmp_path):
     assert sha256(stats) == SWEEP_DIGEST
 
 
+# Sweeps at the first seed of two entropy words and at the largest seed.
+BOUNDARY_SWEEP_DIGESTS = {
+    "4294967296": "395dd12e4430aa8831ee98e5ccfc962b5965c2d909adc6b6ab0efba9d0336a90",
+    "18446744073709551615": "2ac965ab2be690f8e0a6666830e234d23620b0b08cdaf6a99d1ade36107a7dc1",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(BOUNDARY_SWEEP_DIGESTS))
+def test_boundary_seed_sweeps_match_their_pinned_digests(tmp_path, seed):
+    stats = tmp_path / "stats.tsv"
+    argv = ["--mode", "sweep", "--triplets", "8", "--trials", "20", "--seed", seed]
+    assert cli.main([*argv, "--stats", str(stats)]) == cli.EXIT_OK
+    assert sha256(stats) == BOUNDARY_SWEEP_DIGESTS[seed]
+
+
 ATTACK_ARGV = (
     [],
     ["--attack", "intercept-resend", "--attack-basis", "random"],
