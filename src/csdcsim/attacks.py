@@ -23,14 +23,15 @@ from .states import (
     MeasurementBasis,
     QubitId,
     StateVector,
+    _sample,
     apply_cnot,
-    collapse_qubit,
+    collapse_branches,
     make_state,
     tensor,
 )
 from .protocol import (
     MAX_PARTIES, MAX_TRIALS, ProtocolConfig, Session, draw_random_bases, seed_state,
-    seeded_generator,
+    seeded_generator, untapped,
 )
 
 if TYPE_CHECKING:  # pragma: no cover; naming np.random here would import it
@@ -51,8 +52,8 @@ class BasisStrategy(Enum):
 class NoAttack:
     """Identity tap: the channel is untouched."""
 
-    def tap(self, qubit: QubitId, state: StateVector, streams: Streams):
-        return state, None
+    def tap(self, qubit: QubitId, register: StateVector, streams: Streams):
+        return untapped(qubit, register, streams)
 
 
 @dataclass(frozen=True)
@@ -61,17 +62,18 @@ class InterceptResend:
 
     strategy: BasisStrategy = BasisStrategy.RANDOM
 
-    def tap(self, qubit: QubitId, state: StateVector, streams: Streams):
+    def tap(self, qubit: QubitId, register: StateVector, streams: Streams):
         if self.strategy is BasisStrategy.RANDOM:
             drawn = [draw_random_bases(rng, rows) for rng, rows in streams]
             bases, uniforms = (np.concatenate(column) for column in zip(*drawn))
         else:
             z = self.strategy is BasisStrategy.ALWAYS_Z
             basis = MeasurementBasis.COMPUTATIONAL if z else MeasurementBasis.DIAGONAL
-            bases = np.full(state.rows, BASES.index(basis))
             uniforms = np.concatenate([rng.random(rows) for rng, rows in streams])
-        outcomes, post = collapse_qubit(state, qubit, bases, uniforms)
-        return post, (bases, outcomes)
+            bases = np.full(len(uniforms), BASES.index(basis))
+        probs, collapsed = collapse_branches(register, qubit)
+        outcomes = _sample(probs[0, bases], uniforms)
+        return collapsed, 2 * bases + outcomes, np.stack([bases, outcomes])
 
 
 @dataclass(frozen=True)
@@ -83,19 +85,20 @@ class EntangleMeasure:
     on ancilla pairs for encoding groups.
     """
 
-    def tap(self, qubit: QubitId, state: StateVector, streams: Streams):
+    def tap(self, qubit: QubitId, register: StateVector, streams: Streams):
         ancilla = QubitId(qubit.triplet, "e")
-        grown = tensor(state, make_state((ancilla,), [1.0, 0.0]))
-        grown = apply_cnot(grown, qubit, ancilla)
-        return grown, None
+        probed = tensor(register, make_state((ancilla,), [1.0, 0.0]))
+        probed = apply_cnot(probed, qubit, ancilla)
+        return untapped(qubit, probed, streams)
 
 
-# Every model's tap(qubit, state, streams) takes a stack of registers
-# whose travel photons, ``qubit``, are in transit, and the streams its
-# draws come from: (generator, rows) runs that cover the stack's rows in
-# order.  It returns the new stack and, if it measured the photons, their
-# bases (positions in BASES) and outcomes as two arrays, else None.  Only
-# the session's transcript names them, and a probe ancilla's coupling.
+# Every model's tap(qubit, register, streams) takes the prepared register,
+# whose travel photon is ``qubit``, and a (generator, rows) run of draws
+# for each trial's triplets.  A tap acts on travel photons alone, so it
+# returns the few registers every triplet holds one of, each once; the
+# position among them of each triplet's, over the runs in order; and the
+# bases (positions in BASES) and outcomes of the photons it measured, a
+# (2, photons) array that only the session's transcript names.
 AttackModel = NoAttack | InterceptResend | EntangleMeasure
 
 
@@ -253,11 +256,10 @@ def estimate_detection(config: ProtocolConfig, trials: int) -> DetectionStats:
     # (the first of four words), and message stream, SeedSequence((seed, trial, 1))
     seeds = seed_state(_trial_entropy(config.seed, np.arange(trials)))[:, 0].tolist()
     message_words = seed_state(_trial_entropy(config.seed, np.arange(trials), 1))
-    # A session's tapped registers (a probe ancilla on each) hold at most
-    # as many amplitudes as one register of the widest kind, or it holds
-    # one trial.  Its phases keep several copies of them at once: chunks
-    # as large as AMPLITUDE_BUDGET allows ran no faster, and raised a
-    # sweep's peak memory.
+    # A session's triplets, as its phases take them out of the prepared
+    # stack (a probe ancilla on each), hold at most as many amplitudes as
+    # one register of the widest kind, or it holds one trial.  Chunks as
+    # large as AMPLITUDE_BUDGET allows ran no faster and raised peak memory.
     chunk = max(1, (1 << MAX_PARTIES) // (config.triplet_count << (config.party_count + 1)))
     checked = violations = aborts = 0
     bits_total = bits_correct = 0

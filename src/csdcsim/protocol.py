@@ -27,19 +27,20 @@ parties act as controllers.
 
 Every phase is columnar: the registers it acts on sit in one stack, one
 row per triplet (``StateVector`` rows), and each party's operation is one
-kernel call over the stack.  The phase stacks are the prepared registers
-(S1; each row a read-only view of one GHZ register until a tap sets the
-triplets apart), the encoding triplets' (home, travel[, probe]) rows
-after S5, and the groups' joined rows after S7.  S4 and S5 are one
-read-out step.  Rows are processed in blocks of at most AMPLITUDE_BUDGET
-amplitudes, so no stack outgrows a few registers of the widest kind.
+kernel call over the stack.  A tap acts on travel photons alone, so the
+prepared stack (S1) holds each distinct register once, at most four, and
+an index the one each triplet holds; S4 and S5, one read-out step, take
+their rows out through it.  The later stacks are the encoding triplets'
+(home, travel[, probe]) rows after S5 and the groups' joined rows after
+S7.  Rows are processed in blocks of at most AMPLITUDE_BUDGET amplitudes,
+so no stack outgrows a few registers of the widest kind.
 
 A session holds one or more trials: runs that share the triplet count,
 party count, check fraction, attack and roles, and differ only in seed
 and message.  ``Session(config)`` is the one-trial case; a sweep cell
 runs its trials as one session (``attacks.estimate_detection``).  The
 trial is the outer axis of every stack: triplet n of trial k is row
-k*T + n - 1 of the prepared stack (T triplets a trial), and the later
+k*T + n - 1 of the prepared index (T triplets a trial), and the later
 stacks keep the trials in order, so a phase is still one kernel call per
 party over every trial's rows.  A trial that aborts in S4 leaves S5-S9
 by a mask.  The phases store their outcomes in per-trial arrays of
@@ -98,9 +99,8 @@ MAX_SEED = 2**64 - 1
 # Every triplet is a dense register of 2**P amplitudes (2**(P+1) with a
 # probe ancilla); P=12 is 64 KiB a triplet.
 MAX_PARTIES = 12
-# The tapped registers and the transcript grow linearly with the triplet
-# count; at the party ceiling, 4096 tapped triplets are 256 MiB of
-# amplitudes, or 512 MiB with a probe ancilla, held once.
+# The prepared stack holds at most four registers, so what grows with the
+# triplet count is the per-triplet index and outcomes and the transcript.
 MAX_TRIPLETS = 4096
 # A sweep cell holds every trial's seed and message words from its start,
 # under 80 bytes a trial, and a trial index must stay one entropy word.
@@ -327,6 +327,11 @@ def draw_random_bases(rng: np.random.Generator, count: int) -> tuple[np.ndarray,
     return draws[:, 0].astype(np.intp), draws[:, 1]
 
 
+def untapped(qubit: QubitId, register: StateVector, streams) -> tuple:
+    """An untouched channel's tap (``attacks.AttackModel``): every triplet holds ``register``."""
+    return register, np.zeros(sum(rows for _, rows in streams), np.intp), np.zeros((2, 0), np.intp)
+
+
 def _labels(position: int, roles: Sequence[str]) -> tuple[QubitId, ...]:
     return tuple(QubitId(position, role) for role in roles)
 
@@ -335,7 +340,7 @@ def _per_block(count: int, width: int, step: Callable[[slice], StateVector]) -> 
     """Run ``step`` on consecutive blocks of range(count), each small enough
     that a stack of ``width``-qubit registers stays within AMPLITUDE_BUDGET
     amplitudes (one row at least), and stack the rows it returns, one per
-    row of the block, as each block finishes."""
+    row of the block."""
     size = max(1, AMPLITUDE_BUDGET >> width)
     return join_rows((step(slice(i, min(i + size, count))) for i in range(0, count, size)), count)
 
@@ -367,9 +372,10 @@ class Session:
         holders = (config.receiver, config.sender) + config.controllers
         self._role_of = dict(zip(holders, self._roles))
 
-        # Phase stacks (see the module docstring): row k*T + n - 1 of _prepared
-        # holds triplet n of trial k, and _taken marks the rows taken out of it.
+        # Phase stacks (see the module docstring): triplet n of trial k holds
+        # register _index[k*T + n - 1] of _prepared; _taken marks it taken.
         self._prepared: StateVector | None = None
+        self._index = np.zeros(0, np.intp)
         self._taken = np.zeros(len(configs) * config.triplet_count, bool)
         self._encoding: StateVector | None = None
         self._pairs: StateVector | None = None
@@ -418,7 +424,7 @@ class Session:
         outcomes = {party: np.empty(len(rows), np.intp) for party, _ in measuring}
 
         def measure(block: slice) -> StateVector:
-            state = take_rows(self._prepared, rows[block])
+            state = take_rows(self._prepared, self._index[rows[block]])
             for party, role in measuring:
                 outcomes[party][block], state = measure_qubit(
                     state, QubitId(1, role), bases[block], draws[party][block]
@@ -430,37 +436,16 @@ class Session:
     # -- protocol phases ---------------------------------------------------
 
     def prepare_and_distribute(self) -> None:
-        cfg, count = self.config, self.config.triplet_count
         ghz = np.zeros(1 << len(self._roles))
         ghz[0] = ghz[-1] = 1.0
-        # every triplet's row views one register until a tap sets them apart
         register = make_state(_labels(1, self._roles), ghz)
-        rows = len(self._taken)
-        self._prepared = StateVector(register.qubits, np.broadcast_to(register.amps, (rows, len(ghz))))
-        if cfg.attack is None:
-            return
-        eve = self._rngs[EVE]
-        measured = []
-
-        def tap(block: slice) -> StateVector:
-            # indexed, so a copy: the kernels run slower on the view's rows
-            sent = take_rows(self._prepared, np.arange(block.start, block.stop))
-            # the block's rows run over one or more trials; each trial's
-            # rows draw from that trial's stream
-            trials = range(block.start // count, (block.stop - 1) // count + 1)
-            streams = [
-                (eve[k], min(block.stop, (k + 1) * count) - max(block.start, k * count))
-                for k in trials
-            ]
-            state, seen = cfg.attack.tap(QubitId(1, "t"), sent, streams)
-            if seen is not None:
-                measured.append(seen)
-            return state
-
-        # a tap may add a probe ancilla to each register
-        self._prepared = _per_block(rows, self._prepared.num_qubits + 1, tap)
-        if measured:
-            self._tap_bases, self._tap_bits = map(np.concatenate, zip(*measured))
+        # each trial's triplets take EVE's draws from that trial's stream;
+        # no attack is the untouched channel that NoAttack taps
+        streams = [(rng, self.config.triplet_count) for rng in self._rngs[EVE]]
+        tap = getattr(self.config.attack, "tap", untapped)
+        self._prepared, self._index, (self._tap_bases, self._tap_bits) = tap(
+            QubitId(1, "t"), register, streams
+        )
 
     def select_groups(self) -> None:
         cfg, trials = self.config, len(self.configs)

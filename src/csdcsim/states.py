@@ -8,9 +8,9 @@ Conventions used throughout the package:
 * Computational outcome 0 means |0>, outcome 1 means |1>.  Diagonal
   outcome 0 means |+> = (|0>+|1>)/sqrt(2), outcome 1 means |->.
 * Measuring removes the measured qubit(s) from the register, because
-  the protocol never reuses a measured photon.  ``collapse_qubit`` is
-  the one exception: it models measure-and-resend, leaving the qubit
-  behind in the sampled eigenstate.
+  the protocol never reuses a measured photon.  ``collapse_qubit`` and
+  ``collapse_branches`` are the exception: they model measure-and-resend,
+  leaving the qubit behind in the sampled eigenstate.
 * Bell outcomes are stated against ordered pairs: PSI_PLUS on (a, b)
   is (|0_a 1_b> + |1_a 0_b>)/sqrt(2), and likewise for the others.
 * A ``StateVector`` is a stack of registers, one per row of ``amps``,
@@ -19,13 +19,14 @@ Conventions used throughout the package:
   and bases may be given per row, as positions in ``Gate`` and ``BASES``;
   measurements take one uniform draw per row, so the caller orders its
   draws, and return one outcome each, a bit or a position in ``BELL_OUTCOMES``.
+  The session engine relies on it to hold each distinct register once.
 
 Invariant: ``make_state`` is the only place that validates a register
 and normalises amplitudes.  Every kernel takes normalised rows and
 returns them, built directly with read-only amplitudes and no further
-checks.  Gates are unitary, so only the measurements
-(``measure_qubit``, ``collapse_qubit``, ``measure_bell``) renormalise,
-dividing the sampled branch by the square root of its probability.
+checks.  Gates are unitary, so only the measurements renormalise,
+dividing the sampled branch by the square root of its probability
+(``collapse_branches`` every branch of positive probability).
 """
 
 from __future__ import annotations
@@ -205,18 +206,12 @@ def take_rows(state: StateVector, rows, qubits: Sequence[QubitId] | None = None)
 
 def join_rows(parts: Iterable[StateVector], rows: int) -> StateVector:
     """Stack the rows of ``parts``, which share one layout and hold
-    ``rows`` rows in all, in order, under the labels of the first.  Each
-    part is copied into one preallocated stack as it arrives, so a
-    generator of parts never holds them all beside the stack."""
-    amps, qubits, start = None, (), 0
-    for part in parts:
-        if amps is None:
-            amps, qubits = np.empty((rows, part.amps.shape[1]), complex), part.qubits
-        amps[start : start + part.rows] = part.amps
-        start += part.rows
-    if amps is None or start != rows:
-        raise ValueError(f"expected {rows} row(s) to join, got {start}")
-    return _state(qubits, amps)
+    ``rows`` rows in all, in order, under the labels of the first."""
+    parts = list(parts)
+    joined = sum(part.rows for part in parts)
+    if not parts or joined != rows:
+        raise ValueError(f"expected {rows} row(s) to join, got {joined}")
+    return _state(parts[0].qubits, np.concatenate([part.amps for part in parts]))
 
 
 def _per_row(table: dict, choice) -> np.ndarray:
@@ -286,16 +281,21 @@ def _sample(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     return np.where(hit.any(axis=1), np.argmax(hit, axis=1), last)
 
 
-def _measure(
-    bras: np.ndarray, psi: np.ndarray, uniforms: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Project axis 2 of ``psi`` (rows, a, d, b) onto the d rows of
-    ``bras``, (d, d) or one per row (rows, 1, d, d); returns each row's
-    sampled outcome and its renormalised (rows, a, b) branch."""
+def _branches(bras: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Project axis -3 of ``psi`` (..., a, d, b) onto the d rows of ``bras``,
+    (d, d) or one per row (rows, 1, d, d): every branch and its Born weight."""
     branches = bras @ psi
     weights = np.abs(branches)
     weights *= weights
-    probs = weights.sum(axis=(1, 3))
+    return branches, weights.sum(axis=(-3, -1))
+
+
+def _measure(
+    bras: np.ndarray, psi: np.ndarray, uniforms: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_branches`` of ``psi`` (rows, a, d, b); returns each row's sampled
+    outcome and its renormalised (rows, a, b) branch."""
+    branches, probs = _branches(bras, psi)
     k = _sample(probs, uniforms)
     rows = np.arange(len(k))
     return k, branches[rows, :, k] / np.sqrt(probs[rows, k])[:, None, None]
@@ -320,12 +320,25 @@ def collapse_qubit(
     uniforms: np.ndarray,
 ) -> tuple[np.ndarray, StateVector]:
     """Measure-and-resend: the qubit stays, reset to the sampled eigenstate."""
-    k, branch = _measure(_per_row(_BASIS_BRAS, basis), _around(state, target), uniforms)
-    vectors = np.broadcast_to(_per_row(_BASIS_VECTORS, basis), (len(k), 1, 2, 2))
-    eigenvectors = vectors[np.arange(len(k)), 0, k]
-    # back to (rows, 2**j, 2, rest), the sampled eigenvector on axis 2
-    post = eigenvectors[:, None, :, None] * branch[:, :, None, :]
-    return k, _state(state.qubits, post)
+    probs, post = collapse_branches(state, target)
+    position = BASES.index(basis) if isinstance(basis, MeasurementBasis) else basis
+    picked = np.arange(state.rows) * len(BASES) + position
+    k = _sample(probs.reshape(-1, 2)[picked], uniforms)
+    return k, take_rows(post, 2 * picked + k)
+
+
+def collapse_branches(state: StateVector, target: QubitId) -> tuple[np.ndarray, StateVector]:
+    """Measure-and-resend on ``target``, every outcome in each basis: the
+    (rows, len(BASES), 2) Born weights and the registers left, row (row *
+    len(BASES) + basis) * 2 + outcome; one of zero weight stays all zeros."""
+    every = np.arange(len(BASES))
+    branches, probs = _branches(_per_row(_BASIS_BRAS, every), _around(state, target)[:, None])
+    scale = np.sqrt(probs)[..., None, :, None]
+    kept = np.divide(branches, scale, out=np.zeros_like(branches), where=scale > 0.0)
+    # (rows, basis, outcome, 2**j, qubit, rest): the outcome's eigenvector on the qubit axis
+    eigenvectors = _per_row(_BASIS_VECTORS, every)[:, 0, :, None, :, None]
+    post = eigenvectors * kept.swapaxes(2, 3)[..., None, :]
+    return probs, _state(state.qubits, post.reshape(-1, state.amps.shape[1]))
 
 
 def measure_bell(

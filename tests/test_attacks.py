@@ -3,6 +3,7 @@
 import math
 import re
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -21,8 +22,10 @@ from csdcsim.attacks import (
     eve_group_information,
 )
 from csdcsim.cli import SWEEP_CELLS
-from csdcsim.protocol import MAX_PARTIES, MAX_TRIALS, ProtocolConfig, Session
-from csdcsim.states import BASES, MeasurementBasis, QubitId, make_state
+from csdcsim.protocol import MAX_PARTIES, MAX_TRIALS, ProtocolConfig, Session, draw_random_bases
+from csdcsim.states import (
+    BASES, MeasurementBasis, QubitId, apply_cnot, collapse_qubit, make_state, take_rows, tensor,
+)
 from stream_reference import _trial_message, _trial_seed
 
 ALL_ATTACKS = [
@@ -42,31 +45,129 @@ def config(**overrides) -> ProtocolConfig:
 # --- attack mechanics ---------------------------------------------------
 
 
+def streams(seed, *rows):
+    """A (generator, rows) run for each trial, as a session hands a tap."""
+    return [(np.random.default_rng([seed, k]), n) for k, n in enumerate(rows)]
+
+
 def test_no_attack_is_the_identity():
     qubit = QubitId(1, "t")
     state = make_state((qubit,), [0.6, 0.8])
-    out, tap = NoAttack().tap(qubit, state, [(np.random.default_rng(0), 1)])
+    out, index, seen = NoAttack().tap(qubit, state, streams(0, 1, 2))
     assert out is state
-    assert tap is None
+    assert index.tolist() == [0, 0, 0]
+    assert seen.shape == (2, 0)
 
 
 def test_intercept_resend_collapses_to_an_eigenstate():
     qubit = QubitId(1, "t")
     for seed in range(20):
         state = make_state((qubit,), [0.6, 0.8])
-        out, (bases, outcomes) = InterceptResend(BasisStrategy.ALWAYS_Z).tap(
-            qubit, state, [(np.random.default_rng(seed), 1)]
+        out, index, (bases, outcomes) = InterceptResend(BasisStrategy.ALWAYS_Z).tap(
+            qubit, state, streams(seed, 1)
         )
         assert bases.tolist() == [BASES.index(MeasurementBasis.COMPUTATIONAL)]
-        assert np.isclose(abs(out.amplitude(str(outcomes[0]))), 1.0)
+        assert index.tolist() == [2 * bases[0] + outcomes[0]]
+        assert np.isclose(abs(take_rows(out, index).amplitude(str(outcomes[0]))), 1.0)
 
 
 def test_entangle_measure_adds_one_ancilla():
     qubit = QubitId(3, "t")
     state = make_state((qubit,), [1, 0])
-    out, seen = EntangleMeasure().tap(qubit, state, [(np.random.default_rng(0), 1)])
-    assert seen is None
+    out, index, seen = EntangleMeasure().tap(qubit, state, streams(0, 1))
+    assert out.rows == 1 and index.tolist() == [0]
+    assert seen.shape == (2, 0)
     assert set(out.qubits) == {qubit, QubitId(3, "e")}
+
+
+@pytest.mark.parametrize("attack", ALL_ATTACKS, ids=attack_cell_label)
+@pytest.mark.parametrize("parties", [3, 5, 12])
+def test_taps_match_per_row_kernels_bit_for_bit(parties, attack):
+    # a tap reads every triplet off one register; it must give the bytes
+    # the kernels give on a stack of that register, one row per triplet
+    roles = ("h", "t") + tuple(f"c{j}" for j in range(1, parties - 1))
+    ghz = np.zeros(1 << parties)
+    ghz[0] = ghz[-1] = 1.0
+    register = make_state([QubitId(1, role) for role in roles], ghz)
+    travel = QubitId(1, "t")
+    rows = (16, 5, 16)
+    for seed in range(4):
+        stack, index, (bases, outcomes) = attack.tap(travel, register, streams(seed, *rows))
+        broadcast = take_rows(register, np.zeros(sum(rows), np.intp))
+        if isinstance(attack, EntangleMeasure):
+            probe = QubitId(1, "e")
+            expected = tensor(broadcast, make_state((probe,), [1.0, 0.0]))
+            expected = apply_cnot(expected, travel, probe)
+            assert bases.size == outcomes.size == 0
+        else:
+            drawn = streams(seed, *rows)
+            if attack.strategy is BasisStrategy.RANDOM:
+                picks = [draw_random_bases(rng, n) for rng, n in drawn]
+                want, uniforms = (np.concatenate(column) for column in zip(*picks))
+            else:
+                uniforms = np.concatenate([rng.random(n) for rng, n in drawn])
+                basis = MeasurementBasis(attack.strategy.value.upper())
+                want = np.full(len(uniforms), BASES.index(basis))
+            got, expected = collapse_qubit(broadcast, travel, want, uniforms)
+            assert bases.tolist() == want.tolist()
+            assert outcomes.tolist() == got.tolist()
+        assert stack.qubits == expected.qubits
+        assert take_rows(stack, index).amps.tobytes() == expected.amps.tobytes()
+
+
+@pytest.mark.parametrize("strategy, amplitudes", [
+    (BasisStrategy.ALWAYS_Z, [1.0, 0.0]),
+    (BasisStrategy.ALWAYS_X, [1.0, 1.0]),
+], ids=["z-on-zero", "x-on-plus"])
+def test_a_branch_of_zero_weight_is_never_divided(strategy, amplitudes):
+    # |0> read in Z, or |+> in X, has an outcome of zero weight; reading
+    # every outcome at once must leave it zero, not divide 0 by 0
+    qubit = QubitId(1, "t")
+    state = make_state((qubit,), amplitudes)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        probs, collapsed = states.collapse_branches(state, qubit)
+        out, index, (_, outcomes) = InterceptResend(strategy).tap(qubit, state, streams(3, 40))
+    zero = 2 * BASES.index(MeasurementBasis(strategy.value.upper())) + 1
+    assert probs.reshape(-1)[zero] == 0.0
+    assert not collapsed.amps[zero].any()
+    assert outcomes.tolist() == [0] * 40
+    assert np.allclose(take_rows(out, index).amps, state.amps)
+
+
+@pytest.mark.parametrize("attack", [*ALL_ATTACKS, NoAttack(), None], ids=attack_cell_label)
+def test_the_prepared_stack_holds_each_distinct_register_once(attack):
+    # a tap acts on travel photons alone: intercept-resend leaves one of
+    # four registers (basis x outcome), every other cell one register
+    configs = [config(attack=attack, seed=seed) for seed in range(6)]
+    session = Session(*configs)
+    session.prepare_and_distribute()
+    prepared, index = session._prepared, session._index
+    if isinstance(attack, InterceptResend):
+        assert prepared.rows <= 4
+        assert index.tolist() == (2 * session._tap_bases + session._tap_bits).tolist()
+    else:
+        assert prepared.rows == 1
+    # one entry for every triplet of every trial, each naming a register
+    assert index.shape == (len(configs) * 8,)
+    assert 0 <= index.min() and index.max() < prepared.rows
+    session.select_groups()
+    session.run_check()
+    assert np.count_nonzero(session._taken) == len(configs) * configs[0].checked_triplets
+
+
+def test_an_explicit_no_attack_runs_as_no_attack():
+    # NoAttack() and no attack take one path through S1, so they give one
+    # result, transcript included, alone and stacked, and one sweep tally
+    for trials in (1, 20):
+        bare = [config(seed=seed) for seed in range(trials)]
+        tapped = [replace(cfg, attack=NoAttack()) for cfg in bare]
+        expected, got = Session(*bare), Session(*tapped)
+        expected.run_trials()
+        got.run_trials()
+        for trial, cfg in enumerate(bare):
+            assert replace(got.result(trial), config=cfg) == expected.result(trial)
+    assert estimate_detection(config(attack=NoAttack()), 30) == estimate_detection(config(), 30)
 
 
 def test_tap_records_name_what_the_tap_saw():
@@ -275,21 +376,25 @@ def test_sweep_stacks_stay_within_one_sessions_widest(monkeypatch):
 
 @pytest.mark.parametrize("attack, probe", [(EntangleMeasure(), 1), (InterceptResend(), 0)])
 def test_a_wide_tapped_stack_is_held_once(attack, probe):
-    # the tapped registers dominate a wide attacked session; the engine
-    # must not hold a second copy of them while joining its blocks
-    triplets, parties = 256, 12
-    cfg = ProtocolConfig(
-        triplet_count=triplets, message_bits="0" * 128, party_count=parties, attack=attack
-    )
-    tapped_bytes = triplets * 2 ** (parties + probe) * 16
-    session = Session(cfg)
-    tracemalloc.start()
-    try:
-        session.run_trials()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.5 * tapped_bytes, peak / tapped_bytes
+    # a tap leaves each distinct register once, so a wide attacked session
+    # must peak no higher than the same session unattacked: its phases take
+    # rows out of the prepared stack in blocks either way
+    bare = ProtocolConfig(triplet_count=256, message_bits="0" * 128, party_count=12)
+
+    def traced_peak(cfg):
+        session = Session(cfg)
+        tracemalloc.start()
+        try:
+            session.run_trials()
+            return session, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    bases.default_decode_table()  # cached on first use, outside both runs
+    _, untapped_peak = traced_peak(bare)
+    session, peak = traced_peak(replace(bare, attack=attack))
+    assert session._prepared.num_qubits == bare.party_count + probe
+    assert peak <= 1.25 * untapped_peak, peak / untapped_peak
 
 
 def test_trials_must_be_positive():

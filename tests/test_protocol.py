@@ -184,9 +184,10 @@ def test_prepared_triplets_are_ghz(parties):
     width = 2 + (parties - 2)
     prepared = sess._prepared
     assert prepared.num_qubits == width
-    assert prepared.rows == cfg.triplet_count
+    # every triplet's row of the index names one register of the stack
+    assert sess._index.shape == (cfg.triplet_count,)
     for n in range(1, cfg.triplet_count + 1):
-        state = take_rows(prepared, [n - 1])
+        state = take_rows(prepared, sess._index[[n - 1]])
         ends = "0" * width, "1" * width
         for bits in ends:
             assert np.isclose(state.amplitude(bits), INV_SQRT2, atol=ATOL)
