@@ -45,7 +45,6 @@ from .protocol import (
     session_capacity,
 )
 from .states import BELL_OUTCOMES
-from .transcript import format_transcript
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -255,7 +254,7 @@ def run_single(args: argparse.Namespace) -> int:
     result = Session(config).run()
     with _open_out(args.transcript) as transcript_out:
         if transcript_out is not None:
-            transcript_out.write(format_transcript(result.records))
+            transcript_out.write(result.transcript)
     with _open_out(args.stats) as stats_out:
         decoded = result.decoded_bits if result.decoded_bits is not None else ""
         stats_out.write(f"decoded\t{decoded}\n")

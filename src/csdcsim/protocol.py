@@ -44,9 +44,10 @@ k*T + n - 1 of the prepared index (T triplets a trial), and the later
 stacks keep the trials in order, so a phase is still one kernel call per
 party over every trial's rows.  A trial that aborts in S4 leaves S5-S9
 by a mask.  The phases store their outcomes in per-trial arrays of
-positions in ``BASES``, ``BELL_OUTCOMES`` and ``EncodingOp``; a trial's
-transcript names them, built only when its ``SessionResult`` is asked
-for, so a sweep builds no records.
+positions in ``BASES``, ``BELL_OUTCOMES`` and ``EncodingOp``.  A trial's
+transcript names them: text written straight from those arrays, built
+only when its ``SessionResult`` is asked for, so a sweep builds none; its
+records are parsed from the text only if something reads them.
 
 Randomness: every trial draws from its own master seed through a named
 substream per party (ALICE, BOB, CTRL1..k, then EVE, spawn keys 0..),
@@ -66,6 +67,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cache, cached_property
+from itertools import chain
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
@@ -86,7 +88,7 @@ from .states import (
     take_rows,
     tensor,
 )
-from .transcript import TranscriptRecord
+from .transcript import TranscriptRecord, number_lines, parse_transcript
 
 if TYPE_CHECKING:  # pragma: no cover
     from .attacks import AttackModel
@@ -246,7 +248,12 @@ class SessionResult:
     match: bool
     violations: int
     abort_triplet: int | None
-    records: tuple[TranscriptRecord, ...] = field(repr=False)
+    transcript: str = field(repr=False)
+
+    @cached_property
+    def records(self) -> tuple[TranscriptRecord, ...]:
+        """The transcript's records, parsed from its text on first use."""
+        return tuple(parse_transcript(self.transcript))
 
 
 # numpy's SeedSequence (O'Neill's seed_seq_fe) hashes entropy words into a
@@ -586,7 +593,7 @@ class Session:
         return self.result(0)
 
     def result(self, trial: int) -> SessionResult:
-        """One trial's result, with its transcript."""
+        """One trial's result, with its transcript text."""
         cfg = self.configs[trial]
         completed = bool(self.completed[trial])
         decoded = self.decoded_bits[trial]
@@ -597,97 +604,112 @@ class Session:
             match=completed and decoded == cfg.message_bits,
             violations=int(self.violations[trial]),
             abort_triplet=None if completed else int(self.abort_triplet[trial]),
-            records=self._records(trial),
+            transcript=self._transcript(trial),
         )
 
-    def _records(self, trial: int) -> tuple[TranscriptRecord, ...]:
-        """The transcript of one trial, in protocol order, from the outcomes
-        the phases stored.  Announcements are authenticated: the
+    def _transcript(self, trial: int) -> str:
+        """The transcript text of one trial, in protocol order, from the
+        outcomes the phases stored.  Announcements are authenticated: the
         eavesdropper reads them but cannot alter or suppress them."""
         cfg, count = self.configs[trial], self.config.triplet_count
-        records: list[TranscriptRecord] = []
+        sender, receiver, controllers = cfg.sender, cfg.receiver, cfg.controllers
         # the names of the positions the phases stored
         basis_names = [basis.value for basis in BASES]
         bell_names = [outcome.value for outcome in BELL_OUTCOMES]
-        ops = tuple(EncodingOp)
-
-        def emit(phase: str, actor: str, action: str, detail: str) -> None:
-            records.append(TranscriptRecord(len(records) + 1, phase, actor, action, detail))
+        op_names = [f"bits={op.bits} op={op.name}" for op in EncodingOp]
 
         sizes = f"triplets={count} parties={cfg.party_count} groups={cfg.group_count}"
-        emit("S1", cfg.receiver, "PREPARE", sizes)
-        emit("S1", cfg.receiver, "SEND", f"to={cfg.sender} sequence=travel count={count}")
-        rows = slice(trial * count, (trial + 1) * count)
-        seen = zip(self._tap_bases[rows].tolist(), self._tap_bits[rows].tolist())
-        taps = [f"basis={basis_names[basis]} outcome={outcome}" for basis, outcome in seen]
+        lines = [
+            f"S1\t{receiver}\tPREPARE\t{sizes}",
+            f"S1\t{receiver}\tSEND\tto={sender} sequence=travel count={count}",
+        ]
         if QubitId(1, "e") in self._prepared.qubits:  # a probe coupled, nothing measured
-            taps = ["probe=cnot"] * count
-        for n, detail in enumerate(taps, 1):
-            emit("S1", EVE, "TAP", f"triplet={n} {detail}")
-        for ctrl in cfg.controllers:
-            emit("S1", cfg.receiver, "SEND", f"to={ctrl} sequence=control count={count}")
-        for party in (cfg.sender,) + cfg.controllers:
-            emit("S2", party, "RECEIPT", f"party={party} count={count}")
+            lines += [f"S1\t{EVE}\tTAP\ttriplet={n} probe=cnot" for n in range(1, count + 1)]
+        else:
+            rows = slice(trial * count, (trial + 1) * count)
+            seen = zip(self._tap_bases[rows].tolist(), self._tap_bits[rows].tolist())
+            lines += [
+                f"S1\t{EVE}\tTAP\ttriplet={n} basis={basis_names[basis]} outcome={outcome}"
+                for n, (basis, outcome) in enumerate(seen, 1)
+            ]
+        lines += [
+            f"S1\t{receiver}\tSEND\tto={ctrl} sequence=control count={count}" for ctrl in controllers
+        ]
+        lines += [
+            f"S2\t{party}\tRECEIPT\tparty={party} count={count}" for party in (sender,) + controllers
+        ]
 
-        checking = self.checking_groups[trial].tolist()
+        checking = ",".join(map(str, self.checking_groups[trial].tolist()))
         encoding = self.encoding_groups[trial].tolist()
-        selection = f"checking={','.join(map(str, checking))} encoding={','.join(map(str, encoding))}"
-        emit("S3", cfg.sender, "GROUP_SELECTION", selection)
+        selection = f"checking={checking} encoding={','.join(map(str, encoding))}"
+        lines.append(f"S3\t{sender}\tGROUP_SELECTION\t{selection}")
 
+        # each checked triplet's announcement, then every other party's reply
         checked = _pair_triplets(self.checking_groups[trial]).tolist()
-        bases = self._check_bases[trial * len(checked) : (trial + 1) * len(checked)]
-        labels = [basis_names[basis] for basis in bases.tolist()]
+        bases = self._check_bases[trial * len(checked) : (trial + 1) * len(checked)].tolist()
+        checks = [f"triplet={n} basis={basis_names[b]} outcome=" for n, b in zip(checked, bases)]
         bits = {party: column[trial].tolist() for party, column in self._check_bits.items()}
-        parties = (cfg.sender, cfg.receiver) + cfg.controllers
-        for i, (n, label) in enumerate(zip(checked, labels)):
-            outcome = bits[cfg.sender][i]
-            emit("S4", cfg.sender, "CHECK_ANNOUNCE", f"triplet={n} basis={label} outcome={outcome}")
-            for party in parties[1:]:
-                detail = f"party={party} triplet={n} basis={label} outcome={bits[party][i]}"
-                emit("S4", party, "CHECK_REPLY", detail)
-        for n, label, outcome in zip(checked, labels, bits.get(EVE, ())):
-            emit("S4", EVE, "ANCILLA_MEASURE", f"triplet={n} basis={label} outcome={outcome}")
+        announced = [f"S4\t{sender}\tCHECK_ANNOUNCE\t{c}{b}" for c, b in zip(checks, bits[sender])]
+        replies = [
+            [f"S4\t{party}\tCHECK_REPLY\tparty={party} {c}{b}" for c, b in zip(checks, bits[party])]
+            for party in (receiver,) + controllers
+        ]
+        lines += chain.from_iterable(zip(announced, *replies))
+        lines += [f"S4\t{EVE}\tANCILLA_MEASURE\t{c}{b}" for c, b in zip(checks, bits.get(EVE, ()))]
         counts = f"checked={len(checked)} violations={self.violations[trial]}"
         if not self.completed[trial]:
-            emit("S4", cfg.sender, "CHECK_VERDICT", f"verdict=abort {counts}")
-            detail = f"reason=check_failed triplet={self.abort_triplet[trial]}"
-            emit("S4", cfg.sender, "ABORT", detail)
-            return tuple(records)
-        emit("S4", cfg.sender, "CHECK_VERDICT", f"verdict=pass {counts}")
+            lines.append(f"S4\t{sender}\tCHECK_VERDICT\tverdict=abort {counts}")
+            reason = f"reason=check_failed triplet={self.abort_triplet[trial]}"
+            lines.append(f"S4\t{sender}\tABORT\t{reason}")
+            return number_lines(lines)
+        lines.append(f"S4\t{sender}\tCHECK_VERDICT\tverdict=pass {counts}")
 
         # the trial's place among those that passed, and its groups there
         j = int(np.count_nonzero(self.completed[:trial]))
         groups = slice(j * len(encoding), (j + 1) * len(encoding))
-        triplets = _pair_triplets(np.array(encoding)).tolist()
-        controller_bits = {ctrl: column[j].tolist() for ctrl, column in self._controller_bits.items()}
-        for ctrl in cfg.controllers:
-            for n, outcome in zip(triplets, controller_bits[ctrl]):
-                emit("S5", ctrl, "HADAMARD_MEASURE", f"triplet={n} outcome={outcome}")
-        for ctrl in cfg.controllers:
-            listed = ",".join(f"{n}:{outcome}" for n, outcome in zip(triplets, controller_bits[ctrl]))
-            emit("S6", ctrl, "CONTROLLER_OUTCOMES", f"party={ctrl} outcomes={listed}")
+        triplets = _pair_triplets(self.encoding_groups[trial]).tolist()
+        controller_bits = {c: column[j].tolist() for c, column in self._controller_bits.items()}
+        for ctrl in controllers:
+            lines += [
+                f"S5\t{ctrl}\tHADAMARD_MEASURE\ttriplet={n} outcome={b}"
+                for n, b in zip(triplets, controller_bits[ctrl])
+            ]
+        for ctrl in controllers:
+            listed = ",".join(f"{n}:{b}" for n, b in zip(triplets, controller_bits[ctrl]))
+            lines.append(f"S6\t{ctrl}\tCONTROLLER_OUTCOMES\tparty={ctrl} outcomes={listed}")
 
         sender_bell = [bell_names[k] for k in self._sender_bell[groups].tolist()]
-        for g, k, outcome in zip(encoding, self._ops[groups].tolist(), sender_bell):
-            emit("S7", cfg.sender, "ENCODE", f"group={g} bits={ops[k].bits} op={ops[k].name}")
-            detail = f"group={g} pair=t{2 * g - 1},t{2 * g} outcome={outcome}"
-            emit("S7", cfg.sender, "BELL_MEASURE", detail)
-        for g, outcome in zip(encoding, sender_bell):
-            emit("S8", cfg.sender, "BELL_ANNOUNCE", f"group={g} outcome={outcome}")
+        encoded = [
+            f"S7\t{sender}\tENCODE\tgroup={g} {op_names[k]}"
+            for g, k in zip(encoding, self._ops[groups].tolist())
+        ]
+        measured = [
+            f"S7\t{sender}\tBELL_MEASURE\tgroup={g} pair=t{2 * g - 1},t{2 * g} outcome={outcome}"
+            for g, outcome in zip(encoding, sender_bell)
+        ]
+        lines += chain.from_iterable(zip(encoded, measured))
+        lines += [
+            f"S8\t{sender}\tBELL_ANNOUNCE\tgroup={g} outcome={outcome}"
+            for g, outcome in zip(encoding, sender_bell)
+        ]
 
         parities = self.parities[j].tolist()
         decoded = self.decoded_bits[trial]
-        chunks = [decoded[k : k + 2] for k in range(0, len(decoded), 2)]
         receiver_bell = [bell_names[k] for k in self._receiver_bell[groups].tolist()]
-        read = zip(encoding, sender_bell, receiver_bell, chunks)
-        for i, (g, sender, receiver, chunk) in enumerate(read):
-            detail = f"group={g} pair=h{2 * g - 1},h{2 * g} outcome={receiver}"
-            emit("S9", cfg.receiver, "BELL_MEASURE", detail)
-            bells = f"sender={sender} receiver={receiver}"
-            detail = f"group={g} parities={parities[2 * i]}{parities[2 * i + 1]} {bells} bits={chunk}"
-            emit("S9", cfg.receiver, "DECODE", detail)
-        for g, k in zip(encoding, self._ancilla_bell[groups].tolist()):
-            detail = f"group={g} pair=e{2 * g - 1},e{2 * g} outcome={bell_names[k]}"
-            emit("S9", EVE, "ANCILLA_BELL", detail)
-        emit("S11", cfg.receiver, "COMPLETE", f"decoded={self.decoded_bits[trial]}")
-        return tuple(records)
+        measured = [
+            f"S9\t{receiver}\tBELL_MEASURE\tgroup={g} pair=h{2 * g - 1},h{2 * g} outcome={outcome}"
+            for g, outcome in zip(encoding, receiver_bell)
+        ]
+        read = zip(encoding, parities[::2], parities[1::2], sender_bell, receiver_bell)
+        decodes = [
+            f"S9\t{receiver}\tDECODE\tgroup={g} parities={p1}{p2} sender={s} receiver={r} "
+            f"bits={decoded[2 * i : 2 * i + 2]}"
+            for i, (g, p1, p2, s, r) in enumerate(read)
+        ]
+        lines += chain.from_iterable(zip(measured, decodes))
+        lines += [
+            f"S9\t{EVE}\tANCILLA_BELL\tgroup={g} pair=e{2 * g - 1},e{2 * g} outcome={bell_names[k]}"
+            for g, k in zip(encoding, self._ancilla_bell[groups].tolist())
+        ]
+        lines.append(f"S11\t{receiver}\tCOMPLETE\tdecoded={decoded}")
+        return number_lines(lines)

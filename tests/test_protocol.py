@@ -22,9 +22,10 @@ from csdcsim.protocol import (
     session_capacity,
     triplet_parity,
 )
-from csdcsim.attacks import BasisStrategy, EntangleMeasure, InterceptResend
+from csdcsim.attacks import BasisStrategy, EntangleMeasure, InterceptResend, attack_cell_label
 from csdcsim.states import ATOL, BASES, MeasurementBasis, QubitId, reorder, take_rows
 from csdcsim.transcript import format_transcript, parse_transcript
+from transcript_reference import reference_records
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -302,8 +303,56 @@ def test_sequence_numbers_are_dense():
 def test_transcript_round_trips():
     result = Session(config()).run()
     text = format_transcript(result.records)
+    assert text == result.transcript
     assert parse_transcript(text) == list(result.records)
     assert format_transcript(parse_transcript(text)) == text
+
+
+def random_message(seed: int, triplets: int) -> str:
+    bits = np.random.default_rng(seed).integers(0, 2, session_capacity(triplets, 0.5))
+    return "".join(map(str, bits.tolist()))
+
+
+@pytest.mark.parametrize("triplets", [8, 64])
+@pytest.mark.parametrize("parties", [3, 5])
+@pytest.mark.parametrize(
+    "attack",
+    [
+        None, InterceptResend(BasisStrategy.RANDOM), InterceptResend(BasisStrategy.ALWAYS_Z),
+        EntangleMeasure(),
+    ],
+    ids=attack_cell_label,
+)
+def test_transcript_text_matches_the_reference_records(attack, parties, triplets):
+    # the text written straight from the phase arrays, against records
+    # emitted one at a time from the same arrays; aborted trials included
+    for seed in range(10):
+        cfg = config(
+            triplet_count=triplets, message_bits=random_message(seed, triplets),
+            party_count=parties, attack=attack, seed=seed,
+        )
+        session = Session(cfg)
+        result = session.run()
+        assert result.transcript == format_transcript(reference_records(session, 0)), seed
+        assert result.records == tuple(parse_transcript(result.transcript))
+
+
+@pytest.mark.parametrize("parties", [3, 5])
+def test_stacked_transcripts_match_the_reference_records(parties):
+    # every trial of a stacked session, those after an aborted one included
+    configs = [
+        config(triplet_count=16, message_bits=random_message(seed, 16), party_count=parties,
+               attack=InterceptResend(BasisStrategy.RANDOM), seed=seed)
+        for seed in range(12)
+    ]
+    session = Session(*configs)
+    session.run_trials()
+    # past the first trial, some abort and some complete
+    assert set(session.completed[1:].tolist()) == {False, True}
+    for trial in range(len(configs)):
+        result = session.result(trial)
+        assert result.transcript == format_transcript(reference_records(session, trial)), trial
+        assert result.records == tuple(parse_transcript(result.transcript))
 
 
 def test_same_seed_same_transcript():

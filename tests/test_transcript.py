@@ -8,12 +8,14 @@ from csdcsim.transcript import (
     TranscriptRecord,
     format_line,
     format_transcript,
+    number_lines,
     parse_line,
     parse_transcript,
 )
 
+# any character but the separators, \x0c, \x85 and \u2028 among them
 printable = st.text(
-    st.characters(blacklist_characters="\t\n\r", min_codepoint=32, max_codepoint=126),
+    st.characters(blacklist_characters="\t\n\r"),
     min_size=1,
     max_size=20,
 )
@@ -44,6 +46,33 @@ def test_fields_may_not_contain_separators():
         parse_line("1\tS1\tALICE\tPRE\rPARE\tx")
 
 
+@pytest.mark.parametrize("seq", ["01", "+1", " 1", "1_0", "1 "])
+def test_parse_rejects_a_sequence_number_that_does_not_format_back(seq):
+    # int() reads each of these, but none is how format_line writes a number
+    with pytest.raises(ValueError):
+        parse_line(f"{seq}\tS1\tALICE\tPREPARE\tx")
+
+
+def test_only_lf_ends_a_line():
+    record = TranscriptRecord(1, "S1", "ALICE", "PREPARE", "x\x0cy\x85z\u2028")
+    text = format_transcript([record])
+    assert parse_transcript(text) == [record]
+    assert parse_transcript(text.rstrip("\n")) == [record]
+
+
+def test_numbered_lines_are_the_formatted_records():
+    bodies = ["S1\tALICE\tPREPARE\ttriplets=2", "S11\tALICE\tCOMPLETE\tdecoded=01"]
+    records = [TranscriptRecord(n, *body.split("\t")) for n, body in enumerate(bodies, 1)]
+    assert number_lines(bodies) == format_transcript(records)
+    assert number_lines([]) == ""
+
+
+@pytest.mark.parametrize("detail", ["x\ty", "x\ny", "x\ry", "x\r\n"])
+def test_numbered_lines_reject_a_separator_in_a_field(detail):
+    with pytest.raises(ValueError):
+        number_lines(["S1\tALICE\tPREPARE\ttriplets=2", f"S4\tBOB\tCHECK_ANNOUNCE\t{detail}"])
+
+
 def test_parse_rejects_wrong_field_count():
     with pytest.raises(ValueError):
         parse_line("1\tS1\tALICE\tPREPARE")
@@ -69,3 +98,6 @@ def test_arbitrary_records_round_trip(seq, phase, actor, action, detail):
     record = TranscriptRecord(seq, phase, actor, action, detail)
     text = format_transcript([record, record])
     assert parse_transcript(text) == [record, record]
+    body = "\t".join((phase, actor, action, detail))
+    numbered = [record._replace(seq=1), record._replace(seq=2)]
+    assert number_lines([body, body]) == format_transcript(numbered)
