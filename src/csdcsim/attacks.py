@@ -256,10 +256,10 @@ def estimate_detection(config: ProtocolConfig, trials: int) -> DetectionStats:
     # (the first of four words), and message stream, SeedSequence((seed, trial, 1))
     seeds = seed_state(_trial_entropy(config.seed, np.arange(trials)))[:, 0].tolist()
     message_words = seed_state(_trial_entropy(config.seed, np.arange(trials), 1))
-    # A session's triplets, as its phases take them out of the prepared
-    # stack (a probe ancilla on each), hold at most as many amplitudes as
-    # one register of the widest kind, or it holds one trial.  Chunks as
-    # large as AMPLITUDE_BUDGET allows ran no faster and raised peak memory.
+    # A session's triplets, were each a whole register with a probe
+    # ancilla, would hold at most as many amplitudes as one register of the
+    # widest kind, or it holds one trial.  Stacking changes no trial's
+    # outcome, only the time and memory a cell takes.
     chunk = max(1, (1 << MAX_PARTIES) // (config.triplet_count << (config.party_count + 1)))
     checked = violations = aborts = 0
     bits_total = bits_correct = 0

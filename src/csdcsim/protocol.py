@@ -25,15 +25,18 @@ sender and receiver roles exchanged; ``ProtocolConfig.sender`` and
 ``.receiver`` accept any two distinct party names, and the remaining
 parties act as controllers.
 
-Every phase is columnar: the registers it acts on sit in one stack, one
-row per triplet (``StateVector`` rows), and each party's operation is one
-kernel call over the stack.  A tap acts on travel photons alone, so the
-prepared stack (S1) holds each distinct register once, at most four, and
-an index the one each triplet holds; S4 and S5, one read-out step, take
-their rows out through it.  The later stacks are the encoding triplets'
-(home, travel[, probe]) rows after S5 and the groups' joined rows after
-S7.  Rows are processed in blocks of at most AMPLITUDE_BUDGET amplitudes,
-so no stack outgrows a few registers of the widest kind.
+Every phase is columnar: the registers it acts on sit in one stack
+(``StateVector`` rows), and each party's operation is one kernel call
+over the stack.  A tap acts on travel photons alone, so the prepared
+stack (S1) holds each distinct register once, at most four, and an index
+the one each triplet holds.  S4 and S5, one read-out step, keep to
+distinct registers too: each party reads every outcome of each distinct
+(register, basis) pair at once, picks each triplet's outcome with its
+draw, and keeps each distinct branch left once, so the registers read
+halve in width as they at most double in number.  Only the encoding
+triplets' (home, travel[, probe]) rows after S5 are held one per
+triplet, and the groups' joined rows after S7 one per group: at most six
+qubits each, so those phases run on their whole stacks.
 
 A session holds one or more trials: runs that share the triplet count,
 party count, check fraction, attack and roles, and differ only in seed
@@ -68,7 +71,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from itertools import chain
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -80,11 +83,12 @@ from .states import (
     MeasurementBasis,
     QubitId,
     StateVector,
+    _sample,
     apply_gate,
-    join_rows,
     make_state,
     measure_bell,
-    measure_qubit,
+    measure_branches,
+    measure_qubit,  # no caller here; perfbench's tracer test patches it in this module
     take_rows,
     tensor,
 )
@@ -98,8 +102,8 @@ BOB = "BOB"
 EVE = "EVE"
 
 MAX_SEED = 2**64 - 1
-# Every triplet is a dense register of 2**P amplitudes (2**(P+1) with a
-# probe ancilla); P=12 is 64 KiB a triplet.
+# A register is dense, 2**P amplitudes (2**(P+1) with a probe ancilla);
+# at P=12, 64 KiB each.
 MAX_PARTIES = 12
 # The prepared stack holds at most four registers, so what grows with the
 # triplet count is the per-triplet index and outcomes and the transcript.
@@ -107,7 +111,6 @@ MAX_TRIPLETS = 4096
 # A sweep cell holds every trial's seed and message words from its start,
 # under 80 bytes a trial, and a trial index must stay one entropy word.
 MAX_TRIALS = 1 << 20
-AMPLITUDE_BUDGET = 1 << 16  # per block of phase-stack rows; 16 P=12 registers
 
 _DIAGONAL = BASES.index(MeasurementBasis.DIAGONAL)
 _OP_GATES = np.array([tuple(Gate).index(op.gate) for op in EncodingOp])  # positions in Gate
@@ -343,15 +346,6 @@ def _labels(position: int, roles: Sequence[str]) -> tuple[QubitId, ...]:
     return tuple(QubitId(position, role) for role in roles)
 
 
-def _per_block(count: int, width: int, step: Callable[[slice], StateVector]) -> StateVector:
-    """Run ``step`` on consecutive blocks of range(count), each small enough
-    that a stack of ``width``-qubit registers stays within AMPLITUDE_BUDGET
-    amplitudes (one row at least), and stack the rows it returns, one per
-    row of the block."""
-    size = max(1, AMPLITUDE_BUDGET >> width)
-    return join_rows((step(slice(i, min(i + size, count))) for i in range(0, count, size)), count)
-
-
 def _pair_triplets(groups: np.ndarray) -> np.ndarray:
     """The triplets 2g-1, 2g of each group g, in order along the last axis."""
     return (2 * groups[..., None] + np.array([-1, 0])).reshape(*groups.shape[:-1], -1)
@@ -420,25 +414,27 @@ class Session:
         self, rows: np.ndarray, measuring: Sequence[tuple[str, str]],
         bases: np.ndarray, draws: dict[str, np.ndarray],
     ) -> tuple[dict[str, np.ndarray], StateVector]:
-        """Take the prepared registers at ``rows`` out; each (party, role)
+        """Read the prepared registers at ``rows`` out: each (party, role)
         of ``measuring`` in turn measures its photon in the row's basis with
-        the party's draws.  Returns each party's outcomes and the stack left.
-        A register is taken once, so no photon is measured twice."""
+        the party's draws.  Returns each party's outcomes and the stack left,
+        one row per row of ``rows``.  Each distinct (register, basis) is
+        read once, every outcome at once, and so is each distinct branch
+        the outcomes leave; only the last party's branches are taken out per
+        row.  A register is taken once, so no photon is measured twice."""
         taken = np.count_nonzero(self._taken)
         self._taken[rows] = True
         if np.count_nonzero(self._taken) - taken != len(rows):
             raise InternalError("a photon would be measured twice")
-        outcomes = {party: np.empty(len(rows), np.intp) for party, _ in measuring}
-
-        def measure(block: slice) -> StateVector:
-            state = take_rows(self._prepared, self._index[rows[block]])
-            for party, role in measuring:
-                outcomes[party][block], state = measure_qubit(
-                    state, QubitId(1, role), bases[block], draws[party][block]
-                )
-            return state
-
-        return outcomes, _per_block(len(rows), self._prepared.num_qubits, measure)
+        keys, index = np.unique(self._index[rows] * len(BASES) + bases, return_inverse=True)
+        state, bases = take_rows(self._prepared, keys // len(BASES)), keys % len(BASES)
+        outcomes = {}
+        for party, role in measuring:
+            probs, branches = measure_branches(state, QubitId(1, role), bases)
+            outcomes[party] = _sample(probs[index], draws[party])
+            # the branch each row's outcome leaves, each distinct one once
+            kept, index = np.unique(2 * index + outcomes[party], return_inverse=True)
+            state, bases = take_rows(branches, kept), bases[kept // 2]
+        return outcomes, take_rows(state, index)
 
     # -- protocol phases ---------------------------------------------------
 
@@ -525,20 +521,13 @@ class Session:
         self._ops = (np.frombuffer(message, np.uint8).reshape(-1, 2) - ord("0")) @ np.array([2, 1])
         draws = self._uniforms(cfg.sender, groups, live)
         encoding, self._encoding = self._encoding, None
-        second_labels = _labels(2, [q.role for q in encoding.qubits])
+        roles = [q.role for q in encoding.qubits]
+        firsts = take_rows(encoding, slice(0, None, 2))
+        seconds = take_rows(encoding, slice(1, None, 2), _labels(2, roles))
         travel_pair = (QubitId(1, "t"), QubitId(2, "t"))
-        outcomes = self._sender_bell = np.empty(len(self._ops), np.intp)
-
-        def encode_and_measure(block: slice) -> StateVector:
-            rows = range(2 * block.start, 2 * block.stop)
-            firsts = take_rows(encoding, slice(rows.start, rows.stop, 2))
-            seconds = take_rows(encoding, slice(rows.start + 1, rows.stop, 2), second_labels)
-            firsts = apply_gate(firsts, _OP_GATES[self._ops[block]], travel_pair[0])
-            outcomes[block], state = measure_bell(tensor(firsts, seconds), travel_pair, draws[block])
-            return state
-
+        firsts = apply_gate(firsts, _OP_GATES[self._ops], travel_pair[0])
         # (home 1[, probe 1], home 2[, probe 2]) of each encoding group
-        self._pairs = _per_block(len(self._ops), 2 * encoding.num_qubits, encode_and_measure)
+        self._sender_bell, self._pairs = measure_bell(tensor(firsts, seconds), travel_pair, draws)
 
     def receiver_decode(self) -> None:
         cfg, live = self.config, self._live
@@ -547,16 +536,10 @@ class Session:
         measuring = [(cfg.receiver, (QubitId(1, "h"), QubitId(2, "h")))]
         if QubitId(1, "e") in pairs.qubits:
             measuring.append((EVE, (QubitId(1, "e"), QubitId(2, "e"))))
-        draws = {party: self._uniforms(party, groups, live) for party, _ in measuring}
-        outcomes = {party: np.empty(len(self._ops), np.intp) for party, _ in measuring}
-
-        def measure(block: slice) -> StateVector:
-            state = take_rows(pairs, block)
-            for party, pair in measuring:
-                outcomes[party][block], state = measure_bell(state, pair, draws[party][block])
-            return state
-
-        if _per_block(len(self._ops), pairs.num_qubits, measure).num_qubits:
+        outcomes = {}
+        for party, pair in measuring:
+            outcomes[party], pairs = measure_bell(pairs, pair, self._uniforms(party, groups, live))
+        if pairs.num_qubits:
             raise InternalError("encoding photons were left unmeasured")
 
         self._receiver_bell = outcomes[cfg.receiver]

@@ -19,14 +19,19 @@ Conventions used throughout the package:
   and bases may be given per row, as positions in ``Gate`` and ``BASES``;
   measurements take one uniform draw per row, so the caller orders its
   draws, and return one outcome each, a bit or a position in ``BELL_OUTCOMES``.
-  The session engine relies on it to hold each distinct register once.
+* ``measure_branches`` and ``collapse_branches`` take no draws: they read
+  every outcome of each row, its Born weight and the register it leaves.
+  ``measure_qubit`` and ``collapse_qubit`` are each of them plus a pick
+  by the row's draw.  The session engine reads its few distinct
+  registers so, once each, and picks a branch per triplet.
 
 Invariant: ``make_state`` is the only place that validates a register
 and normalises amplitudes.  Every kernel takes normalised rows and
 returns them, built directly with read-only amplitudes and no further
-checks.  Gates are unitary, so only the measurements renormalise,
-dividing the sampled branch by the square root of its probability
-(``collapse_branches`` every branch of positive probability).
+checks.  Gates are unitary, so only the measurements renormalise, all
+through one projection that divides every branch by the square root of
+its probability; a branch of zero probability is left all zeros, never
+divided.
 """
 
 from __future__ import annotations
@@ -204,16 +209,6 @@ def take_rows(state: StateVector, rows, qubits: Sequence[QubitId] | None = None)
     return _state(state.qubits if qubits is None else tuple(qubits), state.amps[rows])
 
 
-def join_rows(parts: Iterable[StateVector], rows: int) -> StateVector:
-    """Stack the rows of ``parts``, which share one layout and hold
-    ``rows`` rows in all, in order, under the labels of the first."""
-    parts = list(parts)
-    joined = sum(part.rows for part in parts)
-    if not parts or joined != rows:
-        raise ValueError(f"expected {rows} row(s) to join, got {joined}")
-    return _state(parts[0].qubits, np.concatenate([part.amps for part in parts]))
-
-
 def _per_row(table: dict, choice) -> np.ndarray:
     """One choice's (d, d) matrix, or a (rows, 1, d, d) stack from per-row positions."""
     if isinstance(choice, Enum):
@@ -282,23 +277,15 @@ def _sample(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
 
 
 def _branches(bras: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Project axis -3 of ``psi`` (..., a, d, b) onto the d rows of ``bras``,
-    (d, d) or one per row (rows, 1, d, d): every branch and its Born weight."""
+    """Project axis -2 of ``psi`` (..., a, d, b) onto the d rows of ``bras``,
+    (d, d) or one per row (rows, 1, d, d): every branch, renormalised, and
+    its (..., d) Born weights.  A branch of zero weight stays all zeros."""
     branches = bras @ psi
     weights = np.abs(branches)
     weights *= weights
-    return branches, weights.sum(axis=(-3, -1))
-
-
-def _measure(
-    bras: np.ndarray, psi: np.ndarray, uniforms: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """``_branches`` of ``psi`` (rows, a, d, b); returns each row's sampled
-    outcome and its renormalised (rows, a, b) branch."""
-    branches, probs = _branches(bras, psi)
-    k = _sample(probs, uniforms)
-    rows = np.arange(len(k))
-    return k, branches[rows, :, k] / np.sqrt(probs[rows, k])[:, None, None]
+    probs = weights.sum(axis=(-3, -1))
+    scale = np.sqrt(probs)[..., None, :, None]
+    return np.divide(branches, scale, out=np.zeros_like(branches), where=scale > 0.0), probs
 
 
 def measure_qubit(
@@ -309,8 +296,21 @@ def measure_qubit(
 ) -> tuple[np.ndarray, StateVector]:
     """Projective measurement of every row, in one basis or one per row as
     positions in ``BASES``; the measured qubit leaves the register."""
-    k, branch = _measure(_per_row(_BASIS_BRAS, basis), _around(state, target), uniforms)
-    return k, _state(tuple(q for q in state.qubits if q != target), branch)
+    probs, left = measure_branches(state, target, basis)
+    k = _sample(probs, uniforms)
+    return k, take_rows(left, 2 * np.arange(state.rows) + k)
+
+
+def measure_branches(
+    state: StateVector, target: QubitId, basis: MeasurementBasis | np.ndarray
+) -> tuple[np.ndarray, StateVector]:
+    """Every outcome of a projective measurement of each row, in one basis
+    or one per row as positions in ``BASES``: the (rows, 2) Born weights and
+    the registers left without the qubit, row 2 * row + outcome; one of
+    zero weight stays all zeros."""
+    branches, probs = _branches(_per_row(_BASIS_BRAS, basis), _around(state, target))
+    left = tuple(q for q in state.qubits if q != target)
+    return probs, _state(left, branches.swapaxes(1, 2).reshape(2 * state.rows, -1))
 
 
 def collapse_qubit(
@@ -332,9 +332,7 @@ def collapse_branches(state: StateVector, target: QubitId) -> tuple[np.ndarray, 
     (rows, len(BASES), 2) Born weights and the registers left, row (row *
     len(BASES) + basis) * 2 + outcome; one of zero weight stays all zeros."""
     every = np.arange(len(BASES))
-    branches, probs = _branches(_per_row(_BASIS_BRAS, every), _around(state, target)[:, None])
-    scale = np.sqrt(probs)[..., None, :, None]
-    kept = np.divide(branches, scale, out=np.zeros_like(branches), where=scale > 0.0)
+    kept, probs = _branches(_per_row(_BASIS_BRAS, every), _around(state, target)[:, None])
     # (rows, basis, outcome, 2**j, qubit, rest): the outcome's eigenvector on the qubit axis
     eigenvectors = _per_row(_BASIS_VECTORS, every)[:, 0, :, None, :, None]
     post = eigenvectors * kept.swapaxes(2, 3)[..., None, :]
@@ -355,5 +353,6 @@ def measure_bell(
     rest = [m for m in range(state.num_qubits) if m != i and m != j]
     psi = state.amps.reshape([state.rows] + [2] * state.num_qubits)
     psi = psi.transpose([0, i + 1, j + 1, *(m + 1 for m in rest)])
-    k, branch = _measure(_BELL_BRAS, psi.reshape(state.rows, 1, 4, -1), uniforms)
-    return k, _state(tuple(state.qubits[m] for m in rest), branch)
+    branches, probs = _branches(_BELL_BRAS, psi.reshape(state.rows, 1, 4, -1))
+    k = _sample(probs, uniforms)
+    return k, _state(tuple(state.qubits[m] for m in rest), branches[np.arange(state.rows), :, k])

@@ -23,8 +23,10 @@ from csdcsim.protocol import (
     triplet_parity,
 )
 from csdcsim.attacks import BasisStrategy, EntangleMeasure, InterceptResend, attack_cell_label
+from csdcsim.cli import SWEEP_CELLS
 from csdcsim.states import ATOL, BASES, MeasurementBasis, QubitId, reorder, take_rows
 from csdcsim.transcript import format_transcript, parse_transcript
+from readout_reference import reference_readout
 from transcript_reference import reference_records
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -353,6 +355,58 @@ def test_stacked_transcripts_match_the_reference_records(parties):
         result = session.result(trial)
         assert result.transcript == format_transcript(reference_records(session, trial)), trial
         assert result.records == tuple(parse_transcript(result.transcript))
+
+
+def checked_readouts(monkeypatch, *configs) -> tuple[Session, int]:
+    """Run a session whose every read-out (S4, then S5 if a trial passed)
+    is checked against the per-row reference; returns it and the count."""
+    real = Session._measure_photons
+    readouts = []
+
+    def compared(self, rows, measuring, bases, draws):
+        want, want_left = reference_readout(self, rows, measuring, bases, draws)
+        outcomes, left = real(self, rows, measuring, bases, draws)
+        assert list(outcomes) == list(want)
+        for party, column in want.items():
+            assert outcomes[party].tolist() == column.tolist(), party
+        assert left.qubits == want_left.qubits
+        assert left.amps.tobytes() == want_left.amps.tobytes()
+        readouts.append(rows)
+        return outcomes, left
+
+    monkeypatch.setattr(Session, "_measure_photons", compared)
+    session = Session(*configs)
+    session.run_trials()
+    return session, len(readouts)
+
+
+@pytest.mark.parametrize("triplets", [8, 64])
+@pytest.mark.parametrize("parties", [3, 5, 12])
+@pytest.mark.parametrize("attack", SWEEP_CELLS, ids=attack_cell_label)
+def test_readout_matches_the_per_row_reference(monkeypatch, attack, parties, triplets):
+    # S4 and S5 read each distinct register and branch once; that must give
+    # the outcomes and bytes of reading every triplet's register out
+    passed = 0
+    for seed in range(10):
+        cfg = config(
+            triplet_count=triplets, message_bits=random_message(seed, triplets),
+            party_count=parties, attack=attack, seed=seed,
+        )
+        session, readouts = checked_readouts(monkeypatch, cfg)
+        assert readouts == 1 + session.completed[0], seed
+        passed += session.completed[0]
+    # an attacked trial of 64 triplets all but never passes its check
+    assert passed or (attack is not None and triplets == 64)
+
+
+def test_stacked_readout_matches_the_per_row_reference(monkeypatch):
+    configs = [
+        config(triplet_count=16, message_bits=random_message(seed, 16), party_count=5,
+               attack=InterceptResend(BasisStrategy.RANDOM), seed=seed)
+        for seed in range(12)
+    ]
+    session, readouts = checked_readouts(monkeypatch, *configs)
+    assert readouts == 2 and set(session.completed.tolist()) == {False, True}
 
 
 def test_same_seed_same_transcript():

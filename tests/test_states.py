@@ -23,9 +23,9 @@ from csdcsim.states import (
     apply_gate,
     collapse_qubit,
     inner_product,
-    join_rows,
     make_state,
     measure_bell,
+    measure_branches,
     measure_qubit,
     reorder,
     take_rows,
@@ -376,15 +376,8 @@ def test_two_qubit_kernels_match_the_moveaxis_reference(n, seed):
 
 def random_stack(qubits, rows, rng):
     seeds = rng.integers(0, 2**32, size=rows)
-    return join_rows([random_state(qubits, int(s)) for s in seeds], rows)
-
-
-def test_join_rows_rejects_a_wrong_row_count():
-    parts = [random_state((QubitId(1, "q"),), seed) for seed in range(3)]
-    assert np.array_equal(join_rows(iter(parts), 3).amps[2], parts[2].amps[0])
-    for rows in (0, 2, 4):
-        with pytest.raises(ValueError):
-            join_rows(parts, rows)
+    amps = np.concatenate([random_state(qubits, int(s)).amps for s in seeds])
+    return StateVector(qubits, amps)
 
 
 def assert_rows_equal(stacked, singles):
@@ -424,6 +417,15 @@ def test_stacked_kernels_match_one_row_calls_bit_for_bit(n, rows, seed):
         ]
         assert outcomes.tolist() == [k for (k,), _ in calls]
         assert_rows_equal(post, [single for _, single in calls])
+    # every outcome of each row at once, as the session reads a register;
+    # a draw picks measure_qubit's branch out of them
+    probs, branches = measure_branches(stack, target, bases)
+    calls = [measure_branches(one, target, BASES[basis]) for one, basis in zip(singles, bases)]
+    assert probs.tobytes() == np.concatenate([weights for weights, _ in calls]).tobytes()
+    assert_rows_equal(branches, [take_rows(left, [k]) for _, left in calls for k in range(2)])
+    outcomes, post = measure_qubit(stack, target, bases, uniforms)
+    assert outcomes.tolist() == _sample(probs, uniforms).tolist()
+    assert_rows_equal(post, [take_rows(branches, [2 * r + k]) for r, k in enumerate(outcomes)])
     # the session reads a Hadamard then a computational measurement out as
     # one diagonal measurement, with one basis or one per row
     rotated = apply_gate(stack, Gate.HADAMARD, target)
