@@ -11,7 +11,7 @@ independent of ``StateVector`` and the kernels the sessions run on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Sequence
 
@@ -30,7 +30,7 @@ from .states import (
     tensor,
 )
 from .protocol import (
-    MAX_PARTIES, MAX_TRIALS, ProtocolConfig, Session, draw_random_bases, seed_state,
+    MAX_PARTIES, MAX_TRIALS, SESSION_ROWS, ProtocolConfig, Session, draw_random_bases, seed_state,
     seeded_generator, untapped,
 )
 
@@ -242,40 +242,31 @@ def _trial_entropy(seed: int, trials: np.ndarray, *tail: int) -> np.ndarray:
     return np.array(np.broadcast_arrays(*words, *[0] * (4 - len(words))), np.uint32)
 
 
-def _message(stream: np.ndarray, config: ProtocolConfig) -> str:
-    bits = seeded_generator(stream).integers(0, 2, size=config.capacity_bits)
-    return "".join(map(str, bits.tolist()))
-
-
 def estimate_detection(config: ProtocolConfig, trials: int) -> DetectionStats:
     """Run independent trials with derived seeds and random messages,
-    stacked into sessions of a few trials each."""
+    stacked into sessions of up to ``SESSION_ROWS`` triplets each."""
     if not 1 <= trials <= MAX_TRIALS:
         raise ValueError(f"trials must be between 1 and {MAX_TRIALS}")
-    # each trial's seed, SeedSequence((seed, trial)).generate_state(1, np.uint64)
-    # (the first of four words), and message stream, SeedSequence((seed, trial, 1))
-    seeds = seed_state(_trial_entropy(config.seed, np.arange(trials)))[:, 0].tolist()
-    message_words = seed_state(_trial_entropy(config.seed, np.arange(trials), 1))
-    # A session's triplets, were each a whole register with a probe
-    # ancilla, would hold at most as many amplitudes as one register of the
-    # widest kind, or it holds one trial.  Stacking changes no trial's
-    # outcome, only the time and memory a cell takes.
-    chunk = max(1, (1 << MAX_PARTIES) // (config.triplet_count << (config.party_count + 1)))
-    checked = violations = aborts = 0
-    bits_total = bits_correct = 0
+    # Stacking changes no trial's outcome, only the time and memory a cell
+    # takes, and a session's memory grows with its triplet rows.
+    chunk = max(1, SESSION_ROWS // config.triplet_count)
+    violations = aborts = bits_correct = 0
     for start in range(0, trials, chunk):
-        session = Session(*(
-            replace(config, seed=seeds[trial], message_bits=_message(message_words[trial], config))
-            for trial in range(start, min(start + chunk, trials))
-        ))
+        batch = np.arange(start, min(start + chunk, trials))
+        # each trial's seed, SeedSequence((seed, trial)).generate_state(1, np.uint64)
+        # (the first of four words), and message stream, SeedSequence((seed, trial, 1))
+        seeds = seed_state(_trial_entropy(config.seed, batch))[:, 0]
+        messages = np.array([
+            seeded_generator(words).integers(0, 2, config.capacity_bits)
+            for words in seed_state(_trial_entropy(config.seed, batch, 1))
+        ], np.uint8)
+        session = Session(config, seeds, messages)
         session.run_trials()
-        checked += config.checked_triplets * len(session.configs)
         violations += int(session.violations.sum())
         aborts += int(np.count_nonzero(~session.completed))
-        for cfg, decoded in zip(session.configs, session.decoded_bits):
-            if decoded is not None:
-                bits_total += len(decoded)
-                bits_correct += sum(map(str.__eq__, decoded, cfg.message_bits))
+        # a trial that aborted decoded nothing
+        bits_correct += int(np.count_nonzero((session.decoded == messages)[session.completed]))
+    checked = config.checked_triplets * trials
     return DetectionStats(
         attack=attack_cell_label(config.attack),
         trials=trials,
@@ -284,7 +275,7 @@ def estimate_detection(config: ProtocolConfig, trials: int) -> DetectionStats:
         detection_rate=violations / checked if checked else 0.0,
         aborts=aborts,
         abort_rate=aborts / trials,
-        decoded_bits_total=bits_total,
+        decoded_bits_total=config.capacity_bits * (trials - aborts),
         decoded_bits_correct=bits_correct,
     )
 

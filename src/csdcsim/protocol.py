@@ -38,11 +38,12 @@ triplets' (home, travel[, probe]) rows after S5 are held one per
 triplet, and the groups' joined rows after S7 one per group: at most six
 qubits each, so those phases run on their whole stacks.
 
-A session holds one or more trials: runs that share the triplet count,
-party count, check fraction, attack and roles, and differ only in seed
-and message.  ``Session(config)`` is the one-trial case; a sweep cell
-runs its trials as one session (``attacks.estimate_detection``).  The
-trial is the outer axis of every stack: triplet n of trial k is row
+A session holds one or more trials of one shared ``ProtocolConfig``: a
+trial is a seed and a message, given as arrays beside the config.
+``Session(config)`` is the one-trial case, with the config's own seed
+and message; a sweep cell runs its trials as one session, or as a few
+of at most ``SESSION_ROWS`` triplets each (``attacks.estimate_detection``).
+The trial is the outer axis of every stack: triplet n of trial k is row
 k*T + n - 1 of the prepared index (T triplets a trial), and the later
 stacks keep the trials in order, so a phase is still one kernel call per
 party over every trial's rows.  A trial that aborts in S4 leaves S5-S9
@@ -68,7 +69,7 @@ bit-exact array draw ran slower at the few photons a sweep trial draws.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
 from itertools import chain
 from typing import TYPE_CHECKING, Sequence
@@ -108,9 +109,12 @@ MAX_PARTIES = 12
 # The prepared stack holds at most four registers, so what grows with the
 # triplet count is the per-triplet index and outcomes and the transcript.
 MAX_TRIPLETS = 4096
-# A sweep cell holds every trial's seed and message words from its start,
-# under 80 bytes a trial, and a trial index must stay one entropy word.
+# A trial index must stay one entropy word; a sweep cell draws its trials'
+# seeds and messages session by session, so no array spans the cell.
 MAX_TRIALS = 1 << 20
+# A sweep session's row budget: at most this many triplets over all its
+# trials, or one trial; its memory grows with triplet rows, not register width.
+SESSION_ROWS = 1 << 14
 
 _DIAGONAL = BASES.index(MeasurementBasis.DIAGONAL)
 _OP_GATES = np.array([tuple(Gate).index(op.gate) for op in EncodingOp])  # positions in Gate
@@ -233,15 +237,6 @@ class ProtocolConfig:
     def capacity_bits(self) -> int:
         return session_capacity(self.triplet_count, self.check_fraction)
 
-    @property
-    def shape(self) -> tuple:
-        """Every field but the seed and the message: what the trials of
-        one session share."""
-        return (
-            self.triplet_count, self.party_count, self.check_fraction,
-            self.attack, self.sender, self.receiver,
-        )
-
 
 @dataclass(frozen=True)
 class SessionResult:
@@ -351,19 +346,37 @@ def _pair_triplets(groups: np.ndarray) -> np.ndarray:
     return (2 * groups[..., None] + np.array([-1, 0])).reshape(*groups.shape[:-1], -1)
 
 
+def _bit_string(bits: np.ndarray) -> str:
+    return (bits + ord("0")).tobytes().decode()
+
+
 class Session:
     """Drives one protocol run per trial, all trials at once; all state
-    lives on the instance."""
+    lives on the instance.  A trial is a seed (``seeds``, uint64) and a
+    message (a row of ``messages``, capacity_bits 0s and 1s); by default
+    the config's own seed, and its own message for each seed."""
 
-    def __init__(self, *configs: ProtocolConfig) -> None:
-        if not configs or any(c.shape != configs[0].shape for c in configs):
-            raise ConfigError("a session runs one or more trials differing only in seed and message")
-        self.configs = configs
-        self.config = config = configs[0]  # the shape every trial shares
+    def __init__(self, config: ProtocolConfig, seeds=None, messages=None) -> None:
+        self.seeds = seeds = np.asarray([config.seed] if seeds is None else seeds, np.uint64)
+        if messages is None:
+            own = np.frombuffer(config.message_bits.encode(), np.uint8) - ord("0")
+            messages = np.broadcast_to(own, (len(seeds), len(own)))
+        messages = np.asarray(messages)
+        if not len(seeds):
+            raise ConfigError("a session runs one or more trials")
+        if len(messages) != len(seeds):
+            raise ConfigError(f"{len(seeds)} seed(s) but {len(messages)} message(s)")
+        if messages.ndim != 2 or messages.shape[1] != config.capacity_bits:
+            raise ConfigError(f"each message must be {config.capacity_bits} bits long")
+        if not np.isin(messages, (0, 1)).all():
+            raise ConfigError("a message holds 0s and 1s only")
+        self.messages = messages.astype(np.uint8, copy=False)
+        self.config = config
         stream_names = config.roster + (EVE,)
         # each party's stream in every trial: a spawn key zero-pads the seed's words
-        entropy = np.array([(c.seed & 0xFFFFFFFF, c.seed >> 32, 0, 0) for c in configs], np.uint32)
-        words = seed_state(entropy.T, len(stream_names))
+        entropy = np.zeros((4, len(seeds)), np.uint32)
+        entropy[:2] = seeds & 0xFFFFFFFF, seeds >> 32
+        words = seed_state(entropy, len(stream_names))
         self._rngs = {
             name: [seeded_generator(w) for w in rows] for name, rows in zip(stream_names, words)
         }
@@ -377,7 +390,7 @@ class Session:
         # register _index[k*T + n - 1] of _prepared; _taken marks it taken.
         self._prepared: StateVector | None = None
         self._index = np.zeros(0, np.intp)
-        self._taken = np.zeros(len(configs) * config.triplet_count, bool)
+        self._taken = np.zeros(len(seeds) * config.triplet_count, bool)
         self._encoding: StateVector | None = None
         self._pairs: StateVector | None = None
 
@@ -385,7 +398,7 @@ class Session:
         # that passed the check (_live); the tap's and the check's bases and
         # outcomes are flat, one per photon, and the operations and Bell
         # outcomes one per encoding group of those trials.
-        trials, empty = len(configs), np.zeros(0, np.intp)
+        trials, empty = len(seeds), np.zeros(0, np.intp)
         self._tap_bases = self._tap_bits = empty  # if the tap measured them in transit
         self.checking_groups = np.zeros((trials, 0), np.intp)
         self.encoding_groups = np.zeros((trials, 0), np.intp)
@@ -397,7 +410,7 @@ class Session:
         self._controller_bits: dict[str, np.ndarray] = {}
         self.parities = np.zeros((0, 0), np.intp)
         self._ops = self._sender_bell = self._receiver_bell = self._ancilla_bell = empty
-        self.decoded_bits: list[str | None] = [None] * trials
+        self.decoded = np.zeros(self.messages.shape, np.uint8)  # zeros if aborted
 
     # -- register and stream helpers ---------------------------------------
 
@@ -451,7 +464,7 @@ class Session:
         )
 
     def select_groups(self) -> None:
-        cfg, trials = self.config, len(self.configs)
+        cfg, trials = self.config, len(self.seeds)
         orders = np.array([rng.permutation(cfg.group_count) for rng in self._rngs[cfg.sender]])
         # the first checking_group_count groups of each trial's order check;
         # the groups of each kind are listed in increasing order
@@ -467,7 +480,7 @@ class Session:
         All checked photons are consumed even after a violation, so the
         per-triplet violation rate is well defined for statistics.
         """
-        cfg, trials = self.config, np.arange(len(self.configs))
+        cfg, trials = self.config, np.arange(len(self.seeds))
         checked = _pair_triplets(self.checking_groups)
         count = cfg.checked_triplets
         drawn = [draw_random_bases(rng, count) for rng in self._rngs[cfg.sender]]
@@ -517,8 +530,7 @@ class Session:
         cfg, live = self.config, self._live
         groups = cfg.encoding_group_count
         # each group's two message bits, read as a number, name its operation
-        message = "".join(self.configs[k].message_bits for k in live.tolist()).encode()
-        self._ops = (np.frombuffer(message, np.uint8).reshape(-1, 2) - ord("0")) @ np.array([2, 1])
+        self._ops = self.messages[live].reshape(-1, 2) @ np.array([2, 1])
         draws = self._uniforms(cfg.sender, groups, live)
         encoding, self._encoding = self._encoding, None
         roles = [q.role for q in encoding.qubits]
@@ -547,9 +559,7 @@ class Session:
         p1, p2 = self.parities.reshape(-1, 2).T
         ops = default_decode_table().dense[p1, p2, self._sender_bell, self._receiver_bell]
         # an operation's position is its two bits read as a number
-        chars = (ops[:, None] >> np.array([1, 0]) & 1).astype(np.uint8) + ord("0")
-        for k, decoded in zip(live.tolist(), chars.reshape(len(live), -1)):
-            self.decoded_bits[k] = decoded.tobytes().decode()
+        self.decoded[live] = (ops[:, None] >> np.array([1, 0]) & 1).reshape(len(live), -1)
 
     # -- drivers ----------------------------------------------------------
 
@@ -564,7 +574,7 @@ class Session:
             self.receiver_decode()
         # every prepared register was taken out and measured, except the
         # encoding triplets' of an aborted trial, which stay alive
-        taken = np.count_nonzero(self._taken.reshape(len(self.configs), -1), axis=1)
+        taken = np.count_nonzero(self._taken.reshape(len(self.seeds), -1), axis=1)
         expected = np.where(self.completed, self.config.triplet_count, self.config.checked_triplets)
         if not np.array_equal(taken, expected):
             raise InternalError("qubit conservation violated")
@@ -576,25 +586,25 @@ class Session:
         return self.result(0)
 
     def result(self, trial: int) -> SessionResult:
-        """One trial's result, with its transcript text."""
-        cfg = self.configs[trial]
+        """One trial's result, with its config and transcript text."""
+        message = _bit_string(self.messages[trial])
         completed = bool(self.completed[trial])
-        decoded = self.decoded_bits[trial]
+        decoded = _bit_string(self.decoded[trial]) if completed else None
         return SessionResult(
-            config=cfg,
+            config=replace(self.config, seed=int(self.seeds[trial]), message_bits=message),
             completed=completed,
             decoded_bits=decoded,
-            match=completed and decoded == cfg.message_bits,
+            match=completed and decoded == message,
             violations=int(self.violations[trial]),
             abort_triplet=None if completed else int(self.abort_triplet[trial]),
-            transcript=self._transcript(trial),
+            transcript=self._transcript(trial, decoded),
         )
 
-    def _transcript(self, trial: int) -> str:
+    def _transcript(self, trial: int, decoded: str | None) -> str:
         """The transcript text of one trial, in protocol order, from the
         outcomes the phases stored.  Announcements are authenticated: the
         eavesdropper reads them but cannot alter or suppress them."""
-        cfg, count = self.configs[trial], self.config.triplet_count
+        cfg, count = self.config, self.config.triplet_count
         sender, receiver, controllers = cfg.sender, cfg.receiver, cfg.controllers
         # the names of the positions the phases stored
         basis_names = [basis.value for basis in BASES]
@@ -677,7 +687,6 @@ class Session:
         ]
 
         parities = self.parities[j].tolist()
-        decoded = self.decoded_bits[trial]
         receiver_bell = [bell_names[k] for k in self._receiver_bell[groups].tolist()]
         measured = [
             f"S9\t{receiver}\tBELL_MEASURE\tgroup={g} pair=h{2 * g - 1},h{2 * g} outcome={outcome}"

@@ -337,7 +337,7 @@ def test_equal_controller_parity_patterns_decode_identically():
         result = sess.run()
         assert result.completed and result.match
         # the one trial's encoding groups, in order
-        decoded = sess.decoded_bits[0]
+        decoded = result.decoded_bits
         groups = zip(
             sess.parities[0].reshape(-1, 2).tolist(),
             sess._sender_bell.tolist(), sess._receiver_bell.tolist(),

@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from csdcsim import bases, states
+from csdcsim import attacks, bases, states
 from csdcsim.attacks import (
     BasisStrategy,
     EntangleMeasure,
@@ -22,7 +22,9 @@ from csdcsim.attacks import (
     eve_group_information,
 )
 from csdcsim.cli import SWEEP_CELLS
-from csdcsim.protocol import MAX_PARTIES, MAX_TRIALS, ProtocolConfig, Session, draw_random_bases
+from csdcsim.protocol import (
+    MAX_PARTIES, MAX_TRIALS, SESSION_ROWS, ProtocolConfig, Session, draw_random_bases,
+)
 from csdcsim.states import (
     BASES, MeasurementBasis, QubitId, apply_cnot, collapse_qubit, make_state, take_rows, tensor,
 )
@@ -143,8 +145,8 @@ def test_a_branch_of_zero_weight_is_never_divided(strategy, amplitudes):
 def test_the_prepared_stack_holds_each_distinct_register_once(attack):
     # a tap acts on travel photons alone: intercept-resend leaves one of
     # four registers (basis x outcome), every other cell one register
-    configs = [config(attack=attack, seed=seed) for seed in range(6)]
-    session = Session(*configs)
+    cfg = config(attack=attack)
+    session = Session(cfg, seeds=np.arange(6, dtype=np.uint64))
     session.prepare_and_distribute()
     prepared, index = session._prepared, session._index
     if isinstance(attack, InterceptResend):
@@ -153,24 +155,24 @@ def test_the_prepared_stack_holds_each_distinct_register_once(attack):
     else:
         assert prepared.rows == 1
     # one entry for every triplet of every trial, each naming a register
-    assert index.shape == (len(configs) * 8,)
+    assert index.shape == (6 * 8,)
     assert 0 <= index.min() and index.max() < prepared.rows
     session.select_groups()
     session.run_check()
-    assert np.count_nonzero(session._taken) == len(configs) * configs[0].checked_triplets
+    assert np.count_nonzero(session._taken) == 6 * cfg.checked_triplets
 
 
 def test_an_explicit_no_attack_runs_as_no_attack():
     # NoAttack() and no attack take one path through S1, so they give one
     # result, transcript included, alone and stacked, and one sweep tally
     for trials in (1, 20):
-        bare = [config(seed=seed) for seed in range(trials)]
-        tapped = [replace(cfg, attack=NoAttack()) for cfg in bare]
-        expected, got = Session(*bare), Session(*tapped)
+        seeds = np.arange(trials, dtype=np.uint64)
+        expected, got = Session(config(), seeds), Session(config(attack=NoAttack()), seeds)
         expected.run_trials()
         got.run_trials()
-        for trial, cfg in enumerate(bare):
-            assert replace(got.result(trial), config=cfg) == expected.result(trial)
+        for trial in range(trials):
+            want = expected.result(trial)
+            assert replace(got.result(trial), config=want.config) == want
     assert estimate_detection(config(attack=NoAttack()), 30) == estimate_detection(config(), 30)
 
 
@@ -338,21 +340,22 @@ def test_stacked_trials_match_one_trial_sessions(parties, attack):
     base = ProtocolConfig(
         triplet_count=16, message_bits="0" * 8, party_count=parties, attack=attack, seed=77
     )
-    configs = [
-        replace(base, seed=_trial_seed(77, trial), message_bits=_trial_message(77, trial, 8))
-        for trial in range(20)
-    ]
-    stacked = Session(*configs)
+    seeds = [_trial_seed(77, trial) for trial in range(20)]
+    messages = [_trial_message(77, trial, 8) for trial in range(20)]
+    stacked = Session(base, seeds, [list(map(int, message)) for message in messages])
     stacked.run_trials()
-    for trial, cfg in enumerate(configs):
-        single = Session(cfg).run()
+    decoded = []
+    for trial, (seed, message) in enumerate(zip(seeds, messages)):
+        single = Session(replace(base, seed=seed, message_bits=message)).run()
         # what estimate_detection tallies, read from the stacked arrays
         assert stacked.completed[trial] == single.completed
         assert stacked.config.checked_triplets == single.config.checked_triplets
         assert stacked.violations[trial] == single.violations
-        assert stacked.decoded_bits[trial] == single.decoded_bits
+        decoded += [single.decoded_bits] if single.completed else []
         # and the whole result, with the abort triplet and the transcript
         assert stacked.result(trial) == single
+    rows = stacked.decoded[stacked.completed].tolist()
+    assert ["".join(map(str, row)) for row in rows] == decoded
 
 
 def test_sweep_stacks_stay_within_one_sessions_widest(monkeypatch):
@@ -404,6 +407,44 @@ def test_a_wide_tapped_stack_is_held_once(attack, probe):
     assert session._prepared.num_qubits == 12 + probe
     _, many = traced_peak(2048)
     assert many <= 2 * few, many / few
+
+
+@pytest.mark.parametrize("parties", [3, 5])
+def test_sweep_statistics_do_not_depend_on_the_session_rows(monkeypatch, parties):
+    # one trial a session, three a session, or the whole cell in one: the
+    # row budget sets only the time and memory a cell takes
+    base = ProtocolConfig(triplet_count=16, message_bits="0" * 8, party_count=parties, seed=2026)
+
+    def sweep():
+        return [estimate_detection(replace(base, attack=attack), 40) for attack in SWEEP_CELLS]
+
+    expected = sweep()
+    assert 40 <= SESSION_ROWS // 16
+    # the tallies compared hold aborted and decoded trials alike
+    assert any(0 < stats.aborts < 40 for stats in expected)
+    assert all(stats.decoded_bits_correct > 0 for stats in expected)
+    for rows in (16, 3 * 16):
+        monkeypatch.setattr(attacks, "SESSION_ROWS", rows)
+        assert sweep() == expected, rows
+
+
+def test_a_sweeps_memory_follows_the_row_budget_not_its_trials():
+    # the seeds, messages and streams of a cell are drawn session by
+    # session, so four sessions' worth of trials peak as high as one's
+    cfg = ProtocolConfig(triplet_count=16, message_bits="0" * 8, seed=5)
+    chunk = SESSION_ROWS // cfg.triplet_count
+
+    def traced_peak(trials):
+        tracemalloc.start()
+        try:
+            estimate_detection(cfg, trials)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    estimate_detection(cfg, 1)  # caches filled on first use, outside every trace
+    one = traced_peak(chunk)
+    assert traced_peak(4 * chunk) <= 1.25 * one
 
 
 def test_trials_must_be_positive():

@@ -1,6 +1,7 @@
 """Unit tests for the session engine: phases, checking, and decoding."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -97,13 +98,38 @@ def test_invalid_configs_are_rejected(overrides):
         config(**overrides)
 
 
-def test_trials_of_one_session_differ_only_in_seed_and_message():
-    Session(config(), config(seed=7, message_bits="1110"))
-    for other in (config(party_count=4), config(attack=InterceptResend())):
-        with pytest.raises(ConfigError):
-            Session(config(), other)
-    with pytest.raises(ConfigError):
-        Session()
+def test_trials_left_out_take_the_configs_own_seed_and_message():
+    cfg = config()
+    session = Session(cfg, seeds=[cfg.seed, 7], messages=[[0, 0, 0, 1], [1, 1, 1, 0]])
+    session.run_trials()
+    assert session.result(0).config == cfg
+    assert session.result(1).config == replace(cfg, seed=7, message_bits="1110")
+    assert Session(cfg).seeds.tolist() == [cfg.seed]
+    assert Session(cfg, seeds=[1, 2]).messages.tolist() == [[0, 0, 0, 1]] * 2
+    assert Session(cfg, messages=[[1, 1, 1, 0]]).seeds.tolist() == [cfg.seed]
+
+
+@pytest.mark.parametrize(
+    "trials, error",
+    [
+        (dict(seeds=[]), "one or more trials"),
+        (dict(messages=np.zeros((0, 4), np.uint8)), "1 seed.* but 0 message"),
+        (dict(messages=np.zeros((2, 4), np.uint8)), "1 seed.* but 2 message"),
+        (dict(seeds=[1, 2], messages=np.zeros((3, 4), np.uint8)), "2 seed.* but 3 message"),
+        (dict(seeds=[1, 2], messages=np.zeros((1, 4), np.uint8)), "2 seed.* but 1 message"),
+        (dict(messages=np.zeros((1, 6), np.uint8)), "4 bits long"),
+        (dict(messages=np.zeros((1, 2), np.uint8)), "4 bits long"),
+        (dict(seeds=[1, 2, 3, 4], messages=np.zeros(4, np.uint8)), "4 bits long"),
+        (dict(messages=[[0, 0, 2, 1]]), "0s and 1s"),
+        (dict(messages=[[0, 0, -1, 1]]), "0s and 1s"),
+        (dict(messages=[[0, 0, 0.5, 1]]), "0s and 1s"),
+    ],
+    ids=["no-trials", "no-messages", "more-messages-than-its-seed", "more-messages",
+         "more-seeds", "wider", "narrower", "flat", "two", "negative", "fraction"],
+)
+def test_a_session_rejects_trials_that_do_not_fit_its_config(trials, error):
+    with pytest.raises(ConfigError, match=error):
+        Session(config(), **trials)
 
 
 def test_twelve_parties_are_within_the_ceiling():
@@ -315,6 +341,15 @@ def random_message(seed: int, triplets: int) -> str:
     return "".join(map(str, bits.tolist()))
 
 
+def stacked_trials(parties: int) -> tuple[ProtocolConfig, np.ndarray, np.ndarray]:
+    """Twelve intercept-resend trials of 16 triplets: a config, seeds, messages."""
+    seeds = np.arange(12, dtype=np.uint64)
+    messages = np.array([list(map(int, random_message(seed, 16))) for seed in range(12)])
+    cfg = config(triplet_count=16, message_bits=random_message(0, 16), party_count=parties,
+                 attack=InterceptResend(BasisStrategy.RANDOM))
+    return cfg, seeds, messages
+
+
 @pytest.mark.parametrize("triplets", [8, 64])
 @pytest.mark.parametrize("parties", [3, 5])
 @pytest.mark.parametrize(
@@ -342,22 +377,17 @@ def test_transcript_text_matches_the_reference_records(attack, parties, triplets
 @pytest.mark.parametrize("parties", [3, 5])
 def test_stacked_transcripts_match_the_reference_records(parties):
     # every trial of a stacked session, those after an aborted one included
-    configs = [
-        config(triplet_count=16, message_bits=random_message(seed, 16), party_count=parties,
-               attack=InterceptResend(BasisStrategy.RANDOM), seed=seed)
-        for seed in range(12)
-    ]
-    session = Session(*configs)
+    session = Session(*stacked_trials(parties))
     session.run_trials()
     # past the first trial, some abort and some complete
     assert set(session.completed[1:].tolist()) == {False, True}
-    for trial in range(len(configs)):
+    for trial in range(len(session.seeds)):
         result = session.result(trial)
         assert result.transcript == format_transcript(reference_records(session, trial)), trial
         assert result.records == tuple(parse_transcript(result.transcript))
 
 
-def checked_readouts(monkeypatch, *configs) -> tuple[Session, int]:
+def checked_readouts(monkeypatch, *trials) -> tuple[Session, int]:
     """Run a session whose every read-out (S4, then S5 if a trial passed)
     is checked against the per-row reference; returns it and the count."""
     real = Session._measure_photons
@@ -375,7 +405,7 @@ def checked_readouts(monkeypatch, *configs) -> tuple[Session, int]:
         return outcomes, left
 
     monkeypatch.setattr(Session, "_measure_photons", compared)
-    session = Session(*configs)
+    session = Session(*trials)
     session.run_trials()
     return session, len(readouts)
 
@@ -400,12 +430,7 @@ def test_readout_matches_the_per_row_reference(monkeypatch, attack, parties, tri
 
 
 def test_stacked_readout_matches_the_per_row_reference(monkeypatch):
-    configs = [
-        config(triplet_count=16, message_bits=random_message(seed, 16), party_count=5,
-               attack=InterceptResend(BasisStrategy.RANDOM), seed=seed)
-        for seed in range(12)
-    ]
-    session, readouts = checked_readouts(monkeypatch, *configs)
+    session, readouts = checked_readouts(monkeypatch, *stacked_trials(5))
     assert readouts == 2 and set(session.completed.tolist()) == {False, True}
 
 

@@ -5,8 +5,6 @@ one vectorised pass; these tests pin it word for word, and the generators
 built from it state for state, against ``np.random.SeedSequence``.
 """
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -56,14 +54,13 @@ def test_trial_words_match_numpy_seed_sequences(tail):
 
 @pytest.mark.parametrize("parties", [3, 12])
 def test_session_streams_equal_numpy_spawned_generators(parties):
-    configs = [
-        ProtocolConfig(triplet_count=8, message_bits="0001", party_count=parties, seed=seed)
-        for seed in BOUNDARY_SEEDS + SEEDS[-3:]
-    ]
-    for session in [Session(configs[0]), Session(*configs)]:
-        for i, name in enumerate(configs[0].roster + (EVE,)):
-            for cfg, rng in zip(session.configs, session._rngs[name]):
-                reference = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(i,)))
+    seeds = BOUNDARY_SEEDS + SEEDS[-3:]
+    cfg = ProtocolConfig(triplet_count=8, message_bits="0001", party_count=parties, seed=seeds[0])
+    for session in [Session(cfg), Session(cfg, seeds)]:
+        for i, name in enumerate(cfg.roster + (EVE,)):
+            assert len(session._rngs[name]) == len(session.seeds)
+            for seed, rng in zip(session.seeds.tolist(), session._rngs[name]):
+                reference = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
                 assert rng.bit_generator.state == reference.bit_generator.state
 
 
@@ -71,18 +68,24 @@ def test_sweep_trials_get_the_reference_seeds_and_messages(monkeypatch):
     built = []
 
     class Recording(Session):
-        def __init__(self, *configs):
-            built.extend(configs)
-            super().__init__(*configs)
+        def __init__(self, config, seeds, messages):
+            assert seeds.dtype == np.uint64 and messages.dtype == np.uint8
+            built.append((config, seeds.tolist(), messages.tolist()))
+            super().__init__(config, seeds, messages)
 
     monkeypatch.setattr(attacks, "Session", Recording)
+    monkeypatch.setattr(attacks, "SESSION_ROWS", 7 * 4)  # sessions of 7, 7 and 6 trials
     for seed in BOUNDARY_SEEDS:
         built.clear()
         base = ProtocolConfig(triplet_count=4, message_bits="00", seed=seed)
         estimate_detection(base, trials=20)
-        assert built == [
-            replace(base, seed=_trial_seed(seed, trial), message_bits=_trial_message(seed, trial, 2))
-            for trial in range(20)
+        assert [len(seeds) for _, seeds, _ in built] == [7, 7, 6]
+        assert all(config is base for config, _, _ in built)
+        assert sum((seeds for _, seeds, _ in built), []) == [
+            _trial_seed(seed, trial) for trial in range(20)
+        ]
+        assert sum((messages for _, _, messages in built), []) == [
+            list(map(int, _trial_message(seed, trial, 2))) for trial in range(20)
         ]
 
 

@@ -17,7 +17,7 @@ def reference_records(session: Session, trial: int) -> tuple[TranscriptRecord, .
     """The transcript of one trial, in protocol order, from the outcomes
     the phases stored.  Announcements are authenticated: the
     eavesdropper reads them but cannot alter or suppress them."""
-    cfg, count = session.configs[trial], session.config.triplet_count
+    cfg, count = session.config, session.config.triplet_count
     records: list[TranscriptRecord] = []
     # the names of the positions the phases stored
     basis_names = [basis.value for basis in BASES]
@@ -89,7 +89,7 @@ def reference_records(session: Session, trial: int) -> tuple[TranscriptRecord, .
         emit("S8", cfg.sender, "BELL_ANNOUNCE", f"group={g} outcome={outcome}")
 
     parities = session.parities[j].tolist()
-    decoded = session.decoded_bits[trial]
+    decoded = "".join(map(str, session.decoded[trial].tolist()))
     chunks = [decoded[k : k + 2] for k in range(0, len(decoded), 2)]
     receiver_bell = [bell_names[k] for k in session._receiver_bell[groups].tolist()]
     read = zip(encoding, sender_bell, receiver_bell, chunks)
@@ -102,5 +102,5 @@ def reference_records(session: Session, trial: int) -> tuple[TranscriptRecord, .
     for g, k in zip(encoding, session._ancilla_bell[groups].tolist()):
         detail = f"group={g} pair=e{2 * g - 1},e{2 * g} outcome={bell_names[k]}"
         emit("S9", EVE, "ANCILLA_BELL", detail)
-    emit("S11", cfg.receiver, "COMPLETE", f"decoded={session.decoded_bits[trial]}")
+    emit("S11", cfg.receiver, "COMPLETE", f"decoded={decoded}")
     return tuple(records)
