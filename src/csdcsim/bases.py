@@ -27,7 +27,6 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 
@@ -133,7 +132,6 @@ _DIAGONAL_EXPANSION_TERMS: dict[int, tuple[tuple[int, int, int, float], ...]] = 
 
 @dataclass(frozen=True)
 class ExpansionReport:
-    index: int
     holds: bool
     max_residual: float
 
@@ -148,7 +146,7 @@ def verify_ghz_expansion(index: int) -> ExpansionReport:
         for h, t, c, coeff in _DIAGONAL_EXPANSION_TERMS[index]
     )
     residual = float(np.max(np.abs(canonical - tabulated)))
-    return ExpansionReport(index, residual < ATOL, residual)
+    return ExpansionReport(residual < ATOL, residual)
 
 
 def ghz_orthonormality_residual() -> float:
@@ -192,8 +190,6 @@ _PSI_PLUS_REFERENCE_PATTERNS: dict[
 
 @dataclass(frozen=True)
 class SwapReport:
-    left: BellOutcome
-    right: BellOutcome
     holds: bool
     max_residual: float
     outcome_table: dict[tuple[BellOutcome, BellOutcome], complex]
@@ -225,35 +221,24 @@ def verify_swap_identity(left: BellOutcome, right: BellOutcome) -> SwapReport:
         residual = max(residual, float(pattern_residual))
 
     holds = residual < ATOL and nonzero == 4
-    return SwapReport(left, right, holds, residual, table)
-
-
-class DecodeKey(NamedTuple):
-    """Everything the receiver knows when reading out one group."""
-
-    controller_parity_1: int
-    controller_parity_2: int
-    sender_bell: BellOutcome
-    receiver_bell: BellOutcome
+    return SwapReport(holds, residual, table)
 
 
 @dataclass(frozen=True, eq=False)
 class DecodeTable:
-    """The operations' positions, read-only (2, 2, 4, 4), indexed by both
-    parities and the sender's and receiver's positions in BELL_OUTCOMES."""
+    """The receiver's decode map: the operations' positions in EncodingOp,
+    read-only (2, 2, 4, 4), indexed by both controller parities and the
+    sender's and receiver's positions in BELL_OUTCOMES."""
 
     dense: np.ndarray
 
-    @functools.cached_property
-    def entries(self) -> dict[DecodeKey, EncodingOp]:
-        ops = tuple(EncodingOp)
-        return {
-            DecodeKey(p1, p2, BELL_OUTCOMES[s], BELL_OUTCOMES[r]): ops[self.dense[p1, p2, s, r]]
-            for p1, p2, s, r in np.ndindex(self.dense.shape)
-        }
-
-    def decode(self, key: DecodeKey) -> str:
-        return self.entries[key].bits
+    def decode(self, p1: int, p2: int, sender: BellOutcome, receiver: BellOutcome) -> str:
+        """The two message bits of one group; a KeyError for a parity
+        outside {0, 1} or an outcome that is not a BellOutcome."""
+        if {p1, p2} - {0, 1} or {type(sender), type(receiver)} != {BellOutcome}:
+            raise KeyError((p1, p2, sender, receiver))
+        s, r = BELL_OUTCOMES.index(sender), BELL_OUTCOMES.index(receiver)
+        return tuple(EncodingOp)[self.dense[int(p1), int(p2), s, r]].bits
 
 
 def build_decode_table() -> DecodeTable:
@@ -277,8 +262,10 @@ def build_decode_table() -> DecodeTable:
     clashes = np.argwhere(np.cumsum(marks, axis=2) > 1).tolist()
     if clashes:
         p1, p2, _, s, r = clashes[0]
-        key = DecodeKey(p1, p2, BELL_OUTCOMES[s], BELL_OUTCOMES[r])
-        raise ValueError(f"decode table collision at {key}")
+        raise ValueError(
+            f"decode table collision at parities={p1}{p2} "
+            f"sender={BELL_OUTCOMES[s].value} receiver={BELL_OUTCOMES[r].value}"
+        )
     marked = marks.any(axis=2)
     if not marked.all():
         raise ValueError(f"decode table incomplete: {np.count_nonzero(marked)} of 64 keys")

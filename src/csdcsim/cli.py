@@ -199,12 +199,11 @@ def run_verify(out: IO[str], config: ProtocolConfig) -> int:
         failures += 1
         out.write(f"decode-table\tFAIL\t{exc}\n")
     else:
-        out.write(f"decode-table\tpass\tkeys={len(table.entries)}\n")
-        for op in bases.EncodingOp:
+        out.write(f"decode-table\tpass\tkeys={table.dense.size}\n")
+        for position, op in enumerate(bases.EncodingOp):
             pairs = sorted(
-                f"({key.sender_bell.value},{key.receiver_bell.value})"
-                for key, entry in table.entries.items()
-                if entry is op and key.controller_parity_1 == key.controller_parity_2 == 0
+                f"({BELL_OUTCOMES[s].value},{BELL_OUTCOMES[r].value})"
+                for s, r in zip(*(table.dense[0, 0] == position).nonzero())
             )
             out.write(f"decode-slice {op.name} bits={op.bits}\tpass\t{' '.join(pairs)}\n")
 

@@ -186,8 +186,8 @@ class ProtocolConfig:
             raise ConfigError(
                 f"party count must be between 3 and {MAX_PARTIES}, got {self.party_count}"
             )
-        if not (0 <= self.seed <= MAX_SEED):
-            raise ConfigError(f"seed must fit in an unsigned 64-bit integer, got {self.seed}")
+        if not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed <= MAX_SEED:
+            raise ConfigError(f"seed must fit in an unsigned 64-bit integer, got {self.seed!r}")
         if set(self.message_bits) - {"0", "1"}:
             raise ConfigError("message must be a string of 0s and 1s")
         names = self.roster
@@ -350,6 +350,19 @@ def _bit_string(bits: np.ndarray) -> str:
     return (bits + ord("0")).tobytes().decode()
 
 
+def _seed_array(seeds) -> np.ndarray:
+    """``seeds`` as uint64; a ConfigError unless a 1-D sequence of integers
+    that fit.  A uint64 array passes on its dtype alone."""
+    if not isinstance(seeds, np.ndarray):
+        seeds = np.asarray(seeds, object)  # Python ints, not floats, past 2**63
+    if seeds.ndim != 1 or seeds.dtype != np.uint64 and not (
+        (seeds.dtype.kind in "biu" or all(isinstance(s, (int, np.integer)) for s in seeds))
+        and (not seeds.size or 0 <= seeds.min() and seeds.max() <= MAX_SEED)
+    ):
+        raise ConfigError(f"seeds must be a 1-D sequence of integers in [0, {MAX_SEED}]")
+    return seeds.astype(np.uint64, copy=False)
+
+
 class Session:
     """Drives one protocol run per trial, all trials at once; all state
     lives on the instance.  A trial is a seed (``seeds``, uint64) and a
@@ -357,7 +370,7 @@ class Session:
     the config's own seed, and its own message for each seed."""
 
     def __init__(self, config: ProtocolConfig, seeds=None, messages=None) -> None:
-        self.seeds = seeds = np.asarray([config.seed] if seeds is None else seeds, np.uint64)
+        self.seeds = seeds = _seed_array([config.seed] if seeds is None else seeds)
         if messages is None:
             own = np.frombuffer(config.message_bits.encode(), np.uint8) - ord("0")
             messages = np.broadcast_to(own, (len(seeds), len(own)))
@@ -464,14 +477,12 @@ class Session:
         )
 
     def select_groups(self) -> None:
-        cfg, trials = self.config, len(self.seeds)
+        cfg, c = self.config, self.config.checking_group_count
         orders = np.array([rng.permutation(cfg.group_count) for rng in self._rngs[cfg.sender]])
         # the first checking_group_count groups of each trial's order check;
         # the groups of each kind are listed in increasing order
-        checking = np.zeros(orders.shape, bool)
-        checking[np.arange(trials)[:, None], orders[:, : cfg.checking_group_count]] = True
-        self.checking_groups = np.nonzero(checking)[1].reshape(trials, -1) + 1
-        self.encoding_groups = np.nonzero(~checking)[1].reshape(trials, -1) + 1
+        self.checking_groups = np.sort(orders[:, :c], axis=1) + 1
+        self.encoding_groups = np.sort(orders[:, c:], axis=1) + 1
 
     def run_check(self) -> bool:
         """Measure every checked triplet of every trial and compare; a trial

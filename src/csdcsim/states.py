@@ -166,15 +166,6 @@ class StateVector:
         except ValueError:
             raise ValueError(f"qubit {qubit} is not in this register") from None
 
-    def amplitude(self, bits: str) -> complex:
-        """Amplitude of the computational basis string (qubit 0 leftmost)
-        in a one-row stack."""
-        if len(bits) != self.num_qubits or set(bits) - {"0", "1"}:
-            raise ValueError(f"expected a {self.num_qubits}-bit string, got {bits!r}")
-        if self.rows != 1:
-            raise ValueError(f"amplitude reads a one-row stack, this one has {self.rows}")
-        return complex(self.amps[0, int(bits, 2) if bits else 0])
-
 
 def _state(qubits: tuple[QubitId, ...], amps: np.ndarray) -> StateVector:
     """Wrap fresh kernel output: one flat row per register and read-only,

@@ -29,3 +29,9 @@ def bell_product_amplitudes(
         basis = functools.reduce(tensor, map(bell_state_vector, outcomes, pairs))
         table[outcomes] = inner_product(reorder(basis, state.qubits), state)
     return table
+
+
+def amplitude(state: StateVector, bits: str) -> complex:
+    """Amplitude of the basis string (qubit 0 leftmost) in a one-row stack."""
+    assert state.rows == 1 and len(bits) == state.num_qubits and not set(bits) - {"0", "1"}
+    return complex(state.amps[0, int(bits, 2) if bits else 0])

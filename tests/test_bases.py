@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from csdcsim import bases
 from csdcsim.bases import (
     GHZ_INDICES,
-    DecodeKey,
     EncodingOp,
     bell_pair_amplitudes,
     bell_state_vector,
@@ -35,7 +34,7 @@ from csdcsim.states import (
     tensor,
 )
 
-from kernel_reference import bell_product_amplitudes
+from kernel_reference import amplitude, bell_product_amplitudes
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -56,19 +55,19 @@ def test_bell_vectors_match_sign_conventions():
     for outcome, nonzero in expected.items():
         ket = bell_state_vector(outcome, PAIR)
         for bits in ("00", "01", "10", "11"):
-            assert np.isclose(ket.amplitude(bits), nonzero.get(bits, 0.0), atol=ATOL)
+            assert np.isclose(amplitude(ket, bits), nonzero.get(bits, 0.0), atol=ATOL)
 
 
 def test_ghz_element_one_is_the_standard_pair():
     ket = ghz_state_vector(1, TRIPLE)
-    assert np.isclose(ket.amplitude("000"), INV_SQRT2, atol=ATOL)
-    assert np.isclose(ket.amplitude("111"), INV_SQRT2, atol=ATOL)
+    assert np.isclose(amplitude(ket, "000"), INV_SQRT2, atol=ATOL)
+    assert np.isclose(amplitude(ket, "111"), INV_SQRT2, atol=ATOL)
 
 
 def test_ghz_element_five_flips_the_travel_bit():
     ket = ghz_state_vector(5, TRIPLE)
-    assert np.isclose(ket.amplitude("010"), INV_SQRT2, atol=ATOL)
-    assert np.isclose(ket.amplitude("101"), INV_SQRT2, atol=ATOL)
+    assert np.isclose(amplitude(ket, "010"), INV_SQRT2, atol=ATOL)
+    assert np.isclose(amplitude(ket, "101"), INV_SQRT2, atol=ATOL)
 
 
 def test_ghz_index_range_is_enforced():
@@ -90,7 +89,6 @@ def test_expansion_reports_follow_the_known_pattern():
                       5: True, 6: True, 7: True, 8: True}
     for index in GHZ_INDICES:
         report = verify_ghz_expansion(index)
-        assert report.index == index
         assert report.holds == expected_holds[index]
 
 
@@ -242,16 +240,15 @@ def test_encoding_gate_identities():
 
 def test_decode_table_is_complete_and_collision_free():
     table = build_decode_table()
-    assert len(table.entries) == 64
-    keys = set(table.entries)
-    assert len(keys) == 64
+    assert table.dense.shape == (2, 2, 4, 4)
+    assert set(table.dense.ravel().tolist()) == set(range(len(EncodingOp)))
 
 
 def test_decode_table_build_rejects_an_ambiguous_or_incomplete_readout(monkeypatch):
     # every operation seeing every pair collides at the first key a second
     # operation marks; no operation seeing any pair leaves every key empty
     monkeypatch.setattr(bases, "bell_pair_amplitudes", lambda a, b: np.ones((4,) * a.ndim))
-    first = DecodeKey(0, 0, BELL_OUTCOMES[0], BELL_OUTCOMES[0])
+    first = f"parities=00 sender={BELL_OUTCOMES[0].value} receiver={BELL_OUTCOMES[0].value}"
     with pytest.raises(ValueError, match=re.escape(f"decode table collision at {first}")):
         build_decode_table()
     monkeypatch.setattr(bases, "bell_pair_amplitudes", lambda a, b: np.zeros((4,) * a.ndim))
@@ -280,7 +277,7 @@ def test_decode_table_zero_parity_slice():
         (BellOutcome.PSI_MINUS, BellOutcome.PSI_PLUS): EncodingOp.U4,
     }
     for (sender, receiver), op in expected.items():
-        assert table.entries[DecodeKey(0, 0, sender, receiver)] is op
+        assert table.decode(0, 0, sender, receiver) == op.bits
 
 
 def _sign_flip(outcome: BellOutcome) -> BellOutcome:
@@ -296,11 +293,11 @@ def test_parity_flips_act_as_sender_sign_flips():
     table = default_decode_table()
     for sender in BELL_OUTCOMES:
         for receiver in BELL_OUTCOMES:
-            base = table.entries[DecodeKey(0, 0, _sign_flip(sender), receiver)]
-            assert table.entries[DecodeKey(1, 0, sender, receiver)] is base
-            assert table.entries[DecodeKey(0, 1, sender, receiver)] is base
-            both = table.entries[DecodeKey(0, 0, sender, receiver)]
-            assert table.entries[DecodeKey(1, 1, sender, receiver)] is both
+            base = table.decode(0, 0, _sign_flip(sender), receiver)
+            assert table.decode(1, 0, sender, receiver) == base
+            assert table.decode(0, 1, sender, receiver) == base
+            both = table.decode(0, 0, sender, receiver)
+            assert table.decode(1, 1, sender, receiver) == both
 
 
 @given(
@@ -313,8 +310,8 @@ def test_decode_is_bijective_per_announcement(p1, p2, sender):
     # with parities and the sender outcome fixed, the receiver outcome
     # determines the operation uniquely and covers all four
     table = default_decode_table()
-    ops = {table.entries[DecodeKey(p1, p2, sender, r)] for r in BELL_OUTCOMES}
-    assert ops == set(EncodingOp)
+    bits = {table.decode(p1, p2, sender, r) for r in BELL_OUTCOMES}
+    assert bits == {op.bits for op in EncodingOp}
 
 
 def test_dense_decode_view_matches_decode_on_every_key():
@@ -322,17 +319,37 @@ def test_dense_decode_view_matches_decode_on_every_key():
     dense = table.dense
     assert dense.shape == (2, 2, 4, 4)
     for p1, p2, s, r in np.ndindex(dense.shape):
-        key = DecodeKey(p1, p2, BELL_OUTCOMES[s], BELL_OUTCOMES[r])
-        assert tuple(EncodingOp)[dense[p1, p2, s, r]].bits == table.decode(key)
+        bits = table.decode(p1, p2, BELL_OUTCOMES[s], BELL_OUTCOMES[r])
+        assert tuple(EncodingOp)[dense[p1, p2, s, r]].bits == bits
+
+
+@pytest.mark.parametrize(
+    "key",
+    [
+        (-1, 0, BellOutcome.PHI_PLUS, BellOutcome.PHI_PLUS),
+        (0, -1, BellOutcome.PHI_PLUS, BellOutcome.PHI_PLUS),
+        (2, 0, BellOutcome.PHI_PLUS, BellOutcome.PHI_PLUS),
+        (0, 2, BellOutcome.PHI_PLUS, BellOutcome.PHI_PLUS),
+        (0, 0, "PHI+", BellOutcome.PHI_PLUS),
+        (0, 0, BellOutcome.PHI_PLUS, "PHI+"),
+        (0, 0, 2, 3),
+    ],
+    ids=["p1-negative", "p2-negative", "p1-two", "p2-two", "sender-string", "receiver-string",
+         "positions"],
+)
+def test_decode_rejects_keys_the_dense_table_would_wrap_or_misread(key):
+    # read as array indices, a parity of -1 would be row 1 and a position
+    # would pass for an outcome
+    with pytest.raises(KeyError):
+        default_decode_table().decode(*key)
 
 
 def test_decode_returns_bit_strings():
     table = default_decode_table()
-    key = DecodeKey(0, 0, BellOutcome.PHI_PLUS, BellOutcome.PSI_PLUS)
-    assert table.decode(key) == "01"
+    assert table.decode(0, 0, BellOutcome.PHI_PLUS, BellOutcome.PSI_PLUS) == "01"
 
 
 def test_decode_rejects_unknown_keys():
     table = default_decode_table()
     with pytest.raises(KeyError):
-        table.decode((0, 0, "PHI+", "PHI+"))  # type: ignore[arg-type]
+        table.decode(0, 0, "PHI+", "PHI+")  # type: ignore[arg-type]

@@ -325,8 +325,7 @@ def test_verify_structural_failure_exits_three(monkeypatch, capsys):
     def broken(left, right):
         report = real(left, right)
         return type(report)(
-            left=report.left, right=report.right, holds=False,
-            max_residual=1.0, outcome_table=report.outcome_table,
+            holds=False, max_residual=1.0, outcome_table=report.outcome_table,
         )
 
     monkeypatch.setattr(cli.bases, "verify_swap_identity", broken)
@@ -342,7 +341,9 @@ def test_verify_decode_table_failure_exits_three(monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     table = [line for line in lines if line.startswith("decode-table")]
     assert len(table) == 1
-    assert table[0].startswith("decode-table\tFAIL\tdecode table collision at DecodeKey(")
+    assert table[0] == (
+        "decode-table\tFAIL\tdecode table collision at parities=00 sender=PSI+ receiver=PSI+"
+    )
     assert not [line for line in lines if line.startswith("decode-slice")]
     assert code == 3
 

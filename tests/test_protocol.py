@@ -27,6 +27,7 @@ from csdcsim.attacks import BasisStrategy, EntangleMeasure, InterceptResend, att
 from csdcsim.cli import SWEEP_CELLS
 from csdcsim.states import ATOL, BASES, MeasurementBasis, QubitId, reorder, take_rows
 from csdcsim.transcript import format_transcript, parse_transcript
+from kernel_reference import amplitude
 from readout_reference import reference_readout
 from transcript_reference import reference_records
 
@@ -91,6 +92,8 @@ def test_capacity_rule_rejects_triplet_counts_that_are_not_positive_and_even(tri
         dict(sender="ALICE"),  # collides with the default receiver
         dict(party_count=MAX_PARTIES + 1),
         dict(triplet_count=MAX_TRIPLETS + 2),
+        dict(seed=1.5),
+        dict(seed="12"),
     ],
 )
 def test_invalid_configs_are_rejected(overrides):
@@ -107,6 +110,8 @@ def test_trials_left_out_take_the_configs_own_seed_and_message():
     assert Session(cfg).seeds.tolist() == [cfg.seed]
     assert Session(cfg, seeds=[1, 2]).messages.tolist() == [[0, 0, 0, 1]] * 2
     assert Session(cfg, messages=[[1, 1, 1, 0]]).seeds.tolist() == [cfg.seed]
+    # a list of Python ints past 2**63 stays exact, not a float array
+    assert Session(cfg, seeds=[1, 2**64 - 1]).seeds.tolist() == [1, 2**64 - 1]
 
 
 @pytest.mark.parametrize(
@@ -123,9 +128,19 @@ def test_trials_left_out_take_the_configs_own_seed_and_message():
         (dict(messages=[[0, 0, 2, 1]]), "0s and 1s"),
         (dict(messages=[[0, 0, -1, 1]]), "0s and 1s"),
         (dict(messages=[[0, 0, 0.5, 1]]), "0s and 1s"),
+        (dict(seeds=[1.7]), "seeds must be a 1-D sequence of integers"),
+        (dict(seeds=np.array([1.7])), "seeds must be a 1-D sequence of integers"),
+        (dict(seeds=[-1]), "seeds must be a 1-D sequence of integers"),
+        (dict(seeds=np.array([-1])), "seeds must be a 1-D sequence of integers"),
+        (dict(seeds=[2**64]), "seeds must be a 1-D sequence of integers"),
+        (dict(seeds=np.zeros((1, 1), np.uint64)), "seeds must be a 1-D sequence of integers"),
+        (dict(seeds=[[1]]), "seeds must be a 1-D sequence of integers"),
+        (dict(seeds="12"), "seeds must be a 1-D sequence of integers"),
     ],
     ids=["no-trials", "no-messages", "more-messages-than-its-seed", "more-messages",
-         "more-seeds", "wider", "narrower", "flat", "two", "negative", "fraction"],
+         "more-seeds", "wider", "narrower", "flat", "two", "negative", "fraction",
+         "seed-fraction", "seed-fraction-array", "seed-negative", "seed-negative-array",
+         "seed-past-64-bits", "seeds-2d-array", "seeds-2d", "seeds-string"],
 )
 def test_a_session_rejects_trials_that_do_not_fit_its_config(trials, error):
     with pytest.raises(ConfigError, match=error):
@@ -219,7 +234,7 @@ def test_prepared_triplets_are_ghz(parties):
         state = take_rows(prepared, sess._index[[n - 1]])
         ends = "0" * width, "1" * width
         for bits in ends:
-            assert np.isclose(state.amplitude(bits), INV_SQRT2, atol=ATOL)
+            assert np.isclose(amplitude(state, bits), INV_SQRT2, atol=ATOL)
 
 
 def test_group_selection_is_seed_deterministic():
@@ -255,10 +270,10 @@ def test_controller_collapse_leaves_signed_pair():
                 state = take_rows(encoding, [2 * i + slot_index])
                 state = reorder(state, (home, travel))
                 sign = -1.0 if sess.parities[0, 2 * i + slot_index] else 1.0
-                assert np.isclose(state.amplitude("00"), INV_SQRT2, atol=ATOL)
-                assert np.isclose(state.amplitude("11"), sign * INV_SQRT2, atol=ATOL)
-                assert abs(state.amplitude("01")) < ATOL
-                assert abs(state.amplitude("10")) < ATOL
+                assert np.isclose(amplitude(state, "00"), INV_SQRT2, atol=ATOL)
+                assert np.isclose(amplitude(state, "11"), sign * INV_SQRT2, atol=ATOL)
+                assert abs(amplitude(state, "01")) < ATOL
+                assert abs(amplitude(state, "10")) < ATOL
 
 
 # --- full sessions ------------------------------------------------------
