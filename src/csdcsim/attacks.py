@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -29,13 +28,8 @@ from .states import (
     make_state,
     tensor,
 )
-from .protocol import (
-    MAX_PARTIES, MAX_TRIALS, SESSION_ROWS, ProtocolConfig, Session, draw_random_bases, seed_state,
-    seeded_generator, untapped,
-)
-
-if TYPE_CHECKING:  # pragma: no cover; naming np.random here would import it
-    Streams = Sequence[tuple[np.random.Generator, int]]
+from .protocol import MAX_PARTIES, MAX_TRIALS, SESSION_ROWS, ProtocolConfig, Session, untapped
+from .streams import Streams, seed_state
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 
@@ -52,8 +46,8 @@ class BasisStrategy(Enum):
 class NoAttack:
     """Identity tap: the channel is untouched."""
 
-    def tap(self, qubit: QubitId, register: StateVector, streams: Streams):
-        return untapped(qubit, register, streams)
+    def tap(self, qubit: QubitId, register: StateVector, streams: Streams, rows, count: int):
+        return untapped(qubit, register, streams, rows, count)
 
 
 @dataclass(frozen=True)
@@ -62,14 +56,13 @@ class InterceptResend:
 
     strategy: BasisStrategy = BasisStrategy.RANDOM
 
-    def tap(self, qubit: QubitId, register: StateVector, streams: Streams):
+    def tap(self, qubit: QubitId, register: StateVector, streams: Streams, rows, count: int):
         if self.strategy is BasisStrategy.RANDOM:
-            drawn = [draw_random_bases(rng, rows) for rng, rows in streams]
-            bases, uniforms = (np.concatenate(column) for column in zip(*drawn))
+            bases, uniforms = (drawn.ravel() for drawn in streams.random_bases(count, rows))
         else:
             z = self.strategy is BasisStrategy.ALWAYS_Z
             basis = MeasurementBasis.COMPUTATIONAL if z else MeasurementBasis.DIAGONAL
-            uniforms = np.concatenate([rng.random(rows) for rng, rows in streams])
+            uniforms = streams.random(count, rows).ravel()
             bases = np.full(len(uniforms), BASES.index(basis))
         probs, collapsed = collapse_branches(register, qubit)
         outcomes = _sample(probs[0, bases], uniforms)
@@ -85,18 +78,19 @@ class EntangleMeasure:
     on ancilla pairs for encoding groups.
     """
 
-    def tap(self, qubit: QubitId, register: StateVector, streams: Streams):
+    def tap(self, qubit: QubitId, register: StateVector, streams: Streams, rows, count: int):
         ancilla = QubitId(qubit.triplet, "e")
         probed = tensor(register, make_state((ancilla,), [1.0, 0.0]))
         probed = apply_cnot(probed, qubit, ancilla)
-        return untapped(qubit, probed, streams)
+        return untapped(qubit, probed, streams, rows, count)
 
 
-# Every model's tap(qubit, register, streams) takes the prepared register,
-# whose travel photon is ``qubit``, and a (generator, rows) run of draws
-# for each trial's triplets.  A tap acts on travel photons alone, so it
-# returns the few registers every triplet holds one of, each once; the
-# position among them of each triplet's, over the runs in order; and the
+# Every model's tap(qubit, register, streams, rows, count) takes the
+# prepared register, whose travel photon is ``qubit``, and draws for the
+# ``count`` triplets of each trial on EVE's stream ``rows`` of the
+# session's ``Streams``, all in one call.  A tap acts on travel photons
+# alone, so it returns the few registers every triplet holds one of, each
+# once; the position among them of each triplet's, trial by trial; and the
 # bases (positions in BASES) and outcomes of the photons it measured, a
 # (2, photons) array that only the session's transcript names.
 AttackModel = NoAttack | InterceptResend | EntangleMeasure
@@ -256,10 +250,9 @@ def estimate_detection(config: ProtocolConfig, trials: int) -> DetectionStats:
         # each trial's seed, SeedSequence((seed, trial)).generate_state(1, np.uint64)
         # (the first of four words), and message stream, SeedSequence((seed, trial, 1))
         seeds = seed_state(_trial_entropy(config.seed, batch))[:, 0]
-        messages = np.array([
-            seeded_generator(words).integers(0, 2, config.capacity_bits)
-            for words in seed_state(_trial_entropy(config.seed, batch, 1))
-        ], np.uint8)
+        messages = Streams(seed_state(_trial_entropy(config.seed, batch, 1))).bits(
+            config.capacity_bits, np.arange(len(batch))
+        )
         session = Session(config, seeds, messages)
         session.run_trials()
         violations += int(session.violations.sum())

@@ -58,20 +58,20 @@ substream per party (ALICE, BOB, CTRL1..k, then EVE, spawn keys 0..),
 so changing one party's behavior never shifts another party's draws,
 and a trial draws the same numbers alone or stacked with others.  The
 substreams are exactly numpy's ``SeedSequence`` spawn streams, each a
-PCG64 seeded from state words that ``seed_state`` computes for every
-trial and party in one pass; a test pins them against numpy.  A party
-draws a phase's uniforms at once with ``rng.random(n)``, the same doubles
-as n scalar draws; a stream that interleaves basis choices and uniforms
-is drawn in a scalar loop first (``draw_random_bases``), on purpose: a
-bit-exact array draw ran slower at the few photons a sweep trial draws.
+PCG64 as ``default_rng`` seeds it.  A session holds them all as one
+``streams.Streams``, a row per (party, trial), and each phase draws
+every party's numbers for every trial in one call, by jumping each
+stream ahead rather than stepping it; the tests pin every draw and
+every stream's state after each phase against numpy's ``Generator``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import chain
+from numbers import Real
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -93,6 +93,7 @@ from .states import (
     take_rows,
     tensor,
 )
+from .streams import Streams, seed_state
 from .transcript import TranscriptRecord, number_lines, parse_transcript
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -179,6 +180,14 @@ class ProtocolConfig:
     receiver: str = ALICE
 
     def __post_init__(self) -> None:
+        counts = (("triplet count", self.triplet_count), ("party count", self.party_count))
+        for name, value in counts:
+            if not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.check_fraction, Real):
+            raise ConfigError(f"check fraction must be a real number, got {self.check_fraction!r}")
+        if not isinstance(self.message_bits, str):
+            raise ConfigError(f"message must be a string of 0s and 1s, got {self.message_bits!r}")
         # capacity_bits calls session_capacity, which rejects a bad triplet
         # count or check fraction
         capacity = self.capacity_bits
@@ -254,87 +263,9 @@ class SessionResult:
         return tuple(parse_transcript(self.transcript))
 
 
-# numpy's SeedSequence (O'Neill's seed_seq_fe) hashes entropy words into a
-# pool of four uint32 words, mixes it and hashes it out as state words.  Hash
-# k xors with constant k of its table and multiplies by constant k + 1; no
-# constant depends on the data, so each (xor, multiplier) pair is built once.
-_HASH_A, _HASH_B = (
-    np.array([[a * pow(m, k + j, 2**32) % 2**32 for k in range(20)] for j in (0, 1)], np.uint32)
-    for a, m in ((0x43B0D7E5, 0x931E8875), (0x8B51F9DD, 0x58F38DED))
-)
-_MIX_L, _MIX_R, _SHIFT = (np.array(c, np.uint32) for c in (0xCA01F9DD, 0x4973F715, 16))
-
-
-def _hashmix(values: np.ndarray, hashes: np.ndarray) -> np.ndarray:
-    values = (values ^ hashes[0]) * hashes[1]
-    return values ^ values >> _SHIFT
-
-
-# Hashes 0-3 fill the pool.  Cross-mix step s hashes word s once for each
-# other word d, in increasing d, from hash 4 + 3s (its row s goes unused).
-# A spawn key i, a fifth entropy word, is hashed once per word (hashes
-# 16-19), kept times MIX_MULT_R as (word, i, 1).
-_CROSS = [_HASH_A[:, np.arange(4) - (np.arange(4) > s) + 3 * s + 4, None] for s in range(4)]
-_KEYS = np.arange(MAX_PARTIES + 1, dtype=np.uint32)[:, None]  # each party's, then EVE's
-_SPAWN = _MIX_R * _hashmix(_KEYS, _HASH_A[:, 16:20, None, None])
-
-
-def seed_state(entropy: np.ndarray, streams: int | None = None) -> np.ndarray:
-    """numpy's ``SeedSequence(e).generate_state(4, np.uint64)`` for every
-    column e of ``entropy`` (4 x N uint32 words, zero-padded), in one pass:
-    (N, 4), C-contiguous.  With ``streams``, that of ``SeedSequence(e,
-    spawn_key=(i,))`` for each i < streams: (streams, N, 4)."""
-    pool = _hashmix(entropy, _HASH_A[:, :4, None])
-    for s, hashes in enumerate(_CROSS):
-        # mix each word with a hash of word s, which the step leaves as it is
-        mixed = pool * _MIX_L - _hashmix(pool[s], hashes) * _MIX_R
-        mixed ^= mixed >> _SHIFT
-        mixed[s] = pool[s]
-        pool = mixed
-    if streams is not None:
-        mixed = pool[:, None] * _MIX_L - _SPAWN[:, :streams]
-        pool = mixed ^ mixed >> _SHIFT
-    words = _hashmix(pool.reshape(4, -1), _HASH_B[:, :8].reshape(2, 2, 4, 1)).reshape(8, -1).T
-    # word pairs, low word first, as numpy reads them
-    state = np.ascontiguousarray(words, "<u4").view("<u8").astype(np.uint64, copy=False)
-    return state.reshape(*pool.shape[1:], 4)
-
-
-@cache
-def _words_type() -> type:
-    """An ISeedSequence of precomputed state words, all a PCG64 reads from its
-    seed sequence; made on first use, as numpy.random is slow to import."""
-
-    class Words(np.random.bit_generator.ISeedSequence):
-        def __init__(self, words: np.ndarray) -> None:
-            self.words = words
-
-        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-            # PCG64 reads them through a raw pointer, so they must be contiguous
-            words = np.ascontiguousarray(self.words, np.uint64)
-            if dtype is not np.uint64 or words.shape != (n_words,):
-                raise ValueError("precomputed words seed a PCG64 only")
-            return words
-
-    return Words
-
-
-def seeded_generator(words: np.ndarray) -> np.random.Generator:
-    """``default_rng`` of the seed sequence whose ``seed_state`` row this is."""
-    return np.random.Generator(np.random.PCG64(_words_type()(words)))
-
-
-def draw_random_bases(rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """For each of ``count`` photons, a uniformly random basis, its position
-    in BASES, and then the uniform draw that measures it.  The two kinds
-    of draw interleave on one stream, so they are taken in a scalar loop."""
-    draws = np.array([(rng.integers(0, 2), rng.random()) for _ in range(count)]).reshape(count, 2)
-    return draws[:, 0].astype(np.intp), draws[:, 1]
-
-
-def untapped(qubit: QubitId, register: StateVector, streams) -> tuple:
+def untapped(qubit: QubitId, register: StateVector, streams: Streams, rows, count: int) -> tuple:
     """An untouched channel's tap (``attacks.AttackModel``): every triplet holds ``register``."""
-    return register, np.zeros(sum(rows for _, rows in streams), np.intp), np.zeros((2, 0), np.intp)
+    return register, np.zeros(len(rows) * count, np.intp), np.zeros((2, 0), np.intp)
 
 
 def _labels(position: int, roles: Sequence[str]) -> tuple[QubitId, ...]:
@@ -385,14 +316,12 @@ class Session:
             raise ConfigError("a message holds 0s and 1s only")
         self.messages = messages.astype(np.uint8, copy=False)
         self.config = config
-        stream_names = config.roster + (EVE,)
-        # each party's stream in every trial: a spawn key zero-pads the seed's words
+        # each party's stream, then EVE's, in every trial: stream i of trial k
+        # is row i*K + k (K trials); a spawn key zero-pads the seed's words
+        self._stream_names = config.roster + (EVE,)
         entropy = np.zeros((4, len(seeds)), np.uint32)
         entropy[:2] = seeds & 0xFFFFFFFF, seeds >> 32
-        words = seed_state(entropy, len(stream_names))
-        self._rngs = {
-            name: [seeded_generator(w) for w in rows] for name, rows in zip(stream_names, words)
-        }
+        self._streams = Streams(seed_state(entropy, len(self._stream_names)))
 
         # the photon roles of every triplet, and the one each party holds
         self._roles = ("h", "t") + tuple(f"c{j}" for j in range(1, config.party_count - 1))
@@ -427,10 +356,16 @@ class Session:
 
     # -- register and stream helpers ---------------------------------------
 
-    def _uniforms(self, party: str, count: int, trials: Sequence[int]) -> np.ndarray:
-        """``count`` uniforms from the party's stream in each of ``trials``."""
-        streams = self._rngs[party]
-        return np.concatenate([streams[k].random(count) for k in trials])
+    def _stream_rows(self, parties: Sequence[str], trials: np.ndarray) -> np.ndarray:
+        """The stream rows of each of ``parties`` in each of ``trials``, party by party."""
+        keys = np.array([self._stream_names.index(party) for party in parties])
+        return (keys[:, None] * len(self.seeds) + trials).ravel()
+
+    def _uniforms(self, parties: Sequence[str], count: int, trials: np.ndarray) -> dict:
+        """``count`` uniforms from each party's stream in each of ``trials``,
+        drawn in one call: each party's, flat."""
+        drawn = self._streams.random(count, self._stream_rows(parties, trials))
+        return dict(zip(parties, drawn.reshape(len(parties), -1)))
 
     def _rows(self, triplets: np.ndarray, trials: np.ndarray) -> np.ndarray:
         """Prepared-stack rows of the (trials, n) triplet numbers, flat."""
@@ -470,15 +405,16 @@ class Session:
         register = make_state(_labels(1, self._roles), ghz)
         # each trial's triplets take EVE's draws from that trial's stream;
         # no attack is the untouched channel that NoAttack taps
-        streams = [(rng, self.config.triplet_count) for rng in self._rngs[EVE]]
+        rows = self._stream_rows([EVE], np.arange(len(self.seeds)))
         tap = getattr(self.config.attack, "tap", untapped)
         self._prepared, self._index, (self._tap_bases, self._tap_bits) = tap(
-            QubitId(1, "t"), register, streams
+            QubitId(1, "t"), register, self._streams, rows, self.config.triplet_count
         )
 
     def select_groups(self) -> None:
         cfg, c = self.config, self.config.checking_group_count
-        orders = np.array([rng.permutation(cfg.group_count) for rng in self._rngs[cfg.sender]])
+        trials = np.arange(len(self.seeds))
+        orders = self._streams.permutation(cfg.group_count, self._stream_rows([cfg.sender], trials))
         # the first checking_group_count groups of each trial's order check;
         # the groups of each kind are listed in increasing order
         self.checking_groups = np.sort(orders[:, :c], axis=1) + 1
@@ -494,16 +430,16 @@ class Session:
         cfg, trials = self.config, np.arange(len(self.seeds))
         checked = _pair_triplets(self.checking_groups)
         count = cfg.checked_triplets
-        drawn = [draw_random_bases(rng, count) for rng in self._rngs[cfg.sender]]
-        bases = np.concatenate([got for got, _ in drawn])
+        sender = self._stream_rows([cfg.sender], trials)
+        bases, uniforms = (drawn.ravel() for drawn in self._streams.random_bases(count, sender))
         parties = (cfg.sender, cfg.receiver) + cfg.controllers
         # per triplet: the sender, the receiver, the controllers, then a
         # probe ancilla, which is read out only after the bases are public
         measuring = [(party, self._role_of[party]) for party in parties]
         if QubitId(1, "e") in self._prepared.qubits:
             measuring.append((EVE, "e"))
-        draws = {party: self._uniforms(party, count, trials) for party, _ in measuring[1:]}
-        draws[cfg.sender] = np.concatenate([uniforms for _, uniforms in drawn])
+        draws = self._uniforms([party for party, _ in measuring[1:]], count, trials)
+        draws[cfg.sender] = uniforms
         rows = self._rows(checked, trials)
         outcomes, left = self._measure_photons(rows, measuring, bases, draws)
         if left.num_qubits:
@@ -525,7 +461,7 @@ class Session:
     def controller_round(self) -> None:
         cfg, live = self.config, self._live
         triplets = _pair_triplets(self.encoding_groups[live])
-        draws = {ctrl: self._uniforms(ctrl, triplets.shape[1], live) for ctrl in cfg.controllers}
+        draws = self._uniforms(cfg.controllers, triplets.shape[1], live)
         rows = self._rows(triplets, live)
         measuring = [(ctrl, self._role_of[ctrl]) for ctrl in cfg.controllers]
         # a Hadamard then a computational measurement: a diagonal read-out
@@ -542,7 +478,7 @@ class Session:
         groups = cfg.encoding_group_count
         # each group's two message bits, read as a number, name its operation
         self._ops = self.messages[live].reshape(-1, 2) @ np.array([2, 1])
-        draws = self._uniforms(cfg.sender, groups, live)
+        draws = self._uniforms([cfg.sender], groups, live)[cfg.sender]
         encoding, self._encoding = self._encoding, None
         roles = [q.role for q in encoding.qubits]
         firsts = take_rows(encoding, slice(0, None, 2))
@@ -559,9 +495,10 @@ class Session:
         measuring = [(cfg.receiver, (QubitId(1, "h"), QubitId(2, "h")))]
         if QubitId(1, "e") in pairs.qubits:
             measuring.append((EVE, (QubitId(1, "e"), QubitId(2, "e"))))
+        draws = self._uniforms([party for party, _ in measuring], groups, live)
         outcomes = {}
         for party, pair in measuring:
-            outcomes[party], pairs = measure_bell(pairs, pair, self._uniforms(party, groups, live))
+            outcomes[party], pairs = measure_bell(pairs, pair, draws[party])
         if pairs.num_qubits:
             raise InternalError("encoding photons were left unmeasured")
 

@@ -22,14 +22,13 @@ from csdcsim.attacks import (
     eve_group_information,
 )
 from csdcsim.cli import SWEEP_CELLS
-from csdcsim.protocol import (
-    MAX_PARTIES, MAX_TRIALS, SESSION_ROWS, ProtocolConfig, Session, draw_random_bases,
-)
+from csdcsim.protocol import MAX_PARTIES, MAX_TRIALS, SESSION_ROWS, ProtocolConfig, Session
 from csdcsim.states import (
     BASES, MeasurementBasis, QubitId, apply_cnot, collapse_qubit, make_state, take_rows, tensor,
 )
+from csdcsim.streams import Streams, seed_state
 from kernel_reference import amplitude
-from stream_reference import _trial_message, _trial_seed
+from stream_reference import _trial_message, _trial_seed, draw_random_bases, seeded_generator
 
 ALL_ATTACKS = [
     InterceptResend(BasisStrategy.RANDOM),
@@ -48,15 +47,21 @@ def config(**overrides) -> ProtocolConfig:
 # --- attack mechanics ---------------------------------------------------
 
 
-def streams(seed, *rows):
-    """A (generator, rows) run for each trial, as a session hands a tap."""
-    return [(np.random.default_rng([seed, k]), n) for k, n in enumerate(rows)]
+def stream_words(seed, trials):
+    """The seed words of one stream for each of ``trials`` trials."""
+    return seed_state(np.array([[seed, k, 0, 0] for k in range(trials)], np.uint32).T)
+
+
+def streams(seed, trials):
+    """A ``Streams`` with one row for each trial, and its rows, as a session
+    hands EVE's to a tap."""
+    return Streams(stream_words(seed, trials)), np.arange(trials)
 
 
 def test_no_attack_is_the_identity():
     qubit = QubitId(1, "t")
     state = make_state((qubit,), [0.6, 0.8])
-    out, index, seen = NoAttack().tap(qubit, state, streams(0, 1, 2))
+    out, index, seen = NoAttack().tap(qubit, state, *streams(0, 3), 1)
     assert out is state
     assert index.tolist() == [0, 0, 0]
     assert seen.shape == (2, 0)
@@ -67,7 +72,7 @@ def test_intercept_resend_collapses_to_an_eigenstate():
     for seed in range(20):
         state = make_state((qubit,), [0.6, 0.8])
         out, index, (bases, outcomes) = InterceptResend(BasisStrategy.ALWAYS_Z).tap(
-            qubit, state, streams(seed, 1)
+            qubit, state, *streams(seed, 1), 1
         )
         assert bases.tolist() == [BASES.index(MeasurementBasis.COMPUTATIONAL)]
         assert index.tolist() == [2 * bases[0] + outcomes[0]]
@@ -77,7 +82,7 @@ def test_intercept_resend_collapses_to_an_eigenstate():
 def test_entangle_measure_adds_one_ancilla():
     qubit = QubitId(3, "t")
     state = make_state((qubit,), [1, 0])
-    out, index, seen = EntangleMeasure().tap(qubit, state, streams(0, 1))
+    out, index, seen = EntangleMeasure().tap(qubit, state, *streams(0, 1), 1)
     assert out.rows == 1 and index.tolist() == [0]
     assert seen.shape == (2, 0)
     assert set(out.qubits) == {qubit, QubitId(3, "e")}
@@ -93,22 +98,23 @@ def test_taps_match_per_row_kernels_bit_for_bit(parties, attack):
     ghz[0] = ghz[-1] = 1.0
     register = make_state([QubitId(1, role) for role in roles], ghz)
     travel = QubitId(1, "t")
-    rows = (16, 5, 16)
+    trials, count = 3, 16
     for seed in range(4):
-        stack, index, (bases, outcomes) = attack.tap(travel, register, streams(seed, *rows))
-        broadcast = take_rows(register, np.zeros(sum(rows), np.intp))
+        eve, rows = streams(seed, trials)
+        stack, index, (bases, outcomes) = attack.tap(travel, register, eve, rows, count)
+        broadcast = take_rows(register, np.zeros(trials * count, np.intp))
         if isinstance(attack, EntangleMeasure):
             probe = QubitId(1, "e")
             expected = tensor(broadcast, make_state((probe,), [1.0, 0.0]))
             expected = apply_cnot(expected, travel, probe)
             assert bases.size == outcomes.size == 0
         else:
-            drawn = streams(seed, *rows)
+            drawn = [seeded_generator(words) for words in stream_words(seed, trials)]
             if attack.strategy is BasisStrategy.RANDOM:
-                picks = [draw_random_bases(rng, n) for rng, n in drawn]
+                picks = [draw_random_bases(rng, count) for rng in drawn]
                 want, uniforms = (np.concatenate(column) for column in zip(*picks))
             else:
-                uniforms = np.concatenate([rng.random(n) for rng, n in drawn])
+                uniforms = np.concatenate([rng.random(count) for rng in drawn])
                 basis = MeasurementBasis(attack.strategy.value.upper())
                 want = np.full(len(uniforms), BASES.index(basis))
             got, expected = collapse_qubit(broadcast, travel, want, uniforms)
@@ -132,7 +138,7 @@ def test_a_branch_of_zero_weight_is_never_divided(strategy, amplitudes):
         warnings.simplefilter("error")
         probs, collapsed = states.collapse_branches(state, qubit)
         measured, left = states.measure_branches(state, qubit, basis)
-        out, index, (_, outcomes) = InterceptResend(strategy).tap(qubit, state, streams(3, 40))
+        out, index, (_, outcomes) = InterceptResend(strategy).tap(qubit, state, *streams(3, 1), 40)
     zero = 2 * BASES.index(basis) + 1
     assert probs.reshape(-1)[zero] == 0.0
     assert not collapsed.amps[zero].any()

@@ -18,7 +18,6 @@ from csdcsim.protocol import (
     ProtocolConfig,
     Session,
     coincidence_ok,
-    draw_random_bases,
     roster_names,
     session_capacity,
     triplet_parity,
@@ -26,9 +25,11 @@ from csdcsim.protocol import (
 from csdcsim.attacks import BasisStrategy, EntangleMeasure, InterceptResend, attack_cell_label
 from csdcsim.cli import SWEEP_CELLS
 from csdcsim.states import ATOL, BASES, MeasurementBasis, QubitId, reorder, take_rows
+from csdcsim.streams import Streams, seed_state
 from csdcsim.transcript import format_transcript, parse_transcript
 from kernel_reference import amplitude
 from readout_reference import reference_readout
+from stream_reference import draw_random_bases, generator_state, stream_state
 from transcript_reference import reference_records
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -99,6 +100,35 @@ def test_capacity_rule_rejects_triplet_counts_that_are_not_positive_and_even(tri
 def test_invalid_configs_are_rejected(overrides):
     with pytest.raises(ConfigError):
         config(**overrides)
+
+
+@pytest.mark.parametrize(
+    "overrides, error",
+    [
+        (dict(triplet_count=8.0), "triplet count must be an integer"),
+        (dict(triplet_count="8"), "triplet count must be an integer"),
+        (dict(party_count=3.5), "party count must be an integer"),
+        (dict(party_count=3.0), "party count must be an integer"),
+        (dict(check_fraction="0.5"), "check fraction must be a real number"),
+        (dict(check_fraction=None), "check fraction must be a real number"),
+        (dict(check_fraction=0.5j), "check fraction must be a real number"),
+        (dict(message_bits=["0", "0", "0", "1"]), "message must be a string"),
+        (dict(message_bits=b"0001"), "message must be a string"),
+    ],
+    ids=[
+        "triplets-float", "triplets-string", "parties-float", "parties-whole-float",
+        "fraction-string", "fraction-none", "fraction-complex", "message-list", "message-bytes",
+    ],
+)
+def test_configs_of_the_wrong_type_are_rejected(overrides, error):
+    with pytest.raises(ConfigError, match=error):
+        config(**overrides)
+
+
+def test_numpy_numbers_are_accepted_where_python_ones_are():
+    cfg = config(triplet_count=np.int64(8), party_count=np.int32(3), check_fraction=np.float32(0.5))
+    assert cfg.capacity_bits == 4 and cfg.roster == ("ALICE", "BOB", "CTRL1")
+    assert Session(cfg).run().match
 
 
 def test_trials_left_out_take_the_configs_own_seed_and_message():
@@ -190,25 +220,26 @@ def test_diagonal_rule_is_the_xor(bits):
     assert coincidence_ok(X, bits) == (sum(bits) % 2 == 0)
 
 
-def reference_random_bases(rng, count):
-    """The scalar loop draw_random_bases must reproduce: per photon, a basis
-    position, then its uniform, interleaved on one stream."""
-    bases, uniforms = [], []
-    for _ in range(count):
-        bases.append(int(rng.integers(0, 2)))
-        uniforms.append(rng.random())
-    return bases, uniforms
-
-
 def test_random_bases_match_the_scalar_reference_loop():
-    for seed in range(50):
-        for count in (0, 1, 2, 7, 64, 513):
-            rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
-            bases, uniforms = draw_random_bases(rng, count)
-            expected_bases, expected_uniforms = reference_random_bases(reference, count)
-            assert bases.tolist() == expected_bases
-            assert uniforms.tolist() == expected_uniforms
-            assert rng.bit_generator.state == reference.bit_generator.state
+    # entropy (seed, 0, 0, 0) seeds the stream default_rng(seed) seeds
+    seeds = list(range(50))
+    entropy = np.zeros((4, len(seeds)), np.uint32)
+    entropy[0] = seeds
+    rows = np.arange(len(seeds))
+    for count in (0, 1, 2, 7, 64, 513):
+        for kept in (False, True):
+            streams = Streams(seed_state(entropy))
+            generators = [np.random.default_rng(seed) for seed in seeds]
+            if kept:  # start the draw on a kept half
+                streams.bits(1, rows)
+                for rng in generators:
+                    rng.integers(0, 2)
+            bases, uniforms = streams.random_bases(count, rows)
+            for row, rng in zip(rows.tolist(), generators):
+                expected_bases, expected_uniforms = draw_random_bases(rng, count)
+                assert bases[row].tolist() == expected_bases.tolist(), (row, count, kept)
+                assert uniforms[row].tolist() == expected_uniforms.tolist(), (row, count, kept)
+                assert stream_state(streams, row) == generator_state(rng), (row, count, kept)
 
 
 def test_triplet_parity_is_xor():
