@@ -102,7 +102,9 @@ def attack_cell_label(attack: AttackModel | None) -> str:
         return "none"
     if isinstance(attack, InterceptResend):
         return f"intercept-resend:{attack.strategy.value}"
-    return "entangle-measure"
+    if isinstance(attack, EntangleMeasure):
+        return "entangle-measure"
+    raise ValueError(f"not an attack model: {attack!r}")
 
 
 # --- exact detection analysis -------------------------------------------

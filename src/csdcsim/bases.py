@@ -17,9 +17,9 @@ ordered (home, travel, control).  The tabulated diagonal-basis
 expansions this module verifies against were stated for a slightly
 different set: the forms for indices 3 and 4 describe
 (|100> +- |001>)/sqrt(2), which is not orthogonal to elements 7 and 8.
-``verify_ghz_expansion`` reports exactly which expansions agree with
-the canonical basis (1, 2, 5, 6, 7, 8) and the residual of the two
-that do not.
+Each check returns its residual, and holds when that is below ATOL:
+``verify_ghz_expansion``'s is below it for the expansions that agree
+with the canonical basis (1, 2, 5, 6, 7, 8) and 1/sqrt(2) for 3 and 4.
 """
 
 from __future__ import annotations
@@ -130,23 +130,16 @@ _DIAGONAL_EXPANSION_TERMS: dict[int, tuple[tuple[int, int, int, float], ...]] = 
 }
 
 
-@dataclass(frozen=True)
-class ExpansionReport:
-    holds: bool
-    max_residual: float
-
-
-def verify_ghz_expansion(index: int) -> ExpansionReport:
-    """Compare the tabulated expansion, as written, against the canonical
-    basis element."""
+def verify_ghz_expansion(index: int) -> float:
+    """The max deviation of the tabulated expansion, as written, from the
+    canonical basis element; it holds when below ATOL."""
     canonical = _ghz_amps(index)
     diag = MeasurementBasis.DIAGONAL.vectors
     tabulated = sum(
         0.5 * coeff * np.kron(np.kron(diag[h], diag[t]), diag[c])
         for h, t, c, coeff in _DIAGONAL_EXPANSION_TERMS[index]
     )
-    residual = float(np.max(np.abs(canonical - tabulated)))
-    return ExpansionReport(residual < ATOL, residual)
+    return float(np.max(np.abs(canonical - tabulated)))
 
 
 def ghz_orthonormality_residual() -> float:
@@ -188,40 +181,24 @@ _PSI_PLUS_REFERENCE_PATTERNS: dict[
 }
 
 
-@dataclass(frozen=True)
-class SwapReport:
-    holds: bool
-    max_residual: float
-    outcome_table: dict[tuple[BellOutcome, BellOutcome], complex]
-
-
-def verify_swap_identity(left: BellOutcome, right: BellOutcome) -> SwapReport:
+def verify_swap_identity(left: BellOutcome, right: BellOutcome) -> tuple[float, np.ndarray]:
     """Re-expand (left on 1,2) x (right on 3,4) over pairs (1,3) and (2,4).
 
-    Checks that exactly four joint outcomes carry amplitude, each of
-    magnitude 1/2 (probability 1/4), and that the pattern reproduces
-    the reference sign table when the left pair is PSI_PLUS.
+    Returns the residual and the (4, 4) amplitudes, indexed by position in
+    BELL_OUTCOMES.  The residual bounds the distance of Σ|amp|² from 1, of
+    each magnitude from 0 or 1/2 and, for a PSI_PLUS left pair, of each
+    amplitude from the reference sign table; below ATOL it leaves exactly
+    four outcomes at magnitude 1/2 (probability 1/4), so the identity holds.
     """
     amps = bell_pair_amplitudes(left.vector.reshape(2, 2), right.vector.reshape(2, 2))
-    table = {
-        (BELL_OUTCOMES[s], BELL_OUTCOMES[r]): complex(amps[s, r]) for s, r in np.ndindex(4, 4)
-    }
-
-    completeness = abs(float(np.sum(np.abs(amps) ** 2)) - 1.0)
-    # distance of each magnitude from the nearer of {0, 1/2}
-    uniformity = float(np.max(np.minimum(np.abs(amps), np.abs(np.abs(amps) - 0.5))))
-    nonzero = int(np.sum(np.abs(amps) > 0.5 - ATOL))
-    residual = max(completeness, uniformity)
-
+    magnitudes = np.abs(amps)
+    completeness = abs(float(np.sum(magnitudes**2)) - 1.0)
+    residual = max(completeness, float(np.max(np.minimum(magnitudes, abs(magnitudes - 0.5)))))
     if left == BellOutcome.PSI_PLUS:
-        expected = _PSI_PLUS_REFERENCE_PATTERNS[right]
-        pattern_residual = max(
-            abs(table[cell] - expected.get(cell, 0.0)) for cell in table
-        )
-        residual = max(residual, float(pattern_residual))
-
-    holds = residual < ATOL and nonzero == 4
-    return SwapReport(holds, residual, table)
+        pattern = _PSI_PLUS_REFERENCE_PATTERNS[right]
+        expected = [[pattern.get((a, b), 0.0) for b in BELL_OUTCOMES] for a in BELL_OUTCOMES]
+        residual = max(residual, float(np.max(np.abs(amps - expected))))
+    return residual, amps
 
 
 @dataclass(frozen=True, eq=False)

@@ -150,6 +150,11 @@ def coincidence_ok(bases, bits) -> np.ndarray:
     return np.where(diagonal, triplet_parity(bits) == 0, (bits == bits[0]).all(axis=0))
 
 
+def _is_integer(value) -> bool:
+    # a bool, Python's or numpy's, is not a count or a seed
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def session_capacity(triplet_count: int, check_fraction: float) -> int:
     """Message bits one session carries: two per group of consecutive
     triplets, after ceil(check_fraction * groups) groups are reserved for
@@ -182,7 +187,7 @@ class ProtocolConfig:
     def __post_init__(self) -> None:
         counts = (("triplet count", self.triplet_count), ("party count", self.party_count))
         for name, value in counts:
-            if not isinstance(value, (int, np.integer)):
+            if not _is_integer(value):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
         if not isinstance(self.check_fraction, Real):
             raise ConfigError(f"check fraction must be a real number, got {self.check_fraction!r}")
@@ -195,8 +200,11 @@ class ProtocolConfig:
             raise ConfigError(
                 f"party count must be between 3 and {MAX_PARTIES}, got {self.party_count}"
             )
-        if not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed <= MAX_SEED:
+        if not _is_integer(self.seed) or not 0 <= self.seed <= MAX_SEED:
             raise ConfigError(f"seed must fit in an unsigned 64-bit integer, got {self.seed!r}")
+        # None is the untouched channel; attacks imports protocol, so a model is known by its tap
+        if self.attack is not None and not callable(getattr(self.attack, "tap", None)):
+            raise ConfigError(f"attack must be None or an attack model, got {self.attack!r}")
         if set(self.message_bits) - {"0", "1"}:
             raise ConfigError("message must be a string of 0s and 1s")
         names = self.roster
@@ -282,12 +290,12 @@ def _bit_string(bits: np.ndarray) -> str:
 
 
 def _seed_array(seeds) -> np.ndarray:
-    """``seeds`` as uint64; a ConfigError unless a 1-D sequence of integers
-    that fit.  A uint64 array passes on its dtype alone."""
+    """``seeds`` as uint64; a ConfigError unless a 1-D sequence of integers,
+    not bools, that fit.  A uint64 array passes on its dtype alone."""
     if not isinstance(seeds, np.ndarray):
         seeds = np.asarray(seeds, object)  # Python ints, not floats, past 2**63
     if seeds.ndim != 1 or seeds.dtype != np.uint64 and not (
-        (seeds.dtype.kind in "biu" or all(isinstance(s, (int, np.integer)) for s in seeds))
+        (seeds.dtype.kind in "iu" or all(map(_is_integer, seeds)))
         and (not seeds.size or 0 <= seeds.min() and seeds.max() <= MAX_SEED)
     ):
         raise ConfigError(f"seeds must be a 1-D sequence of integers in [0, {MAX_SEED}]")

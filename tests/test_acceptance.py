@@ -33,6 +33,7 @@ from csdcsim.bases import (
 from csdcsim.cli import SWEEP_CELLS
 from csdcsim.protocol import ProtocolConfig, Session
 from csdcsim.states import (
+    ATOL,
     BELL_OUTCOMES,
     BellOutcome,
     Gate,
@@ -76,10 +77,12 @@ def test_swap_identities_reproduce_the_sign_patterns():
         },
     }
     for right, pattern in expected_rows.items():
-        report = verify_swap_identity(BellOutcome.PSI_PLUS, right)
-        assert report.holds
-        assert report.max_residual < 1e-12
-        support = {k: v for k, v in report.outcome_table.items() if abs(v) > 1e-9}
+        residual, amps = verify_swap_identity(BellOutcome.PSI_PLUS, right)
+        assert residual < 1e-12
+        support = {
+            (BELL_OUTCOMES[s], BELL_OUTCOMES[r]): amps[s, r]
+            for s, r in zip(*(np.abs(amps) > 1e-9).nonzero())
+        }
         assert set(support) == set(pattern)
         for key, coeff in pattern.items():
             assert abs(support[key] - coeff) < 1e-12
@@ -87,9 +90,9 @@ def test_swap_identities_reproduce_the_sign_patterns():
     # every one of the 16 products spreads uniformly over four outcomes
     for left in BELL_OUTCOMES:
         for right in BELL_OUTCOMES:
-            report = verify_swap_identity(left, right)
-            assert report.holds and report.max_residual < 1e-12
-            support = [v for v in report.outcome_table.values() if abs(v) > 1e-9]
+            residual, amps = verify_swap_identity(left, right)
+            assert residual < 1e-12
+            support = [v for v in amps.flat if abs(v) > 1e-9]
             assert len(support) == 4
             assert all(abs(abs(v) - 0.5) < 1e-12 for v in support)
 
@@ -99,19 +102,18 @@ def test_ghz_basis_is_orthonormal_and_expansions_enumerate():
 
     # the first two tabulated expansions hold exactly
     for index in (1, 2):
-        report = verify_ghz_expansion(index)
-        assert report.holds and report.max_residual < 1e-12
+        assert verify_ghz_expansion(index) < 1e-12
 
     # the remaining six enumerate: four more hold, two miss by 1/sqrt(2)
     expected = {3: False, 4: False, 5: True, 6: True, 7: True, 8: True}
     for index, holds in expected.items():
-        report = verify_ghz_expansion(index)
-        assert report.holds == holds
-        assert math.isfinite(report.max_residual)
+        residual = verify_ghz_expansion(index)
+        assert (residual < ATOL) == holds
+        assert math.isfinite(residual)
         if holds:
-            assert report.max_residual < 1e-12
+            assert residual < 1e-12
         else:
-            assert abs(report.max_residual - 1.0 / math.sqrt(2.0)) < 1e-12
+            assert abs(residual - 1.0 / math.sqrt(2.0)) < 1e-12
     assert GHZ_INDICES == tuple(range(1, 9))
 
 

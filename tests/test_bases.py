@@ -88,20 +88,18 @@ def test_expansion_reports_follow_the_known_pattern():
     expected_holds = {1: True, 2: True, 3: False, 4: False,
                       5: True, 6: True, 7: True, 8: True}
     for index in GHZ_INDICES:
-        report = verify_ghz_expansion(index)
-        assert report.holds == expected_holds[index]
+        assert (verify_ghz_expansion(index) < ATOL) == expected_holds[index]
 
 
 def test_holding_expansions_are_exact():
     for index in (1, 2, 5, 6, 7, 8):
-        assert verify_ghz_expansion(index).max_residual < 1e-12
+        assert verify_ghz_expansion(index) < 1e-12
 
 
 def test_failing_expansions_have_the_known_residual():
     # the two tabulated rows that disagree miss by exactly 1/sqrt(2)
     for index in (3, 4):
-        report = verify_ghz_expansion(index)
-        assert np.isclose(report.max_residual, 0.707106781186548, atol=1e-12)
+        assert np.isclose(verify_ghz_expansion(index), 0.707106781186548, atol=1e-12)
 
 
 def test_reference_expansion_is_normalized():
@@ -120,30 +118,31 @@ def test_reference_expansion_is_normalized():
 def test_all_sixteen_swap_products_hold():
     for left in BELL_OUTCOMES:
         for right in BELL_OUTCOMES:
-            report = verify_swap_identity(left, right)
-            assert report.holds, (left, right)
-            assert report.max_residual < 1e-12
+            residual, _ = verify_swap_identity(left, right)
+            assert residual < 1e-12, (left, right)
 
 
-def _nonzero(table):
-    return {key: coeff for key, coeff in table.items() if abs(coeff) > 1e-9}
+def _nonzero(amps):
+    """The cells of a (4, 4) swap table that carry amplitude, by outcome pair."""
+    return {
+        (BELL_OUTCOMES[s], BELL_OUTCOMES[r]): amps[s, r]
+        for s, r in zip(*(np.abs(amps) > 1e-9).nonzero())
+    }
 
 
 def test_swap_outcome_tables_are_uniform_on_four():
     for left in BELL_OUTCOMES:
         for right in BELL_OUTCOMES:
-            table = verify_swap_identity(left, right).outcome_table
-            assert len(table) == 16
-            support = _nonzero(table)
+            _, amps = verify_swap_identity(left, right)
+            assert amps.shape == (4, 4)
+            support = _nonzero(amps)
             assert len(support) == 4
             for coeff in support.values():
                 assert np.isclose(abs(coeff), 0.5, atol=ATOL)
 
 
 def test_psi_plus_squared_sign_pattern():
-    table = _nonzero(
-        verify_swap_identity(BellOutcome.PSI_PLUS, BellOutcome.PSI_PLUS).outcome_table
-    )
+    table = _nonzero(verify_swap_identity(BellOutcome.PSI_PLUS, BellOutcome.PSI_PLUS)[1])
     expected = {
         (BellOutcome.PSI_PLUS, BellOutcome.PSI_PLUS): 0.5,
         (BellOutcome.PSI_MINUS, BellOutcome.PSI_MINUS): -0.5,
@@ -153,6 +152,35 @@ def test_psi_plus_squared_sign_pattern():
     assert set(table) == set(expected)
     for key, coeff in expected.items():
         assert np.isclose(table[key], coeff, atol=ATOL)
+
+
+def _psi_plus_squared_with_one_sign_flipped():
+    amps = np.zeros((4, 4))
+    for (a, b), coeff in bases._PSI_PLUS_REFERENCE_PATTERNS[BellOutcome.PSI_PLUS].items():
+        amps[BELL_OUTCOMES.index(a), BELL_OUTCOMES.index(b)] = coeff
+    cell = BELL_OUTCOMES.index(BellOutcome.PSI_PLUS)
+    amps[cell, cell] *= -1
+    return amps
+
+
+@pytest.mark.parametrize(
+    "left, malformed",
+    [
+        # two cells at 1/sqrt(2): complete, but not four at 1/2
+        (BellOutcome.PHI_PLUS, np.diag([1.0, 1.0, 0.0, 0.0]) / math.sqrt(2)),
+        # eight cells at 1/(2 sqrt(2)): complete, but eight magnitudes are neither 0 nor 1/2
+        (BellOutcome.PHI_PLUS, np.vstack([np.full((2, 4), 1 / math.sqrt(8)), np.zeros((2, 4))])),
+        # four cells at 1/2 and complete, but off the reference sign table
+        (BellOutcome.PSI_PLUS, _psi_plus_squared_with_one_sign_flipped()),
+    ],
+    ids=["two-cells", "eight-cells", "one-sign-flipped"],
+)
+def test_a_malformed_swap_table_fails_on_its_residual_alone(monkeypatch, left, malformed):
+    monkeypatch.setattr(bases, "bell_pair_amplitudes", lambda first, second: malformed)
+    residual, amps = verify_swap_identity(left, BellOutcome.PSI_PLUS)
+    assert amps is malformed
+    assert np.isclose(np.sum(np.abs(amps) ** 2), 1.0, atol=ATOL)
+    assert residual >= ATOL
 
 
 def test_bell_product_amplitudes_are_complete():

@@ -323,10 +323,8 @@ def test_verify_structural_failure_exits_three(monkeypatch, capsys):
     real = cli.bases.verify_swap_identity
 
     def broken(left, right):
-        report = real(left, right)
-        return type(report)(
-            holds=False, max_residual=1.0, outcome_table=report.outcome_table,
-        )
+        _, amps = real(left, right)
+        return 1.0, amps
 
     monkeypatch.setattr(cli.bases, "verify_swap_identity", broken)
     code = cli.main(["--mode", "verify"])

@@ -7,7 +7,8 @@ sweep, and a seeded draw of a few hundred small run configurations.
 Each digest is the sha256 of the transcript bytes followed by
 the stats bytes (the stats bytes alone for the sweep); a change to any
 kernel that shifts one sampled outcome or one RNG draw changes it.
-Default ``--mode verify`` stdout is pinned too, with each residual
+Default ``--mode verify`` stdout, and verify's at twelve parties and
+4096 triplets, are pinned too, with each residual
 masked: residuals go through BLAS, so their last digits may differ by
 platform.
 """
@@ -183,10 +184,22 @@ def test_drawn_sweeps_match_their_pinned_digest():
 VERIFY_DIGEST = "14da4471bd7650cae3422d4b9a4445f39c96808484f76d552f04136967e21a83"
 
 
-def test_verify_output_matches_its_pinned_digest():
+VERIFY_P12_ARGV = ["--parties", "12", "--triplets", "4096", "--check-fraction", "0.25"]
+VERIFY_P12_DIGEST = "9cf7c0761a1e8680c7d1670d5d59e5a312e4e0d1ed9d3d01fd0184c43caf4ea3"
+
+
+def masked_verify_digest(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        assert cli.main(["--mode", "verify"]) == cli.EXIT_OK
+        assert cli.main(["--mode", "verify", *argv]) == cli.EXIT_OK
     masked = re.sub(r"residual=[^\t\n]*", "residual=*", out.getvalue())
     assert masked.count("residual=*") == 25
-    assert hashlib.sha256(masked.encode("utf-8")).hexdigest() == VERIFY_DIGEST
+    return hashlib.sha256(masked.encode("utf-8")).hexdigest()
+
+
+def test_verify_output_matches_its_pinned_digest():
+    assert masked_verify_digest([]) == VERIFY_DIGEST
+
+
+def test_verify_output_at_twelve_parties_matches_its_pinned_digest():
+    assert masked_verify_digest(VERIFY_P12_ARGV) == VERIFY_P12_DIGEST

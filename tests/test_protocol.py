@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -95,6 +96,14 @@ def test_capacity_rule_rejects_triplet_counts_that_are_not_positive_and_even(tri
         dict(triplet_count=MAX_TRIPLETS + 2),
         dict(seed=1.5),
         dict(seed="12"),
+        dict(seed=True),
+        dict(seed=np.bool_(True)),
+        dict(triplet_count=np.True_),
+        dict(party_count=True),
+        # a value that is not an attack model, which would run untapped
+        dict(attack="intercept-resend"),
+        dict(attack=object()),
+        dict(attack=SimpleNamespace(tap=None)),
     ],
 )
 def test_invalid_configs_are_rejected(overrides):
@@ -166,11 +175,15 @@ def test_trials_left_out_take_the_configs_own_seed_and_message():
         (dict(seeds=np.zeros((1, 1), np.uint64)), "seeds must be a 1-D sequence of integers"),
         (dict(seeds=[[1]]), "seeds must be a 1-D sequence of integers"),
         (dict(seeds="12"), "seeds must be a 1-D sequence of integers"),
+        (dict(seeds=[True]), "seeds must be a 1-D sequence of integers"),
+        (dict(seeds=[1, np.bool_(False)]), "seeds must be a 1-D sequence of integers"),
+        (dict(seeds=np.array([True])), "seeds must be a 1-D sequence of integers"),
     ],
     ids=["no-trials", "no-messages", "more-messages-than-its-seed", "more-messages",
          "more-seeds", "wider", "narrower", "flat", "two", "negative", "fraction",
          "seed-fraction", "seed-fraction-array", "seed-negative", "seed-negative-array",
-         "seed-past-64-bits", "seeds-2d-array", "seeds-2d", "seeds-string"],
+         "seed-past-64-bits", "seeds-2d-array", "seeds-2d", "seeds-string", "seed-bool",
+         "seed-numpy-bool", "seed-bool-array"],
 )
 def test_a_session_rejects_trials_that_do_not_fit_its_config(trials, error):
     with pytest.raises(ConfigError, match=error):
