@@ -28,7 +28,9 @@ from .states import (
     make_state,
     tensor,
 )
-from .protocol import MAX_PARTIES, MAX_TRIALS, SESSION_ROWS, ProtocolConfig, Session, untapped
+from .protocol import (
+    MAX_PARTIES, MAX_TRIALS, SESSION_ROWS, ProtocolConfig, Session, _is_integer, untapped,
+)
 from .streams import Streams, seed_state
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
@@ -241,8 +243,8 @@ def _trial_entropy(seed: int, trials: np.ndarray, *tail: int) -> np.ndarray:
 def estimate_detection(config: ProtocolConfig, trials: int) -> DetectionStats:
     """Run independent trials with derived seeds and random messages,
     stacked into sessions of up to ``SESSION_ROWS`` triplets each."""
-    if not 1 <= trials <= MAX_TRIALS:
-        raise ValueError(f"trials must be between 1 and {MAX_TRIALS}")
+    if not _is_integer(trials) or not 1 <= trials <= MAX_TRIALS:
+        raise ValueError(f"trials must be an integer between 1 and {MAX_TRIALS}, got {trials!r}")
     # Stacking changes no trial's outcome, only the time and memory a cell
     # takes, and a session's memory grows with its triplet rows.
     chunk = max(1, SESSION_ROWS // config.triplet_count)

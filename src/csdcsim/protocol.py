@@ -48,10 +48,10 @@ k*T + n - 1 of the prepared index (T triplets a trial), and the later
 stacks keep the trials in order, so a phase is still one kernel call per
 party over every trial's rows.  A trial that aborts in S4 leaves S5-S9
 by a mask.  The phases store their outcomes in per-trial arrays of
-positions in ``BASES``, ``BELL_OUTCOMES`` and ``EncodingOp``.  A trial's
-transcript names them: text written straight from those arrays, built
-only when its ``SessionResult`` is asked for, so a sweep builds none; its
-records are parsed from the text only if something reads them.
+positions in ``BASES``, ``BELL_OUTCOMES`` and ``EncodingOp``.  Only when
+a trial's ``SessionResult`` is asked for, so never in a sweep, does the
+session slice that trial's values out of the arrays and hand them to
+``transcript.write_transcript``, which owns the transcript's format.
 
 Randomness: every trial draws from its own master seed through a named
 substream per party (ALICE, BOB, CTRL1..k, then EVE, spawn keys 0..),
@@ -70,7 +70,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import chain
 from numbers import Real
 from typing import TYPE_CHECKING, Sequence
 
@@ -79,7 +78,6 @@ import numpy as np
 from .bases import EncodingOp, default_decode_table
 from .states import (
     BASES,
-    BELL_OUTCOMES,
     Gate,
     MeasurementBasis,
     QubitId,
@@ -94,14 +92,13 @@ from .states import (
     tensor,
 )
 from .streams import Streams, seed_state
-from .transcript import TranscriptRecord, number_lines, parse_transcript
+from .transcript import EVE, TranscriptRecord, parse_transcript, write_transcript
 
 if TYPE_CHECKING:  # pragma: no cover
     from .attacks import AttackModel
 
 ALICE = "ALICE"
 BOB = "BOB"
-EVE = "EVE"
 
 MAX_SEED = 2**64 - 1
 # A register is dense, 2**P amplitudes (2**(P+1) with a probe ancilla);
@@ -202,8 +199,10 @@ class ProtocolConfig:
             )
         if not _is_integer(self.seed) or not 0 <= self.seed <= MAX_SEED:
             raise ConfigError(f"seed must fit in an unsigned 64-bit integer, got {self.seed!r}")
-        # None is the untouched channel; attacks imports protocol, so a model is known by its tap
-        if self.attack is not None and not callable(getattr(self.attack, "tap", None)):
+        # None is the untouched channel; attacks imports protocol, so a model is known by its
+        # tap, on an instance: a model's class has the same tap, unbound
+        tap = getattr(self.attack, "tap", None)
+        if self.attack is not None and (isinstance(self.attack, type) or not callable(tap)):
             raise ConfigError(f"attack must be None or an attack model, got {self.attack!r}")
         if set(self.message_bits) - {"0", "1"}:
             raise ConfigError("message must be a string of 0s and 1s")
@@ -543,121 +542,41 @@ class Session:
 
     def result(self, trial: int) -> SessionResult:
         """One trial's result, with its config and transcript text."""
-        message = _bit_string(self.messages[trial])
-        completed = bool(self.completed[trial])
+        if not 0 <= trial < len(self.seeds):
+            raise IndexError(f"trial {trial} is not one of the session's {len(self.seeds)}")
+        cfg, count, checked = self.config, self.config.triplet_count, self.config.checked_triplets
+        message, completed = _bit_string(self.messages[trial]), bool(self.completed[trial])
         decoded = _bit_string(self.decoded[trial]) if completed else None
+        rows = slice(trial * count, (trial + 1) * count)
+        tap = (self._tap_bases[rows].tolist(), self._tap_bits[rows].tolist())
+        if QubitId(1, "e") in self._prepared.qubits:  # a probe coupled, nothing measured
+            tap = "probe"
+        encoded = {}
+        if completed:
+            # the trial's place among those that passed, and its groups there
+            j = int(np.count_nonzero(self.completed[:trial]))
+            groups = slice(j * cfg.encoding_group_count, (j + 1) * cfg.encoding_group_count)
+            encoded = dict(
+                controller_bits={c: bits[j].tolist() for c, bits in self._controller_bits.items()},
+                parities=self.parities[j].tolist(), ops=self._ops[groups].tolist(),
+                sender_bell=self._sender_bell[groups].tolist(),
+                receiver_bell=self._receiver_bell[groups].tolist(),
+                ancilla_bell=self._ancilla_bell[groups].tolist(), decoded=decoded,
+            )
+        abort_triplet = None if completed else int(self.abort_triplet[trial])
+        transcript = write_transcript(
+            count, cfg.sender, cfg.receiver, cfg.controllers,
+            tap, self.checking_groups[trial].tolist(), self.encoding_groups[trial].tolist(),
+            self._check_bases[trial * checked : (trial + 1) * checked].tolist(),
+            {party: bits[trial].tolist() for party, bits in self._check_bits.items()},
+            int(self.violations[trial]), abort_triplet, **encoded,
+        )
         return SessionResult(
-            config=replace(self.config, seed=int(self.seeds[trial]), message_bits=message),
+            config=replace(cfg, seed=int(self.seeds[trial]), message_bits=message),
             completed=completed,
             decoded_bits=decoded,
             match=completed and decoded == message,
             violations=int(self.violations[trial]),
-            abort_triplet=None if completed else int(self.abort_triplet[trial]),
-            transcript=self._transcript(trial, decoded),
+            abort_triplet=abort_triplet,
+            transcript=transcript,
         )
-
-    def _transcript(self, trial: int, decoded: str | None) -> str:
-        """The transcript text of one trial, in protocol order, from the
-        outcomes the phases stored.  Announcements are authenticated: the
-        eavesdropper reads them but cannot alter or suppress them."""
-        cfg, count = self.config, self.config.triplet_count
-        sender, receiver, controllers = cfg.sender, cfg.receiver, cfg.controllers
-        # the names of the positions the phases stored
-        basis_names = [basis.value for basis in BASES]
-        bell_names = [outcome.value for outcome in BELL_OUTCOMES]
-        op_names = [f"bits={op.bits} op={op.name}" for op in EncodingOp]
-
-        sizes = f"triplets={count} parties={cfg.party_count} groups={cfg.group_count}"
-        lines = [
-            f"S1\t{receiver}\tPREPARE\t{sizes}",
-            f"S1\t{receiver}\tSEND\tto={sender} sequence=travel count={count}",
-        ]
-        if QubitId(1, "e") in self._prepared.qubits:  # a probe coupled, nothing measured
-            lines += [f"S1\t{EVE}\tTAP\ttriplet={n} probe=cnot" for n in range(1, count + 1)]
-        else:
-            rows = slice(trial * count, (trial + 1) * count)
-            seen = zip(self._tap_bases[rows].tolist(), self._tap_bits[rows].tolist())
-            lines += [
-                f"S1\t{EVE}\tTAP\ttriplet={n} basis={basis_names[basis]} outcome={outcome}"
-                for n, (basis, outcome) in enumerate(seen, 1)
-            ]
-        lines += [
-            f"S1\t{receiver}\tSEND\tto={ctrl} sequence=control count={count}" for ctrl in controllers
-        ]
-        lines += [
-            f"S2\t{party}\tRECEIPT\tparty={party} count={count}" for party in (sender,) + controllers
-        ]
-
-        checking = ",".join(map(str, self.checking_groups[trial].tolist()))
-        encoding = self.encoding_groups[trial].tolist()
-        selection = f"checking={checking} encoding={','.join(map(str, encoding))}"
-        lines.append(f"S3\t{sender}\tGROUP_SELECTION\t{selection}")
-
-        # each checked triplet's announcement, then every other party's reply
-        checked = _pair_triplets(self.checking_groups[trial]).tolist()
-        bases = self._check_bases[trial * len(checked) : (trial + 1) * len(checked)].tolist()
-        checks = [f"triplet={n} basis={basis_names[b]} outcome=" for n, b in zip(checked, bases)]
-        bits = {party: column[trial].tolist() for party, column in self._check_bits.items()}
-        announced = [f"S4\t{sender}\tCHECK_ANNOUNCE\t{c}{b}" for c, b in zip(checks, bits[sender])]
-        replies = [
-            [f"S4\t{party}\tCHECK_REPLY\tparty={party} {c}{b}" for c, b in zip(checks, bits[party])]
-            for party in (receiver,) + controllers
-        ]
-        lines += chain.from_iterable(zip(announced, *replies))
-        lines += [f"S4\t{EVE}\tANCILLA_MEASURE\t{c}{b}" for c, b in zip(checks, bits.get(EVE, ()))]
-        counts = f"checked={len(checked)} violations={self.violations[trial]}"
-        if not self.completed[trial]:
-            lines.append(f"S4\t{sender}\tCHECK_VERDICT\tverdict=abort {counts}")
-            reason = f"reason=check_failed triplet={self.abort_triplet[trial]}"
-            lines.append(f"S4\t{sender}\tABORT\t{reason}")
-            return number_lines(lines)
-        lines.append(f"S4\t{sender}\tCHECK_VERDICT\tverdict=pass {counts}")
-
-        # the trial's place among those that passed, and its groups there
-        j = int(np.count_nonzero(self.completed[:trial]))
-        groups = slice(j * len(encoding), (j + 1) * len(encoding))
-        triplets = _pair_triplets(self.encoding_groups[trial]).tolist()
-        controller_bits = {c: column[j].tolist() for c, column in self._controller_bits.items()}
-        for ctrl in controllers:
-            lines += [
-                f"S5\t{ctrl}\tHADAMARD_MEASURE\ttriplet={n} outcome={b}"
-                for n, b in zip(triplets, controller_bits[ctrl])
-            ]
-        for ctrl in controllers:
-            listed = ",".join(f"{n}:{b}" for n, b in zip(triplets, controller_bits[ctrl]))
-            lines.append(f"S6\t{ctrl}\tCONTROLLER_OUTCOMES\tparty={ctrl} outcomes={listed}")
-
-        sender_bell = [bell_names[k] for k in self._sender_bell[groups].tolist()]
-        encoded = [
-            f"S7\t{sender}\tENCODE\tgroup={g} {op_names[k]}"
-            for g, k in zip(encoding, self._ops[groups].tolist())
-        ]
-        measured = [
-            f"S7\t{sender}\tBELL_MEASURE\tgroup={g} pair=t{2 * g - 1},t{2 * g} outcome={outcome}"
-            for g, outcome in zip(encoding, sender_bell)
-        ]
-        lines += chain.from_iterable(zip(encoded, measured))
-        lines += [
-            f"S8\t{sender}\tBELL_ANNOUNCE\tgroup={g} outcome={outcome}"
-            for g, outcome in zip(encoding, sender_bell)
-        ]
-
-        parities = self.parities[j].tolist()
-        receiver_bell = [bell_names[k] for k in self._receiver_bell[groups].tolist()]
-        measured = [
-            f"S9\t{receiver}\tBELL_MEASURE\tgroup={g} pair=h{2 * g - 1},h{2 * g} outcome={outcome}"
-            for g, outcome in zip(encoding, receiver_bell)
-        ]
-        read = zip(encoding, parities[::2], parities[1::2], sender_bell, receiver_bell)
-        decodes = [
-            f"S9\t{receiver}\tDECODE\tgroup={g} parities={p1}{p2} sender={s} receiver={r} "
-            f"bits={decoded[2 * i : 2 * i + 2]}"
-            for i, (g, p1, p2, s, r) in enumerate(read)
-        ]
-        lines += chain.from_iterable(zip(measured, decodes))
-        lines += [
-            f"S9\t{EVE}\tANCILLA_BELL\tgroup={g} pair=e{2 * g - 1},e{2 * g} outcome={bell_names[k]}"
-            for g, k in zip(encoding, self._ancilla_bell[groups].tolist())
-        ]
-        lines.append(f"S11\t{receiver}\tCOMPLETE\tdecoded={decoded}")
-        return number_lines(lines)

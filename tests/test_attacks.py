@@ -462,6 +462,13 @@ def test_trials_must_be_positive():
         estimate_detection(config(), trials=0)
 
 
+@pytest.mark.parametrize("trials", [2.0, True, np.True_, "2"])
+def test_trials_must_be_an_integer(trials):
+    # a float would end in range's TypeError, and True would run as one trial
+    with pytest.raises(ValueError, match="integer"):
+        estimate_detection(config(), trials=trials)
+
+
 def test_trials_above_the_cap_are_rejected():
     with pytest.raises(ValueError, match=str(MAX_TRIALS)):
         estimate_detection(config(), trials=MAX_TRIALS + 1)

@@ -104,6 +104,9 @@ def test_capacity_rule_rejects_triplet_counts_that_are_not_positive_and_even(tri
         dict(attack="intercept-resend"),
         dict(attack=object()),
         dict(attack=SimpleNamespace(tap=None)),
+        # a model's class, whose tap is unbound
+        dict(attack=EntangleMeasure),
+        dict(attack=InterceptResend),
     ],
 )
 def test_invalid_configs_are_rejected(overrides):
@@ -132,6 +135,16 @@ def test_invalid_configs_are_rejected(overrides):
 def test_configs_of_the_wrong_type_are_rejected(overrides, error):
     with pytest.raises(ConfigError, match=error):
         config(**overrides)
+
+
+def test_a_trial_outside_the_session_is_rejected():
+    session = Session(ProtocolConfig(8, "0001"), [3, 4], np.zeros((2, 4), int))
+    session.run_trials()
+    assert [session.result(trial).config.seed for trial in (0, 1)] == [3, 4]
+    # a negative trial would slice no rows, and write a transcript without its S4 lines
+    for trial in (-1, -2, 2):
+        with pytest.raises(IndexError):
+            session.result(trial)
 
 
 def test_numpy_numbers_are_accepted_where_python_ones_are():

@@ -8,9 +8,9 @@ from csdcsim.transcript import (
     TranscriptRecord,
     format_line,
     format_transcript,
-    number_lines,
     parse_line,
     parse_transcript,
+    write_transcript,
 )
 
 # any character but the separators, \x0c, \x85 and \u2028 among them
@@ -60,17 +60,31 @@ def test_only_lf_ends_a_line():
     assert parse_transcript(text.rstrip("\n")) == [record]
 
 
+def small_trial(sender="BOB", receiver="ALICE", controller="CTRL1", abort_triplet=None) -> str:
+    """The transcript of a four-triplet trial: group 1 checks, group 2 encodes
+    unless the trial aborts."""
+    return write_transcript(
+        4, sender, receiver, [controller], ([0, 1, 1, 0], [0, 1, 0, 0]), [1], [2], [0, 1],
+        {sender: [0, 1], receiver: [0, 1], controller: [0, 0]}, 0, abort_triplet,
+        controller_bits={controller: [1, 0]}, parities=[1, 0], ops=[2], sender_bell=[0],
+        receiver_bell=[3], decoded="10",
+    )
+
+
 def test_numbered_lines_are_the_formatted_records():
-    bodies = ["S1\tALICE\tPREPARE\ttriplets=2", "S11\tALICE\tCOMPLETE\tdecoded=01"]
-    records = [TranscriptRecord(n, *body.split("\t")) for n, body in enumerate(bodies, 1)]
-    assert number_lines(bodies) == format_transcript(records)
-    assert number_lines([]) == ""
+    text = small_trial()
+    records = parse_transcript(text)
+    assert [r.seq for r in records] == list(range(1, len(records) + 1))
+    assert format_transcript(records) == text
+    assert records[-1] == TranscriptRecord(len(records), "S11", "ALICE", "COMPLETE", "decoded=10")
 
 
 @pytest.mark.parametrize("detail", ["x\ty", "x\ny", "x\ry", "x\r\n"])
 def test_numbered_lines_reject_a_separator_in_a_field(detail):
-    with pytest.raises(ValueError):
-        number_lines(["S1\tALICE\tPREPARE\ttriplets=2", f"S4\tBOB\tCHECK_ANNOUNCE\t{detail}"])
+    for role in ("sender", "receiver", "controller"):
+        for abort_triplet in (None, 2):
+            with pytest.raises(ValueError):
+                small_trial(**{role: detail}, abort_triplet=abort_triplet)
 
 
 def test_parse_rejects_wrong_field_count():
@@ -98,6 +112,9 @@ def test_arbitrary_records_round_trip(seq, phase, actor, action, detail):
     record = TranscriptRecord(seq, phase, actor, action, detail)
     text = format_transcript([record, record])
     assert parse_transcript(text) == [record, record]
-    body = "\t".join((phase, actor, action, detail))
-    numbered = [record._replace(seq=1), record._replace(seq=2)]
-    assert number_lines([body, body]) == format_transcript(numbered)
+    # any party names without a separator are written as records that parse back
+    names = dict(sender=phase, receiver=actor, controller=action)
+    text = small_trial(**names)
+    records = parse_transcript(text)
+    assert format_transcript(records) == text
+    assert {r.actor for r in records} == set(names.values()) | {"EVE"}

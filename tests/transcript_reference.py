@@ -1,8 +1,9 @@
 """Session transcripts as records, emitted one at a time.
 
-``Session`` writes each trial's transcript as text straight from its phase
-arrays; the tests compare that text against ``format_transcript`` of the
-records this independent route builds from the same arrays.
+``Session.result`` slices each trial's values out of its phase arrays and
+``transcript.write_transcript`` writes them as numbered text in one pass;
+the tests compare that text against ``format_transcript`` of the records
+this independent route builds from the same arrays.
 """
 
 import numpy as np
