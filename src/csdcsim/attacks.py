@@ -5,12 +5,12 @@ purpose: ``detection_oracle`` enumerates every branch of the attacked
 checking round exactly, while ``estimate_detection`` runs full Monte
 Carlo sessions.  Tests require the two to agree.  Both exact analyses,
 ``detection_oracle`` and ``eve_group_information``, run on plain arrays,
-independent of ``StateVector`` and the kernels the sessions run on.
+independent of ``StateVector`` and the kernels the sessions run on: they
+pass each state as a ``(2,) * n`` tensor, one axis per qubit.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -29,7 +29,7 @@ from .states import (
     tensor,
 )
 from .protocol import (
-    MAX_PARTIES, MAX_TRIALS, SESSION_ROWS, ProtocolConfig, Session, _is_integer, untapped,
+    MAX_PARTIES, MAX_TRIALS, SESSION_ROWS, ConfigError, ProtocolConfig, Session, _is_integer, untapped,
 )
 from .streams import Streams, seed_state
 
@@ -57,6 +57,10 @@ class InterceptResend:
     """Measure each travel photon in flight and forward the eigenstate."""
 
     strategy: BasisStrategy = BasisStrategy.RANDOM
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.strategy, BasisStrategy):
+            raise ConfigError(f"strategy must be a BasisStrategy, got {self.strategy!r}")
 
     def tap(self, qubit: QubitId, register: StateVector, streams: Streams, rows, count: int):
         if self.strategy is BasisStrategy.RANDOM:
@@ -111,51 +115,42 @@ def attack_cell_label(attack: AttackModel | None) -> str:
 
 # --- exact detection analysis -------------------------------------------
 # Plain-array enumeration, deliberately independent of the StateVector
-# machinery the sessions run on.  Qubit order inside a triplet vector is
-# (home, travel, control..., ancilla?), travel at axis 1.
+# machinery the sessions run on.  A triplet is a (2,) * n tensor, one axis
+# per qubit in the order (home, travel, control..., ancilla?), travel at axis 1.
 
 _H = np.array([[_SQRT_HALF, _SQRT_HALF], [_SQRT_HALF, -_SQRT_HALF]])
 
 
 def _ghz_vector(parties: int) -> np.ndarray:
-    vec = np.zeros(1 << parties)
-    vec[0] = vec[-1] = _SQRT_HALF
-    return vec
+    psi = np.zeros((2,) * parties)
+    psi.flat[[0, -1]] = _SQRT_HALF
+    return psi
 
 
-def _apply_single(vec: np.ndarray, total: int, axis: int, matrix: np.ndarray) -> np.ndarray:
-    psi = np.moveaxis(vec.reshape([2] * total), axis, 0)
-    psi = np.tensordot(matrix, psi, axes=([1], [0]))
-    return np.moveaxis(psi, 0, axis).reshape(-1)
+def _apply_single(psi: np.ndarray, axis: int, matrix: np.ndarray) -> np.ndarray:
+    return np.moveaxis(np.tensordot(matrix, psi, axes=(1, axis)), 0, axis)
 
 
-def _cnot_vector(vec: np.ndarray, total: int, control: int, target: int) -> np.ndarray:
-    psi = np.moveaxis(vec.reshape([2] * total), (control, target), (0, 1)).copy()
-    flipped = psi[1, [1, 0]]
-    psi[1] = flipped
-    return np.moveaxis(psi, (0, 1), (control, target)).reshape(-1)
+def _cnot_vector(psi: np.ndarray, control: int, target: int) -> np.ndarray:
+    flipped = psi.copy()
+    pair = np.moveaxis(flipped, (control, target), (0, 1))
+    pair[1] = pair[1, ::-1]
+    return flipped
 
 
-def _violation_probability(vec: np.ndarray, parties: int, total: int, diagonal: bool) -> float:
-    """Probability the coincidence rule fails when all parties measure.
-
-    Extra (non-party) qubits such as a probe ancilla are marginalized.
-    """
-    work = vec
+def _violation_probability(psi: np.ndarray, parties: int, diagonal: bool) -> float:
+    """Probability the coincidence rule fails when the parties (the first
+    ``parties`` axes) all measure, weighted by the squared norm of an
+    unnormalised ``psi``.  Extra (non-party) qubits such as a probe
+    ancilla are marginalized."""
     if diagonal:
         for axis in range(parties):
-            work = _apply_single(work, total, axis, _H)
-    probs = np.abs(work.reshape(1 << parties, -1)) ** 2
-    per_outcome = probs.sum(axis=1)
-    violating = 0.0
-    for bits in range(1 << parties):
-        if diagonal:
-            fails = bin(bits).count("1") % 2 == 1
-        else:
-            fails = bits not in (0, (1 << parties) - 1)
-        if fails:
-            violating += float(per_outcome[bits])
-    return violating
+            psi = _apply_single(psi, axis, _H)
+    per_outcome = np.sum(np.abs(psi) ** 2, axis=tuple(range(parties, psi.ndim)))
+    bits = np.indices((2,) * parties)
+    # Z: the parties' bits must all agree; X: their parity must be even
+    fails = bits.sum(axis=0) % 2 == 1 if diagonal else (bits != bits[0]).any(axis=0)
+    return float(per_outcome[fails].sum())
 
 
 # The bases each intercepting strategy measures in, each chosen equally
@@ -173,40 +168,34 @@ def detection_oracle(attack: AttackModel | None, parties: int = 3) -> float:
     Enumerates the eavesdropper's basis choice and outcome, then the
     uniformly chosen checking basis, then every party-outcome branch.
     """
-    if not (3 <= parties <= MAX_PARTIES):
-        raise ValueError(f"the protocol needs 3 to {MAX_PARTIES} parties, got {parties}")
+    if not _is_integer(parties) or not 3 <= parties <= MAX_PARTIES:
+        raise ValueError(f"parties must be an integer from 3 to {MAX_PARTIES}, got {parties!r}")
     if attack is None or isinstance(attack, NoAttack):
         return 0.0
 
     ghz = _ghz_vector(parties)
-    branches: list[tuple[float, np.ndarray, int]] = []  # weight, vector, total qubits
+    # (weight, psi): psi unnormalised, its squared norm the branch's probability
     if isinstance(attack, InterceptResend):
+        # project the travel qubit onto each eigenvector, keeping it
         chosen = _INTERCEPT_BASES[attack.strategy]
-        for eigvecs in chosen:
-            for eigvec in eigvecs:
-                # project the travel qubit onto the eigenvector, keeping it
-                post = _apply_single(ghz, parties, 1, np.outer(eigvec, eigvec.conj()))
-                prob = float(np.sum(np.abs(post) ** 2))
-                if prob > 0.0:
-                    branches.append((prob / len(chosen), post / math.sqrt(prob), parties))
+        branches = [
+            (1 / len(chosen), _apply_single(ghz, 1, np.outer(eigvec, eigvec.conj())))
+            for eigvecs in chosen for eigvec in eigvecs
+        ]
     elif isinstance(attack, EntangleMeasure):
-        probed = np.kron(ghz, np.array([1.0, 0.0]))
-        probed = _cnot_vector(probed, parties + 1, 1, parties)
-        branches.append((1.0, probed, parties + 1))
+        branches = [(1.0, _cnot_vector(np.multiply.outer(ghz, [1.0, 0.0]), 1, parties))]
     else:
         raise ValueError(f"unknown attack model {attack!r}")
-
-    total_violation = 0.0
-    for weight, vec, total in branches:
-        for diagonal in (False, True):
-            total_violation += (
-                weight * 0.5 * _violation_probability(vec, parties, total, diagonal)
-            )
-    return total_violation
+    return sum(
+        weight * 0.5 * _violation_probability(psi, parties, diagonal)
+        for weight, psi in branches for diagonal in (False, True)
+    )
 
 
 def abort_probability(attack: AttackModel | None, checked_triplets: int, parties: int = 3) -> float:
     """Chance that at least one of k independent checked triplets trips."""
+    if not _is_integer(checked_triplets) or checked_triplets < 0:
+        raise ValueError(f"checked_triplets must be an integer >= 0, got {checked_triplets!r}")
     p = detection_oracle(attack, parties)
     return 1.0 - (1.0 - p) ** checked_triplets
 
@@ -292,14 +281,14 @@ def eve_group_information() -> float:
     """
     values = []
     for p1, p2 in np.ndindex(2, 2):
-        triplet1, triplet2 = _ghz_vector(3), _ghz_vector(3).reshape(2, 2, 2)
-        triplet1[-1] *= (-1) ** p1
+        triplet1, triplet2 = _ghz_vector(3), _ghz_vector(3)
+        triplet1[1, 1, 1] *= (-1) ** p1
         triplet2[1, 1, 1] *= (-1) ** p2
         # joint[op, s, e]: P(operation, travel-pair outcome s, ancilla-pair
         # outcome e), summed over the receiver's home-pair outcome
         joint = np.zeros((4, 4, 4))
         for k, op in enumerate(EncodingOp):
-            encoded = _apply_single(triplet1, 3, 1, op.gate.matrix).reshape(2, 2, 2)
+            encoded = _apply_single(triplet1, 1, op.gate.matrix)
             # read out in the pairs (h1, h2), (t1, t2) and (e1, e2)
             probs = np.abs(bell_pair_amplitudes(encoded, triplet2)) ** 2
             joint[k] = 0.25 * np.where(probs > 1e-15, probs, 0.0).sum(axis=0)

@@ -542,6 +542,8 @@ class Session:
 
     def result(self, trial: int) -> SessionResult:
         """One trial's result, with its config and transcript text."""
+        if self._prepared is None:
+            raise RuntimeError("the session has not run: call run_trials() first")
         if not 0 <= trial < len(self.seeds):
             raise IndexError(f"trial {trial} is not one of the session's {len(self.seeds)}")
         cfg, count, checked = self.config, self.config.triplet_count, self.config.checked_triplets

@@ -22,7 +22,9 @@ from csdcsim.attacks import (
     eve_group_information,
 )
 from csdcsim.cli import SWEEP_CELLS
-from csdcsim.protocol import MAX_PARTIES, MAX_TRIALS, SESSION_ROWS, ProtocolConfig, Session
+from csdcsim.protocol import (
+    MAX_PARTIES, MAX_TRIALS, SESSION_ROWS, ConfigError, ProtocolConfig, Session,
+)
 from csdcsim.states import (
     BASES, MeasurementBasis, QubitId, apply_cnot, collapse_qubit, make_state, take_rows, tensor,
 )
@@ -215,6 +217,13 @@ def test_attack_cell_labels():
         attack_cell_label("intercept-resend")
 
 
+@pytest.mark.parametrize("strategy", ["z", "random", None])
+def test_intercept_resend_takes_only_a_basis_strategy(strategy):
+    # any other value would read as X in the tap and fail only after the trials ran
+    with pytest.raises(ConfigError, match="BasisStrategy"):
+        InterceptResend(strategy)
+
+
 # --- exact oracle -------------------------------------------------------
 
 
@@ -230,10 +239,12 @@ def test_oracle_is_one_quarter_for_every_attack():
             assert np.isclose(detection_oracle(attack, parties), 0.25, atol=1e-12)
 
 
-@pytest.mark.parametrize("parties", [2, MAX_PARTIES + 1])
+@pytest.mark.parametrize("parties", [2, MAX_PARTIES + 1, 3.0, 3.5, True, np.True_])
 def test_oracle_rejects_party_counts_outside_the_protocol(parties):
-    with pytest.raises(ValueError, match="parties"):
-        detection_oracle(EntangleMeasure(), parties)
+    # checked before the untouched channel's shortcut, so no attack is no excuse
+    for attack in (EntangleMeasure(), None):
+        with pytest.raises(ValueError, match="parties"):
+            detection_oracle(attack, parties)
 
 
 def test_abort_probability_compounds_per_triplet():
@@ -242,6 +253,33 @@ def test_abort_probability_compounds_per_triplet():
     assert np.isclose(abort_probability(attack, 8), expected, atol=1e-12)
     assert abort_probability(None, 8) == 0.0
     assert abort_probability(attack, 0) == 0.0
+
+
+@pytest.mark.parametrize("checked", [-1, 2.5, 8.0, True])
+def test_abort_probability_takes_a_count_of_checked_triplets(checked):
+    with pytest.raises(ValueError, match="checked_triplets"):
+        abort_probability(InterceptResend(), checked)
+
+
+@pytest.mark.parametrize("parties", [3, 5, 12])
+def test_each_check_basis_applies_its_own_rule(parties):
+    # Z fails unless every party's bit agrees, X on odd parity; a probe
+    # ancilla (the last axis) is summed out, never read as a party.  The
+    # probed GHZ state is symmetric in all its qubits, so only an ancilla in
+    # |1> beside |0...0> shows which axis was summed out.
+    ghz = attacks._ghz_vector(parties)
+    zeros = np.zeros((2,) * parties)
+    zeros.flat[0] = 1.0
+    last_flipped = np.roll(zeros, 1, axis=parties - 1)
+    probed = attacks._cnot_vector(np.multiply.outer(ghz, [1.0, 0.0]), 1, parties)
+    beside_one = np.multiply.outer(zeros, [0.0, 1.0])
+    for psi, in_z, in_x in [
+        (ghz, 0.0, 0.0), (zeros, 0.0, 0.5), (last_flipped, 1.0, 0.5), (probed, 0.0, 0.5),
+        (beside_one, 0.0, 0.5),
+    ]:
+        for diagonal, expected in ((False, in_z), (True, in_x)):
+            got = attacks._violation_probability(psi, parties, diagonal)
+            assert np.isclose(got, expected, rtol=0.0, atol=1e-12), (psi.shape, diagonal)
 
 
 # --- per-basis violation structure --------------------------------------

@@ -147,6 +147,11 @@ def test_a_trial_outside_the_session_is_rejected():
             session.result(trial)
 
 
+def test_a_session_that_has_not_run_has_no_result():
+    with pytest.raises(RuntimeError, match="not run"):
+        Session(ProtocolConfig(8, "0001")).result(0)
+
+
 def test_numpy_numbers_are_accepted_where_python_ones_are():
     cfg = config(triplet_count=np.int64(8), party_count=np.int32(3), check_fraction=np.float32(0.5))
     assert cfg.capacity_bits == 4 and cfg.roster == ("ALICE", "BOB", "CTRL1")

@@ -339,7 +339,7 @@ def test_single_qubit_kernels_match_the_moveaxis_reference(n, seed):
     state = random_state(Q[:n], seed)
     for j, target in enumerate(state.qubits):
         for gate in Gate:
-            expected = _apply_single(state.amps, n, j, gate.matrix)
+            expected = _apply_single(state.amps.reshape([2] * n), j, gate.matrix).reshape(-1)
             assert close(apply_gate(state, gate, target).amps, expected)
         for basis in MeasurementBasis:
             uniform = np.random.default_rng(seed).random(1)
@@ -362,7 +362,8 @@ def test_two_qubit_kernels_match_the_moveaxis_reference(n, seed):
     bell_rows = np.stack([outcome.vector for outcome in BELL_OUTCOMES])
     for i, j in itertools.permutations(range(n), 2):
         a, b = state.qubits[i], state.qubits[j]
-        assert close(apply_cnot(state, a, b).amps, _cnot_vector(state.amps, n, i, j))
+        expected = _cnot_vector(state.amps.reshape([2] * n), i, j).reshape(-1)
+        assert close(apply_cnot(state, a, b).amps, expected)
         uniform = np.random.default_rng(seed).random(1)
         k, branch = reference_measure(state, [i, j], bell_rows, uniform)
         (got,), rest = measure_bell(state, (a, b), uniform)
