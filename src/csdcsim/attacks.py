@@ -229,15 +229,19 @@ def _trial_entropy(seed: int, trials: np.ndarray, *tail: int) -> np.ndarray:
     return np.array(np.broadcast_arrays(*words, *[0] * (4 - len(words))), np.uint32)
 
 
-def estimate_detection(config: ProtocolConfig, trials: int) -> DetectionStats:
-    """Run independent trials with derived seeds and random messages,
-    stacked into sessions of up to ``SESSION_ROWS`` triplets each."""
+def estimate_cells(
+    config: ProtocolConfig, trials: int, attacks: tuple[AttackModel | None, ...]
+) -> tuple[DetectionStats, ...]:
+    """Run independent trials with derived seeds and random messages, stacked
+    into sessions of up to ``SESSION_ROWS`` triplets each, under each of
+    ``attacks``.  The cells share each trial's seed, message, group order
+    and S4 party draws, and each runs on a fork of its session (``Session.fork``)."""
     if not _is_integer(trials) or not 1 <= trials <= MAX_TRIALS:
         raise ValueError(f"trials must be an integer between 1 and {MAX_TRIALS}, got {trials!r}")
     # Stacking changes no trial's outcome, only the time and memory a cell
     # takes, and a session's memory grows with its triplet rows.
     chunk = max(1, SESSION_ROWS // config.triplet_count)
-    violations = aborts = bits_correct = 0
+    tallies = np.zeros((len(attacks), 3), np.int64)  # violations, aborts, bits correct
     for start in range(0, trials, chunk):
         batch = np.arange(start, min(start + chunk, trials))
         # each trial's seed, SeedSequence((seed, trial)).generate_state(1, np.uint64)
@@ -247,23 +251,29 @@ def estimate_detection(config: ProtocolConfig, trials: int) -> DetectionStats:
             config.capacity_bits, np.arange(len(batch))
         )
         session = Session(config, seeds, messages)
-        session.run_trials()
-        violations += int(session.violations.sum())
-        aborts += int(np.count_nonzero(~session.completed))
-        # a trial that aborted decoded nothing
-        bits_correct += int(np.count_nonzero((session.decoded == messages)[session.completed]))
+        session.select_groups()
+        for tally, attack in zip(tallies, attacks):
+            cell = session.fork(attack)
+            cell.run_tapped()
+            # a trial that aborted decoded nothing
+            correct = np.count_nonzero((cell.decoded == messages)[cell.completed])
+            tally += cell.violations.sum(), np.count_nonzero(~cell.completed), correct
     checked = config.checked_triplets * trials
-    return DetectionStats(
-        attack=attack_cell_label(config.attack),
-        trials=trials,
-        checked_triplets=checked,
-        violations=violations,
-        detection_rate=violations / checked if checked else 0.0,
-        aborts=aborts,
-        abort_rate=aborts / trials,
-        decoded_bits_total=config.capacity_bits * (trials - aborts),
-        decoded_bits_correct=bits_correct,
+    return tuple(
+        DetectionStats(
+            attack=attack_cell_label(attack), trials=trials, checked_triplets=checked,
+            violations=violations, detection_rate=violations / checked if checked else 0.0,
+            aborts=aborts, abort_rate=aborts / trials,
+            decoded_bits_total=config.capacity_bits * (trials - aborts),
+            decoded_bits_correct=bits_correct,
+        )
+        for attack, (violations, aborts, bits_correct) in zip(attacks, tallies.tolist())
     )
+
+
+def estimate_detection(config: ProtocolConfig, trials: int) -> DetectionStats:
+    """``estimate_cells`` for the one cell of ``config``'s own attack."""
+    return estimate_cells(config, trials, (config.attack,))[0]
 
 
 # --- what the probe actually learns ---------------------------------------

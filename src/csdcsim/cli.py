@@ -26,7 +26,6 @@ import argparse
 import contextlib
 import os
 import sys
-from dataclasses import replace
 from typing import IO, Iterator
 
 from . import bases
@@ -38,7 +37,7 @@ from .attacks import (
     abort_probability,
     attack_cell_label,
     detection_oracle,
-    estimate_detection,
+    estimate_cells,
 )
 from .protocol import (
     MAX_PARTIES, MAX_TRIALS, MAX_TRIPLETS, ConfigError, InternalError, ProtocolConfig, Session,
@@ -279,8 +278,7 @@ def run_sweep(args: argparse.Namespace) -> int:
             "attack\ttrials\tchecked_triplets\tdetection_rate\t"
             "abort_rate\tdecode_accuracy\n"
         )
-        for attack in SWEEP_CELLS:
-            stats = estimate_detection(replace(base, attack=attack), args.trials)
+        for stats in estimate_cells(base, args.trials, SWEEP_CELLS):
             out.write(
                 f"{stats.attack}\t{stats.trials}\t{stats.checked_triplets}\t"
                 f"{stats.detection_rate:.6f}\t{stats.abort_rate:.6f}\t"

@@ -42,7 +42,13 @@ A session holds one or more trials of one shared ``ProtocolConfig``: a
 trial is a seed and a message, given as arrays beside the config.
 ``Session(config)`` is the one-trial case, with the config's own seed
 and message; a sweep cell runs its trials as one session, or as a few
-of at most ``SESSION_ROWS`` triplets each (``attacks.estimate_detection``).
+of at most ``SESSION_ROWS`` triplets each (``attacks.estimate_cells``).
+``run_trials`` runs S3 and draws the honest parties' S4 numbers before the
+tap (S1), as neither depends on the attack, then the rest (``run_tapped``).
+So a sweep's cells share each trial's seed, message, group order and S4
+party draws: each runs on a fork (``Session.fork``) of one session that
+drew them, with its own copy of the streams, and reads exactly what it
+would draw alone.
 The trial is the outer axis of every stack: triplet n of trial k is row
 k*T + n - 1 of the prepared index (T triplets a trial), and the later
 stacks keep the trials in order, so a phase is still one kernel call per
@@ -67,6 +73,7 @@ every stream's state after each phase against numpy's ``Generator``.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -360,6 +367,7 @@ class Session:
         self.parities = np.zeros((0, 0), np.intp)
         self._ops = self._sender_bell = self._receiver_bell = self._ancilla_bell = empty
         self.decoded = np.zeros(self.messages.shape, np.uint8)  # zeros if aborted
+        self._finished = False  # set once every phase has run and been checked
 
     # -- register and stream helpers ---------------------------------------
 
@@ -427,6 +435,16 @@ class Session:
         self.checking_groups = np.sort(orders[:, :c], axis=1) + 1
         self.encoding_groups = np.sort(orders[:, c:], axis=1) + 1
 
+    @cached_property
+    def _party_draws(self) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+        """S4's draws on every stream but EVE's, on first use: the sender's
+        bases, then each party's uniforms; a sweep's cells share them (``fork``)."""
+        cfg, trials = self.config, np.arange(len(self.seeds))
+        count, sender = cfg.checked_triplets, self._stream_rows([cfg.sender], trials)
+        bases, uniforms = (drawn.ravel() for drawn in self._streams.random_bases(count, sender))
+        others = (cfg.receiver,) + cfg.controllers
+        return bases, {cfg.sender: uniforms, **self._uniforms(others, count, trials)}
+
     def run_check(self) -> bool:
         """Measure every checked triplet of every trial and compare; a trial
         with any violation aborts.  Returns whether any trial passed.
@@ -437,16 +455,14 @@ class Session:
         cfg, trials = self.config, np.arange(len(self.seeds))
         checked = _pair_triplets(self.checking_groups)
         count = cfg.checked_triplets
-        sender = self._stream_rows([cfg.sender], trials)
-        bases, uniforms = (drawn.ravel() for drawn in self._streams.random_bases(count, sender))
+        bases, draws = self._party_draws
         parties = (cfg.sender, cfg.receiver) + cfg.controllers
         # per triplet: the sender, the receiver, the controllers, then a
         # probe ancilla, which is read out only after the bases are public
         measuring = [(party, self._role_of[party]) for party in parties]
         if QubitId(1, "e") in self._prepared.qubits:
             measuring.append((EVE, "e"))
-        draws = self._uniforms([party for party, _ in measuring[1:]], count, trials)
-        draws[cfg.sender] = uniforms
+            draws = {**draws, **self._uniforms([EVE], count, trials)}
         rows = self._rows(checked, trials)
         outcomes, left = self._measure_photons(rows, measuring, bases, draws)
         if left.num_qubits:
@@ -519,10 +535,15 @@ class Session:
     # -- drivers ----------------------------------------------------------
 
     def run_trials(self) -> None:
-        """Run every phase over every trial; a trial that aborts in S4
-        takes no part in S5-S9."""
-        self.prepare_and_distribute()
+        """Run every phase over every trial: S3, S4's party draws, then ``run_tapped``."""
         self.select_groups()
+        self._party_draws  # drawn here, before the tap, as a sweep draws them
+        self.run_tapped()
+
+    def run_tapped(self) -> None:
+        """S1, S4's read-out and S5-S9 over every trial, after S3; a trial
+        that aborts in S4 takes no part in S5-S9."""
+        self.prepare_and_distribute()
         if self.run_check():
             self.controller_round()
             self.encode_and_announce()
@@ -533,6 +554,18 @@ class Session:
         expected = np.where(self.completed, self.config.triplet_count, self.config.checked_triplets)
         if not np.array_equal(taken, expected):
             raise InternalError("qubit conservation violated")
+        self._finished = True
+
+    def fork(self, attack: "AttackModel | None") -> Session:
+        """This session after S3, under ``attack``: it shares what no later
+        phase writes, S4's party draws too (drawn now if not yet), and copies
+        the streams and what ``run_tapped`` writes in place."""
+        self._party_draws  # drawn once, on this session, for every fork
+        forked = copy.copy(self)  # no __init__: the instance dict, shallow
+        forked.config, forked._finished = replace(self.config, attack=attack), False
+        forked._streams = copy.deepcopy(self._streams)
+        forked._taken, forked.decoded = self._taken.copy(), self.decoded.copy()
+        return forked
 
     def run(self) -> SessionResult:
         """Run every trial; the result of the first (of a one-trial
@@ -542,7 +575,7 @@ class Session:
 
     def result(self, trial: int) -> SessionResult:
         """One trial's result, with its config and transcript text."""
-        if self._prepared is None:
+        if not self._finished:
             raise RuntimeError("the session has not run: call run_trials() first")
         if not 0 <= trial < len(self.seeds):
             raise IndexError(f"trial {trial} is not one of the session's {len(self.seeds)}")

@@ -18,6 +18,7 @@ from csdcsim.attacks import (
     abort_probability,
     attack_cell_label,
     detection_oracle,
+    estimate_cells,
     estimate_detection,
     eve_group_information,
 )
@@ -406,6 +407,52 @@ def test_stacked_trials_match_one_trial_sessions(parties, attack):
     assert ["".join(map(str, row)) for row in rows] == decoded
 
 
+@pytest.mark.parametrize("parties", [3, 5])
+def test_a_fork_is_a_fresh_session(monkeypatch, parties):
+    # a sweep's cells run on forks of one session that drew the trials'
+    # group orders and S4 party draws; each must end as a fresh session of
+    # its own attack would, down to every stream's state, with every fork
+    # run before any is read
+    base = ProtocolConfig(triplet_count=16, message_bits="0" * 8, party_count=parties, seed=77)
+    seeds = [_trial_seed(77, trial) for trial in range(20)]
+    messages = [list(map(int, _trial_message(77, trial, 8))) for trial in range(20)]
+    shared = Session(base, seeds, messages)
+    shared.select_groups()
+    forks = [shared.fork(cell) for cell in SWEEP_CELLS]
+    for fork in forks:
+        fork.run_tapped()
+    for cell, fork in zip(SWEEP_CELLS, forks):
+        fresh = Session(replace(base, attack=cell), seeds, messages)
+        fresh.run_trials()
+        assert fork.config == fresh.config
+        for trial in range(20):
+            assert fork.result(trial) == fresh.result(trial), (cell, trial)
+        for name, state in vars(fresh._streams).items():
+            assert np.array_equal(getattr(fork._streams, name), state), (cell, name)
+
+    # estimate_cells tallies what fresh sessions of each cell tally, in
+    # sessions of one trial, of three, or of the whole cell
+    def fresh_stats(cell):
+        trials = range(40)
+        messages = np.array([list(map(int, _trial_message(77, k, 8))) for k in trials])
+        fresh = Session(replace(base, attack=cell), [_trial_seed(77, k) for k in trials], messages)
+        fresh.run_trials()
+        checked, violations = 40 * base.checked_triplets, int(fresh.violations.sum())
+        aborts = int(np.count_nonzero(~fresh.completed))
+        return attacks.DetectionStats(
+            attack_cell_label(cell), 40, checked, violations, violations / checked, aborts,
+            aborts / 40, base.capacity_bits * (40 - aborts),
+            int(np.count_nonzero((fresh.decoded == messages)[fresh.completed])),
+        )
+
+    expected = tuple(map(fresh_stats, SWEEP_CELLS))
+    assert any(0 < stats.aborts < 40 for stats in expected)
+    assert estimate_cells(base, 40, SWEEP_CELLS) == expected
+    for rows in (16, 3 * 16):
+        monkeypatch.setattr(attacks, "SESSION_ROWS", rows)
+        assert estimate_cells(base, 40, SWEEP_CELLS) == expected, rows
+
+
 def test_sweep_stacks_stay_within_one_sessions_widest(monkeypatch):
     # stacking trials must not let a wide sweep build a larger register
     # stack than one session of the same shape does
@@ -491,6 +538,25 @@ def test_a_sweeps_memory_follows_the_row_budget_not_its_trials():
             tracemalloc.stop()
 
     estimate_detection(cfg, 1)  # caches filled on first use, outside every trace
+    one = traced_peak(chunk)
+    assert traced_peak(4 * chunk) <= 1.25 * one
+
+
+def test_a_five_cell_sweeps_memory_follows_the_row_budget():
+    # the cells of a chunk run one after the other on forks of its session,
+    # so four sessions' worth of trials peak as high as one's over all five
+    cfg = ProtocolConfig(triplet_count=16, message_bits="0" * 8, seed=5)
+    chunk = SESSION_ROWS // cfg.triplet_count
+
+    def traced_peak(trials):
+        tracemalloc.start()
+        try:
+            estimate_cells(cfg, trials, SWEEP_CELLS)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    estimate_cells(cfg, 1, SWEEP_CELLS)  # caches filled on first use, outside every trace
     one = traced_peak(chunk)
     assert traced_peak(4 * chunk) <= 1.25 * one
 

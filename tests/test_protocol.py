@@ -152,6 +152,34 @@ def test_a_session_that_has_not_run_has_no_result():
         Session(ProtocolConfig(8, "0001")).result(0)
 
 
+PHASES = ("prepare_and_distribute", "select_groups", "run_check", "controller_round",
+          "encode_and_announce", "receiver_decode")
+
+
+@pytest.mark.parametrize("ran", range(1, len(PHASES)))
+def test_a_partly_run_session_has_no_result(ran):
+    # a run ends only when run_trials has checked that every photon was
+    # measured, so no proper prefix of the phases gives a result
+    session = Session(ProtocolConfig(8, "0001"))
+    for phase in PHASES[:ran]:
+        getattr(session, phase)()
+    with pytest.raises(RuntimeError, match="not run"):
+        session.result(0)
+
+
+def test_a_fork_has_no_result_until_it_has_run():
+    session = Session(ProtocolConfig(8, "0001"))
+    session.select_groups()
+    fork = session.fork(InterceptResend())
+    for unrun in (session, fork):
+        with pytest.raises(RuntimeError, match="not run"):
+            unrun.result(0)
+    fork.run_tapped()
+    assert fork.result(0).violations == fork.violations[0]
+    with pytest.raises(RuntimeError, match="not run"):
+        session.result(0)
+
+
 def test_numpy_numbers_are_accepted_where_python_ones_are():
     cfg = config(triplet_count=np.int64(8), party_count=np.int32(3), check_fraction=np.float32(0.5))
     assert cfg.capacity_bits == 4 and cfg.roster == ("ALICE", "BOB", "CTRL1")
