@@ -22,6 +22,7 @@ from .states import (
     MeasurementBasis,
     QubitId,
     StateVector,
+    _SQRT_HALF,
     _sample,
     apply_cnot,
     collapse_branches,
@@ -32,8 +33,6 @@ from .protocol import (
     MAX_PARTIES, MAX_TRIALS, SESSION_ROWS, ConfigError, ProtocolConfig, Session, _is_integer, untapped,
 )
 from .streams import Streams, seed_state
-
-_SQRT_HALF = 1.0 / np.sqrt(2.0)
 
 
 class BasisStrategy(Enum):
@@ -237,7 +236,7 @@ def estimate_cells(
     ``attacks``.  The cells share each trial's seed, message, group order
     and S4 party draws, and each runs on a fork of its session (``Session.fork``)."""
     if not _is_integer(trials) or not 1 <= trials <= MAX_TRIALS:
-        raise ValueError(f"trials must be an integer between 1 and {MAX_TRIALS}, got {trials!r}")
+        raise ConfigError(f"trials must be an integer between 1 and {MAX_TRIALS}, got {trials!r}")
     # Stacking changes no trial's outcome, only the time and memory a cell
     # takes, and a session's memory grows with its triplet rows.
     chunk = max(1, SESSION_ROWS // config.triplet_count)

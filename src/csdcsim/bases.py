@@ -30,6 +30,7 @@ from enum import Enum
 
 import numpy as np
 
+from . import states
 from .states import (
     ATOL,
     BELL_OUTCOMES,
@@ -38,12 +39,11 @@ from .states import (
     MeasurementBasis,
     QubitId,
     StateVector,
+    _SQRT_HALF,
     make_state,
 )
 
 GHZ_INDICES = tuple(range(1, 9))
-
-_SQRT_HALF = 1.0 / np.sqrt(2.0)
 
 
 class EncodingOp(Enum):
@@ -75,7 +75,7 @@ def bell_state_vector(outcome: BellOutcome, pair: tuple[QubitId, QubitId]) -> St
 
 
 # A Bell outcome's bra over its ordered pair's two bits, by position in BELL_OUTCOMES.
-_BELL_BRAS = np.array([outcome.vector for outcome in BELL_OUTCOMES]).conj().reshape(4, 2, 2)
+_BELL_BRAS = states._BELL_BRAS.reshape(4, 2, 2)
 
 
 def bell_pair_amplitudes(first: np.ndarray, second: np.ndarray) -> np.ndarray:

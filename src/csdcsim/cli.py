@@ -269,16 +269,16 @@ SWEEP_CELLS: tuple[AttackModel | None, ...] = (
 
 
 def run_sweep(args: argparse.Namespace) -> int:
-    if not 1 <= args.trials <= MAX_TRIALS:
-        raise ConfigError(f"sweep needs --trials between 1 and {MAX_TRIALS}")
-    # each trial gets a random message; the cells replace the attack
+    # each trial gets a random message and the cells replace the attack; all run
+    # before --stats is opened, so a sweep that fails (bad --trials too) writes no file
     base = _config_from_args(args)
+    cells = estimate_cells(base, args.trials, SWEEP_CELLS)
     with _open_out(args.stats) as out:
         out.write(
             "attack\ttrials\tchecked_triplets\tdetection_rate\t"
             "abort_rate\tdecode_accuracy\n"
         )
-        for stats in estimate_cells(base, args.trials, SWEEP_CELLS):
+        for stats in cells:
             out.write(
                 f"{stats.attack}\t{stats.trials}\t{stats.checked_triplets}\t"
                 f"{stats.detection_rate:.6f}\t{stats.abort_rate:.6f}\t"

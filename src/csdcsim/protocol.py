@@ -43,18 +43,22 @@ trial is a seed and a message, given as arrays beside the config.
 ``Session(config)`` is the one-trial case, with the config's own seed
 and message; a sweep cell runs its trials as one session, or as a few
 of at most ``SESSION_ROWS`` triplets each (``attacks.estimate_cells``).
-``run_trials`` runs S3 and draws the honest parties' S4 numbers before the
-tap (S1), as neither depends on the attack, then the rest (``run_tapped``).
-So a sweep's cells share each trial's seed, message, group order and S4
-party draws: each runs on a fork (``Session.fork``) of one session that
-drew them, with its own copy of the streams, and reads exactly what it
-would draw alone.
+``run_trials`` runs S3, then the rest (``run_tapped``); a session runs
+once, and S3 or S1 run again raises ``RuntimeError``.  Each phase sets
+what it makes, so a later phase writes only the streams in place, and a
+fork (``Session.fork``), taken after S3 and before S1, copies them alone.
+So a sweep's cells share each trial's seed, message, group order and the
+honest parties' S4 draws, none of which depends on the attack: each runs
+on a fork of one session and reads exactly what it would draw alone.
 The trial is the outer axis of every stack: triplet n of trial k is row
 k*T + n - 1 of the prepared index (T triplets a trial), and the later
 stacks keep the trials in order, so a phase is still one kernel call per
 party over every trial's rows.  A trial that aborts in S4 leaves S5-S9
-by a mask.  The phases store their outcomes in per-trial arrays of
-positions in ``BASES``, ``BELL_OUTCOMES`` and ``EncodingOp``.  Only when
+by a mask.  The phases store their outcomes in arrays of positions in
+``BASES``, ``BELL_OUTCOMES`` and ``EncodingOp``: one row per trial, or
+from S5 on per trial that passed the check; the tap's bases and outcomes
+(if it measured in transit) and the check's flat, one per photon, and
+the operations and Bell outcomes one per encoding group.  Only when
 a trial's ``SessionResult`` is asked for, so never in a sweep, does the
 session slice that trial's values out of the arrays and hand them to
 ``transcript.write_transcript``, which owns the transcript's format.
@@ -342,31 +346,10 @@ class Session:
         holders = (config.receiver, config.sender) + config.controllers
         self._role_of = dict(zip(holders, self._roles))
 
-        # Phase stacks (see the module docstring): triplet n of trial k holds
-        # register _index[k*T + n - 1] of _prepared; _taken marks it taken.
+        # Each phase sets what it makes; these mark S3 and S1 as not yet run.
+        self.checking_groups: np.ndarray | None = None
         self._prepared: StateVector | None = None
-        self._index = np.zeros(0, np.intp)
-        self._taken = np.zeros(len(seeds) * config.triplet_count, bool)
-        self._encoding: StateVector | None = None
-        self._pairs: StateVector | None = None
-
-        # Outcomes, as positions: one row per trial, or from S5 on per trial
-        # that passed the check (_live); the tap's and the check's bases and
-        # outcomes are flat, one per photon, and the operations and Bell
-        # outcomes one per encoding group of those trials.
-        trials, empty = len(seeds), np.zeros(0, np.intp)
-        self._tap_bases = self._tap_bits = empty  # if the tap measured them in transit
-        self.checking_groups = np.zeros((trials, 0), np.intp)
-        self.encoding_groups = np.zeros((trials, 0), np.intp)
-        self._check_bases = self._live = empty
-        self._check_bits: dict[str, np.ndarray] = {}
-        self.violations = np.zeros(trials, np.intp)
-        self.abort_triplet = np.zeros(trials, np.intp)  # 0 where none
-        self.completed = np.zeros(trials, bool)
-        self._controller_bits: dict[str, np.ndarray] = {}
-        self.parities = np.zeros((0, 0), np.intp)
-        self._ops = self._sender_bell = self._receiver_bell = self._ancilla_bell = empty
-        self.decoded = np.zeros(self.messages.shape, np.uint8)  # zeros if aborted
+        self._live = np.zeros(0, np.intp)  # the trials that passed S4
         self._finished = False  # set once every phase has run and been checked
 
     # -- register and stream helpers ---------------------------------------
@@ -415,6 +398,8 @@ class Session:
     # -- protocol phases ---------------------------------------------------
 
     def prepare_and_distribute(self) -> None:
+        if self._prepared is not None:
+            raise RuntimeError("a session runs once: S1 has already run")
         ghz = np.zeros(1 << len(self._roles))
         ghz[0] = ghz[-1] = 1.0
         register = make_state(_labels(1, self._roles), ghz)
@@ -425,8 +410,12 @@ class Session:
         self._prepared, self._index, (self._tap_bases, self._tap_bits) = tap(
             QubitId(1, "t"), register, self._streams, rows, self.config.triplet_count
         )
+        # _taken marks each triplet's register as taken out of _prepared
+        self._taken = np.zeros(len(self.seeds) * self.config.triplet_count, bool)
 
     def select_groups(self) -> None:
+        if self.checking_groups is not None:
+            raise RuntimeError("a session runs once: S3 has already run")
         cfg, c = self.config, self.config.checking_group_count
         trials = np.arange(len(self.seeds))
         orders = self._streams.permutation(cfg.group_count, self._stream_rows([cfg.sender], trials))
@@ -473,8 +462,9 @@ class Session:
         self.violations = np.count_nonzero(failed, axis=1)
         self.completed = self.violations == 0
         first = checked[trials, np.argmax(failed, axis=1)]
-        self.abort_triplet = np.where(self.completed, 0, first)
+        self.abort_triplet = np.where(self.completed, 0, first)  # 0 where none
         self._live = np.flatnonzero(self.completed)
+        self.decoded = np.zeros(self.messages.shape, np.uint8)  # an aborted trial's stay 0
         self._check_bases = bases
         self._check_bits = {
             party: column.reshape(len(trials), count) for party, column in outcomes.items()
@@ -526,7 +516,7 @@ class Session:
             raise InternalError("encoding photons were left unmeasured")
 
         self._receiver_bell = outcomes[cfg.receiver]
-        self._ancilla_bell = outcomes.get(EVE, self._ancilla_bell)
+        self._ancilla_bell = outcomes.get(EVE, np.zeros(0, np.intp))  # none without a probe
         p1, p2 = self.parities.reshape(-1, 2).T
         ops = default_decode_table().dense[p1, p2, self._sender_bell, self._receiver_bell]
         # an operation's position is its two bits read as a number
@@ -535,14 +525,13 @@ class Session:
     # -- drivers ----------------------------------------------------------
 
     def run_trials(self) -> None:
-        """Run every phase over every trial: S3, S4's party draws, then ``run_tapped``."""
+        """S3, then ``run_tapped``, over every trial; a session runs once."""
         self.select_groups()
-        self._party_draws  # drawn here, before the tap, as a sweep draws them
         self.run_tapped()
 
     def run_tapped(self) -> None:
-        """S1, S4's read-out and S5-S9 over every trial, after S3; a trial
-        that aborts in S4 takes no part in S5-S9."""
+        """S1, S4 and S5-S9 over every trial, once, after S3 (on the session or
+        a fork of it); a trial that aborts in S4 takes no part in S5-S9."""
         self.prepare_and_distribute()
         if self.run_check():
             self.controller_round()
@@ -557,14 +546,15 @@ class Session:
         self._finished = True
 
     def fork(self, attack: "AttackModel | None") -> Session:
-        """This session after S3, under ``attack``: it shares what no later
-        phase writes, S4's party draws too (drawn now if not yet), and copies
-        the streams and what ``run_tapped`` writes in place."""
+        """This session under ``attack``, taken after S3 and before S1, to run
+        ``run_tapped`` once.  A later phase writes only the streams in place, so
+        it copies them and shares the rest, S4's party draws too (drawn now if not yet)."""
+        if self.checking_groups is None or self._prepared is not None:
+            raise RuntimeError("a session forks only after S3 and before S1")
         self._party_draws  # drawn once, on this session, for every fork
         forked = copy.copy(self)  # no __init__: the instance dict, shallow
-        forked.config, forked._finished = replace(self.config, attack=attack), False
+        forked.config = replace(self.config, attack=attack)
         forked._streams = copy.deepcopy(self._streams)
-        forked._taken, forked.decoded = self._taken.copy(), self.decoded.copy()
         return forked
 
     def run(self) -> SessionResult:

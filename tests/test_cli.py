@@ -360,6 +360,23 @@ def test_simulator_bug_exits_four(monkeypatch, capsys):
     assert "internal error" in captured.err
 
 
+def test_a_sweep_that_fails_writes_no_stats_file(monkeypatch, capsys, tmp_path):
+    # every cell runs before --stats is opened, so neither a bad --trials
+    # nor a fault in a cell leaves a file behind, not even a header
+    stats = tmp_path / "sweep.tsv"
+    argv = ["--mode", "sweep", "--triplets", "8", "--stats", str(stats)]
+    assert cli.main(argv + ["--trials", "0"]) == 1
+    assert not stats.exists()
+
+    def explode(*args):
+        raise InternalError("a cell broke")
+
+    monkeypatch.setattr(cli, "estimate_cells", explode)
+    assert cli.main(argv + ["--trials", "2"]) == 4
+    assert "internal error" in capsys.readouterr().err
+    assert not stats.exists()
+
+
 # --- sweep mode ---------------------------------------------------------
 
 

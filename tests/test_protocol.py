@@ -180,6 +180,44 @@ def test_a_fork_has_no_result_until_it_has_run():
         session.result(0)
 
 
+# each misuse: the steps a session has taken, then the one it is refused
+MISUSES = {
+    "fork-before-S3": ((), "fork"),
+    "fork-after-S1-and-S3": (("prepare_and_distribute", "select_groups"), "fork"),
+    "fork-after-run-trials": (("run_trials",), "fork"),
+    "second-run-trials": (("run_trials",), "run_trials"),
+    "second-run-tapped-on-a-fork": (("select_groups", "fork", "run_tapped"), "run_tapped"),
+}
+
+
+def _take(session: Session, step: str) -> Session:
+    """Take one step: a phase or driver, or a fork, which the session becomes."""
+    if step == "fork":
+        return session.fork(EntangleMeasure())
+    getattr(session, step)()
+    return session
+
+
+@pytest.mark.parametrize("misuse", MISUSES)
+def test_a_session_runs_once_and_forks_only_between_s3_and_s1(misuse):
+    # refused with a RuntimeError, not an InternalError or a numpy error from
+    # deep in a phase, before any stream draws a number
+    steps, refused_step = MISUSES[misuse]
+    session = Session(ProtocolConfig(8, "0001", attack=InterceptResend()))
+    for step in steps:
+        session = _take(session, step)
+    streams = {name: array.copy() for name, array in vars(session._streams).items()}
+    result = session.result(0) if session._finished else None
+    refusal = "forks only after S3 and before S1" if refused_step == "fork" else "runs once"
+    with pytest.raises(RuntimeError, match=refusal) as refused:
+        _take(session, refused_step)
+    assert not isinstance(refused.value, InternalError)
+    for name, array in vars(session._streams).items():
+        assert np.array_equal(array, streams[name]), name
+    if result is not None:
+        assert session.result(0) == result
+
+
 def test_numpy_numbers_are_accepted_where_python_ones_are():
     cfg = config(triplet_count=np.int64(8), party_count=np.int32(3), check_fraction=np.float32(0.5))
     assert cfg.capacity_bits == 4 and cfg.roster == ("ALICE", "BOB", "CTRL1")
