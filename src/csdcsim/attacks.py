@@ -253,7 +253,7 @@ def estimate_cells(
         session.select_groups()
         for tally, attack in zip(tallies, attacks):
             cell = session.fork(attack)
-            cell.run_tapped()
+            cell.run_trials()
             # a trial that aborted decoded nothing
             correct = np.count_nonzero((cell.decoded == messages)[cell.completed])
             tally += cell.violations.sum(), np.count_nonzero(~cell.completed), correct

@@ -43,10 +43,11 @@ trial is a seed and a message, given as arrays beside the config.
 ``Session(config)`` is the one-trial case, with the config's own seed
 and message; a sweep cell runs its trials as one session, or as a few
 of at most ``SESSION_ROWS`` triplets each (``attacks.estimate_cells``).
-``run_trials`` runs S3, then the rest (``run_tapped``); a session runs
-once, and S3 or S1 run again raises ``RuntimeError``.  Each phase sets
-what it makes, so a later phase writes only the streams in place, and a
-fork (``Session.fork``), taken after S3 and before S1, copies them alone.
+``run_trials`` runs each phase not yet run, in order; a phase runs once,
+after those it reads, or raises ``RuntimeError`` before it draws.  Each
+phase sets what it makes, so a later phase writes only the streams in
+place, and a fork (``Session.fork``), taken after S3 and before S1,
+copies them alone.
 So a sweep's cells share each trial's seed, message, group order and the
 honest parties' S4 draws, none of which depends on the attack: each runs
 on a fork of one session and reads exactly what it would draw alone.
@@ -126,6 +127,9 @@ MAX_TRIALS = 1 << 20
 SESSION_ROWS = 1 << 14
 
 _DIAGONAL = BASES.index(MeasurementBasis.DIAGONAL)
+# each phase's wire label and method, in the order ``run_trials`` runs them
+_PHASES = (("S3", "select_groups"), ("S1", "prepare_and_distribute"), ("S4", "run_check"),
+           ("S5", "controller_round"), ("S7", "encode_and_announce"), ("S9", "receiver_decode"))
 _OP_GATES = np.array([tuple(Gate).index(op.gate) for op in EncodingOp])  # positions in Gate
 
 
@@ -346,11 +350,20 @@ class Session:
         holders = (config.receiver, config.sender) + config.controllers
         self._role_of = dict(zip(holders, self._roles))
 
-        # Each phase sets what it makes; these mark S3 and S1 as not yet run.
-        self.checking_groups: np.ndarray | None = None
-        self._prepared: StateVector | None = None
+        self._ran = frozenset()  # the wire labels of the phases run, then "end"
         self._live = np.zeros(0, np.intp)  # the trials that passed S4
-        self._finished = False  # set once every phase has run and been checked
+
+    def _begin(self, phase: str, *needs: str) -> None:
+        """Record ``phase`` as run, or raise RuntimeError before it draws: a
+        phase runs once, before the end, after each of ``needs``, and S5
+        only if a trial passed S4."""
+        if {phase, "end"} & self._ran:
+            done = "it has ended" if "end" in self._ran else f"{phase} has already run"
+            raise RuntimeError(f"a session runs once: {done}")
+        after = " and ".join(need for need in needs if need not in self._ran)
+        if after or phase == "S5" and not len(self._live):
+            raise RuntimeError(f"{phase} runs only after {after or 'a trial passed S4'}")
+        self._ran |= {phase}  # a new set, never changed in place: forks share the old one
 
     # -- register and stream helpers ---------------------------------------
 
@@ -398,8 +411,7 @@ class Session:
     # -- protocol phases ---------------------------------------------------
 
     def prepare_and_distribute(self) -> None:
-        if self._prepared is not None:
-            raise RuntimeError("a session runs once: S1 has already run")
+        self._begin("S1")
         ghz = np.zeros(1 << len(self._roles))
         ghz[0] = ghz[-1] = 1.0
         register = make_state(_labels(1, self._roles), ghz)
@@ -414,8 +426,7 @@ class Session:
         self._taken = np.zeros(len(self.seeds) * self.config.triplet_count, bool)
 
     def select_groups(self) -> None:
-        if self.checking_groups is not None:
-            raise RuntimeError("a session runs once: S3 has already run")
+        self._begin("S3")
         cfg, c = self.config, self.config.checking_group_count
         trials = np.arange(len(self.seeds))
         orders = self._streams.permutation(cfg.group_count, self._stream_rows([cfg.sender], trials))
@@ -441,6 +452,7 @@ class Session:
         All checked photons are consumed even after a violation, so the
         per-triplet violation rate is well defined for statistics.
         """
+        self._begin("S4", "S1", "S3")
         cfg, trials = self.config, np.arange(len(self.seeds))
         checked = _pair_triplets(self.checking_groups)
         count = cfg.checked_triplets
@@ -472,6 +484,7 @@ class Session:
         return len(self._live) > 0
 
     def controller_round(self) -> None:
+        self._begin("S5", "S4")
         cfg, live = self.config, self._live
         triplets = _pair_triplets(self.encoding_groups[live])
         draws = self._uniforms(cfg.controllers, triplets.shape[1], live)
@@ -487,6 +500,7 @@ class Session:
         self.parities = triplet_parity(np.stack(list(self._controller_bits.values())))
 
     def encode_and_announce(self) -> None:
+        self._begin("S7", "S5")
         cfg, live = self.config, self._live
         groups = cfg.encoding_group_count
         # each group's two message bits, read as a number, name its operation
@@ -502,6 +516,7 @@ class Session:
         self._sender_bell, self._pairs = measure_bell(tensor(firsts, seconds), travel_pair, draws)
 
     def receiver_decode(self) -> None:
+        self._begin("S9", "S7")
         cfg, live = self.config, self._live
         groups = cfg.encoding_group_count
         pairs, self._pairs = self._pairs, None
@@ -525,31 +540,26 @@ class Session:
     # -- drivers ----------------------------------------------------------
 
     def run_trials(self) -> None:
-        """S3, then ``run_tapped``, over every trial; a session runs once."""
-        self.select_groups()
-        self.run_tapped()
-
-    def run_tapped(self) -> None:
-        """S1, S4 and S5-S9 over every trial, once, after S3 (on the session or
-        a fork of it); a trial that aborts in S4 takes no part in S5-S9."""
-        self.prepare_and_distribute()
-        if self.run_check():
-            self.controller_round()
-            self.encode_and_announce()
-            self.receiver_decode()
+        """Every phase not yet run, in order, over every trial, then the
+        session's end; a trial that aborts in S4 takes no part in S5-S9."""
+        for label, phase in _PHASES:
+            if label == "S5" and not len(self._live):
+                break  # every trial aborted in S4
+            if label not in self._ran:
+                getattr(self, phase)()
         # every prepared register was taken out and measured, except the
         # encoding triplets' of an aborted trial, which stay alive
         taken = np.count_nonzero(self._taken.reshape(len(self.seeds), -1), axis=1)
         expected = np.where(self.completed, self.config.triplet_count, self.config.checked_triplets)
         if not np.array_equal(taken, expected):
             raise InternalError("qubit conservation violated")
-        self._finished = True
+        self._begin("end")
 
     def fork(self, attack: "AttackModel | None") -> Session:
         """This session under ``attack``, taken after S3 and before S1, to run
-        ``run_tapped`` once.  A later phase writes only the streams in place, so
+        ``run_trials`` once.  A later phase writes only the streams in place, so
         it copies them and shares the rest, S4's party draws too (drawn now if not yet)."""
-        if self.checking_groups is None or self._prepared is not None:
+        if self._ran != {"S3"}:
             raise RuntimeError("a session forks only after S3 and before S1")
         self._party_draws  # drawn once, on this session, for every fork
         forked = copy.copy(self)  # no __init__: the instance dict, shallow
@@ -565,10 +575,10 @@ class Session:
 
     def result(self, trial: int) -> SessionResult:
         """One trial's result, with its config and transcript text."""
-        if not self._finished:
+        if "end" not in self._ran:
             raise RuntimeError("the session has not run: call run_trials() first")
-        if not 0 <= trial < len(self.seeds):
-            raise IndexError(f"trial {trial} is not one of the session's {len(self.seeds)}")
+        if not _is_integer(trial) or not 0 <= trial < len(self.seeds):
+            raise IndexError(f"trial {trial!r} is not one of the session's {len(self.seeds)}")
         cfg, count, checked = self.config, self.config.triplet_count, self.config.checked_triplets
         message, completed = _bit_string(self.messages[trial]), bool(self.completed[trial])
         decoded = _bit_string(self.decoded[trial]) if completed else None

@@ -420,7 +420,7 @@ def test_a_fork_is_a_fresh_session(monkeypatch, parties):
     shared.select_groups()
     forks = [shared.fork(cell) for cell in SWEEP_CELLS]
     for fork in forks:
-        fork.run_tapped()
+        fork.run_trials()
     for cell, fork in zip(SWEEP_CELLS, forks):
         fresh = Session(replace(base, attack=cell), seeds, messages)
         fresh.run_trials()

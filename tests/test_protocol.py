@@ -141,9 +141,10 @@ def test_a_trial_outside_the_session_is_rejected():
     session = Session(ProtocolConfig(8, "0001"), [3, 4], np.zeros((2, 4), int))
     session.run_trials()
     assert [session.result(trial).config.seed for trial in (0, 1)] == [3, 4]
+    assert session.result(np.int64(1)) == session.result(1)
     # a negative trial would slice no rows, and write a transcript without its S4 lines
-    for trial in (-1, -2, 2):
-        with pytest.raises(IndexError):
+    for trial in (-1, -2, 2, "0", 0.0, True):
+        with pytest.raises(IndexError, match="is not one of the session's 2"):
             session.result(trial)
 
 
@@ -174,20 +175,43 @@ def test_a_fork_has_no_result_until_it_has_run():
     for unrun in (session, fork):
         with pytest.raises(RuntimeError, match="not run"):
             unrun.result(0)
-    fork.run_tapped()
+    fork.run_trials()
     assert fork.result(0).violations == fork.violations[0]
     with pytest.raises(RuntimeError, match="not run"):
         session.result(0)
 
 
-# each misuse: the steps a session has taken, then the one it is refused
+FORKS = "forks only after S3 and before S1"
+S1_S3 = ("prepare_and_distribute", "select_groups")
+S1_S4 = S1_S3 + ("run_check",)
+S1_S5 = S1_S4 + ("controller_round",)
+S1_S7 = S1_S5 + ("encode_and_announce",)
+# each misuse: the steps a session has taken, the one it is refused, and the refusal
 MISUSES = {
-    "fork-before-S3": ((), "fork"),
-    "fork-after-S1-and-S3": (("prepare_and_distribute", "select_groups"), "fork"),
-    "fork-after-run-trials": (("run_trials",), "fork"),
-    "second-run-trials": (("run_trials",), "run_trials"),
-    "second-run-tapped-on-a-fork": (("select_groups", "fork", "run_tapped"), "run_tapped"),
+    "fork-before-S3": ((), "fork", FORKS),
+    "fork-after-S1-and-S3": (S1_S3, "fork", FORKS),
+    "fork-after-run-trials": (("run_trials",), "fork", FORKS),
+    "second-run-trials": (("run_trials",), "run_trials", "runs once: it has ended"),
+    "second-run-trials-on-a-fork": (
+        ("select_groups", "fork", "run_trials"), "run_trials", "runs once: it has ended"
+    ),
+    "S1-after-run-trials": (("run_trials",), "prepare_and_distribute", "runs once: it has ended"),
+    "second-S4": (S1_S4, "run_check", "runs once: S4 has already run"),
+    "second-S5": (S1_S5, "controller_round", "runs once: S5 has already run"),
+    "second-S7": (S1_S7, "encode_and_announce", "runs once: S7 has already run"),
+    "second-S9": (S1_S7 + ("receiver_decode",), "receiver_decode", "runs once: S9 has already run"),
+    "S4-on-a-fresh-session": ((), "run_check", "S4 runs only after S1 and S3"),
+    "S4-before-S1": (("select_groups",), "run_check", "S4 runs only after S1$"),
+    "S4-before-S3": (("prepare_and_distribute",), "run_check", "S4 runs only after S3"),
+    "S5-on-a-fresh-session": ((), "controller_round", "S5 runs only after S4"),
+    "S7-on-a-fresh-session": ((), "encode_and_announce", "S7 runs only after S5"),
+    "S9-on-a-fresh-session": ((), "receiver_decode", "S9 runs only after S7"),
+    "S5-after-every-trial-aborted": (
+        S1_S4, "controller_round", "S5 runs only after a trial passed S4"
+    ),
 }
+# the session's seed where it is not 0: at 0 its one trial passes S4, at 2 it aborts
+MISUSE_SEEDS = {"S5-after-every-trial-aborted": 2}
 
 
 def _take(session: Session, step: str) -> Session:
@@ -202,20 +226,38 @@ def _take(session: Session, step: str) -> Session:
 def test_a_session_runs_once_and_forks_only_between_s3_and_s1(misuse):
     # refused with a RuntimeError, not an InternalError or a numpy error from
     # deep in a phase, before any stream draws a number
-    steps, refused_step = MISUSES[misuse]
-    session = Session(ProtocolConfig(8, "0001", attack=InterceptResend()))
+    steps, refused_step, refusal = MISUSES[misuse]
+    seed = MISUSE_SEEDS.get(misuse, 0)
+    session = Session(ProtocolConfig(8, "0001", attack=InterceptResend(), seed=seed))
     for step in steps:
         session = _take(session, step)
     streams = {name: array.copy() for name, array in vars(session._streams).items()}
-    result = session.result(0) if session._finished else None
-    refusal = "forks only after S3 and before S1" if refused_step == "fork" else "runs once"
+    ran = session._ran
+    result = session.result(0) if "end" in ran else None
     with pytest.raises(RuntimeError, match=refusal) as refused:
         _take(session, refused_step)
     assert not isinstance(refused.value, InternalError)
+    assert session._ran == ran  # a refused phase is not recorded as run
     for name, array in vars(session._streams).items():
         assert np.array_equal(array, streams[name]), name
     if result is not None:
         assert session.result(0) == result
+
+
+@pytest.mark.parametrize("seed", [0, 2])  # the one trial passes S4 at seed 0, aborts at 2
+@pytest.mark.parametrize(
+    "steps", [(), S1_S3, ("select_groups",), S1_S4], ids=["fresh", "S1-S3", "S3", "S1-S4"]
+)
+def test_run_trials_runs_the_phases_not_yet_run(steps, seed):
+    # S1 and S3 commute, and a session part way through (or after S3 alone,
+    # as a sweep's is) ends as a fresh run does
+    cfg = ProtocolConfig(8, "0001", attack=InterceptResend(), seed=seed)
+    session = Session(cfg)
+    for step in steps:
+        getattr(session, step)()
+    session.run_trials()
+    assert session.result(0) == Session(cfg).run()
+    assert session.result(0).completed == (seed == 0)
 
 
 def test_numpy_numbers_are_accepted_where_python_ones_are():
