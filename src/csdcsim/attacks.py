@@ -1,9 +1,12 @@
-"""Eavesdropping models for the travel-photon channel.
+"""Detection and leakage under the eavesdropping models on the travel channel.
 
-Two independent routes to the detection probability are kept on
-purpose: ``detection_oracle`` enumerates every branch of the attacked
-checking round exactly, while ``estimate_detection`` runs full Monte
-Carlo sessions.  Tests require the two to agree.  Both exact analyses,
+The models (``NoAttack``, ``InterceptResend``, ``EntangleMeasure``) live
+in ``protocol``, beside the engine that runs their taps; the oracle reads
+them by type.  Two independent routes to the detection probability are
+kept on purpose: ``detection_oracle`` enumerates every branch of the
+attacked checking round exactly, while ``estimate_cells`` runs full Monte
+Carlo sessions, a sweep's cells at once (``estimate_detection`` is its
+one-cell case).  Tests require the two to agree.  Both exact analyses,
 ``detection_oracle`` and ``eve_group_information``, run on plain arrays,
 independent of ``StateVector`` and the kernels the sessions run on: they
 pass each state as a ``(2,) * n`` tensor, one axis per qubit.
@@ -12,93 +15,16 @@ pass each state as a ``(2,) * n`` tensor, one axis per qubit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .bases import EncodingOp, bell_pair_amplitudes
-from .states import (
-    BASES,
-    MeasurementBasis,
-    QubitId,
-    StateVector,
-    _SQRT_HALF,
-    _sample,
-    apply_cnot,
-    collapse_branches,
-    make_state,
-    tensor,
-)
+from .states import _SQRT_HALF
 from .protocol import (
-    MAX_PARTIES, MAX_TRIALS, SESSION_ROWS, ConfigError, ProtocolConfig, Session, _is_integer, untapped,
+    MAX_PARTIES, MAX_TRIALS, SESSION_ROWS, AttackModel, BasisStrategy, ConfigError, EntangleMeasure,
+    InterceptResend, NoAttack, ProtocolConfig, Session, _is_integer, session_trials,
 )
 from .streams import Streams, seed_state
-
-
-class BasisStrategy(Enum):
-    """How an intercepting eavesdropper picks her measurement basis."""
-
-    RANDOM = "random"  # fresh uniform choice of Z or X per photon
-    ALWAYS_Z = "z"
-    ALWAYS_X = "x"
-
-
-@dataclass(frozen=True)
-class NoAttack:
-    """Identity tap: the channel is untouched."""
-
-    def tap(self, qubit: QubitId, register: StateVector, streams: Streams, rows, count: int):
-        return untapped(qubit, register, streams, rows, count)
-
-
-@dataclass(frozen=True)
-class InterceptResend:
-    """Measure each travel photon in flight and forward the eigenstate."""
-
-    strategy: BasisStrategy = BasisStrategy.RANDOM
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.strategy, BasisStrategy):
-            raise ConfigError(f"strategy must be a BasisStrategy, got {self.strategy!r}")
-
-    def tap(self, qubit: QubitId, register: StateVector, streams: Streams, rows, count: int):
-        if self.strategy is BasisStrategy.RANDOM:
-            bases, uniforms = (drawn.ravel() for drawn in streams.random_bases(count, rows))
-        else:
-            z = self.strategy is BasisStrategy.ALWAYS_Z
-            basis = MeasurementBasis.COMPUTATIONAL if z else MeasurementBasis.DIAGONAL
-            uniforms = streams.random(count, rows).ravel()
-            bases = np.full(len(uniforms), BASES.index(basis))
-        probs, collapsed = collapse_branches(register, qubit)
-        outcomes = _sample(probs[0, bases], uniforms)
-        return collapsed, 2 * bases + outcomes, np.stack([bases, outcomes])
-
-
-@dataclass(frozen=True)
-class EntangleMeasure:
-    """Couple an ancilla to each travel photon with a controlled-NOT.
-
-    The ancilla is read out only after the relevant announcements: in
-    the announced basis for checked triplets, and as a Bell measurement
-    on ancilla pairs for encoding groups.
-    """
-
-    def tap(self, qubit: QubitId, register: StateVector, streams: Streams, rows, count: int):
-        ancilla = QubitId(qubit.triplet, "e")
-        probed = tensor(register, make_state((ancilla,), [1.0, 0.0]))
-        probed = apply_cnot(probed, qubit, ancilla)
-        return untapped(qubit, probed, streams, rows, count)
-
-
-# Every model's tap(qubit, register, streams, rows, count) takes the
-# prepared register, whose travel photon is ``qubit``, and draws for the
-# ``count`` triplets of each trial on EVE's stream ``rows`` of the
-# session's ``Streams``, all in one call.  A tap acts on travel photons
-# alone, so it returns the few registers every triplet holds one of, each
-# once; the position among them of each triplet's, trial by trial; and the
-# bases (positions in BASES) and outcomes of the photons it measured, a
-# (2, photons) array that only the session's transcript names.
-AttackModel = NoAttack | InterceptResend | EntangleMeasure
 
 
 def attack_cell_label(attack: AttackModel | None) -> str:
@@ -184,7 +110,7 @@ def detection_oracle(attack: AttackModel | None, parties: int = 3) -> float:
     elif isinstance(attack, EntangleMeasure):
         branches = [(1.0, _cnot_vector(np.multiply.outer(ghz, [1.0, 0.0]), 1, parties))]
     else:
-        raise ValueError(f"unknown attack model {attack!r}")
+        raise ValueError(f"not an attack model: {attack!r}")
     return sum(
         weight * 0.5 * _violation_probability(psi, parties, diagonal)
         for weight, psi in branches for diagonal in (False, True)
@@ -234,12 +160,14 @@ def estimate_cells(
     """Run independent trials with derived seeds and random messages, stacked
     into sessions of up to ``SESSION_ROWS`` triplets each, under each of
     ``attacks``.  The cells share each trial's seed, message, group order
-    and S4 party draws, and each runs on a fork of its session (``Session.fork``)."""
+    and S4 party draws, and each runs on a fork of its session (``Session.fork``).
+    Raises before any cell runs for a value of ``attacks`` that is not a model."""
     if not _is_integer(trials) or not 1 <= trials <= MAX_TRIALS:
         raise ConfigError(f"trials must be an integer between 1 and {MAX_TRIALS}, got {trials!r}")
+    labels = [attack_cell_label(attack) for attack in attacks]
     # Stacking changes no trial's outcome, only the time and memory a cell
     # takes, and a session's memory grows with its triplet rows.
-    chunk = max(1, SESSION_ROWS // config.triplet_count)
+    chunk = session_trials(config.triplet_count, SESSION_ROWS)
     tallies = np.zeros((len(attacks), 3), np.int64)  # violations, aborts, bits correct
     for start in range(0, trials, chunk):
         batch = np.arange(start, min(start + chunk, trials))
@@ -260,13 +188,13 @@ def estimate_cells(
     checked = config.checked_triplets * trials
     return tuple(
         DetectionStats(
-            attack=attack_cell_label(attack), trials=trials, checked_triplets=checked,
-            violations=violations, detection_rate=violations / checked if checked else 0.0,
+            attack=label, trials=trials, checked_triplets=checked,
+            violations=violations, detection_rate=violations / checked,
             aborts=aborts, abort_rate=aborts / trials,
             decoded_bits_total=config.capacity_bits * (trials - aborts),
             decoded_bits_correct=bits_correct,
         )
-        for attack, (violations, aborts, bits_correct) in zip(attacks, tallies.tolist())
+        for label, (violations, aborts, bits_correct) in zip(labels, tallies.tolist())
     )
 
 

@@ -41,8 +41,8 @@ qubits each, so those phases run on their whole stacks.
 A session holds one or more trials of one shared ``ProtocolConfig``: a
 trial is a seed and a message, given as arrays beside the config.
 ``Session(config)`` is the one-trial case, with the config's own seed
-and message; a sweep cell runs its trials as one session, or as a few
-of at most ``SESSION_ROWS`` triplets each (``attacks.estimate_cells``).
+and message; a session holds at most ``SESSION_ROWS`` triplets, or one
+trial, so a sweep cell runs as one or as a few (``attacks.estimate_cells``).
 ``run_trials`` runs each phase not yet run, in order; a phase runs once,
 after those it reads, or raises ``RuntimeError`` before it draws.  Each
 phase sets what it makes, so a later phase writes only the streams in
@@ -81,9 +81,10 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, field, replace
+from enum import Enum
 from functools import cached_property
 from numbers import Real
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -95,7 +96,9 @@ from .states import (
     QubitId,
     StateVector,
     _sample,
+    apply_cnot,
     apply_gate,
+    collapse_branches,
     make_state,
     measure_bell,
     measure_branches,
@@ -105,9 +108,6 @@ from .states import (
 )
 from .streams import Streams, seed_state
 from .transcript import EVE, TranscriptRecord, parse_transcript, write_transcript
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .attacks import AttackModel
 
 ALICE = "ALICE"
 BOB = "BOB"
@@ -122,8 +122,8 @@ MAX_TRIPLETS = 4096
 # A trial index must stay one entropy word; a sweep cell draws its trials'
 # seeds and messages session by session, so no array spans the cell.
 MAX_TRIALS = 1 << 20
-# A sweep session's row budget: at most this many triplets over all its
-# trials, or one trial; its memory grows with triplet rows, not register width.
+# A session's row budget: at most this many triplets over all its trials,
+# or one trial; its memory grows with triplet rows, not register width.
 SESSION_ROWS = 1 << 14
 
 _DIAGONAL = BASES.index(MeasurementBasis.DIAGONAL)
@@ -183,6 +183,82 @@ def session_capacity(triplet_count: int, check_fraction: float) -> int:
     return 2 * (groups - math.ceil(check_fraction * groups))
 
 
+def session_trials(triplet_count: int, rows: int) -> int:
+    """How many trials of ``triplet_count`` triplets fit in ``rows``: at least one."""
+    return max(1, rows // triplet_count)
+
+
+# Every model's tap(qubit, register, streams, rows, count) takes the
+# prepared register, whose travel photon is ``qubit``, and draws for the
+# ``count`` triplets of each trial on EVE's stream ``rows`` of the
+# session's ``Streams``, all in one call.  A tap acts on travel photons
+# alone, so it returns the few registers every triplet holds one of, each
+# once; the position among them of each triplet's, trial by trial; and the
+# bases (positions in BASES) and outcomes of the photons it measured, a
+# (2, photons) array that only the session's transcript names.
+def untapped(qubit: QubitId, register: StateVector, streams: Streams, rows, count: int) -> tuple:
+    """An untouched channel's tap, NoAttack's and no attack's: every triplet holds ``register``."""
+    return register, np.zeros(len(rows) * count, np.intp), np.zeros((2, 0), np.intp)
+
+
+class BasisStrategy(Enum):
+    """How an intercepting eavesdropper picks her measurement basis."""
+
+    RANDOM = "random"  # fresh uniform choice of Z or X per photon
+    ALWAYS_Z = "z"
+    ALWAYS_X = "x"
+
+
+@dataclass(frozen=True)
+class NoAttack:
+    """Identity tap: the channel is untouched."""
+
+    def tap(self, qubit: QubitId, register: StateVector, streams: Streams, rows, count: int):
+        return untapped(qubit, register, streams, rows, count)
+
+
+@dataclass(frozen=True)
+class InterceptResend:
+    """Measure each travel photon in flight and forward the eigenstate."""
+
+    strategy: BasisStrategy = BasisStrategy.RANDOM
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.strategy, BasisStrategy):
+            raise ConfigError(f"strategy must be a BasisStrategy, got {self.strategy!r}")
+
+    def tap(self, qubit: QubitId, register: StateVector, streams: Streams, rows, count: int):
+        if self.strategy is BasisStrategy.RANDOM:
+            bases, uniforms = (drawn.ravel() for drawn in streams.random_bases(count, rows))
+        else:
+            z = self.strategy is BasisStrategy.ALWAYS_Z
+            basis = MeasurementBasis.COMPUTATIONAL if z else MeasurementBasis.DIAGONAL
+            uniforms = streams.random(count, rows).ravel()
+            bases = np.full(len(uniforms), BASES.index(basis))
+        probs, collapsed = collapse_branches(register, qubit)
+        outcomes = _sample(probs[0, bases], uniforms)
+        return collapsed, 2 * bases + outcomes, np.stack([bases, outcomes])
+
+
+@dataclass(frozen=True)
+class EntangleMeasure:
+    """Couple an ancilla to each travel photon with a controlled-NOT.
+
+    The ancilla is read out only after the relevant announcements: in
+    the announced basis for checked triplets, and as a Bell measurement
+    on ancilla pairs for encoding groups.
+    """
+
+    def tap(self, qubit: QubitId, register: StateVector, streams: Streams, rows, count: int):
+        ancilla = QubitId(qubit.triplet, "e")
+        probed = tensor(register, make_state((ancilla,), [1.0, 0.0]))
+        probed = apply_cnot(probed, qubit, ancilla)
+        return untapped(qubit, probed, streams, rows, count)
+
+
+AttackModel = NoAttack | InterceptResend | EntangleMeasure
+
+
 @dataclass(frozen=True)
 class ProtocolConfig:
     """Complete description of one session; validated on construction."""
@@ -191,7 +267,7 @@ class ProtocolConfig:
     message_bits: str
     party_count: int = 3
     check_fraction: float = 0.5
-    attack: "AttackModel | None" = None
+    attack: AttackModel | None = None
     seed: int = 0
     sender: str = BOB
     receiver: str = ALICE
@@ -214,10 +290,7 @@ class ProtocolConfig:
             )
         if not _is_integer(self.seed) or not 0 <= self.seed <= MAX_SEED:
             raise ConfigError(f"seed must fit in an unsigned 64-bit integer, got {self.seed!r}")
-        # None is the untouched channel; attacks imports protocol, so a model is known by its
-        # tap, on an instance: a model's class has the same tap, unbound
-        tap = getattr(self.attack, "tap", None)
-        if self.attack is not None and (isinstance(self.attack, type) or not callable(tap)):
+        if self.attack is not None and not isinstance(self.attack, AttackModel):
             raise ConfigError(f"attack must be None or an attack model, got {self.attack!r}")
         if set(self.message_bits) - {"0", "1"}:
             raise ConfigError("message must be a string of 0s and 1s")
@@ -285,11 +358,6 @@ class SessionResult:
         return tuple(parse_transcript(self.transcript))
 
 
-def untapped(qubit: QubitId, register: StateVector, streams: Streams, rows, count: int) -> tuple:
-    """An untouched channel's tap (``attacks.AttackModel``): every triplet holds ``register``."""
-    return register, np.zeros(len(rows) * count, np.intp), np.zeros((2, 0), np.intp)
-
-
 def _labels(position: int, roles: Sequence[str]) -> tuple[QubitId, ...]:
     return tuple(QubitId(position, role) for role in roles)
 
@@ -330,6 +398,9 @@ class Session:
         messages = np.asarray(messages)
         if not len(seeds):
             raise ConfigError("a session runs one or more trials")
+        most = session_trials(config.triplet_count, SESSION_ROWS)
+        if len(seeds) > most:
+            raise ConfigError(f"{len(seeds)} trials exceed the {most} that fit in one session")
         if len(messages) != len(seeds):
             raise ConfigError(f"{len(seeds)} seed(s) but {len(messages)} message(s)")
         if messages.ndim != 2 or messages.shape[1] != config.capacity_bits:
@@ -555,7 +626,7 @@ class Session:
             raise InternalError("qubit conservation violated")
         self._begin("end")
 
-    def fork(self, attack: "AttackModel | None") -> Session:
+    def fork(self, attack: AttackModel | None) -> Session:
         """This session under ``attack``, taken after S3 and before S1, to run
         ``run_trials`` once.  A later phase writes only the streams in place, so
         it copies them and shares the rest, S4's party draws too (drawn now if not yet)."""

@@ -5,6 +5,7 @@ import re
 import tracemalloc
 import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from csdcsim.attacks import (
 )
 from csdcsim.cli import SWEEP_CELLS
 from csdcsim.protocol import (
-    MAX_PARTIES, MAX_TRIALS, SESSION_ROWS, ConfigError, ProtocolConfig, Session,
+    MAX_PARTIES, MAX_TRIALS, SESSION_ROWS, ConfigError, ProtocolConfig, Session, untapped,
 )
 from csdcsim.states import (
     BASES, MeasurementBasis, QubitId, apply_cnot, collapse_qubit, make_state, take_rows, tensor,
@@ -216,6 +217,29 @@ def test_attack_cell_labels():
     # a value that is not an attack model has no cell, rather than the last one
     with pytest.raises(ValueError, match="not an attack model"):
         attack_cell_label("intercept-resend")
+
+
+@pytest.mark.parametrize(
+    "attack",
+    [EntangleMeasure, NoAttack, "intercept-resend", SimpleNamespace(tap=untapped)],
+    ids=["model-class", "no-attack-class", "string", "duck-with-a-tap"],
+)
+def test_every_check_rejects_what_is_not_an_attack_model(monkeypatch, attack):
+    # the config, the cell label and the oracle know a model by its type alike,
+    # so a sweep refuses it before any of its cells runs
+    with pytest.raises(ConfigError, match="attack must be None or an attack model"):
+        config(attack=attack)
+    with pytest.raises(ValueError, match="not an attack model"):
+        attack_cell_label(attack)
+    with pytest.raises(ValueError, match="not an attack model"):
+        detection_oracle(attack)
+
+    def refuse(*args):
+        raise AssertionError("a session was built")
+
+    monkeypatch.setattr(attacks, "Session", refuse)
+    with pytest.raises(ValueError, match="not an attack model"):
+        estimate_cells(config(), 3, (None, attack))
 
 
 @pytest.mark.parametrize("strategy", ["z", "random", None])
@@ -583,6 +607,13 @@ def test_trials_above_the_cap_are_rejected():
 
 def test_cnot_probe_extracts_one_bit_per_group():
     assert np.isclose(eve_group_information(), 1.0, atol=1e-12)
+
+
+def test_the_oracle_imports_no_state_kernel():
+    # the oracle is independent of the engine through its imports: the
+    # models' taps, which run on the kernels, live in protocol
+    kernels = {"apply_cnot", "collapse_branches", "make_state", "tensor", "_sample"}
+    assert not kernels & set(vars(attacks))
 
 
 def test_exact_analyses_run_without_the_state_kernels(monkeypatch):

@@ -22,6 +22,7 @@ from csdcsim.protocol import (
     roster_names,
     session_capacity,
     triplet_parity,
+    untapped,
 )
 from csdcsim.attacks import BasisStrategy, EntangleMeasure, InterceptResend, attack_cell_label
 from csdcsim.cli import SWEEP_CELLS
@@ -107,6 +108,8 @@ def test_capacity_rule_rejects_triplet_counts_that_are_not_positive_and_even(tri
         # a model's class, whose tap is unbound
         dict(attack=EntangleMeasure),
         dict(attack=InterceptResend),
+        # a value with a callable tap that is not an attack model
+        dict(attack=SimpleNamespace(tap=untapped)),
     ],
 )
 def test_invalid_configs_are_rejected(overrides):
@@ -304,12 +307,14 @@ def test_trials_left_out_take_the_configs_own_seed_and_message():
         (dict(seeds=[True]), "seeds must be a 1-D sequence of integers"),
         (dict(seeds=[1, np.bool_(False)]), "seeds must be a 1-D sequence of integers"),
         (dict(seeds=np.array([True])), "seeds must be a 1-D sequence of integers"),
+        # past the row budget, refused before any stream is built
+        (dict(seeds=np.arange(2049)), "2049 trials exceed the 2048 that fit in one session"),
     ],
     ids=["no-trials", "no-messages", "more-messages-than-its-seed", "more-messages",
          "more-seeds", "wider", "narrower", "flat", "two", "negative", "fraction",
          "seed-fraction", "seed-fraction-array", "seed-negative", "seed-negative-array",
          "seed-past-64-bits", "seeds-2d-array", "seeds-2d", "seeds-string", "seed-bool",
-         "seed-numpy-bool", "seed-bool-array"],
+         "seed-numpy-bool", "seed-bool-array", "past-the-row-budget"],
 )
 def test_a_session_rejects_trials_that_do_not_fit_its_config(trials, error):
     with pytest.raises(ConfigError, match=error):
