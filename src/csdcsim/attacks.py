@@ -185,6 +185,7 @@ def estimate_cells(
             # a trial that aborted decoded nothing
             correct = np.count_nonzero((cell.decoded == messages)[cell.completed])
             tally += cell.violations.sum(), np.count_nonzero(~cell.completed), correct
+        del session, cell  # released before the next chunk's are built
     checked = config.checked_triplets * trials
     return tuple(
         DetectionStats(

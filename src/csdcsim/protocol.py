@@ -29,14 +29,14 @@ Every phase is columnar: the registers it acts on sit in one stack
 (``StateVector`` rows), and each party's operation is one kernel call
 over the stack.  A tap acts on travel photons alone, so the prepared
 stack (S1) holds each distinct register once, at most four, and an index
-the one each triplet holds.  S4 and S5, one read-out step, keep to
-distinct registers too: each party reads every outcome of each distinct
+the one each triplet holds.  Every read-out keeps to distinct registers
+too: in S4 and S5 each party reads every outcome of each distinct
 (register, basis) pair at once, picks each triplet's outcome with its
 draw, and keeps each distinct branch left once, so the registers read
-halve in width as they at most double in number.  Only the encoding
-triplets' (home, travel[, probe]) rows after S5 are held one per
-triplet, and the groups' joined rows after S7 one per group: at most six
-qubits each, so those phases run on their whole stacks.
+halve in width as they at most double in number.  S7 joins, encodes and
+Bell-reads each distinct (first register, second register, operation) of
+a group once, and S9 each distinct branch S7 leaves; no register is held
+one per triplet or group, only an index of the one each reads.
 
 A session holds one or more trials of one shared ``ProtocolConfig``: a
 trial is a seed and a message, given as arrays beside the config.
@@ -98,9 +98,9 @@ from .states import (
     _sample,
     apply_cnot,
     apply_gate,
+    bell_branches,
     collapse_branches,
     make_state,
-    measure_bell,
     measure_branches,
     measure_qubit,  # no caller here; perfbench's tracer test patches it in this module
     take_rows,
@@ -367,6 +367,20 @@ def _pair_triplets(groups: np.ndarray) -> np.ndarray:
     return (2 * groups[..., None] + np.array([-1, 0])).reshape(*groups.shape[:-1], -1)
 
 
+def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(keys, return_inverse=True)`` of non-negative integer keys
+    without a sort, for keys that span a few times their distinct count."""
+    seen = np.bincount(keys) > 0
+    return np.flatnonzero(seen).astype(keys.dtype, copy=False), (np.cumsum(seen) - 1)[keys]
+
+
+def _pick(probs: np.ndarray, index: np.ndarray, uniforms: np.ndarray) -> tuple:
+    """Each row's outcome by its draw from ``probs[index]``, (rows, d); then the
+    distinct branches left (row d * register + outcome) and each row's index among them."""
+    outcomes = _sample(probs[index], uniforms)
+    return outcomes, *_distinct(probs.shape[1] * index + outcomes)
+
+
 def _bit_string(bits: np.ndarray) -> str:
     return (bits + ord("0")).tobytes().decode()
 
@@ -456,28 +470,26 @@ class Session:
     def _measure_photons(
         self, rows: np.ndarray, measuring: Sequence[tuple[str, str]],
         bases: np.ndarray, draws: dict[str, np.ndarray],
-    ) -> tuple[dict[str, np.ndarray], StateVector]:
+    ) -> tuple[dict[str, np.ndarray], StateVector, np.ndarray]:
         """Read the prepared registers at ``rows`` out: each (party, role)
         of ``measuring`` in turn measures its photon in the row's basis with
-        the party's draws.  Returns each party's outcomes and the stack left,
-        one row per row of ``rows``.  Each distinct (register, basis) is
-        read once, every outcome at once, and so is each distinct branch
-        the outcomes leave; only the last party's branches are taken out per
-        row.  A register is taken once, so no photon is measured twice."""
+        the party's draws.  Returns each party's outcomes, the distinct
+        registers left and the index of each row's among them.  Each
+        distinct (register, basis) is read once, every outcome at once, and
+        so is each distinct branch the outcomes leave.  A register is taken
+        once, so no photon is measured twice."""
         taken = np.count_nonzero(self._taken)
         self._taken[rows] = True
         if np.count_nonzero(self._taken) - taken != len(rows):
             raise InternalError("a photon would be measured twice")
-        keys, index = np.unique(self._index[rows] * len(BASES) + bases, return_inverse=True)
+        keys, index = _distinct(self._index[rows] * len(BASES) + bases)
         state, bases = take_rows(self._prepared, keys // len(BASES)), keys % len(BASES)
         outcomes = {}
         for party, role in measuring:
             probs, branches = measure_branches(state, QubitId(1, role), bases)
-            outcomes[party] = _sample(probs[index], draws[party])
-            # the branch each row's outcome leaves, each distinct one once
-            kept, index = np.unique(2 * index + outcomes[party], return_inverse=True)
+            outcomes[party], kept, index = _pick(probs, index, draws[party])
             state, bases = take_rows(branches, kept), bases[kept // 2]
-        return outcomes, take_rows(state, index)
+        return outcomes, state, index
 
     # -- protocol phases ---------------------------------------------------
 
@@ -536,7 +548,7 @@ class Session:
             measuring.append((EVE, "e"))
             draws = {**draws, **self._uniforms([EVE], count, trials)}
         rows = self._rows(checked, trials)
-        outcomes, left = self._measure_photons(rows, measuring, bases, draws)
+        outcomes, left, _ = self._measure_photons(rows, measuring, bases, draws)
         if left.num_qubits:
             raise InternalError("checked photons were left unmeasured")
 
@@ -563,8 +575,8 @@ class Session:
         measuring = [(ctrl, self._role_of[ctrl]) for ctrl in cfg.controllers]
         # a Hadamard then a computational measurement: a diagonal read-out
         diagonal = np.full(len(rows), _DIAGONAL)
-        # (home, travel[, probe ancilla]) of each encoding triplet, in order
-        outcomes, self._encoding = self._measure_photons(rows, measuring, diagonal, draws)
+        # the distinct (home, travel[, probe ancilla]) left, and each encoding triplet's
+        outcomes, *self._encoding = self._measure_photons(rows, measuring, diagonal, draws)
         self._controller_bits = {
             ctrl: column.reshape(triplets.shape) for ctrl, column in outcomes.items()
         }
@@ -573,31 +585,36 @@ class Session:
     def encode_and_announce(self) -> None:
         self._begin("S7", "S5")
         cfg, live = self.config, self._live
-        groups = cfg.encoding_group_count
         # each group's two message bits, read as a number, name its operation
         self._ops = self.messages[live].reshape(-1, 2) @ np.array([2, 1])
-        draws = self._uniforms([cfg.sender], groups, live)[cfg.sender]
-        encoding, self._encoding = self._encoding, None
-        roles = [q.role for q in encoding.qubits]
-        firsts = take_rows(encoding, slice(0, None, 2))
-        seconds = take_rows(encoding, slice(1, None, 2), _labels(2, roles))
+        draws = self._uniforms([cfg.sender], cfg.encoding_group_count, live)[cfg.sender]
+        (encoding, index), self._encoding = self._encoding, None
+        # each distinct (first, second register, op) once, found by a sort: keys span D*D*4
+        shape = (encoding.rows, encoding.rows, len(EncodingOp))
+        keys = np.ravel_multi_index((index[::2], index[1::2], self._ops), shape)
+        keys, index = np.unique(keys, return_inverse=True)
+        first, second, op = np.unravel_index(keys, shape)
+        seconds = take_rows(encoding, second, _labels(2, [q.role for q in encoding.qubits]))
         travel_pair = (QubitId(1, "t"), QubitId(2, "t"))
-        firsts = apply_gate(firsts, _OP_GATES[self._ops], travel_pair[0])
-        # (home 1[, probe 1], home 2[, probe 2]) of each encoding group
-        self._sender_bell, self._pairs = measure_bell(tensor(firsts, seconds), travel_pair, draws)
+        firsts = apply_gate(take_rows(encoding, first), _OP_GATES[op], travel_pair[0])
+        probs, pairs = bell_branches(tensor(firsts, seconds), travel_pair)
+        # the distinct (home 1[, probe 1], home 2[, probe 2]) left, and each group's
+        self._sender_bell, kept, index = _pick(probs, index, draws)
+        self._pairs = take_rows(pairs, kept), index
 
     def receiver_decode(self) -> None:
         self._begin("S9", "S7")
         cfg, live = self.config, self._live
-        groups = cfg.encoding_group_count
-        pairs, self._pairs = self._pairs, None
+        (pairs, index), self._pairs = self._pairs, None
         measuring = [(cfg.receiver, (QubitId(1, "h"), QubitId(2, "h")))]
         if QubitId(1, "e") in pairs.qubits:
             measuring.append((EVE, (QubitId(1, "e"), QubitId(2, "e"))))
-        draws = self._uniforms([party for party, _ in measuring], groups, live)
+        draws = self._uniforms([p for p, _ in measuring], cfg.encoding_group_count, live)
         outcomes = {}
         for party, pair in measuring:
-            outcomes[party], pairs = measure_bell(pairs, pair, draws[party])
+            probs, branches = bell_branches(pairs, pair)
+            outcomes[party], kept, index = _pick(probs, index, draws[party])
+            pairs = take_rows(branches, kept)
         if pairs.num_qubits:
             raise InternalError("encoding photons were left unmeasured")
 

@@ -19,11 +19,11 @@ Conventions used throughout the package:
   and bases may be given per row, as positions in ``Gate`` and ``BASES``;
   measurements take one uniform draw per row, so the caller orders its
   draws, and return one outcome each, a bit or a position in ``BELL_OUTCOMES``.
-* ``measure_branches`` and ``collapse_branches`` take no draws: they read
-  every outcome of each row, its Born weight and the register it leaves.
-  ``measure_qubit`` and ``collapse_qubit`` are each of them plus a pick
-  by the row's draw.  The session engine reads its few distinct
-  registers so, once each, and picks a branch per triplet.
+* ``measure_branches``, ``collapse_branches`` and ``bell_branches`` take
+  no draws: they read every outcome of each row, its Born weight and the
+  register it leaves; ``measure_qubit``, ``collapse_qubit`` and ``measure_bell``
+  are each of them plus a pick by the row's draw.  The session engine reads
+  its few distinct registers so, once each, and picks a branch per triplet or group.
 
 Invariant: ``make_state`` is the only place that validates a register
 and normalises amplitudes.  Every kernel takes normalised rows and
@@ -36,6 +36,7 @@ divided.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, NamedTuple, Sequence
@@ -260,8 +261,10 @@ def _sample(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     last positive branch.  A branch with exactly zero probability is
     never chosen: it adds nothing to the running total."""
     positive = probs > 0.0
-    if not positive.any(axis=1).all():
+    if not functools.reduce(np.logical_or, positive.T).all():  # numpy reduces short rows slowly
         raise ValueError("no branch has positive probability")
+    if probs.shape[1] == 2:  # the same rule, closed form: branch 1 on u >= p0 if p1 > 0
+        return ((uniforms >= probs[:, 0]) & positive[:, 1]).astype(np.intp)
     hit = uniforms[:, None] < np.cumsum(probs, axis=1)
     last = probs.shape[1] - 1 - np.argmax(positive[:, ::-1], axis=1)
     return np.where(hit.any(axis=1), np.argmax(hit, axis=1), last)
@@ -337,13 +340,22 @@ def measure_bell(
 ) -> tuple[np.ndarray, StateVector]:
     """Bell measurement of every row on the ordered pair, each outcome a
     position in ``BELL_OUTCOMES``; both qubits leave the register."""
-    a, b = pair
-    if a == b:
+    probs, left = bell_branches(state, pair)
+    k = _sample(probs, uniforms)
+    return k, take_rows(left, len(BELL_OUTCOMES) * np.arange(state.rows) + k)
+
+
+def bell_branches(
+    state: StateVector, pair: tuple[QubitId, QubitId]
+) -> tuple[np.ndarray, StateVector]:
+    """Every outcome of a Bell measurement of each row on the ordered pair:
+    the (rows, 4) Born weights, in ``BELL_OUTCOMES`` order, and the registers
+    left without the pair, row 4 * row + outcome; one of zero weight stays all zeros."""
+    if pair[0] == pair[1]:
         raise ValueError("bell pair must be two distinct qubits")
-    i, j = state.index_of(a), state.index_of(b)
+    i, j = map(state.index_of, pair)
     rest = [m for m in range(state.num_qubits) if m != i and m != j]
     psi = state.amps.reshape([state.rows] + [2] * state.num_qubits)
     psi = psi.transpose([0, i + 1, j + 1, *(m + 1 for m in rest)])
     branches, probs = _branches(_BELL_BRAS, psi.reshape(state.rows, 1, 4, -1))
-    k = _sample(probs, uniforms)
-    return k, _state(tuple(state.qubits[m] for m in rest), branches[np.arange(state.rows), :, k])
+    return probs, _state(tuple(state.qubits[m] for m in rest), branches.reshape(4 * state.rows, -1))

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from csdcsim.protocol import (
@@ -18,6 +18,7 @@ from csdcsim.protocol import (
     MAX_TRIPLETS,
     ProtocolConfig,
     Session,
+    _distinct,
     coincidence_ok,
     roster_names,
     session_capacity,
@@ -28,9 +29,9 @@ from csdcsim.attacks import BasisStrategy, EntangleMeasure, InterceptResend, att
 from csdcsim.cli import SWEEP_CELLS
 from csdcsim.states import ATOL, BASES, MeasurementBasis, QubitId, reorder, take_rows
 from csdcsim.streams import Streams, seed_state
-from csdcsim.transcript import format_transcript, parse_transcript
+from csdcsim.transcript import EVE, format_transcript, parse_transcript
 from kernel_reference import amplitude
-from readout_reference import reference_readout
+from readout_reference import reference_decode, reference_encoding, reference_readout
 from stream_reference import draw_random_bases, generator_state, stream_state
 from transcript_reference import reference_records
 
@@ -437,7 +438,7 @@ def test_controller_collapse_leaves_signed_pair():
         assert sess.run_check()
         sess.controller_round()
         # one row per encoding triplet, in group order
-        encoding = sess._encoding
+        encoding = take_rows(*sess._encoding)
         assert encoding.rows == 2 * sess.encoding_groups.shape[1]
         home, travel = QubitId(1, "h"), QubitId(1, "t")
         for i in range(sess.encoding_groups.shape[1]):
@@ -577,35 +578,83 @@ def test_stacked_transcripts_match_the_reference_records(parties):
         assert result.records == tuple(parse_transcript(result.transcript))
 
 
-def checked_readouts(monkeypatch, *trials) -> tuple[Session, int]:
-    """Run a session whose every read-out (S4, then S5 if a trial passed)
-    is checked against the per-row reference; returns it and the count."""
-    real = Session._measure_photons
-    readouts = []
+@given(st.lists(st.integers(0, 40), min_size=1, max_size=64))
+@settings(max_examples=100, deadline=None)
+@example([7])  # one key
+@example([3, 3, 3, 3])  # all keys equal
+@example([0, 9, 2, 9, 30, 2])  # gaps in the key range
+def test_distinct_is_unique_with_its_inverse(keys):
+    for dtype in (np.intp, np.int64, np.int32):
+        typed = np.array(keys, dtype)
+        values, inverse = _distinct(typed)
+        want_values, want_inverse = np.unique(typed, return_inverse=True)
+        assert values.dtype == want_values.dtype and inverse.dtype == want_inverse.dtype
+        assert values.tolist() == want_values.tolist()
+        assert inverse.tolist() == want_inverse.tolist()
+
+
+def assert_same_rows(got, want):
+    assert got.qubits == want.qubits
+    assert got.amps.tobytes() == want.amps.tobytes()
+
+
+def checked_readouts(monkeypatch, *trials) -> tuple[Session, list[str]]:
+    """Run a session whose every read-out (S4, then S5, S7 and S9 if a
+    trial passed) is checked against the per-row reference; returns it and
+    the labels of the read-outs checked, in order."""
+    real, real_uniforms = Session._measure_photons, Session._uniforms
+    real_encode, real_decode = Session.encode_and_announce, Session.receiver_decode
+    readouts, drawn = [], []
 
     def compared(self, rows, measuring, bases, draws):
         want, want_left = reference_readout(self, rows, measuring, bases, draws)
-        outcomes, left = real(self, rows, measuring, bases, draws)
+        outcomes, left, index = real(self, rows, measuring, bases, draws)
         assert list(outcomes) == list(want)
         for party, column in want.items():
             assert outcomes[party].tolist() == column.tolist(), party
-        assert left.qubits == want_left.qubits
-        assert left.amps.tobytes() == want_left.amps.tobytes()
-        readouts.append(rows)
-        return outcomes, left
+        assert_same_rows(take_rows(left, index), want_left)
+        readouts.append("S5" if readouts else "S4")
+        return outcomes, left, index
+
+    def recorded(self, parties, count, trials):
+        drawn.append(real_uniforms(self, parties, count, trials))
+        return drawn[-1]
+
+    def encode(self):
+        encoding = take_rows(*self._encoding)
+        real_encode(self)
+        want, want_left = reference_encoding(encoding, self._ops, drawn[-1][self.config.sender])
+        assert self._sender_bell.tolist() == want.tolist()
+        assert_same_rows(take_rows(*self._pairs), want_left)
+        readouts.append("S7")
+
+    def decode(self):
+        pairs = take_rows(*self._pairs)
+        real_decode(self)
+        want = reference_decode(pairs, drawn[-1])
+        assert self._receiver_bell.tolist() == want[self.config.receiver].tolist()
+        assert self._ancilla_bell.tolist() == want.get(EVE, np.zeros(0)).tolist()
+        readouts.append("S9")
 
     monkeypatch.setattr(Session, "_measure_photons", compared)
+    monkeypatch.setattr(Session, "_uniforms", recorded)
+    monkeypatch.setattr(Session, "encode_and_announce", encode)
+    monkeypatch.setattr(Session, "receiver_decode", decode)
     session = Session(*trials)
     session.run_trials()
-    return session, len(readouts)
+    return session, readouts
+
+
+ENCODING_READOUTS = ["S4", "S5", "S7", "S9"]
 
 
 @pytest.mark.parametrize("triplets", [8, 64])
 @pytest.mark.parametrize("parties", [3, 5, 12])
 @pytest.mark.parametrize("attack", SWEEP_CELLS, ids=attack_cell_label)
 def test_readout_matches_the_per_row_reference(monkeypatch, attack, parties, triplets):
-    # S4 and S5 read each distinct register and branch once; that must give
-    # the outcomes and bytes of reading every triplet's register out
+    # S4, S5, S7 and S9 read each distinct register and branch once; that
+    # must give the outcomes and bytes of reading every triplet's or group's
+    # register out
     passed = 0
     for seed in range(10):
         cfg = config(
@@ -613,7 +662,7 @@ def test_readout_matches_the_per_row_reference(monkeypatch, attack, parties, tri
             party_count=parties, attack=attack, seed=seed,
         )
         session, readouts = checked_readouts(monkeypatch, cfg)
-        assert readouts == 1 + session.completed[0], seed
+        assert readouts == ENCODING_READOUTS[: 1 + 3 * session.completed[0]], seed
         passed += session.completed[0]
     # an attacked trial of 64 triplets all but never passes its check
     assert passed or (attack is not None and triplets == 64)
@@ -621,7 +670,7 @@ def test_readout_matches_the_per_row_reference(monkeypatch, attack, parties, tri
 
 def test_stacked_readout_matches_the_per_row_reference(monkeypatch):
     session, readouts = checked_readouts(monkeypatch, *stacked_trials(5))
-    assert readouts == 2 and set(session.completed.tolist()) == {False, True}
+    assert readouts == ENCODING_READOUTS and set(session.completed.tolist()) == {False, True}
 
 
 def test_same_seed_same_transcript():

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from csdcsim.attacks import _apply_single, _cnot_vector
@@ -21,6 +21,7 @@ from csdcsim.states import (
     _sample,
     apply_cnot,
     apply_gate,
+    bell_branches,
     collapse_qubit,
     inner_product,
     make_state,
@@ -32,7 +33,7 @@ from csdcsim.states import (
     tensor,
 )
 
-from kernel_reference import amplitude
+from kernel_reference import amplitude, general_sample
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -286,6 +287,41 @@ def test_measure_bell_removes_pair_and_is_sharp():
             (got,), rest = measure_bell(state, (Q[0], Q[1]), rng.random(1))
             assert BELL_OUTCOMES[got] is outcome
             assert rest.qubits == (Q[2],)
+
+
+branch_weight = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+draw = st.floats(0.0, 1.0)
+
+
+@given(st.lists(st.tuples(branch_weight, branch_weight, draw), min_size=1, max_size=8))
+@settings(max_examples=300, deadline=None)
+@example([(0.0, 1.0, 0.0)])  # p0 = 0
+@example([(1.0, 0.0, 0.999)])  # p1 = 0
+@example([(0.25, 0.5, 0.9), (0.25, 0.5, 0.1)])  # p0 + p1 < 1
+@example([(0.5, 0.5, 0.5), (0.125, 0.25, 0.125), (0.0, 0.5, 0.0)])  # u = p0 exactly
+@example([(0.5, 0.5, 1.0), (0.25, 0.5, 0.75), (0.75, 0.0, 0.75)])  # u = p0 + p1
+@example([(0.0, 0.0, 0.5)])  # no positive weight: a ValueError
+@example([(0.5, 0.5, 0.5), (0.0, 0.0, 0.5)])  # one row of a stack with none
+def test_the_two_outcome_pick_is_the_general_rule(rows):
+    probs, uniforms = np.array([row[:2] for row in rows]), np.array([row[2] for row in rows])
+    if not (probs > 0.0).any(axis=1).all():
+        for pick in (_sample, general_sample):
+            with pytest.raises(ValueError, match="no branch has positive probability"):
+                pick(probs, uniforms)
+        return
+    got, want = _sample(probs, uniforms), general_sample(probs, uniforms)
+    assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+
+def test_bell_branches_are_measure_bells_picks():
+    rng = np.random.default_rng(7)
+    stack = StateVector(Q[:4], np.concatenate([random_state(Q[:4], s).amps for s in range(5)]))
+    probs, left = bell_branches(stack, (Q[2], Q[0]))
+    assert probs.shape == (5, 4) and left.rows == 20 and left.qubits == (Q[1], Q[3])
+    uniforms = rng.random(5)
+    outcomes, post = measure_bell(stack, (Q[2], Q[0]), uniforms)
+    assert outcomes.tolist() == general_sample(probs, uniforms).tolist()
+    assert post.amps.tobytes() == left.amps[4 * np.arange(5) + outcomes].tobytes()
 
 
 def test_bell_outcome_serialization():
