@@ -154,6 +154,29 @@ def _trial_entropy(seed: int, trials: np.ndarray, *tail: int) -> np.ndarray:
     return np.array(np.broadcast_arrays(*words, *[0] * (4 - len(words))), np.uint32)
 
 
+def _chunk_tallies(
+    config: ProtocolConfig, batch: np.ndarray, attacks: tuple[AttackModel | None, ...]
+) -> np.ndarray:
+    """The violations, aborts and bits decoded right of one session of trials
+    ``batch`` under each of ``attacks``; it and its forks go on return."""
+    # each trial's seed, SeedSequence((seed, trial)).generate_state(1, np.uint64)
+    # (the first of four words), and message stream, SeedSequence((seed, trial, 1))
+    seeds = seed_state(_trial_entropy(config.seed, batch))[:, 0]
+    messages = Streams(seed_state(_trial_entropy(config.seed, batch, 1))).bits(
+        config.capacity_bits, np.arange(len(batch))
+    )
+    session = Session(config, seeds, messages)
+    session.select_groups()
+    tallies = np.zeros((len(attacks), 3), np.int64)
+    for tally, attack in zip(tallies, attacks):
+        cell = session.fork(attack)
+        cell.run_trials()
+        # a trial that aborted decoded nothing
+        correct = np.count_nonzero((cell.decoded == messages)[cell.completed])
+        tally += cell.violations.sum(), np.count_nonzero(~cell.completed), correct
+    return tallies
+
+
 def estimate_cells(
     config: ProtocolConfig, trials: int, attacks: tuple[AttackModel | None, ...]
 ) -> tuple[DetectionStats, ...]:
@@ -170,22 +193,7 @@ def estimate_cells(
     chunk = session_trials(config.triplet_count, SESSION_ROWS)
     tallies = np.zeros((len(attacks), 3), np.int64)  # violations, aborts, bits correct
     for start in range(0, trials, chunk):
-        batch = np.arange(start, min(start + chunk, trials))
-        # each trial's seed, SeedSequence((seed, trial)).generate_state(1, np.uint64)
-        # (the first of four words), and message stream, SeedSequence((seed, trial, 1))
-        seeds = seed_state(_trial_entropy(config.seed, batch))[:, 0]
-        messages = Streams(seed_state(_trial_entropy(config.seed, batch, 1))).bits(
-            config.capacity_bits, np.arange(len(batch))
-        )
-        session = Session(config, seeds, messages)
-        session.select_groups()
-        for tally, attack in zip(tallies, attacks):
-            cell = session.fork(attack)
-            cell.run_trials()
-            # a trial that aborted decoded nothing
-            correct = np.count_nonzero((cell.decoded == messages)[cell.completed])
-            tally += cell.violations.sum(), np.count_nonzero(~cell.completed), correct
-        del session, cell  # released before the next chunk's are built
+        tallies += _chunk_tallies(config, np.arange(start, min(start + chunk, trials)), attacks)
     checked = config.checked_triplets * trials
     return tuple(
         DetectionStats(

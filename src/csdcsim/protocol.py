@@ -51,18 +51,16 @@ copies them alone.
 So a sweep's cells share each trial's seed, message, group order and the
 honest parties' S4 draws, none of which depends on the attack: each runs
 on a fork of one session and reads exactly what it would draw alone.
-The trial is the outer axis of every stack: triplet n of trial k is row
-k*T + n - 1 of the prepared index (T triplets a trial), and the later
-stacks keep the trials in order, so a phase is still one kernel call per
-party over every trial's rows.  A trial that aborts in S4 leaves S5-S9
-by a mask.  The phases store their outcomes in arrays of positions in
-``BASES``, ``BELL_OUTCOMES`` and ``EncodingOp``: one row per trial, or
-from S5 on per trial that passed the check; the tap's bases and outcomes
-(if it measured in transit) and the check's flat, one per photon, and
-the operations and Bell outcomes one per encoding group.  Only when
-a trial's ``SessionResult`` is asked for, so never in a sweep, does the
-session slice that trial's values out of the arrays and hand them to
-``transcript.write_transcript``, which owns the transcript's format.
+A trial is one row: every array a session keeps per trial has the trial
+as its first axis, one row per trial, or from S5 on one row per trial
+that passed the check; a trial that aborts in S4 leaves S5-S9 by a mask.
+A row holds positions in ``BASES``, ``BELL_OUTCOMES`` and ``EncodingOp``:
+one per triplet (the prepared index, and the tap's bases and outcomes, a
+pair of such arrays, if it measured in transit), per checked or encoding
+triplet, or per encoding group.  A phase ravels its rows, trial by trial,
+only to hand them to a kernel.  Only when a trial's ``SessionResult`` is
+asked for, so never in a sweep, does the session hand that trial's row of
+each array to ``transcript.write_transcript``, which owns the format.
 
 Randomness: every trial draws from its own master seed through a named
 substream per party (ALICE, BOB, CTRL1..k, then EVE, spawn keys 0..),
@@ -70,10 +68,12 @@ so changing one party's behavior never shifts another party's draws,
 and a trial draws the same numbers alone or stacked with others.  The
 substreams are exactly numpy's ``SeedSequence`` spawn streams, each a
 PCG64 as ``default_rng`` seeds it.  A session holds them all as one
-``streams.Streams``, a row per (party, trial), and each phase draws
-every party's numbers for every trial in one call, by jumping each
-stream ahead rather than stepping it; the tests pin every draw and
-every stream's state after each phase against numpy's ``Generator``.
+``streams.Streams``, a row per (party, trial).  A draw takes every
+trial's numbers on the streams it reads in one call, by jumping each
+stream ahead rather than stepping it, and a phase makes at most one,
+except S4: the sender's ``random_bases``, then the others' ``random``,
+then EVE's with a probe.  The tests pin every draw and every stream's
+state after each phase against numpy's ``Generator``.
 """
 
 from __future__ import annotations
@@ -155,7 +155,7 @@ def triplet_parity(controller_bits) -> np.ndarray:
 def coincidence_ok(bases, bits) -> np.ndarray:
     """Checking rule: computational outcomes must all agree, diagonal
     outcomes must have even parity.  ``bits`` holds one outcome per party
-    along its first axis, for one triplet or for each of a row of them;
+    along its first axis, for one triplet or for each of an array of them;
     ``bases`` is one position in BASES or one per triplet."""
     bits = np.asarray(bits)
     diagonal = np.asarray(bases) == _DIAGONAL
@@ -375,10 +375,12 @@ def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pick(probs: np.ndarray, index: np.ndarray, uniforms: np.ndarray) -> tuple:
-    """Each row's outcome by its draw from ``probs[index]``, (rows, d); then the
-    distinct branches left (row d * register + outcome) and each row's index among them."""
-    outcomes = _sample(probs[index], uniforms)
-    return outcomes, *_distinct(probs.shape[1] * index + outcomes)
+    """Each row's outcome by its draw from ``probs[index]``, (rows, d): the
+    draws, read flat, hold one a row, and the outcomes take their shape; then
+    the distinct branches left (row d * register + outcome) and each row's
+    index among them."""
+    outcomes = _sample(probs[index], uniforms.ravel())
+    return outcomes.reshape(uniforms.shape), *_distinct(probs.shape[1] * index + outcomes)
 
 
 def _bit_string(bits: np.ndarray) -> str:
@@ -459,30 +461,27 @@ class Session:
 
     def _uniforms(self, parties: Sequence[str], count: int, trials: np.ndarray) -> dict:
         """``count`` uniforms from each party's stream in each of ``trials``,
-        drawn in one call: each party's, flat."""
+        drawn in one call: each party's, (trials, count)."""
         drawn = self._streams.random(count, self._stream_rows(parties, trials))
-        return dict(zip(parties, drawn.reshape(len(parties), -1)))
-
-    def _rows(self, triplets: np.ndarray, trials: np.ndarray) -> np.ndarray:
-        """Prepared-stack rows of the (trials, n) triplet numbers, flat."""
-        return (trials[:, None] * self.config.triplet_count + triplets - 1).ravel()
+        return dict(zip(parties, drawn.reshape(len(parties), len(trials), count)))
 
     def _measure_photons(
-        self, rows: np.ndarray, measuring: Sequence[tuple[str, str]],
-        bases: np.ndarray, draws: dict[str, np.ndarray],
+        self, trials: np.ndarray, triplets: np.ndarray, measuring: Sequence[tuple[str, str]],
+        bases, draws: dict[str, np.ndarray],
     ) -> tuple[dict[str, np.ndarray], StateVector, np.ndarray]:
-        """Read the prepared registers at ``rows`` out: each (party, role)
-        of ``measuring`` in turn measures its photon in the row's basis with
-        the party's draws.  Returns each party's outcomes, the distinct
-        registers left and the index of each row's among them.  Each
-        distinct (register, basis) is read once, every outcome at once, and
-        so is each distinct branch the outcomes leave.  A register is taken
-        once, so no photon is measured twice."""
-        taken = np.count_nonzero(self._taken)
-        self._taken[rows] = True
-        if np.count_nonzero(self._taken) - taken != len(rows):
+        """Read the registers of ``trials``' (trials, n) ``triplets`` out:
+        each (party, role) of ``measuring`` in turn measures its photon in
+        the triplet's basis (one, or one per triplet) with the party's
+        (trials, n) draws.  Returns each party's outcomes, shaped so, the
+        distinct registers left and each triplet's index among them, trial
+        by trial.  Each distinct (register, basis) is read once, every
+        outcome at once, and so is each distinct branch left.  A register is
+        taken once, so no photon is measured twice, nor named twice."""
+        at, taken = (trials[:, None], triplets - 1), np.count_nonzero(self._taken)
+        self._taken[at] = True
+        if np.count_nonzero(self._taken) - taken != triplets.size:
             raise InternalError("a photon would be measured twice")
-        keys, index = _distinct(self._index[rows] * len(BASES) + bases)
+        keys, index = _distinct((self._index[at] * len(BASES) + bases).ravel())
         state, bases = take_rows(self._prepared, keys // len(BASES)), keys % len(BASES)
         outcomes = {}
         for party, role in measuring:
@@ -500,13 +499,16 @@ class Session:
         register = make_state(_labels(1, self._roles), ghz)
         # each trial's triplets take EVE's draws from that trial's stream;
         # no attack is the untouched channel that NoAttack taps
-        rows = self._stream_rows([EVE], np.arange(len(self.seeds)))
+        trials = len(self.seeds)
+        rows = self._stream_rows([EVE], np.arange(trials))
         tap = getattr(self.config.attack, "tap", untapped)
-        self._prepared, self._index, (self._tap_bases, self._tap_bits) = tap(
+        self._prepared, index, seen = tap(
             QubitId(1, "t"), register, self._streams, rows, self.config.triplet_count
         )
-        # _taken marks each triplet's register as taken out of _prepared
-        self._taken = np.zeros(len(self.seeds) * self.config.triplet_count, bool)
+        self._index = index.reshape(trials, -1)
+        self._tap = seen.reshape(2, trials, seen.shape[1] // trials)  # bases, outcomes
+        self._probed = QubitId(1, "e") in self._prepared.qubits  # a probe coupled, nothing measured
+        self._taken = np.zeros(self._index.shape, bool)  # each triplet's register taken out
 
     def select_groups(self) -> None:
         self._begin("S3")
@@ -524,7 +526,7 @@ class Session:
         bases, then each party's uniforms; a sweep's cells share them (``fork``)."""
         cfg, trials = self.config, np.arange(len(self.seeds))
         count, sender = cfg.checked_triplets, self._stream_rows([cfg.sender], trials)
-        bases, uniforms = (drawn.ravel() for drawn in self._streams.random_bases(count, sender))
+        bases, uniforms = self._streams.random_bases(count, sender)
         others = (cfg.receiver,) + cfg.controllers
         return bases, {cfg.sender: uniforms, **self._uniforms(others, count, trials)}
 
@@ -544,16 +546,14 @@ class Session:
         # per triplet: the sender, the receiver, the controllers, then a
         # probe ancilla, which is read out only after the bases are public
         measuring = [(party, self._role_of[party]) for party in parties]
-        if QubitId(1, "e") in self._prepared.qubits:
+        if self._probed:
             measuring.append((EVE, "e"))
             draws = {**draws, **self._uniforms([EVE], count, trials)}
-        rows = self._rows(checked, trials)
-        outcomes, left, _ = self._measure_photons(rows, measuring, bases, draws)
+        self._check_bits, left, _ = self._measure_photons(trials, checked, measuring, bases, draws)
         if left.num_qubits:
             raise InternalError("checked photons were left unmeasured")
 
-        ok = coincidence_ok(bases, np.stack([outcomes[party] for party in parties]))
-        failed = ~ok.reshape(len(trials), count)
+        failed = ~coincidence_ok(bases, np.stack([self._check_bits[party] for party in parties]))
         self.violations = np.count_nonzero(failed, axis=1)
         self.completed = self.violations == 0
         first = checked[trials, np.argmax(failed, axis=1)]
@@ -561,9 +561,6 @@ class Session:
         self._live = np.flatnonzero(self.completed)
         self.decoded = np.zeros(self.messages.shape, np.uint8)  # an aborted trial's stay 0
         self._check_bases = bases
-        self._check_bits = {
-            party: column.reshape(len(trials), count) for party, column in outcomes.items()
-        }
         return len(self._live) > 0
 
     def controller_round(self) -> None:
@@ -571,27 +568,24 @@ class Session:
         cfg, live = self.config, self._live
         triplets = _pair_triplets(self.encoding_groups[live])
         draws = self._uniforms(cfg.controllers, triplets.shape[1], live)
-        rows = self._rows(triplets, live)
         measuring = [(ctrl, self._role_of[ctrl]) for ctrl in cfg.controllers]
-        # a Hadamard then a computational measurement: a diagonal read-out
-        diagonal = np.full(len(rows), _DIAGONAL)
-        # the distinct (home, travel[, probe ancilla]) left, and each encoding triplet's
-        outcomes, *self._encoding = self._measure_photons(rows, measuring, diagonal, draws)
-        self._controller_bits = {
-            ctrl: column.reshape(triplets.shape) for ctrl, column in outcomes.items()
-        }
+        # a Hadamard then a computational measurement: a diagonal read-out; the
+        # distinct (home, travel[, probe ancilla]) left, and each encoding triplet's
+        self._controller_bits, *self._encoding = self._measure_photons(
+            live, triplets, measuring, _DIAGONAL, draws
+        )
         self.parities = triplet_parity(np.stack(list(self._controller_bits.values())))
 
     def encode_and_announce(self) -> None:
         self._begin("S7", "S5")
         cfg, live = self.config, self._live
         # each group's two message bits, read as a number, name its operation
-        self._ops = self.messages[live].reshape(-1, 2) @ np.array([2, 1])
+        self._ops = self.messages[live].reshape(len(live), -1, 2) @ np.array([2, 1])
         draws = self._uniforms([cfg.sender], cfg.encoding_group_count, live)[cfg.sender]
         (encoding, index), self._encoding = self._encoding, None
         # each distinct (first, second register, op) once, found by a sort: keys span D*D*4
         shape = (encoding.rows, encoding.rows, len(EncodingOp))
-        keys = np.ravel_multi_index((index[::2], index[1::2], self._ops), shape)
+        keys = np.ravel_multi_index((index[::2], index[1::2], self._ops.ravel()), shape)
         keys, index = np.unique(keys, return_inverse=True)
         first, second, op = np.unravel_index(keys, shape)
         seconds = take_rows(encoding, second, _labels(2, [q.role for q in encoding.qubits]))
@@ -607,7 +601,7 @@ class Session:
         cfg, live = self.config, self._live
         (pairs, index), self._pairs = self._pairs, None
         measuring = [(cfg.receiver, (QubitId(1, "h"), QubitId(2, "h")))]
-        if QubitId(1, "e") in pairs.qubits:
+        if self._probed:
             measuring.append((EVE, (QubitId(1, "e"), QubitId(2, "e"))))
         draws = self._uniforms([p for p, _ in measuring], cfg.encoding_group_count, live)
         outcomes = {}
@@ -619,11 +613,12 @@ class Session:
             raise InternalError("encoding photons were left unmeasured")
 
         self._receiver_bell = outcomes[cfg.receiver]
-        self._ancilla_bell = outcomes.get(EVE, np.zeros(0, np.intp))  # none without a probe
-        p1, p2 = self.parities.reshape(-1, 2).T
+        # no ancilla Bell outcomes without a probe
+        self._ancilla_bell = outcomes.get(EVE, np.zeros((len(live), 0), np.intp))
+        p1, p2 = self.parities[:, ::2], self.parities[:, 1::2]
         ops = default_decode_table().dense[p1, p2, self._sender_bell, self._receiver_bell]
         # an operation's position is its two bits read as a number
-        self.decoded[live] = (ops[:, None] >> np.array([1, 0]) & 1).reshape(len(live), -1)
+        self.decoded[live] = (ops[..., None] >> np.array([1, 0]) & 1).reshape(len(live), -1)
 
     # -- drivers ----------------------------------------------------------
 
@@ -637,7 +632,7 @@ class Session:
                 getattr(self, phase)()
         # every prepared register was taken out and measured, except the
         # encoding triplets' of an aborted trial, which stay alive
-        taken = np.count_nonzero(self._taken.reshape(len(self.seeds), -1), axis=1)
+        taken = np.count_nonzero(self._taken, axis=1)
         expected = np.where(self.completed, self.config.triplet_count, self.config.checked_triplets)
         if not np.array_equal(taken, expected):
             raise InternalError("qubit conservation violated")
@@ -667,30 +662,25 @@ class Session:
             raise RuntimeError("the session has not run: call run_trials() first")
         if not _is_integer(trial) or not 0 <= trial < len(self.seeds):
             raise IndexError(f"trial {trial!r} is not one of the session's {len(self.seeds)}")
-        cfg, count, checked = self.config, self.config.triplet_count, self.config.checked_triplets
+        cfg = self.config
         message, completed = _bit_string(self.messages[trial]), bool(self.completed[trial])
         decoded = _bit_string(self.decoded[trial]) if completed else None
-        rows = slice(trial * count, (trial + 1) * count)
-        tap = (self._tap_bases[rows].tolist(), self._tap_bits[rows].tolist())
-        if QubitId(1, "e") in self._prepared.qubits:  # a probe coupled, nothing measured
-            tap = "probe"
         encoded = {}
         if completed:
-            # the trial's place among those that passed, and its groups there
-            j = int(np.count_nonzero(self.completed[:trial]))
-            groups = slice(j * cfg.encoding_group_count, (j + 1) * cfg.encoding_group_count)
+            j = int(np.count_nonzero(self.completed[:trial]))  # its row among those that passed
             encoded = dict(
                 controller_bits={c: bits[j].tolist() for c, bits in self._controller_bits.items()},
-                parities=self.parities[j].tolist(), ops=self._ops[groups].tolist(),
-                sender_bell=self._sender_bell[groups].tolist(),
-                receiver_bell=self._receiver_bell[groups].tolist(),
-                ancilla_bell=self._ancilla_bell[groups].tolist(), decoded=decoded,
+                parities=self.parities[j].tolist(), ops=self._ops[j].tolist(),
+                sender_bell=self._sender_bell[j].tolist(),
+                receiver_bell=self._receiver_bell[j].tolist(),
+                ancilla_bell=self._ancilla_bell[j].tolist(), decoded=decoded,
             )
         abort_triplet = None if completed else int(self.abort_triplet[trial])
         transcript = write_transcript(
-            count, cfg.sender, cfg.receiver, cfg.controllers,
-            tap, self.checking_groups[trial].tolist(), self.encoding_groups[trial].tolist(),
-            self._check_bases[trial * checked : (trial + 1) * checked].tolist(),
+            cfg.triplet_count, cfg.sender, cfg.receiver, cfg.controllers,
+            "probe" if self._probed else self._tap[:, trial].tolist(),
+            self.checking_groups[trial].tolist(), self.encoding_groups[trial].tolist(),
+            self._check_bases[trial].tolist(),
             {party: bits[trial].tolist() for party, bits in self._check_bits.items()},
             int(self.violations[trial]), abort_triplet, **encoded,
         )

@@ -26,14 +26,16 @@ from csdcsim.transcript import EVE
 
 
 def reference_readout(
-    session: Session, rows: np.ndarray, measuring, bases: np.ndarray, draws: dict
+    session: Session, trials: np.ndarray, triplets: np.ndarray, measuring, bases, draws: dict
 ) -> tuple[dict[str, np.ndarray], StateVector]:
-    """Each party's outcomes and the stack left, one row per row of ``rows``;
-    the arguments are those of ``Session._measure_photons``."""
-    state = take_rows(session._prepared, session._index[rows])
+    """Each party's (trials, n) outcomes and the stack left, one row per
+    triplet of ``triplets``; the arguments are those of ``Session._measure_photons``."""
+    state = take_rows(session._prepared, session._index[trials[:, None], triplets - 1].ravel())
+    bases = np.broadcast_to(bases, triplets.shape).ravel()
     outcomes = {}
     for party, role in measuring:
-        outcomes[party], state = measure_qubit(state, QubitId(1, role), bases, draws[party])
+        bits, state = measure_qubit(state, QubitId(1, role), bases, draws[party].ravel())
+        outcomes[party] = bits.reshape(triplets.shape)
     return outcomes, state
 
 

@@ -336,7 +336,7 @@ def test_equal_controller_parity_patterns_decode_identically():
         decoded = result.decoded_bits
         groups = zip(
             sess.parities[0].reshape(-1, 2).tolist(),
-            sess._sender_bell.tolist(), sess._receiver_bell.tolist(),
+            sess._sender_bell[0].tolist(), sess._receiver_bell[0].tolist(),
             [decoded[k : k + 2] for k in range(0, len(decoded), 2)],
         )
         for i, ((p1, p2), sender, receiver, decoded) in enumerate(groups):

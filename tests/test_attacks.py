@@ -162,11 +162,11 @@ def test_the_prepared_stack_holds_each_distinct_register_once(attack):
     prepared, index = session._prepared, session._index
     if isinstance(attack, InterceptResend):
         assert prepared.rows <= 4
-        assert index.tolist() == (2 * session._tap_bases + session._tap_bits).tolist()
+        assert index.tolist() == (2 * session._tap[0] + session._tap[1]).tolist()
     else:
         assert prepared.rows == 1
     # one entry for every triplet of every trial, each naming a register
-    assert index.shape == (6 * 8,)
+    assert index.shape == (6, 8)
     assert 0 <= index.min() and index.max() < prepared.rows
     session.select_groups()
     session.run_check()
@@ -583,6 +583,10 @@ def test_a_five_cell_sweeps_memory_follows_the_row_budget():
     estimate_cells(cfg, 1, SWEEP_CELLS)  # caches filled on first use, outside every trace
     one = traced_peak(chunk)
     assert traced_peak(4 * chunk) <= 1.25 * one
+
+
+def test_a_sweep_of_no_cells_is_empty():
+    assert estimate_cells(ProtocolConfig(8, "0001"), 5, ()) == ()
 
 
 def test_trials_must_be_positive():

@@ -405,9 +405,9 @@ def test_prepared_triplets_are_ghz(parties):
     prepared = sess._prepared
     assert prepared.num_qubits == width
     # every triplet's row of the index names one register of the stack
-    assert sess._index.shape == (cfg.triplet_count,)
+    assert sess._index.shape == (1, cfg.triplet_count)
     for n in range(1, cfg.triplet_count + 1):
-        state = take_rows(prepared, sess._index[[n - 1]])
+        state = take_rows(prepared, sess._index[0, [n - 1]])
         ends = "0" * width, "1" * width
         for bits in ends:
             assert np.isclose(amplitude(state, bits), INV_SQRT2, atol=ATOL)
@@ -489,10 +489,14 @@ def test_measuring_a_photon_twice_is_an_internal_error():
         sess.controller_round()
     sess = Session(config())
     sess.run()
+    first, twice = np.array([[1]]), np.array([[1, 1]])
     with pytest.raises(InternalError):
-        sess._measure_photons(
-            np.array([0]), [(ALICE, "h")], [MeasurementBasis.COMPUTATIONAL], {ALICE: np.zeros(1)}
-        )
+        sess._measure_photons(np.array([0]), first, [(ALICE, "h")], Z, {ALICE: np.zeros((1, 1))})
+    # one read-out that names a triplet twice, none of it measured before
+    sess = Session(config())
+    sess.prepare_and_distribute()
+    with pytest.raises(InternalError):
+        sess._measure_photons(np.array([0]), twice, [(ALICE, "h")], Z, {ALICE: np.zeros((1, 2))})
 
 
 # the wire labels of the protocol module's docstring, in protocol order
@@ -572,6 +576,19 @@ def test_stacked_transcripts_match_the_reference_records(parties):
     session.run_trials()
     # past the first trial, some abort and some complete
     assert set(session.completed[1:].tolist()) == {False, True}
+    # a trial is one row: of every trial, or from S5 on of every trial that passed
+    trials, passed = len(session.seeds), len(session._live)
+    per_trial = [
+        session._index, session._taken, session._tap[0], session._tap[1], session.checking_groups,
+        session.encoding_groups, session._check_bases, *session._check_bits.values(),
+        session.violations, session.completed, session.abort_triplet, session.decoded,
+    ]
+    per_passing = [
+        *session._controller_bits.values(), session.parities, session._ops,
+        session._sender_bell, session._receiver_bell, session._ancilla_bell,
+    ]
+    assert [len(array) for array in per_trial] == [trials] * len(per_trial)
+    assert [len(array) for array in per_passing] == [passed] * len(per_passing)
     for trial in range(len(session.seeds)):
         result = session.result(trial)
         assert result.transcript == format_transcript(reference_records(session, trial)), trial
@@ -606,9 +623,9 @@ def checked_readouts(monkeypatch, *trials) -> tuple[Session, list[str]]:
     real_encode, real_decode = Session.encode_and_announce, Session.receiver_decode
     readouts, drawn = [], []
 
-    def compared(self, rows, measuring, bases, draws):
-        want, want_left = reference_readout(self, rows, measuring, bases, draws)
-        outcomes, left, index = real(self, rows, measuring, bases, draws)
+    def compared(self, trials, triplets, measuring, bases, draws):
+        want, want_left = reference_readout(self, trials, triplets, measuring, bases, draws)
+        outcomes, left, index = real(self, trials, triplets, measuring, bases, draws)
         assert list(outcomes) == list(want)
         for party, column in want.items():
             assert outcomes[party].tolist() == column.tolist(), party
@@ -623,17 +640,18 @@ def checked_readouts(monkeypatch, *trials) -> tuple[Session, list[str]]:
     def encode(self):
         encoding = take_rows(*self._encoding)
         real_encode(self)
-        want, want_left = reference_encoding(encoding, self._ops, drawn[-1][self.config.sender])
-        assert self._sender_bell.tolist() == want.tolist()
+        sender = drawn[-1][self.config.sender].ravel()
+        want, want_left = reference_encoding(encoding, self._ops.ravel(), sender)
+        assert self._sender_bell.ravel().tolist() == want.tolist()
         assert_same_rows(take_rows(*self._pairs), want_left)
         readouts.append("S7")
 
     def decode(self):
         pairs = take_rows(*self._pairs)
         real_decode(self)
-        want = reference_decode(pairs, drawn[-1])
-        assert self._receiver_bell.tolist() == want[self.config.receiver].tolist()
-        assert self._ancilla_bell.tolist() == want.get(EVE, np.zeros(0)).tolist()
+        want = reference_decode(pairs, {party: draws.ravel() for party, draws in drawn[-1].items()})
+        assert self._receiver_bell.ravel().tolist() == want[self.config.receiver].tolist()
+        assert self._ancilla_bell.ravel().tolist() == want.get(EVE, np.zeros(0)).tolist()
         readouts.append("S9")
 
     monkeypatch.setattr(Session, "_measure_photons", compared)

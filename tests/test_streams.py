@@ -231,7 +231,7 @@ def replay_phase(session: Session, phase: str, generators: dict) -> None:
     elif phase == "run_check":
         count = cfg.checked_triplets
         bases = [draw_random_bases(rng, count)[0] for rng in generators[cfg.sender]]
-        assert session._check_bases.tolist() == np.concatenate(bases).tolist()
+        assert session._check_bases.tolist() == np.stack(bases).tolist()
         for party in (cfg.receiver,) + cfg.controllers + ((EVE,) if probe else ()):
             for rng in generators[party]:
                 rng.random(count)

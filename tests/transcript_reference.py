@@ -1,6 +1,6 @@
 """Session transcripts as records, emitted one at a time.
 
-``Session.result`` slices each trial's values out of its phase arrays and
+``Session.result`` reads each trial's row of its phase arrays and
 ``transcript.write_transcript`` writes them as numbered text in one pass;
 the tests compare that text against ``format_transcript`` of the records
 this independent route builds from the same arrays.
@@ -31,8 +31,7 @@ def reference_records(session: Session, trial: int) -> tuple[TranscriptRecord, .
     sizes = f"triplets={count} parties={cfg.party_count} groups={cfg.group_count}"
     emit("S1", cfg.receiver, "PREPARE", sizes)
     emit("S1", cfg.receiver, "SEND", f"to={cfg.sender} sequence=travel count={count}")
-    rows = slice(trial * count, (trial + 1) * count)
-    seen = zip(session._tap_bases[rows].tolist(), session._tap_bits[rows].tolist())
+    seen = zip(*session._tap[:, trial].tolist())
     taps = [f"basis={basis_names[basis]} outcome={outcome}" for basis, outcome in seen]
     if QubitId(1, "e") in session._prepared.qubits:  # a probe coupled, nothing measured
         taps = ["probe=cnot"] * count
@@ -49,8 +48,7 @@ def reference_records(session: Session, trial: int) -> tuple[TranscriptRecord, .
     emit("S3", cfg.sender, "GROUP_SELECTION", selection)
 
     checked = _pair_triplets(session.checking_groups[trial]).tolist()
-    bases = session._check_bases[trial * len(checked) : (trial + 1) * len(checked)]
-    labels = [basis_names[basis] for basis in bases.tolist()]
+    labels = [basis_names[basis] for basis in session._check_bases[trial].tolist()]
     bits = {party: column[trial].tolist() for party, column in session._check_bits.items()}
     parties = (cfg.sender, cfg.receiver) + cfg.controllers
     for i, (n, label) in enumerate(zip(checked, labels)):
@@ -69,9 +67,8 @@ def reference_records(session: Session, trial: int) -> tuple[TranscriptRecord, .
         return tuple(records)
     emit("S4", cfg.sender, "CHECK_VERDICT", f"verdict=pass {counts}")
 
-    # the trial's place among those that passed, and its groups there
+    # the trial's row among those that passed
     j = int(np.count_nonzero(session.completed[:trial]))
-    groups = slice(j * len(encoding), (j + 1) * len(encoding))
     triplets = _pair_triplets(np.array(encoding)).tolist()
     controller_bits = {ctrl: column[j].tolist() for ctrl, column in session._controller_bits.items()}
     for ctrl in cfg.controllers:
@@ -81,8 +78,8 @@ def reference_records(session: Session, trial: int) -> tuple[TranscriptRecord, .
         listed = ",".join(f"{n}:{outcome}" for n, outcome in zip(triplets, controller_bits[ctrl]))
         emit("S6", ctrl, "CONTROLLER_OUTCOMES", f"party={ctrl} outcomes={listed}")
 
-    sender_bell = [bell_names[k] for k in session._sender_bell[groups].tolist()]
-    for g, k, outcome in zip(encoding, session._ops[groups].tolist(), sender_bell):
+    sender_bell = [bell_names[k] for k in session._sender_bell[j].tolist()]
+    for g, k, outcome in zip(encoding, session._ops[j].tolist(), sender_bell):
         emit("S7", cfg.sender, "ENCODE", f"group={g} bits={ops[k].bits} op={ops[k].name}")
         detail = f"group={g} pair=t{2 * g - 1},t{2 * g} outcome={outcome}"
         emit("S7", cfg.sender, "BELL_MEASURE", detail)
@@ -92,7 +89,7 @@ def reference_records(session: Session, trial: int) -> tuple[TranscriptRecord, .
     parities = session.parities[j].tolist()
     decoded = "".join(map(str, session.decoded[trial].tolist()))
     chunks = [decoded[k : k + 2] for k in range(0, len(decoded), 2)]
-    receiver_bell = [bell_names[k] for k in session._receiver_bell[groups].tolist()]
+    receiver_bell = [bell_names[k] for k in session._receiver_bell[j].tolist()]
     read = zip(encoding, sender_bell, receiver_bell, chunks)
     for i, (g, sender, receiver, chunk) in enumerate(read):
         detail = f"group={g} pair=h{2 * g - 1},h{2 * g} outcome={receiver}"
@@ -100,7 +97,7 @@ def reference_records(session: Session, trial: int) -> tuple[TranscriptRecord, .
         bells = f"sender={sender} receiver={receiver}"
         detail = f"group={g} parities={parities[2 * i]}{parities[2 * i + 1]} {bells} bits={chunk}"
         emit("S9", cfg.receiver, "DECODE", detail)
-    for g, k in zip(encoding, session._ancilla_bell[groups].tolist()):
+    for g, k in zip(encoding, session._ancilla_bell[j].tolist()):
         detail = f"group={g} pair=e{2 * g - 1},e{2 * g} outcome={bell_names[k]}"
         emit("S9", EVE, "ANCILLA_BELL", detail)
     emit("S11", cfg.receiver, "COMPLETE", f"decoded={decoded}")
