@@ -1,15 +1,15 @@
 """Detection and leakage under the eavesdropping models on the travel channel.
 
 The models (``NoAttack``, ``InterceptResend``, ``EntangleMeasure``) live
-in ``protocol``, beside the engine that runs their taps; the oracle reads
-them by type.  Two independent routes to the detection probability are
-kept on purpose: ``detection_oracle`` enumerates every branch of the
-attacked checking round exactly, while ``estimate_cells`` runs full Monte
-Carlo sessions, a sweep's cells at once (``estimate_detection`` is its
-one-cell case).  Tests require the two to agree.  Both exact analyses,
-``detection_oracle`` and ``eve_group_information``, run on plain arrays,
-independent of ``StateVector`` and the kernels the sessions run on: they
-pass each state as a ``(2,) * n`` tensor, one axis per qubit.
+in ``protocol``, beside the engine that runs their taps; this module reads
+them by type.  Its exact section holds one joint and two oracles, kept
+apart on purpose from ``estimate_cells``, which runs full Monte Carlo
+sessions, a sweep's cells at once (``estimate_detection`` is its one-cell
+case); tests require the two routes to agree.  ``detection_oracle``
+enumerates the attacked checking round; ``group_joint``, the encoding
+round's joint under a tap, gives ``decode_oracle`` and
+``eve_group_information``.  All run on plain ``(2,) * n`` tensors, one axis
+per qubit, independent of ``StateVector`` and the sessions' kernels.
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bases import EncodingOp, bell_pair_amplitudes
-from .states import _SQRT_HALF
+from .bases import _H, _apply_single, _ghz_vector, default_decode_table, encoding_joint
 from .protocol import (
     MAX_PARTIES, MAX_TRIALS, SESSION_ROWS, AttackModel, BasisStrategy, ConfigError, EntangleMeasure,
     InterceptResend, NoAttack, ProtocolConfig, Session, _is_integer, session_trials,
@@ -40,20 +39,7 @@ def attack_cell_label(attack: AttackModel | None) -> str:
 
 # --- exact detection analysis -------------------------------------------
 # Plain-array enumeration, deliberately independent of the StateVector
-# machinery the sessions run on.  A triplet is a (2,) * n tensor, one axis
-# per qubit in the order (home, travel, control..., ancilla?), travel at axis 1.
-
-_H = np.array([[_SQRT_HALF, _SQRT_HALF], [_SQRT_HALF, -_SQRT_HALF]])
-
-
-def _ghz_vector(parties: int) -> np.ndarray:
-    psi = np.zeros((2,) * parties)
-    psi.flat[[0, -1]] = _SQRT_HALF
-    return psi
-
-
-def _apply_single(psi: np.ndarray, axis: int, matrix: np.ndarray) -> np.ndarray:
-    return np.moveaxis(np.tensordot(matrix, psi, axes=(1, axis)), 0, axis)
+# machinery the sessions run on; a triplet is laid out as in ``bases``.
 
 
 def _cnot_vector(psi: np.ndarray, control: int, target: int) -> np.ndarray:
@@ -87,6 +73,24 @@ _INTERCEPT_BASES = {
 }
 
 
+def _tap_branches(attack: AttackModel | None, parties: int) -> list[tuple[float, np.ndarray]]:
+    """A ``parties``-party GHZ triplet under ``attack`` as ``(weight, psi)``
+    branches: psi unnormalised, its squared norm the branch's probability."""
+    ghz = _ghz_vector(parties)
+    if attack is None or isinstance(attack, NoAttack):
+        return [(1.0, ghz)]
+    if isinstance(attack, InterceptResend):
+        # project the travel qubit onto each eigenvector, keeping it
+        chosen = _INTERCEPT_BASES[attack.strategy]
+        return [
+            (1 / len(chosen), _apply_single(ghz, 1, np.outer(eigvec, eigvec.conj())))
+            for eigvecs in chosen for eigvec in eigvecs
+        ]
+    if isinstance(attack, EntangleMeasure):
+        return [(1.0, _cnot_vector(np.multiply.outer(ghz, [1.0, 0.0]), 1, parties))]
+    raise ValueError(f"not an attack model: {attack!r}")
+
+
 def detection_oracle(attack: AttackModel | None, parties: int = 3) -> float:
     """Exact per-checked-triplet violation probability for an attack.
 
@@ -97,23 +101,9 @@ def detection_oracle(attack: AttackModel | None, parties: int = 3) -> float:
         raise ValueError(f"parties must be an integer from 3 to {MAX_PARTIES}, got {parties!r}")
     if attack is None or isinstance(attack, NoAttack):
         return 0.0
-
-    ghz = _ghz_vector(parties)
-    # (weight, psi): psi unnormalised, its squared norm the branch's probability
-    if isinstance(attack, InterceptResend):
-        # project the travel qubit onto each eigenvector, keeping it
-        chosen = _INTERCEPT_BASES[attack.strategy]
-        branches = [
-            (1 / len(chosen), _apply_single(ghz, 1, np.outer(eigvec, eigvec.conj())))
-            for eigvecs in chosen for eigvec in eigvecs
-        ]
-    elif isinstance(attack, EntangleMeasure):
-        branches = [(1.0, _cnot_vector(np.multiply.outer(ghz, [1.0, 0.0]), 1, parties))]
-    else:
-        raise ValueError(f"not an attack model: {attack!r}")
     return sum(
         weight * 0.5 * _violation_probability(psi, parties, diagonal)
-        for weight, psi in branches for diagonal in (False, True)
+        for weight, psi in _tap_branches(attack, parties) for diagonal in (False, True)
     )
 
 
@@ -212,35 +202,31 @@ def estimate_detection(config: ProtocolConfig, trials: int) -> DetectionStats:
     return estimate_cells(config, trials, (config.attack,))[0]
 
 
-# --- what the probe actually learns ---------------------------------------
+# --- the encoding round under attack -------------------------------------
+
+
+def group_joint(attack: AttackModel | None) -> np.ndarray:
+    """``encoding_joint`` under ``attack``; three parties stand for any number."""
+    return encoding_joint(_tap_branches(attack, 3))
+
+
+def decode_oracle(attack: AttackModel | None) -> float:
+    """Exact share of message bits the receiver decodes right under an
+    attack, half a bit per matching bit, through the default decode table."""
+    wrong = np.arange(4).reshape(4, 1, 1, 1, 1) ^ default_decode_table().dense.swapaxes(2, 3)
+    right = (2 - (wrong & 1) - (wrong >> 1)) / 2  # by (op, p1, p2, receiver, sender)
+    return float(np.sum(group_joint(attack).reshape(*right.shape, -1).sum(axis=5) * right))
 
 
 def eve_group_information() -> float:
     """Mutual information (bits per group) between the message chunk and
-    everything the entangling probe sees: the announced travel-pair Bell
-    outcome plus her own ancilla-pair Bell outcome.
-
-    After the controller round each probed triplet is a three-qubit GHZ
-    state on (home, travel, ancilla) up to the announced parity sign, so
-    the value does not depend on the party count; it is identical for
-    every controller-parity pattern, which is asserted by enumeration.
-    """
-    values = []
-    for p1, p2 in np.ndindex(2, 2):
-        triplet1, triplet2 = _ghz_vector(3), _ghz_vector(3)
-        triplet1[1, 1, 1] *= (-1) ** p1
-        triplet2[1, 1, 1] *= (-1) ** p2
-        # joint[op, s, e]: P(operation, travel-pair outcome s, ancilla-pair
-        # outcome e), summed over the receiver's home-pair outcome
-        joint = np.zeros((4, 4, 4))
-        for k, op in enumerate(EncodingOp):
-            encoded = _apply_single(triplet1, 1, op.gate.matrix)
-            # read out in the pairs (h1, h2), (t1, t2) and (e1, e2)
-            probs = np.abs(bell_pair_amplitudes(encoded, triplet2)) ** 2
-            joint[k] = 0.25 * np.where(probs > 1e-15, probs, 0.0).sum(axis=0)
-        seen = joint > 0.0
-        independent = np.broadcast_to(0.25 * joint.sum(axis=0), joint.shape)[seen]
-        values.append(float(np.sum(joint[seen] * np.log2(joint[seen] / independent))))
-    if max(values) - min(values) > 1e-9:
+    all the entangling probe sees: the announced travel-pair Bell outcome
+    and its own ancilla-pair Bell outcome.  It is asserted to be the same
+    for every controller-parity pattern."""
+    # P(op, sender, ancilla | p1, p2): the parities are uniform, the home pair unseen
+    given = 4 * group_joint(EntangleMeasure()).sum(axis=3)
+    ratio = np.divide(given, given.mean(axis=0), out=np.ones_like(given), where=given > 1e-15)
+    values = np.sum(given * np.log2(ratio), axis=(0, 3, 4))
+    if values.max() - values.min() > 1e-9:
         raise AssertionError("probe information should not depend on parities")
-    return values[0]
+    return float(values[0, 0])

@@ -1,12 +1,12 @@
 """Bell and GHZ basis algebra.
 
 Holds the canonical orthonormal bases, the two-bit encoding map, the
-entanglement-swapping re-expansion check, and the brute-force decode
-table that turns announced measurement outcomes back into message bits.
-These checks and the table run on plain arrays, read out in Bell pairs
-by ``bell_pair_amplitudes``, not on the state kernels the sessions run
-on, so a kernel fault cannot write itself into the table the sessions
-decode with; the tests cross-check both against the kernels.
+entanglement-swapping re-expansion check, the exact joint of one encoding
+round (``encoding_joint``) and the decode table read off its honest case.
+All run on plain arrays, read out in Bell pairs by ``bell_pair_amplitudes``,
+not on the state kernels the sessions run on, so a kernel fault cannot
+write itself into the table the sessions decode with; the tests
+cross-check both against the kernels.
 
 The eight-element GHZ basis used everywhere is the orthonormal set
 
@@ -86,6 +86,38 @@ def bell_pair_amplitudes(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     a, b, out = range(k), range(k, 2 * k), range(2 * k, 3 * k)
     bras = (arg for i in range(k) for arg in (_BELL_BRAS, [out[i], a[i], b[i]]))
     return np.einsum(first, [*a], second, [*b], *bras, [*out])
+
+
+# The exact encoding round, on plain arrays: a triplet is a (2,) * n tensor
+# over (home, travel, control..., ancilla?), one axis per qubit.
+_H = np.array([[_SQRT_HALF, _SQRT_HALF], [_SQRT_HALF, -_SQRT_HALF]])
+
+
+def _ghz_vector(parties: int) -> np.ndarray:
+    psi = np.zeros((2,) * parties)
+    psi.flat[[0, -1]] = _SQRT_HALF
+    return psi
+
+
+def _apply_single(psi: np.ndarray, axis: int, matrix: np.ndarray) -> np.ndarray:
+    return np.moveaxis(np.tensordot(matrix, psi, axes=(1, axis)), 0, axis)
+
+
+def encoding_joint(branches: list[tuple[float, np.ndarray]]) -> np.ndarray:
+    """P(op, p1, p2, receiver, sender[, ancilla]) of one group, op uniform:
+    each triplet is one of ``branches``, the ``(weight, psi)`` branches of a
+    tapped three-party GHZ state, psi unnormalised.  After the diagonal
+    read-out of the control, whose outcome is the parity, (home, travel[,
+    ancilla]) depends only on the parity, so one controller stands for any
+    number.  The op acts on the first travel photon before the Bell read-out."""
+    # each branch's (home, travel[, ancilla]) ket by parity
+    kets = [(weight, np.moveaxis(_apply_single(psi, 2, _H), 2, 0)) for weight, psi in branches]
+    probs = [
+        w1 * w2 / 4 * np.abs(bell_pair_amplitudes(_apply_single(a, 1, op.gate.matrix), b)) ** 2
+        for w1, first in kets for w2, second in kets
+        for op in EncodingOp for a in first for b in second
+    ]
+    return np.reshape(probs, (-1, 4, 2, 2, *probs[0].shape)).sum(axis=0)
 
 
 _GHZ_KETS = {
@@ -219,22 +251,11 @@ class DecodeTable:
 
 
 def build_decode_table() -> DecodeTable:
-    """Enumerate all (parity, parity, op) cases and invert the outcome map.
-
-    For each controller-parity pair the residual group state is a
-    product of two (|00> +- |11>)/sqrt(2) pairs.  Applying each
-    encoding gate to the first travel photon and re-expanding over the
-    (travel, travel) and (home, home) pairs yields exactly four joint
-    outcomes per case; every (parities, sender, receiver) combination
-    must name a single operation or the table is unusable.
-    """
-    # (|00> +- |11>)/sqrt(2) by parity; symmetric, so each reads as
-    # (travel, home) too, and a gate on axis 0 acts on the travel photon
-    pairs = [BellOutcome.PHI_PLUS.vector.reshape(2, 2), BellOutcome.PHI_MINUS.vector.reshape(2, 2)]
-    marks = np.zeros((2, 2, 4, 4, 4), bool)  # (p1, p2, op, sender, receiver)
-    for p1, p2, k in np.ndindex(2, 2, 4):
-        encoded = tuple(EncodingOp)[k].gate.matrix @ pairs[p1]
-        marks[p1, p2, k] = np.abs(bell_pair_amplitudes(encoded, pairs[p2])) ** 2 > 1e-6
+    """Invert the honest joint (``encoding_joint``): each (parities, sender,
+    receiver) key it reaches must name a single operation, and every key
+    must be reached, or the table is unusable."""
+    # (p1, p2, op, sender, receiver)
+    marks = encoding_joint([(1.0, _ghz_vector(3))]).transpose(1, 2, 0, 4, 3) > 1e-6
     # a key marked again by a later operation collides
     clashes = np.argwhere(np.cumsum(marks, axis=2) > 1).tolist()
     if clashes:

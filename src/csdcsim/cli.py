@@ -12,8 +12,9 @@ default; any other value is a usage error, not silently ignored.
 Verify prints one tab-separated ``label<TAB>status<TAB>detail`` line
 per check: the sixteen swap products with their four signed terms, GHZ
 orthonormality and expansions, the decode table with its zero-parity
-slice, and last the exact detection rate and abort probability of each
-sweep cell for the --parties, --triplets and --check-fraction given.
+slice and each sweep cell's exact decode accuracy, and last each cell's
+exact detection rate and abort probability for the --parties, --triplets
+and --check-fraction given.
 
 Exit codes: 0 success, 1 usage error, 2 session aborted after an
 eavesdropper was detected, 3 structural verification failure,
@@ -36,8 +37,10 @@ from .attacks import (
     InterceptResend,
     abort_probability,
     attack_cell_label,
+    decode_oracle,
     detection_oracle,
     estimate_cells,
+    group_joint,
 )
 from .protocol import (
     MAX_PARTIES, MAX_TRIALS, MAX_TRIPLETS, ConfigError, InternalError, ProtocolConfig, Session,
@@ -202,6 +205,16 @@ def run_verify(out: IO[str], config: ProtocolConfig) -> int:
                 for s, r in zip(*(table.dense[0, 0] == position).nonzero())
             )
             out.write(f"decode-slice {op.name} bits={op.bits}\tpass\t{' '.join(pairs)}\n")
+        for attack in SWEEP_CELLS:
+            # the joint is a distribution, and every honest group decodes right
+            accuracy, total = decode_oracle(attack), group_joint(attack).sum()
+            misses = [total - 1] + ([accuracy - 1] if attack is None else [])
+            holds = all(abs(miss) <= bases.ATOL for miss in misses)
+            failures += 0 if holds else 1
+            out.write(
+                f"decode-oracle {attack_cell_label(attack)}\t{'pass' if holds else 'FAIL'}\t"
+                f"accuracy={accuracy:.6f}\n"
+            )
 
     checked = config.checked_triplets
     for attack in SWEEP_CELLS:

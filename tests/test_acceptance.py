@@ -17,6 +17,7 @@ from csdcsim.attacks import (
     EntangleMeasure,
     InterceptResend,
     abort_probability,
+    decode_oracle,
     detection_oracle,
     estimate_detection,
 )
@@ -248,7 +249,9 @@ def test_decode_accuracy_of_each_sweep_cell_matches_its_exact_value():
     nothing: 1/2.  So a random basis gives (1/2 + 3/4 + 2 * 1/2) / 4 = 9/16.
 
     Each sample is a group of two correlated bits, so a group's mean has a
-    variance of at most 1/4.
+    variance of at most 1/4.  ``decode_oracle`` works each value out from
+    the exact joint of the encoding round; the constants here are a second,
+    independent statement of it.
     """
     exact = {
         None: 1.0,
@@ -262,6 +265,7 @@ def test_decode_accuracy_of_each_sweep_cell_matches_its_exact_value():
         triplet_count=64, message_bits="0" * 60, check_fraction=0.05, seed=12
     )
     for attack, accuracy in exact.items():
+        assert abs(decode_oracle(attack) - accuracy) <= 1e-12, attack
         stats = estimate_detection(replace(base, attack=attack), trials=300)
         if attack is None:
             assert stats.decode_accuracy == 1.0

@@ -18,6 +18,7 @@ from csdcsim.attacks import (
     NoAttack,
     abort_probability,
     attack_cell_label,
+    decode_oracle,
     detection_oracle,
     estimate_cells,
     estimate_detection,
@@ -640,3 +641,4 @@ def test_exact_analyses_run_without_the_state_kernels(monkeypatch):
         for parties in (3, 12):
             expected = 0.0 if cell is None else 0.25
             assert np.isclose(detection_oracle(cell, parties), expected, atol=1e-12)
+        assert 0.5 - 1e-12 <= decode_oracle(cell) <= 1.0 + 1e-12

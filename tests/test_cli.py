@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csdcsim import cli
+from csdcsim import attacks, cli
 from csdcsim.protocol import (
     MAX_PARTIES, MAX_SEED, MAX_TRIALS, MAX_TRIPLETS, ConfigError, InternalError, Session,
     session_capacity,
@@ -317,6 +317,42 @@ def test_verify_reports_the_exact_rates_for_the_check_fraction(fraction, checked
             "intercept-resend:x", "entangle-measure",
         )
     ]
+
+
+def test_verify_reports_each_cells_exact_decode_accuracy():
+    # the encoding round's joint does not depend on the party count
+    proc = invoke("--mode", "verify", "--parties", "12")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    first = next(i for i, line in enumerate(lines) if line.startswith("decode-oracle"))
+    assert lines[first - 1].startswith("decode-slice U4")
+    assert lines[first:first + 5] == [
+        f"decode-oracle {label}\tpass\taccuracy={accuracy}"
+        for label, accuracy in (
+            ("none", "1.000000"), ("intercept-resend:random", "0.562500"),
+            ("intercept-resend:z", "0.500000"), ("intercept-resend:x", "0.750000"),
+            ("entangle-measure", "0.500000"),
+        )
+    ]
+
+
+@pytest.mark.parametrize(
+    "patch, failing",
+    [
+        # a joint that is not a distribution fails every cell
+        (("group_joint", lambda attack: 2 * attacks.group_joint(attack)), 5),
+        # only the honest cell's accuracy is known
+        (("decode_oracle", lambda attack: 0.9), 1),
+    ],
+    ids=["joint", "accuracy"],
+)
+def test_verify_decode_oracle_failure_exits_three(monkeypatch, capsys, patch, failing):
+    monkeypatch.setattr(cli, *patch)
+    code = cli.main(["--mode", "verify"])
+    lines = capsys.readouterr().out.splitlines()
+    statuses = [line.split("\t")[1] for line in lines if line.startswith("decode-oracle")]
+    assert statuses == ["FAIL"] * failing + ["pass"] * (5 - failing)
+    assert code == 3
 
 
 def test_verify_structural_failure_exits_three(monkeypatch, capsys):

@@ -181,11 +181,11 @@ def test_drawn_sweeps_match_their_pinned_digest():
     assert digest.hexdigest() == SWEEP_DRAW_DIGEST
 
 
-VERIFY_DIGEST = "14da4471bd7650cae3422d4b9a4445f39c96808484f76d552f04136967e21a83"
+VERIFY_DIGEST = "20205025cce6d95b31203f95d31097882f2ea78069d501dfe91cd5ba9830433c"
 
 
 VERIFY_P12_ARGV = ["--parties", "12", "--triplets", "4096", "--check-fraction", "0.25"]
-VERIFY_P12_DIGEST = "9cf7c0761a1e8680c7d1670d5d59e5a312e4e0d1ed9d3d01fd0184c43caf4ea3"
+VERIFY_P12_DIGEST = "0fd3c6f39d5aa4b85b96a56b65dafe2837f1baf6f086b9de116c6db08ea074e6"
 
 
 def masked_verify_digest(argv):
