@@ -669,19 +669,17 @@ class Session:
         if completed:
             j = int(np.count_nonzero(self.completed[:trial]))  # its row among those that passed
             encoded = dict(
-                controller_bits={c: bits[j].tolist() for c, bits in self._controller_bits.items()},
-                parities=self.parities[j].tolist(), ops=self._ops[j].tolist(),
-                sender_bell=self._sender_bell[j].tolist(),
-                receiver_bell=self._receiver_bell[j].tolist(),
-                ancilla_bell=self._ancilla_bell[j].tolist(), decoded=decoded,
+                controller_bits={c: bits[j] for c, bits in self._controller_bits.items()},
+                parities=self.parities[j], ops=self._ops[j], sender_bell=self._sender_bell[j],
+                receiver_bell=self._receiver_bell[j], ancilla_bell=self._ancilla_bell[j],
+                decoded=decoded,
             )
         abort_triplet = None if completed else int(self.abort_triplet[trial])
         transcript = write_transcript(
             cfg.triplet_count, cfg.sender, cfg.receiver, cfg.controllers,
-            "probe" if self._probed else self._tap[:, trial].tolist(),
-            self.checking_groups[trial].tolist(), self.encoding_groups[trial].tolist(),
-            self._check_bases[trial].tolist(),
-            {party: bits[trial].tolist() for party, bits in self._check_bits.items()},
+            "probe" if self._probed else self._tap[:, trial], self.checking_groups[trial],
+            self.encoding_groups[trial], self._check_bases[trial],
+            {party: bits[trial] for party, bits in self._check_bits.items()},
             int(self.violations[trial]), abort_triplet, **encoded,
         )
         return SessionResult(

@@ -8,23 +8,31 @@ Sequence numbers start at 1 and increase by 1.  Files are UTF-8 with
 LF line endings and no header, so two runs with the same configuration
 and seed compare byte for byte.
 
-A session's transcript is written as text in one pass
-(``write_transcript``), from one trial's outcomes as plain values, and
-records are parsed from that text only when something reads them.
-``format_line`` and ``parse_line`` check single records at the file
-boundary: only LF ends a line, and a line parses only if it formats back.
+A trial's transcript is written as text from its outcomes
+(``write_transcript``), lines that share a template as one uint8 array:
+numbers as columns of digits and names as rows of a table, padded with
+PAD, a byte no UTF-8 text holds.  Records are parsed from that text only
+when something reads them; ``format_line`` and ``parse_line`` check them
+at the file boundary: only LF ends a line, and a line parses only if it
+formats back.
 """
 
 from __future__ import annotations
 
-from itertools import count
+import re
 from typing import Iterable, Literal, NamedTuple, Sequence
+
+import numpy as np
 
 from .bases import EncodingOp
 from .states import BASES, BELL_OUTCOMES
 
 FIELD_SEP = "\t"
 EVE = "EVE"  # the eavesdropper's actor name; the others are the config's parties
+PAD = 0xFF
+BLOCK_ROWS = 1024  # rows rendered in one array, which bounds its memory
+_UTF8 = ("utf-8", "surrogatepass")  # a party name may hold a lone surrogate
+_ROWWISE = (tuple, list, np.ndarray)  # a field with one value a row
 
 
 class TranscriptRecord(NamedTuple):
@@ -85,107 +93,141 @@ def write_transcript(
     ops: Sequence[int] = (), sender_bell: Sequence[int] = (), receiver_bell: Sequence[int] = (),
     ancilla_bell: Sequence[int] = (), decoded: str = "",
 ) -> str:
-    """One trial's transcript text, in protocol order, each line numbered
-    as it is built.  Announcements are authenticated: the eavesdropper
-    reads them but cannot alter or suppress them.  ``tap`` is the tap's
-    basis and outcome per triplet, or "probe" where a probe coupled and
-    nothing was measured; ``check_bits`` then holds EVE's ancilla too.
-    Only a trial that passed the check (no ``abort_triplet``) gives the
-    keywords.  Bases, Bell outcomes and operations are positions in
-    ``BASES``, ``BELL_OUTCOMES`` and ``EncodingOp``.
+    """One trial's transcript text, in protocol order.  Announcements are
+    authenticated: the eavesdropper reads them but cannot alter or
+    suppress them.  ``tap`` is the tap's basis and outcome per triplet,
+    or "probe" where a probe coupled and nothing was measured;
+    ``check_bits`` then holds EVE's ancilla too.  Only a trial that
+    passed the check (no ``abort_triplet``) gives the keywords.  Bases,
+    Bell outcomes and operations are positions in ``BASES``,
+    ``BELL_OUTCOMES`` and ``EncodingOp``, in lists, tuples or arrays."""
+    pieces: list[tuple[int, bytes]] = []  # (line count, text) of each block rendered
+    parties, c = (sender, receiver, *controllers), len(controllers)
+    names = _table(controllers)
+    who = dict(sender=sender, receiver=receiver, eve=EVE, count=triplets, ctrl=names)
 
-    Each line is built with four tabs and one LF, so one count over the
-    text checks what ``format_line`` checks line by line: a tab, LF or CR
-    inside a field shows as a surplus tab or LF, or as a CR."""
-    basis_names = [basis.value for basis in BASES]
-    bell_names = [outcome.value for outcome in BELL_OUTCOMES]
-    op_names = [f"bits={op.bits} op={op.name}" for op in EncodingOp]
-    seq = count(1)  # each line takes the next number as it is built
+    def add(template: str, **fields) -> None:
+        _render(template, {**who, **fields}, pieces)
 
-    sizes = f"parties={2 + len(controllers)} groups={len(checking) + len(encoding)}"
-    lines = [
-        f"{next(seq)}\tS1\t{receiver}\tPREPARE\ttriplets={triplets} {sizes}\n",
-        f"{next(seq)}\tS1\t{receiver}\tSEND\tto={sender} sequence=travel count={triplets}\n",
-    ]
-    taps = ["probe=cnot"] * triplets if tap == "probe" else [
-        f"basis={basis_names[b]} outcome={o}" for b, o in zip(*tap)
-    ]
-    lines += [f"{next(seq)}\tS1\t{EVE}\tTAP\ttriplet={n} {t}\n" for n, t in enumerate(taps, 1)]
-    lines += [
-        f"{next(seq)}\tS1\t{receiver}\tSEND\tto={ctrl} sequence=control count={triplets}\n"
-        for ctrl in controllers
-    ]
-    lines += [
-        f"{next(seq)}\tS2\t{party}\tRECEIPT\tparty={party} count={triplets}\n"
-        for party in (sender, *controllers)
-    ]
-    selection = f"checking={','.join(map(str, checking))} encoding={','.join(map(str, encoding))}"
-    lines.append(f"{next(seq)}\tS3\t{sender}\tGROUP_SELECTION\t{selection}\n")
+    checking, encoding = np.asarray(checking), np.asarray(encoding)
+    checked, encoded = ((2 * groups[:, None] - (1, 0)).ravel() for groups in (checking, encoding))
+    add("{seq}\tS1\t{receiver}\tPREPARE\ttriplets={count} parties={n} groups={groups}\n",
+        n=len(parties), groups=len(checking) + len(encoding))
+    add("{seq}\tS1\t{receiver}\tSEND\tto={sender} sequence=travel count={count}\n")
+    if isinstance(tap, str):  # "probe"
+        add("{seq}\tS1\t{eve}\tTAP\ttriplet={n} probe=cnot\n", n=np.arange(1, triplets + 1))
+    else:
+        add("{seq}\tS1\t{eve}\tTAP\ttriplet={n} basis={basis} outcome={bit}\n",
+            n=np.arange(1, triplets + 1), basis=_BASES.take(tap[0], axis=0), bit=tap[1])
+    add("{seq}\tS1\t{receiver}\tSEND\tto={ctrl} sequence=control count={count}\n")
+    add("{seq}\tS2\t{party}\tRECEIPT\tparty={party} count={count}\n",
+        party=_table((sender, *controllers)))
+    groups = " encoding=".join(",".join(map(str, g.tolist())) for g in (checking, encoding))
+    add("{seq}\tS3\t{sender}\tGROUP_SELECTION\tchecking={groups}\n", groups=groups)
 
     # each checked triplet's announcement, then every other party's reply
-    parties = (sender, receiver, *controllers)
-    heads = [f"{sender}\tCHECK_ANNOUNCE\t"] + [f"{p}\tCHECK_REPLY\tparty={p} " for p in parties[1:]]
-    checked = [n for g in checking for n in (2 * g - 1, 2 * g)]
-    checks = [f"triplet={n} basis={basis_names[b]} outcome=" for n, b in zip(checked, check_bases)]
-    lines += [
-        f"{next(seq)}\tS4\t{head}{c}{b}\n"
-        for c, bits in zip(checks, zip(*map(check_bits.get, parties)))
-        for head, b in zip(heads, bits)
-    ]
-    lines += [
-        f"{next(seq)}\tS4\t{EVE}\tANCILLA_MEASURE\t{c}{b}\n"
-        for c, b in zip(checks, check_bits.get(EVE, ()))
-    ]
-    verdict = "pass" if abort_triplet is None else "abort"
-    counts = f"verdict={verdict} checked={len(checked)} violations={violations}"
-    lines.append(f"{next(seq)}\tS4\t{sender}\tCHECK_VERDICT\t{counts}\n")
+    heads = [f"{sender}\tCHECK_ANNOUNCE\t", *(f"{p}\tCHECK_REPLY\tparty={p} " for p in parties[1:])]
+    add("{seq}\tS4\t{head}triplet={n} basis={basis} outcome={bit}\n",
+        head=np.tile(_table(heads), (len(checked), 1)),
+        n=np.repeat(checked, c + 2), basis=_BASES.take(np.repeat(check_bases, c + 2), axis=0),
+        bit=np.stack([check_bits[p] for p in parties], axis=1).ravel())
+    add("{seq}\tS4\t{eve}\tANCILLA_MEASURE\ttriplet={n} basis={basis} outcome={bit}\n",
+        n=checked, basis=_BASES.take(check_bases, axis=0), bit=check_bits.get(EVE, []))
+    add("{seq}\tS4\t{sender}\tCHECK_VERDICT\tverdict={verdict} checked={n} violations={v}\n",
+        verdict="pass" if abort_triplet is None else "abort", n=len(checked), v=violations)
     if abort_triplet is not None:
-        reason = f"reason=check_failed triplet={abort_triplet}"
-        lines.append(f"{next(seq)}\tS4\t{sender}\tABORT\t{reason}\n")
-        return _checked_text(lines)
+        add("{seq}\tS4\t{sender}\tABORT\treason=check_failed triplet={t}\n", t=abort_triplet)
+        return _text(pieces)
 
-    encoded = [n for g in encoding for n in (2 * g - 1, 2 * g)]
-    lines += [
-        f"{next(seq)}\tS5\t{ctrl}\tHADAMARD_MEASURE\ttriplet={n} outcome={b}\n"
-        for ctrl in controllers
-        for n, b in zip(encoded, controller_bits[ctrl])
-    ]
-    for ctrl in controllers:
-        listed = ",".join(f"{n}:{b}" for n, b in zip(encoded, controller_bits[ctrl]))
-        detail = f"party={ctrl} outcomes={listed}"
-        lines.append(f"{next(seq)}\tS6\t{ctrl}\tCONTROLLER_OUTCOMES\t{detail}\n")
+    # every controller's outcomes, controller by controller
+    every, bits = np.tile(encoded, c), np.concatenate([controller_bits[x] for x in controllers])
+    add("{seq}\tS5\t{ctrl}\tHADAMARD_MEASURE\ttriplet={n} outcome={bit}\n",
+        ctrl=np.repeat(names, len(encoded), axis=0), n=every, bit=bits)
+    _render("{n}:{bit},", dict(n=every, bit=bits), listed := [])
+    # each controller lists the same triplets, each with one digit: a row each
+    listed = np.frombuffer(b"".join(text for _, text in listed), np.uint8).reshape(c, -1)[:, :-1]
+    add("{seq}\tS6\t{ctrl}\tCONTROLLER_OUTCOMES\tparty={ctrl} outcomes={listed}\n", listed=listed)
 
-    sender_bell = [bell_names[k] for k in sender_bell]
-    for g, op, s in zip(encoding, ops, sender_bell):
-        lines += (
-            f"{next(seq)}\tS7\t{sender}\tENCODE\tgroup={g} {op_names[op]}\n",
-            f"{next(seq)}\tS7\t{sender}\tBELL_MEASURE\tgroup={g} pair=t{2 * g - 1},t{2 * g} "
-            f"outcome={s}\n",
-        )
-    lines += [
-        f"{next(seq)}\tS8\t{sender}\tBELL_ANNOUNCE\tgroup={g} outcome={s}\n"
-        for g, s in zip(encoding, sender_bell)
-    ]
-    receiver_bell = [bell_names[k] for k in receiver_bell]
-    read = zip(count(0, 2), encoding, parities[::2], parities[1::2], sender_bell, receiver_bell)
-    for i, g, p1, p2, s, r in read:
-        lines += (
-            f"{next(seq)}\tS9\t{receiver}\tBELL_MEASURE\tgroup={g} pair=h{2 * g - 1},h{2 * g} "
-            f"outcome={r}\n",
-            f"{next(seq)}\tS9\t{receiver}\tDECODE\tgroup={g} parities={p1}{p2} sender={s} "
-            f"receiver={r} bits={decoded[i : i + 2]}\n",
-        )
-    lines += [
-        f"{next(seq)}\tS9\t{EVE}\tANCILLA_BELL\tgroup={g} pair=e{2 * g - 1},e{2 * g} "
-        f"outcome={bell_names[a]}\n"
-        for g, a in zip(encoding, ancilla_bell)
-    ]
-    lines.append(f"{next(seq)}\tS11\t{receiver}\tCOMPLETE\tdecoded={decoded}\n")
-    return _checked_text(lines)
+    # each encoding group: the sender's lines, the receiver's and the probe's
+    bits = np.frombuffer(decoded.encode(), np.uint8) - ord("0")
+    who.update(g=encoding, a=encoded[::2], b=encoded[1::2], s=_BELLS.take(sender_bell, axis=0),
+               r=_BELLS.take(receiver_bell, axis=0))
+    add("{seq}\tS7\t{sender}\tENCODE\tgroup={g} {op}\n"
+        "{seq}\tS7\t{sender}\tBELL_MEASURE\tgroup={g} pair=t{a},t{b} outcome={s}\n",
+        op=_OPS.take(ops, axis=0))
+    add("{seq}\tS8\t{sender}\tBELL_ANNOUNCE\tgroup={g} outcome={s}\n")
+    add("{seq}\tS9\t{receiver}\tBELL_MEASURE\tgroup={g} pair=h{a},h{b} outcome={r}\n"
+        "{seq}\tS9\t{receiver}\tDECODE\tgroup={g} parities={p}{q} sender={s} receiver={r} "
+        "bits={x}{y}\n", p=parities[::2], q=parities[1::2], x=bits[::2], y=bits[1::2])
+    add("{seq}\tS9\t{eve}\tANCILLA_BELL\tgroup={g} pair=e{a},e{b} outcome={e}\n",
+        e=_BELLS.take(ancilla_bell, axis=0))
+    add("{seq}\tS11\t{receiver}\tCOMPLETE\tdecoded={decoded}\n", decoded=decoded)
+    return _text(pieces)
 
 
-def _checked_text(lines: list[str]) -> str:
-    text = "".join(lines)
-    if text.count(FIELD_SEP) != 4 * len(lines) or text.count("\n") != len(lines) or "\r" in text:
+def _text(pieces: list[tuple[int, bytes]]) -> str:
+    """The text of ``_render``'s blocks.  Each line is built with four tabs and
+    one LF, so one count over the bytes checks what ``format_line`` checks line
+    by line: a tab, LF or CR in a field shows as a surplus tab or LF, or a CR."""
+    text, lines = b"".join(block for _, block in pieces), sum(count for count, _ in pieces)
+    codes = np.frombuffer(text, np.uint8)  # numpy counts a byte faster than bytes.count
+    if [np.count_nonzero(codes == c) for c in b"\t\n\r"] != [4 * lines, lines, 0]:
         raise ValueError("transcript field contains a separator")
-    return text
+    return text.decode(*_UTF8)
+
+
+def _table(names: Iterable[str]) -> np.ndarray:
+    """Each name's UTF-8 bytes as one row, padded with PAD."""
+    encoded = [name.encode(*_UTF8) for name in names]
+    width = max(map(len, encoded))
+    text = b"".join(name.ljust(width, bytes([PAD])) for name in encoded)
+    return np.frombuffer(text, np.uint8).reshape(len(encoded), width)
+
+
+_BASES, _BELLS = (_table(name.value for name in names) for names in (BASES, BELL_OUTCOMES))
+_OPS = _table(f"bits={op.bits} op={op.name}" for op in EncodingOp)
+
+
+def _digits(numbers: np.ndarray) -> np.ndarray:
+    """Non-negative int32 ``numbers`` in decimal, one row a number, in the
+    width of the largest and padded on the left with PAD."""
+    width = len(str(int(numbers.max())))
+    tens = np.empty((width, len(numbers)), np.int32)
+    for k in range(width):  # each number over 10**k, from the leading digit down
+        np.floor_divide(numbers, 10 ** (width - 1 - k), out=tens[k])
+    padded = tens[:-1] == 0  # the last digit shows, even of 0
+    tens[1:] -= 10 * tens[:-1]
+    tens += ord("0")
+    tens[:-1][padded] = PAD
+    return tens.T
+
+
+def _render(template: str, fields: dict, out: list[tuple[int, bytes]]) -> None:
+    """Appends ``template``'s rows to ``out`` as (line count, text), BLOCK_ROWS
+    at a time.  A field in a list, tuple or array has one value a row: a
+    number, or a name as a row of a ``_table``.  The k-th "seq" of row r
+    reads first + r * (seqs a row) + k."""
+    first = 1 + sum(count for count, _ in out)  # the next line's number
+    parsed = re.split(r"\{(\w+)\}", template)  # text, field, text, ..., field, text
+    rows = min((len(fields[name]) for name in parsed[1::2]
+                if isinstance(fields.get(name), _ROWWISE)), default=1)
+    step, parts = template.count("{seq}"), [parsed[0].encode(*_UTF8)]
+    seqs = (np.arange(first + k, first + k + rows * step, step, np.int32) for k in range(step))
+    for name, text in zip(parsed[1::2], parsed[2::2]):
+        value = next(seqs) if name == "seq" else fields[name]
+        value = np.asarray(value) if isinstance(value, _ROWWISE) else str(value).encode(*_UTF8)
+        parts += [value, text.encode(*_UTF8)]
+    for start in range(0, rows, BLOCK_ROWS):
+        n, row, columns = min(BLOCK_ROWS, rows - start), b"", []
+        for part in parts:  # the template's text, and the columns that overwrite it
+            if isinstance(part, np.ndarray):
+                column = part[start : start + n]
+                column = column if column.ndim == 2 else _digits(column.astype(np.int32))
+                columns.append((len(row), column))
+                part = bytes([PAD]) * column.shape[1]
+            row += part
+        block = np.empty((n, len(row)), np.uint8)
+        block[:] = np.frombuffer(row, np.uint8)
+        for at, column in columns:
+            block[:, at : at + column.shape[1]] = column
+        out.append((n * step, block.tobytes().translate(None, bytes([PAD]))))

@@ -3,7 +3,8 @@
 The golden file covers one honest T=8, P=3 session.  These digests also
 pin multi-controller rounds, both attack taps (``collapse_qubit`` and
 ``apply_cnot``), the ancilla read-outs and aborted sessions, plus one
-sweep, and a seeded draw of a few hundred small run configurations.
+sweep, a seeded draw of a few hundred small run configurations, and two
+honest T=4096 runs whose sequence numbers reach five digits.
 Each digest is the sha256 of the transcript bytes followed by
 the stats bytes (the stats bytes alone for the sweep); a change to any
 kernel that shifts one sampled outcome or one RNG draw changes it.
@@ -22,7 +23,11 @@ import numpy as np
 import pytest
 
 from csdcsim import cli
-from csdcsim.protocol import session_capacity
+from csdcsim.protocol import ProtocolConfig, Session, session_capacity
+from csdcsim.transcript import format_transcript
+from transcript_reference import reference_records
+
+WIDE_MESSAGE = "10110010" * 256  # fills the capacity of 4096 triplets
 
 RUN_CASES = {
     "p5-none": (
@@ -52,6 +57,18 @@ RUN_CASES = {
         cli.EXIT_EAVESDROPPER,
         "4dd138cd54e3766bd2d8962c641a696ef437ed4ff0bcaae8d6a4e177c8ba023a",
     ),
+    # 13,321 lines
+    "p3-none-wide": (
+        ["--triplets", "4096", "--message", WIDE_MESSAGE, "--seed", "40963"],
+        cli.EXIT_OK,
+        "23ece7fb50ba050a73326162ad7843ac8562ca525e3db45e6e4ecb9abbe08257",
+    ),
+    # 50,212 lines
+    "p12-none-wide": (
+        ["--triplets", "4096", "--parties", "12", "--message", WIDE_MESSAGE, "--seed", "409612"],
+        cli.EXIT_OK,
+        "8a696c70015acea534970f03d807c584cdb9940c51e892a903010050d0eecbbc",
+    ),
 }
 
 SWEEP_ARGV = ["--mode", "sweep", "--parties", "4", "--trials", "20"]
@@ -71,6 +88,20 @@ def test_run_outputs_match_their_pinned_digests(tmp_path, case):
     )
     assert got == code
     assert sha256(transcript, stats) == digest
+
+
+def test_wide_transcripts_match_the_reference_records():
+    # the two wide pinned runs, against records emitted one at a time
+    for parties, seed, lines in ((3, 40963, 13_321), (12, 409612, 50_212)):
+        cfg = ProtocolConfig(
+            triplet_count=4096, message_bits=WIDE_MESSAGE, party_count=parties, seed=seed
+        )
+        session = Session(cfg)
+        got = session.run().transcript.split("\n")
+        want = format_transcript(reference_records(session, 0)).split("\n")
+        assert len(got) == len(want) == lines + 1
+        # line by line: pytest's diff of two texts this long would take minutes
+        assert next(((g, w) for g, w in zip(got, want) if g != w), None) is None, parties
 
 
 def test_sweep_output_matches_its_pinned_digest(tmp_path):

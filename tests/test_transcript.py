@@ -1,5 +1,8 @@
 """Unit tests for the tab-separated transcript format."""
 
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,8 +13,10 @@ from csdcsim.transcript import (
     format_transcript,
     parse_line,
     parse_transcript,
+    _render,
     write_transcript,
 )
+from transcript_reference import reference_records
 
 # any character but the separators, \x0c, \x85 and \u2028 among them
 printable = st.text(
@@ -118,3 +123,61 @@ def test_arbitrary_records_round_trip(seq, phase, actor, action, detail):
     records = parse_transcript(text)
     assert format_transcript(records) == text
     assert {r.actor for r in records} == set(names.values()) | {"EVE"}
+
+
+# The writer renders numbers as digit columns and names from tables, both
+# padded with a byte that it then drops.
+
+
+def rendered(template, **fields):
+    _render(template, fields, out := [])
+    return b"".join(text for _, text in out).decode("utf-8", "surrogatepass")
+
+
+def test_every_number_below_100000_renders_as_str():
+    numbers = np.arange(100_000)
+    assert rendered("{n},", n=numbers) == "".join(f"{n}," for n in range(100_000))
+    # blocks whose largest number is a power of ten, or one short of it
+    for top in [10**k + d for k in range(5) for d in (-1, 0)]:
+        assert rendered("{n},", n=numbers[: top + 1]) == "".join(f"{n}," for n in range(top + 1))
+
+
+def stand_in_session(sender, receiver, controller, abort_triplet):
+    """What reference_records reads of a session, holding small_trial's values."""
+    completed = abort_triplet is None
+    return SimpleNamespace(
+        config=SimpleNamespace(
+            triplet_count=4, party_count=3, group_count=2, sender=sender, receiver=receiver,
+            controllers=(controller,),
+        ),
+        _prepared=SimpleNamespace(qubits=()),
+        _tap=np.array([[[0, 1, 1, 0]], [[0, 1, 0, 0]]]),
+        checking_groups=np.array([[1]]), encoding_groups=np.array([[2]]),
+        _check_bases=np.array([[0, 1]]),
+        _check_bits={sender: np.array([[0, 1]]), receiver: np.array([[0, 1]]),
+                     controller: np.array([[0, 0]])},
+        violations=np.array([0]), completed=np.array([completed]),
+        abort_triplet=np.array([abort_triplet or 0]),
+        _controller_bits={controller: np.array([[1, 0]])}, parities=np.array([[1, 0]]),
+        _ops=np.array([[2]]), _sender_bell=np.array([[0]]), _receiver_bell=np.array([[3]]),
+        _ancilla_bell=np.zeros((1, 0), int), decoded=np.array([[1, 0]]),
+    )
+
+
+# a NUL, U+00FF (whose UTF-8 holds no 0xFF byte), an emoji and a lone surrogate
+@pytest.mark.parametrize("char", ["\x00", "\xff", "\U0001F600", "\ud800"])
+@pytest.mark.parametrize("abort_triplet", [None, 2])
+def test_party_names_of_any_character_match_the_reference_records(char, abort_triplet):
+    names = dict(sender=f"B{char}", receiver=f"{char}A", controller=f"C{char}{char}")
+    records = reference_records(stand_in_session(**names, abort_triplet=abort_triplet), 0)
+    assert small_trial(**names, abort_triplet=abort_triplet) == format_transcript(records)
+
+
+def test_tuples_render_as_lists_do():
+    tuples = write_transcript(
+        4, "BOB", "ALICE", ("CTRL1",), ((0, 1, 1, 0), (0, 1, 0, 0)), (1,), (2,), (0, 1),
+        {"BOB": (0, 1), "ALICE": (0, 1), "CTRL1": (0, 0)}, 0, None,
+        controller_bits={"CTRL1": (1, 0)}, parities=(1, 0), ops=(2,), sender_bell=(0,),
+        receiver_bell=(3,), decoded="10",
+    )
+    assert tuples == small_trial()
