@@ -32,11 +32,11 @@ stack (S1) holds each distinct register once, at most four, and an index
 the one each triplet holds.  Every read-out keeps to distinct registers
 too: in S4 and S5 each party reads every outcome of each distinct
 (register, basis) pair at once, picks each triplet's outcome with its
-draw, and keeps each distinct branch left once, so the registers read
-halve in width as they at most double in number.  S7 joins, encodes and
-Bell-reads each distinct (first register, second register, operation) of
-a group once, and S9 each distinct branch S7 leaves; no register is held
-one per triplet or group, only an index of the one each reads.
+draw, and keeps each branch left once by its bytes and basis, however
+many paths reach it.  S7 joins, encodes and Bell-reads each distinct
+(first register, second register, operation) of a group once, and S9
+each distinct branch S7 leaves; no register is held one per triplet or
+group, only an index of the one each reads.
 
 A session holds one or more trials of one shared ``ProtocolConfig``: a
 trial is a seed and a message, given as arrays beside the config.
@@ -374,6 +374,20 @@ def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(seen).astype(keys.dtype, copy=False), (np.cumsum(seen) - 1)[keys]
 
 
+def _fold(amps: np.ndarray, bases: list, paths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The branches (row 2 * register + outcome of ``amps``) that ``paths``
+    reach, each kept once by its bytes and the basis its register reads
+    (``bases``): the first row of each, and each path's index among them."""
+    firsts, kept, into = {}, [], np.zeros(len(amps), np.intp)
+    for row in np.flatnonzero(np.bincount(paths)).tolist():
+        key = (bases[row // 2], amps[row].tobytes())
+        if key not in firsts:
+            firsts[key] = len(kept)
+            kept.append(row)
+        into[row] = firsts[key]
+    return np.array(kept), into[paths]
+
+
 def _pick(probs: np.ndarray, index: np.ndarray, uniforms: np.ndarray) -> tuple:
     """Each row's outcome by its draw from ``probs[index]``, (rows, d): the
     draws, read flat, hold one a row, and the outcomes take their shape; then
@@ -475,8 +489,8 @@ class Session:
         (trials, n) draws.  Returns each party's outcomes, shaped so, the
         distinct registers left and each triplet's index among them, trial
         by trial.  Each distinct (register, basis) is read once, every
-        outcome at once, and so is each distinct branch left.  A register is
-        taken once, so no photon is measured twice, nor named twice."""
+        outcome at once, and each branch left is kept once (``_fold``).  A
+        register is taken once, so no photon is measured twice, nor named twice."""
         at, taken = (trials[:, None], triplets - 1), np.count_nonzero(self._taken)
         self._taken[at] = True
         if np.count_nonzero(self._taken) - taken != triplets.size:
@@ -486,7 +500,9 @@ class Session:
         outcomes = {}
         for party, role in measuring:
             probs, branches = measure_branches(state, QubitId(1, role), bases)
-            outcomes[party], kept, index = _pick(probs, index, draws[party])
+            picked = _sample(probs[index], draws[party].ravel())
+            outcomes[party] = picked.reshape(draws[party].shape)
+            kept, index = _fold(branches.amps, bases.tolist(), 2 * index + picked)
             state, bases = take_rows(branches, kept), bases[kept // 2]
         return outcomes, state, index
 

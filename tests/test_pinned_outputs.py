@@ -125,6 +125,24 @@ def test_boundary_seed_sweeps_match_their_pinned_digests(tmp_path, seed):
     assert sha256(stats) == BOUNDARY_SWEEP_DIGESTS[seed]
 
 
+# Stacked sweeps at twelve parties: two chunk sessions of T=16 trials, and
+# T=512 trials, so each read-out folds the branches of many trials at once.
+WIDE_SWEEP_DIGESTS = {
+    "--triplets 16 --trials 1100":
+        "82259e6b9d4c0c155dfe1df107b61af35e130774783abb5fff9927d4ebe00d8d",
+    "--triplets 512 --trials 20":
+        "f70c30ac87a1f21822861175f381ab879fd504f1f6dbb2d4cd0861948a4617d9",
+}
+
+
+@pytest.mark.parametrize("args", sorted(WIDE_SWEEP_DIGESTS))
+def test_wide_stacked_sweeps_match_their_pinned_digests(tmp_path, args):
+    stats = tmp_path / "stats.tsv"
+    argv = ["--mode", "sweep", "--parties", "12", *args.split()]
+    assert cli.main([*argv, "--stats", str(stats)]) == cli.EXIT_OK
+    assert sha256(stats) == WIDE_SWEEP_DIGESTS[args]
+
+
 ATTACK_ARGV = (
     [],
     ["--attack", "intercept-resend", "--attack-basis", "random"],

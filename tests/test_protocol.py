@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from csdcsim import protocol
 from csdcsim.protocol import (
     ALICE,
     BOB,
@@ -25,9 +26,13 @@ from csdcsim.protocol import (
     triplet_parity,
     untapped,
 )
-from csdcsim.attacks import BasisStrategy, EntangleMeasure, InterceptResend, attack_cell_label
+from csdcsim.attacks import (
+    BasisStrategy, EntangleMeasure, InterceptResend, attack_cell_label, estimate_cells,
+)
 from csdcsim.cli import SWEEP_CELLS
-from csdcsim.states import ATOL, BASES, MeasurementBasis, QubitId, reorder, take_rows
+from csdcsim.states import (
+    ATOL, BASES, MeasurementBasis, QubitId, measure_branches, reorder, take_rows,
+)
 from csdcsim.streams import Streams, seed_state
 from csdcsim.transcript import EVE, format_transcript, parse_transcript
 from kernel_reference import amplitude
@@ -689,6 +694,30 @@ def test_readout_matches_the_per_row_reference(monkeypatch, attack, parties, tri
 def test_stacked_readout_matches_the_per_row_reference(monkeypatch):
     session, readouts = checked_readouts(monkeypatch, *stacked_trials(5))
     assert readouts == ENCODING_READOUTS and set(session.completed.tolist()) == {False, True}
+
+
+def test_the_s4_and_s5_read_outs_keep_a_few_registers(monkeypatch):
+    # S4 and S5 keep each branch once by its bytes, not once per (register,
+    # outcome) path: at twelve parties the paths run to hundreds, the GHZ
+    # branches they reach to a handful
+    rows = []
+
+    def recorded(state, *args):
+        rows.append(state.rows)
+        return measure_branches(state, *args)
+
+    monkeypatch.setattr(protocol, "measure_branches", recorded)
+    wide = config(triplet_count=512, message_bits=random_message(0, 512), party_count=12)
+    assert Session(wide).run().completed
+    assert len(rows) == 12 + 10 and max(rows) <= 8, rows
+    rows.clear()
+    # one chunk session of a T=16 sweep, every cell forked from it: the
+    # untapped cell's twelve S4 and ten S5 read-outs first, then the tapped
+    # cells', whose taps leave up to four registers, each read in two bases
+    sweep = config(triplet_count=16, message_bits=random_message(0, 16), party_count=12)
+    assert SWEEP_CELLS[0] is None
+    estimate_cells(sweep, 1000, SWEEP_CELLS)
+    assert max(rows[:12 + 10]) <= 8 and max(rows) <= 16, rows
 
 
 def test_same_seed_same_transcript():
