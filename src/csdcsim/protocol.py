@@ -29,14 +29,14 @@ Every phase is columnar: the registers it acts on sit in one stack
 (``StateVector`` rows), and each party's operation is one kernel call
 over the stack.  A tap acts on travel photons alone, so the prepared
 stack (S1) holds each distinct register once, at most four, and an index
-the one each triplet holds.  Every read-out keeps to distinct registers
-too: in S4 and S5 each party reads every outcome of each distinct
-(register, basis) pair at once, picks each triplet's outcome with its
+the one each triplet holds.  Every read-out (S4, S5, S7, S9) keeps to
+distinct registers too, in one step: each party reads every outcome of
+each distinct register at once, picks each triplet's or group's with its
 draw, and keeps each branch left once by its bytes and basis, however
-many paths reach it.  S7 joins, encodes and Bell-reads each distinct
-(first register, second register, operation) of a group once, and S9
-each distinct branch S7 leaves; no register is held one per triplet or
-group, only an index of the one each reads.
+many paths reach it.  S4 and S5 read each distinct (register, basis), S7
+each distinct (first, second register, operation) of a group, joined and
+encoded, and S9 the branches S7 leaves; no register is held one per
+triplet or group, only an index of the one each reads.
 
 A session holds one or more trials of one shared ``ProtocolConfig``: a
 trial is a seed and a message, given as arrays beside the config.
@@ -374,13 +374,15 @@ def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(seen).astype(keys.dtype, copy=False), (np.cumsum(seen) - 1)[keys]
 
 
-def _fold(amps: np.ndarray, bases: list, paths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The branches (row 2 * register + outcome of ``amps``) that ``paths``
+def _fold(amps: np.ndarray, paths: np.ndarray, d: int, bases=None) -> tuple[np.ndarray, np.ndarray]:
+    """The branches (row d * register + outcome of ``amps``) that ``paths``
     reach, each kept once by its bytes and the basis its register reads
-    (``bases``): the first row of each, and each path's index among them."""
+    (``bases``; a Bell read has none): the first row of each, in row order,
+    and each path's index among them."""
+    bases = [None] * len(amps) if bases is None else bases.tolist()
     firsts, kept, into = {}, [], np.zeros(len(amps), np.intp)
     for row in np.flatnonzero(np.bincount(paths)).tolist():
-        key = (bases[row // 2], amps[row].tobytes())
+        key = (bases[row // d], amps[row].tobytes())
         if key not in firsts:
             firsts[key] = len(kept)
             kept.append(row)
@@ -388,13 +390,23 @@ def _fold(amps: np.ndarray, bases: list, paths: np.ndarray) -> tuple[np.ndarray,
     return np.array(kept), into[paths]
 
 
-def _pick(probs: np.ndarray, index: np.ndarray, uniforms: np.ndarray) -> tuple:
-    """Each row's outcome by its draw from ``probs[index]``, (rows, d): the
-    draws, read flat, hold one a row, and the outcomes take their shape; then
-    the distinct branches left (row d * register + outcome) and each row's
-    index among them."""
-    outcomes = _sample(probs[index], uniforms.ravel())
-    return outcomes.reshape(uniforms.shape), *_distinct(probs.shape[1] * index + outcomes)
+def _read_out(state: StateVector, index: np.ndarray, measuring, draws: dict, bases=None) -> tuple:
+    """Each (party, photons) of ``measuring`` in turn reads every outcome of
+    each row of ``state``, of a photon in its row's basis (``bases``) or of a
+    pair in the Bell basis, picks each path's (``index``, its row) by the
+    party's draws and keeps each branch left once (``_fold``): the outcomes,
+    shaped as the draws, the branches left and each path's index among them."""
+    outcomes = {}
+    for party, photons in measuring:
+        if isinstance(photons, QubitId):
+            probs, branches = measure_branches(state, photons, bases)
+        else:
+            probs, branches = bell_branches(state, photons)
+        d, picked = probs.shape[1], _sample(probs[index], draws[party].ravel())
+        outcomes[party] = picked.reshape(draws[party].shape)
+        kept, index = _fold(branches.amps, d * index + picked, d, bases)
+        state, bases = take_rows(branches, kept), None if bases is None else bases[kept // d]
+    return outcomes, state, index
 
 
 def _bit_string(bits: np.ndarray) -> str:
@@ -483,28 +495,21 @@ class Session:
         self, trials: np.ndarray, triplets: np.ndarray, measuring: Sequence[tuple[str, str]],
         bases, draws: dict[str, np.ndarray],
     ) -> tuple[dict[str, np.ndarray], StateVector, np.ndarray]:
-        """Read the registers of ``trials``' (trials, n) ``triplets`` out:
-        each (party, role) of ``measuring`` in turn measures its photon in
-        the triplet's basis (one, or one per triplet) with the party's
-        (trials, n) draws.  Returns each party's outcomes, shaped so, the
-        distinct registers left and each triplet's index among them, trial
-        by trial.  Each distinct (register, basis) is read once, every
-        outcome at once, and each branch left is kept once (``_fold``).  A
-        register is taken once, so no photon is measured twice, nor named twice."""
+        """Read the registers of ``trials``' (trials, n) ``triplets`` out,
+        each distinct (register, basis) once (``_read_out``): each (party,
+        role) of ``measuring`` in turn measures its photon in the triplet's
+        basis (one, or one per triplet) with the party's (trials, n) draws.
+        Returns each party's outcomes, shaped so, the registers left and each
+        triplet's index among them; a photon measured or named twice is an InternalError."""
         at, taken = (trials[:, None], triplets - 1), np.count_nonzero(self._taken)
         self._taken[at] = True
         if np.count_nonzero(self._taken) - taken != triplets.size:
             raise InternalError("a photon would be measured twice")
         keys, index = _distinct((self._index[at] * len(BASES) + bases).ravel())
-        state, bases = take_rows(self._prepared, keys // len(BASES)), keys % len(BASES)
-        outcomes = {}
-        for party, role in measuring:
-            probs, branches = measure_branches(state, QubitId(1, role), bases)
-            picked = _sample(probs[index], draws[party].ravel())
-            outcomes[party] = picked.reshape(draws[party].shape)
-            kept, index = _fold(branches.amps, bases.tolist(), 2 * index + picked)
-            state, bases = take_rows(branches, kept), bases[kept // 2]
-        return outcomes, state, index
+        photons = [(party, QubitId(1, role)) for party, role in measuring]
+        # no local holds the first stack, so the loop frees each stack once read
+        return _read_out(take_rows(self._prepared, keys // len(BASES)), index, photons, draws,
+                         keys % len(BASES))
 
     # -- protocol phases ---------------------------------------------------
 
@@ -597,20 +602,19 @@ class Session:
         cfg, live = self.config, self._live
         # each group's two message bits, read as a number, name its operation
         self._ops = self.messages[live].reshape(len(live), -1, 2) @ np.array([2, 1])
-        draws = self._uniforms([cfg.sender], cfg.encoding_group_count, live)[cfg.sender]
+        draws = self._uniforms([cfg.sender], cfg.encoding_group_count, live)
         (encoding, index), self._encoding = self._encoding, None
-        # each distinct (first, second register, op) once, found by a sort: keys span D*D*4
+        # each distinct (first, second register, op) once: keys span D*D*4
         shape = (encoding.rows, encoding.rows, len(EncodingOp))
         keys = np.ravel_multi_index((index[::2], index[1::2], self._ops.ravel()), shape)
-        keys, index = np.unique(keys, return_inverse=True)
+        keys, index = _distinct(keys)
         first, second, op = np.unravel_index(keys, shape)
         seconds = take_rows(encoding, second, _labels(2, [q.role for q in encoding.qubits]))
-        travel_pair = (QubitId(1, "t"), QubitId(2, "t"))
-        firsts = apply_gate(take_rows(encoding, first), _OP_GATES[op], travel_pair[0])
-        probs, pairs = bell_branches(tensor(firsts, seconds), travel_pair)
+        sender = [(cfg.sender, (QubitId(1, "t"), QubitId(2, "t")))]
+        firsts = apply_gate(take_rows(encoding, first), _OP_GATES[op], QubitId(1, "t"))
         # the distinct (home 1[, probe 1], home 2[, probe 2]) left, and each group's
-        self._sender_bell, kept, index = _pick(probs, index, draws)
-        self._pairs = take_rows(pairs, kept), index
+        bell, *self._pairs = _read_out(tensor(firsts, seconds), index, sender, draws)
+        self._sender_bell = bell[cfg.sender]
 
     def receiver_decode(self) -> None:
         self._begin("S9", "S7")
@@ -620,11 +624,7 @@ class Session:
         if self._probed:
             measuring.append((EVE, (QubitId(1, "e"), QubitId(2, "e"))))
         draws = self._uniforms([p for p, _ in measuring], cfg.encoding_group_count, live)
-        outcomes = {}
-        for party, pair in measuring:
-            probs, branches = bell_branches(pairs, pair)
-            outcomes[party], kept, index = _pick(probs, index, draws[party])
-            pairs = take_rows(branches, kept)
+        outcomes, pairs, _ = _read_out(pairs, index, measuring, draws)
         if pairs.num_qubits:
             raise InternalError("encoding photons were left unmeasured")
 

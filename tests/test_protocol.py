@@ -20,6 +20,7 @@ from csdcsim.protocol import (
     ProtocolConfig,
     Session,
     _distinct,
+    _fold,
     coincidence_ok,
     roster_names,
     session_capacity,
@@ -31,7 +32,7 @@ from csdcsim.attacks import (
 )
 from csdcsim.cli import SWEEP_CELLS
 from csdcsim.states import (
-    ATOL, BASES, MeasurementBasis, QubitId, measure_branches, reorder, take_rows,
+    ATOL, BASES, MeasurementBasis, QubitId, bell_branches, measure_branches, reorder, take_rows,
 )
 from csdcsim.streams import Streams, seed_state
 from csdcsim.transcript import EVE, format_transcript, parse_transcript
@@ -615,6 +616,37 @@ def test_distinct_is_unique_with_its_inverse(keys):
         assert inverse.tolist() == want_inverse.tolist()
 
 
+# rows a stack may repeat: -0.0 and 0.0 are equal values but different bytes
+FOLD_ROWS = np.array([[1.0, 0.0], [0.0, 1.0], [-0.0, 1.0], [0.6, -0.8]])
+
+
+@pytest.mark.parametrize("d", [2, 4])
+@given(data=st.data(), registers=st.integers(1, 6))
+@settings(max_examples=100, deadline=None)
+def test_fold_keeps_each_branch_once_in_first_reached_order(d, registers, data):
+    # a stack of d branches per register, its rows drawn from a few, so
+    # they repeat; a basis per register, or none as for a Bell read
+    rows = data.draw(st.lists(st.integers(0, len(FOLD_ROWS) - 1), min_size=d * registers,
+                              max_size=d * registers))
+    paths = np.array(data.draw(st.lists(st.integers(0, d * registers - 1), min_size=1,
+                                        max_size=40)))
+    bases = data.draw(st.none() | st.lists(st.integers(0, len(BASES) - 1), min_size=registers,
+                                           max_size=registers).map(np.array))
+    amps = FOLD_ROWS[rows]
+    kept, into = _fold(amps, paths, d, bases)
+    assert amps[kept][into].tobytes() == amps[paths].tobytes()
+
+    def key(row):
+        return None if bases is None else bases[row // d], amps[row].tobytes()
+
+    assert len({key(row) for row in kept.tolist()}) == len(kept)
+    # the rows reached, in row order, each the first of its key
+    firsts = {}
+    for row in sorted(set(paths.tolist())):
+        firsts.setdefault(key(row), row)
+    assert kept.tolist() == list(firsts.values())
+
+
 def assert_same_rows(got, want):
     assert got.qubits == want.qubits
     assert got.amps.tobytes() == want.amps.tobytes()
@@ -718,6 +750,37 @@ def test_the_s4_and_s5_read_outs_keep_a_few_registers(monkeypatch):
     assert SWEEP_CELLS[0] is None
     estimate_cells(sweep, 1000, SWEEP_CELLS)
     assert max(rows[:12 + 10]) <= 8 and max(rows) <= 16, rows
+
+
+def test_the_s7_and_s9_read_outs_keep_a_few_registers(monkeypatch):
+    # S9 keeps each branch once by its bytes too, not once per (register,
+    # outcome) path: the pairs S7 leaves repeat, tens to hundreds of paths
+    # reaching a few branches; S7 reads each (first, second register,
+    # operation) of a group once
+    calls = []
+
+    def recorded(state, pair):
+        calls.append((pair[0].role, state.rows))
+        return bell_branches(state, pair)
+
+    monkeypatch.setattr(protocol, "bell_branches", recorded)
+    for triplets, parties in (4096, 3), (512, 12):
+        calls.clear()
+        honest = config(triplet_count=triplets, message_bits=random_message(0, triplets),
+                        party_count=parties)
+        assert Session(honest).run().completed
+        assert calls == [("t", 16), ("h", 8)], (triplets, parties)
+    # one chunk session of a T=16 sweep, every cell forked from it: S7 reads
+    # the sender's travel pair ("t"), S9 the home pair, then a probe's pair;
+    # S7's keys span D*D*4, D at most the 16 registers S5 leaves
+    for parties in 3, 12:
+        calls.clear()
+        sweep = config(triplet_count=16, message_bits=random_message(0, 16), party_count=parties)
+        estimate_cells(sweep, 1000, SWEEP_CELLS)
+        s7 = [rows for role, rows in calls if role == "t"]
+        s9 = [rows for role, rows in calls if role != "t"]
+        assert len(s7) == len(SWEEP_CELLS) and max(s7) <= 16 * 16 * 4, calls
+        assert len(s9) == len(SWEEP_CELLS) + 1 and max(s9) <= 32, calls
 
 
 def test_same_seed_same_transcript():
