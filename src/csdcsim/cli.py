@@ -72,15 +72,11 @@ MODE_FLAGS = {
 }
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse exits with status 2 on bad flags; the harness wants 1."""
 
     def error(self, message: str):
-        raise _UsageError(message)
+        raise ConfigError(message)
 
 
 @functools.cache  # built once per process; parsing leaves it unchanged
@@ -149,11 +145,9 @@ def _build_attack(args: argparse.Namespace) -> AttackModel | None:
 
 
 @contextlib.contextmanager
-def _open_out(path: str | None) -> Iterator[IO[str] | None]:
-    """None stays None; '-' is stdout; anything else is a fresh file."""
-    if path is None:
-        yield None
-    elif path == "-":
+def _open_out(path: str) -> Iterator[IO[str]]:
+    """'-' is stdout; anything else is a fresh file."""
+    if path == "-":
         yield sys.stdout
     else:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
@@ -262,9 +256,10 @@ def run_single(args: argparse.Namespace) -> int:
     if len(set(files)) < len(files):
         raise ConfigError("--transcript and --stats name the same file")
     result = Session(config).run()
-    with _open_out(args.transcript) as transcript_out:
-        if transcript_out is not None:
-            transcript_out.write(result.transcript)
+    if args.transcript is not None:
+        text = result.transcript  # written before its file is opened, so a failure leaves none
+        with _open_out(args.transcript) as transcript_out:
+            transcript_out.write(text)
     with _open_out(args.stats) as stats_out:
         decoded = result.decoded_bits if result.decoded_bits is not None else ""
         stats_out.write(f"decoded\t{decoded}\n")
@@ -306,12 +301,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError as exc:
-        parser.print_usage(sys.stderr)
-        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    try:
         # a flag set away from its default where nothing reads it
         for dest, value in vars(args).items():
             if dest == "mode" or value == parser.get_default(dest):

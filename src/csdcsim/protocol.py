@@ -58,9 +58,9 @@ A row holds positions in ``BASES``, ``BELL_OUTCOMES`` and ``EncodingOp``:
 one per triplet (the prepared index, and the tap's bases and outcomes, a
 pair of such arrays, if it measured in transit), per checked or encoding
 triplet, or per encoding group.  A phase ravels its rows, trial by trial,
-only to hand them to a kernel.  Only when a trial's ``SessionResult`` is
-asked for, so never in a sweep, does the session hand that trial's row of
-each array to ``transcript.write_transcript``, which owns the format.
+only to hand them to a kernel.  A trial's ``SessionResult`` (never built
+in a sweep) holds that trial's row of each array, and only a read of its
+text hands them to ``transcript.write_transcript``, which owns the format.
 
 Randomness: every trial draws from its own master seed through a named
 substream per party (ALICE, BOB, CTRL1..k, then EVE, spawn keys 0..),
@@ -344,13 +344,20 @@ class ProtocolConfig:
 
 @dataclass(frozen=True)
 class SessionResult:
+    """One trial's outcome.  ``outcomes`` holds ``write_transcript``'s keyword
+    arguments, the trial's rows, and its text is written from them when read."""
+
     config: ProtocolConfig = field(repr=False)
     completed: bool
     decoded_bits: str | None
     match: bool
     violations: int
     abort_triplet: int | None
-    transcript: str = field(repr=False)
+    outcomes: dict = field(repr=False, compare=False)
+
+    @cached_property
+    def transcript(self) -> str:
+        return write_transcript(**self.outcomes)
 
     @cached_property
     def records(self) -> tuple[TranscriptRecord, ...]:
@@ -668,12 +675,12 @@ class Session:
 
     def run(self) -> SessionResult:
         """Run every trial; the result of the first (of a one-trial
-        session, its only one)."""
+        session, its only one), whose text is not yet written."""
         self.run_trials()
         return self.result(0)
 
     def result(self, trial: int) -> SessionResult:
-        """One trial's result, with its config and transcript text."""
+        """One trial's result: its config, and its rows of the phase arrays."""
         if "end" not in self._ran:
             raise RuntimeError("the session has not run: call run_trials() first")
         if not _is_integer(trial) or not 0 <= trial < len(self.seeds):
@@ -681,23 +688,23 @@ class Session:
         cfg = self.config
         message, completed = _bit_string(self.messages[trial]), bool(self.completed[trial])
         decoded = _bit_string(self.decoded[trial]) if completed else None
-        encoded = {}
+        abort_triplet = None if completed else int(self.abort_triplet[trial])
+        outcomes = dict(
+            triplets=cfg.triplet_count, sender=cfg.sender, receiver=cfg.receiver,
+            controllers=cfg.controllers, tap="probe" if self._probed else self._tap[:, trial],
+            checking=self.checking_groups[trial], encoding=self.encoding_groups[trial],
+            check_bases=self._check_bases[trial],
+            check_bits={party: bits[trial] for party, bits in self._check_bits.items()},
+            violations=int(self.violations[trial]), abort_triplet=abort_triplet,
+        )
         if completed:
             j = int(np.count_nonzero(self.completed[:trial]))  # its row among those that passed
-            encoded = dict(
+            outcomes.update(
                 controller_bits={c: bits[j] for c, bits in self._controller_bits.items()},
                 parities=self.parities[j], ops=self._ops[j], sender_bell=self._sender_bell[j],
                 receiver_bell=self._receiver_bell[j], ancilla_bell=self._ancilla_bell[j],
                 decoded=decoded,
             )
-        abort_triplet = None if completed else int(self.abort_triplet[trial])
-        transcript = write_transcript(
-            cfg.triplet_count, cfg.sender, cfg.receiver, cfg.controllers,
-            "probe" if self._probed else self._tap[:, trial], self.checking_groups[trial],
-            self.encoding_groups[trial], self._check_bases[trial],
-            {party: bits[trial] for party, bits in self._check_bits.items()},
-            int(self.violations[trial]), abort_triplet, **encoded,
-        )
         return SessionResult(
             config=replace(cfg, seed=int(self.seeds[trial]), message_bits=message),
             completed=completed,
@@ -705,5 +712,5 @@ class Session:
             match=completed and decoded == message,
             violations=int(self.violations[trial]),
             abort_triplet=abort_triplet,
-            transcript=transcript,
+            outcomes=outcomes,
         )

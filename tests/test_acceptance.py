@@ -333,14 +333,13 @@ def test_equal_controller_parity_patterns_decode_identically():
         cfg = ProtocolConfig(
             triplet_count=8, message_bits="0110", party_count=4, seed=seed
         )
-        sess = Session(cfg)
-        result = sess.run()
+        result = Session(cfg).run()
         assert result.completed and result.match
         # the one trial's encoding groups, in order
-        decoded = result.decoded_bits
+        decoded, outcomes = result.decoded_bits, result.outcomes
         groups = zip(
-            sess.parities[0].reshape(-1, 2).tolist(),
-            sess._sender_bell[0].tolist(), sess._receiver_bell[0].tolist(),
+            outcomes["parities"].reshape(-1, 2).tolist(),
+            outcomes["sender_bell"].tolist(), outcomes["receiver_bell"].tolist(),
             [decoded[k : k + 2] for k in range(0, len(decoded), 2)],
         )
         for i, ((p1, p2), sender, receiver, decoded) in enumerate(groups):

@@ -183,8 +183,9 @@ def test_an_explicit_no_attack_runs_as_no_attack():
         expected.run_trials()
         got.run_trials()
         for trial in range(trials):
-            want = expected.result(trial)
-            assert replace(got.result(trial), config=want.config) == want
+            want, result = expected.result(trial), got.result(trial)
+            assert replace(result, config=want.config) == want
+            assert result.transcript == want.transcript
     assert estimate_detection(config(attack=NoAttack()), 30) == estimate_detection(config(), 30)
 
 
@@ -428,6 +429,7 @@ def test_stacked_trials_match_one_trial_sessions(parties, attack):
         decoded += [single.decoded_bits] if single.completed else []
         # and the whole result, with the abort triplet and the transcript
         assert stacked.result(trial) == single
+        assert stacked.result(trial).transcript == single.transcript
     rows = stacked.decoded[stacked.completed].tolist()
     assert ["".join(map(str, row)) for row in rows] == decoded
 
@@ -451,7 +453,8 @@ def test_a_fork_is_a_fresh_session(monkeypatch, parties):
         fresh.run_trials()
         assert fork.config == fresh.config
         for trial in range(20):
-            assert fork.result(trial) == fresh.result(trial), (cell, trial)
+            got, want = fork.result(trial), fresh.result(trial)
+            assert got == want and got.transcript == want.transcript, (cell, trial)
         for name, state in vars(fresh._streams).items():
             assert np.array_equal(getattr(fork._streams, name), state), (cell, name)
 

@@ -96,9 +96,9 @@ def test_wide_transcripts_match_the_reference_records():
         cfg = ProtocolConfig(
             triplet_count=4096, message_bits=WIDE_MESSAGE, party_count=parties, seed=seed
         )
-        session = Session(cfg)
-        got = session.run().transcript.split("\n")
-        want = format_transcript(reference_records(session, 0)).split("\n")
+        result = Session(cfg).run()
+        got = result.transcript.split("\n")
+        want = format_transcript(reference_records(**result.outcomes)).split("\n")
         assert len(got) == len(want) == lines + 1
         # line by line: pytest's diff of two texts this long would take minutes
         assert next(((g, w) for g, w in zip(got, want) if g != w), None) is None, parties

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from csdcsim import protocol
+from csdcsim import cli, protocol
 from csdcsim.protocol import (
     ALICE,
     BOB,
@@ -30,6 +30,7 @@ from csdcsim.protocol import (
 from csdcsim.attacks import (
     BasisStrategy, EntangleMeasure, InterceptResend, attack_cell_label, estimate_cells,
 )
+from csdcsim.bases import default_decode_table
 from csdcsim.cli import SWEEP_CELLS
 from csdcsim.states import (
     ATOL, BASES, MeasurementBasis, QubitId, bell_branches, measure_branches, reorder, take_rows,
@@ -152,6 +153,7 @@ def test_a_trial_outside_the_session_is_rejected():
     session.run_trials()
     assert [session.result(trial).config.seed for trial in (0, 1)] == [3, 4]
     assert session.result(np.int64(1)) == session.result(1)
+    assert session.result(np.int64(1)).transcript == session.result(1).transcript
     # a negative trial would slice no rows, and write a transcript without its S4 lines
     for trial in (-1, -2, 2, "0", 0.0, True):
         with pytest.raises(IndexError, match="is not one of the session's 2"):
@@ -244,6 +246,7 @@ def test_a_session_runs_once_and_forks_only_between_s3_and_s1(misuse):
     streams = {name: array.copy() for name, array in vars(session._streams).items()}
     ran = session._ran
     result = session.result(0) if "end" in ran else None
+    text = result.transcript if result is not None else None
     with pytest.raises(RuntimeError, match=refusal) as refused:
         _take(session, refused_step)
     assert not isinstance(refused.value, InternalError)
@@ -252,6 +255,7 @@ def test_a_session_runs_once_and_forks_only_between_s3_and_s1(misuse):
         assert np.array_equal(array, streams[name]), name
     if result is not None:
         assert session.result(0) == result
+        assert session.result(0).transcript == text
 
 
 @pytest.mark.parametrize("seed", [0, 2])  # the one trial passes S4 at seed 0, aborts at 2
@@ -266,7 +270,9 @@ def test_run_trials_runs_the_phases_not_yet_run(steps, seed):
     for step in steps:
         getattr(session, step)()
     session.run_trials()
-    assert session.result(0) == Session(cfg).run()
+    want = Session(cfg).run()
+    assert session.result(0) == want
+    assert session.result(0).transcript == want.transcript
     assert session.result(0).completed == (seed == 0)
 
 
@@ -569,9 +575,8 @@ def test_transcript_text_matches_the_reference_records(attack, parties, triplets
             triplet_count=triplets, message_bits=random_message(seed, triplets),
             party_count=parties, attack=attack, seed=seed,
         )
-        session = Session(cfg)
-        result = session.run()
-        assert result.transcript == format_transcript(reference_records(session, 0)), seed
+        result = Session(cfg).run()
+        assert result.transcript == format_transcript(reference_records(**result.outcomes)), seed
         assert result.records == tuple(parse_transcript(result.transcript))
 
 
@@ -597,8 +602,74 @@ def test_stacked_transcripts_match_the_reference_records(parties):
     assert [len(array) for array in per_passing] == [passed] * len(per_passing)
     for trial in range(len(session.seeds)):
         result = session.result(trial)
-        assert result.transcript == format_transcript(reference_records(session, trial)), trial
+        want = format_transcript(reference_records(**result.outcomes))
+        assert result.transcript == want, trial
         assert result.records == tuple(parse_transcript(result.transcript))
+
+
+def test_the_transcript_is_written_only_when_read(monkeypatch, tmp_path):
+    written, real = [], protocol.write_transcript
+
+    def counted(*args, **kwargs):
+        written.append(args or kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(protocol, "write_transcript", counted)
+    session = Session(config(attack=InterceptResend()), seeds=[0, 2])
+    session.run()
+    assert session.completed.tolist() == [True, False]  # the second trial aborts
+    for trial in (0, 1):
+        for read in ("transcript", "records"):
+            result = session.result(trial)
+            assert written == []
+            getattr(result, read)
+            getattr(result, read)
+            assert len(written) == 1, (trial, read)
+            written.clear()
+    # the CLI reads the text only to write it
+    argv = ["--mode", "run", "--message", "0" * 8, "--stats", str(tmp_path / "stats.tsv")]
+    for transcript in (False, True):
+        flag = ["--transcript", str(tmp_path / "transcript.tsv")] if transcript else []
+        assert cli.main(argv + flag) == cli.EXIT_OK
+        assert len(written) == transcript == (tmp_path / "transcript.tsv").exists()
+
+
+def encoding_ops(bits: str) -> list[int]:
+    """Each group's operation: its two message bits read as a number."""
+    return [int(bits[k : k + 2], 2) for k in range(0, len(bits), 2)]
+
+
+@pytest.mark.parametrize("trials", ["stacked-P3", "stacked-P5", "light-check"])
+def test_each_result_holds_its_own_trials_rows(trials):
+    # aborted trials come before completed ones, so a completed trial's row
+    # among those that passed is not its trial index
+    if trials == "light-check":  # two checked groups, so about a third pass, interleaved
+        capacity, seeds = session_capacity(16, 0.25), np.arange(24, dtype=np.uint64)
+        messages = np.random.default_rng(1).integers(0, 2, (len(seeds), capacity))
+        cfg = config(triplet_count=16, message_bits="0" * capacity, check_fraction=0.25,
+                     party_count=4, attack=InterceptResend(BasisStrategy.RANDOM))
+        session = Session(cfg, seeds, messages)
+    else:
+        session = Session(*stacked_trials(int(trials[-1])))
+    session.run_trials()
+    completed = np.flatnonzero(session.completed)
+    assert len(completed) and completed[0] > 0
+    if trials == "light-check":
+        assert len(completed) > 2 and not np.array_equal(completed, np.arange(len(completed)))
+    dense = default_decode_table().dense
+    for trial in range(len(session.seeds)):
+        result = session.result(trial)
+        outcomes = result.outcomes
+        if not result.completed:
+            assert "parities" not in outcomes and "ops" not in outcomes, trial
+            continue
+        parities = outcomes["parities"].reshape(-1, 2)
+        ops = dense[parities[:, 0], parities[:, 1], outcomes["sender_bell"],
+                    outcomes["receiver_bell"]]
+        # the announced values decode to what the receiver read, and the
+        # operations are the ones the trial's message names
+        assert ops.tolist() == encoding_ops(result.decoded_bits), trial
+        assert outcomes["ops"].tolist() == encoding_ops(result.config.message_bits), trial
 
 
 @given(st.lists(st.integers(0, 40), min_size=1, max_size=64))

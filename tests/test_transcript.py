@@ -1,7 +1,5 @@
 """Unit tests for the tab-separated transcript format."""
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -65,15 +63,21 @@ def test_only_lf_ends_a_line():
     assert parse_transcript(text.rstrip("\n")) == [record]
 
 
-def small_trial(sender="BOB", receiver="ALICE", controller="CTRL1", abort_triplet=None) -> str:
-    """The transcript of a four-triplet trial: group 1 checks, group 2 encodes
-    unless the trial aborts."""
-    return write_transcript(
-        4, sender, receiver, [controller], ([0, 1, 1, 0], [0, 1, 0, 0]), [1], [2], [0, 1],
-        {sender: [0, 1], receiver: [0, 1], controller: [0, 0]}, 0, abort_triplet,
-        controller_bits={controller: [1, 0]}, parities=[1, 0], ops=[2], sender_bell=[0],
-        receiver_bell=[3], decoded="10",
+def small_trial_values(sender="BOB", receiver="ALICE", controller="CTRL1", abort_triplet=None):
+    """A four-triplet trial as write_transcript's keyword arguments: group 1
+    checks, group 2 encodes unless the trial aborts."""
+    return dict(
+        triplets=4, sender=sender, receiver=receiver, controllers=[controller],
+        tap=([0, 1, 1, 0], [0, 1, 0, 0]), checking=[1], encoding=[2], check_bases=[0, 1],
+        check_bits={sender: [0, 1], receiver: [0, 1], controller: [0, 0]}, violations=0,
+        abort_triplet=abort_triplet, controller_bits={controller: [1, 0]}, parities=[1, 0],
+        ops=[2], sender_bell=[0], receiver_bell=[3], decoded="10",
     )
+
+
+def small_trial(**names) -> str:
+    """The transcript of ``small_trial_values``."""
+    return write_transcript(**small_trial_values(**names))
 
 
 def test_numbered_lines_are_the_formatted_records():
@@ -142,35 +146,13 @@ def test_every_number_below_100000_renders_as_str():
         assert rendered("{n},", n=numbers[: top + 1]) == "".join(f"{n}," for n in range(top + 1))
 
 
-def stand_in_session(sender, receiver, controller, abort_triplet):
-    """What reference_records reads of a session, holding small_trial's values."""
-    completed = abort_triplet is None
-    return SimpleNamespace(
-        config=SimpleNamespace(
-            triplet_count=4, party_count=3, group_count=2, sender=sender, receiver=receiver,
-            controllers=(controller,),
-        ),
-        _prepared=SimpleNamespace(qubits=()),
-        _tap=np.array([[[0, 1, 1, 0]], [[0, 1, 0, 0]]]),
-        checking_groups=np.array([[1]]), encoding_groups=np.array([[2]]),
-        _check_bases=np.array([[0, 1]]),
-        _check_bits={sender: np.array([[0, 1]]), receiver: np.array([[0, 1]]),
-                     controller: np.array([[0, 0]])},
-        violations=np.array([0]), completed=np.array([completed]),
-        abort_triplet=np.array([abort_triplet or 0]),
-        _controller_bits={controller: np.array([[1, 0]])}, parities=np.array([[1, 0]]),
-        _ops=np.array([[2]]), _sender_bell=np.array([[0]]), _receiver_bell=np.array([[3]]),
-        _ancilla_bell=np.zeros((1, 0), int), decoded=np.array([[1, 0]]),
-    )
-
-
 # a NUL, U+00FF (whose UTF-8 holds no 0xFF byte), an emoji and a lone surrogate
 @pytest.mark.parametrize("char", ["\x00", "\xff", "\U0001F600", "\ud800"])
 @pytest.mark.parametrize("abort_triplet", [None, 2])
 def test_party_names_of_any_character_match_the_reference_records(char, abort_triplet):
     names = dict(sender=f"B{char}", receiver=f"{char}A", controller=f"C{char}{char}")
-    records = reference_records(stand_in_session(**names, abort_triplet=abort_triplet), 0)
-    assert small_trial(**names, abort_triplet=abort_triplet) == format_transcript(records)
+    values = small_trial_values(**names, abort_triplet=abort_triplet)
+    assert write_transcript(**values) == format_transcript(reference_records(**values))
 
 
 def test_tuples_render_as_lists_do():
