@@ -16,8 +16,14 @@ slice and each sweep cell's exact decode accuracy, and last each cell's
 exact detection rate and abort probability for the --parties, --triplets
 and --check-fraction given.
 
-Exit codes: 0 success, 1 usage error, 2 session aborted after an
-eavesdropper was detected, 3 structural verification failure,
+Run writes its transcript block by block as the writer renders it, so
+the whole text is never held.  The writer checks its fields before the
+file is opened; a write that fails part way (a full device, a closed
+pipe) is an error with exit code 1 and may leave the blocks already
+written, as any failed write may.
+
+Exit codes: 0 success, 1 usage error or failed write, 2 session aborted
+after an eavesdropper was detected, 3 structural verification failure,
 4 internal simulator error.
 """
 
@@ -48,6 +54,7 @@ from .protocol import (
     session_capacity,
 )
 from .states import BELL_OUTCOMES
+from .transcript import transcript_blocks
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -257,9 +264,11 @@ def run_single(args: argparse.Namespace) -> int:
         raise ConfigError("--transcript and --stats name the same file")
     result = Session(config).run()
     if args.transcript is not None:
-        text = result.transcript  # written before its file is opened, so a failure leaves none
+        # its fields are checked here, before the file is opened, so a bad one
+        # leaves no file; each block is rendered as the one before is written
+        blocks = transcript_blocks(**result.outcomes)
         with _open_out(args.transcript) as transcript_out:
-            transcript_out.write(text)
+            transcript_out.writelines(blocks)
     with _open_out(args.stats) as stats_out:
         decoded = result.decoded_bits if result.decoded_bits is not None else ""
         stats_out.write(f"decoded\t{decoded}\n")

@@ -60,7 +60,7 @@ pair of such arrays, if it measured in transit), per checked or encoding
 triplet, or per encoding group.  A phase ravels its rows, trial by trial,
 only to hand them to a kernel.  A trial's ``SessionResult`` (never built
 in a sweep) holds that trial's row of each array, and only a read of its
-text hands them to ``transcript.write_transcript``, which owns the format.
+text hands them to ``transcript.transcript_blocks``, which owns the format.
 
 Randomness: every trial draws from its own master seed through a named
 substream per party (ALICE, BOB, CTRL1..k, then EVE, spawn keys 0..),
@@ -344,7 +344,7 @@ class ProtocolConfig:
 
 @dataclass(frozen=True)
 class SessionResult:
-    """One trial's outcome.  ``outcomes`` holds ``write_transcript``'s keyword
+    """One trial's outcome.  ``outcomes`` holds ``transcript_blocks``'s keyword
     arguments, the trial's rows, and its text is written from them when read."""
 
     config: ProtocolConfig = field(repr=False)
@@ -444,7 +444,10 @@ class Session:
         if messages is None:
             own = np.frombuffer(config.message_bits.encode(), np.uint8) - ord("0")
             messages = np.broadcast_to(own, (len(seeds), len(own)))
-        messages = np.asarray(messages)
+        try:
+            messages = np.asarray(messages)
+        except ValueError:  # rows of different lengths
+            raise ConfigError(f"each message must be {config.capacity_bits} bits long") from None
         if not len(seeds):
             raise ConfigError("a session runs one or more trials")
         most = session_trials(config.triplet_count, SESSION_ROWS)

@@ -8,19 +8,23 @@ Sequence numbers start at 1 and increase by 1.  Files are UTF-8 with
 LF line endings and no header, so two runs with the same configuration
 and seed compare byte for byte.
 
-A trial's transcript is written as text from its outcomes
-(``write_transcript``), lines that share a template as one uint8 array:
-numbers as columns of digits and names as rows of a table, padded with
-PAD, a byte no UTF-8 text holds.  Records are parsed from that text only
-when something reads them; ``format_line`` and ``parse_line`` check them
-at the file boundary: only LF ends a line, and a line parses only if it
-formats back.
+A trial's transcript is rendered from its outcomes as blocks of text
+(``transcript_blocks``), at most BLOCK_ROWS whole lines each, so a file
+is written block by block and nothing holds the whole text;
+``write_transcript`` joins them.  Lines that share a template are one
+uint8 array: numbers as columns of digits and names as rows of a table,
+padded with PAD, a byte no UTF-8 text holds.  The only text a caller
+gives, the party names and the decoded bits, is checked for separators
+before the first block is rendered.  Records are parsed from the text
+only when something reads them; ``format_line`` and ``parse_line``
+check them at the file boundary: only LF ends a line, and a line parses
+only if it formats back.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Iterable, Literal, NamedTuple, Sequence
+from typing import Iterable, Iterator, Literal, NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,7 +34,7 @@ from .states import BASES, BELL_OUTCOMES
 FIELD_SEP = "\t"
 EVE = "EVE"  # the eavesdropper's actor name; the others are the config's parties
 PAD = 0xFF
-BLOCK_ROWS = 1024  # rows rendered in one array, which bounds its memory
+BLOCK_ROWS = 1024  # lines rendered in one array and block, which bounds their memory
 _UTF8 = ("utf-8", "surrogatepass")  # a party name may hold a lone surrogate
 _ROWWISE = (tuple, list, np.ndarray)  # a field with one value a row
 
@@ -84,7 +88,7 @@ def parse_transcript(text: str) -> list[TranscriptRecord]:
     return [parse_line(line) for line in lines]
 
 
-def write_transcript(
+def transcript_blocks(
     triplets: int, sender: str, receiver: str, controllers: Sequence[str],
     tap: tuple[Sequence[int], Sequence[int]] | Literal["probe"], checking: Sequence[int],
     encoding: Sequence[int], check_bases: Sequence[int], check_bits: dict[str, Sequence[int]],
@@ -92,88 +96,104 @@ def write_transcript(
     controller_bits: dict[str, Sequence[int]] | None = None, parities: Sequence[int] = (),
     ops: Sequence[int] = (), sender_bell: Sequence[int] = (), receiver_bell: Sequence[int] = (),
     ancilla_bell: Sequence[int] = (), decoded: str = "",
-) -> str:
-    """One trial's transcript text, in protocol order.  Announcements are
-    authenticated: the eavesdropper reads them but cannot alter or
-    suppress them.  ``tap`` is the tap's basis and outcome per triplet,
-    or "probe" where a probe coupled and nothing was measured;
-    ``check_bits`` then holds EVE's ancilla too.  Only a trial that
-    passed the check (no ``abort_triplet``) gives the keywords.  Bases,
-    Bell outcomes and operations are positions in ``BASES``,
-    ``BELL_OUTCOMES`` and ``EncodingOp``, in lists, tuples or arrays."""
-    pieces: list[tuple[int, bytes]] = []  # (line count, text) of each block rendered
+) -> Iterator[str]:
+    """One trial's transcript, in protocol order, as blocks of at most
+    BLOCK_ROWS whole lines, each rendered when the one before has been
+    taken.  Announcements are authenticated: the eavesdropper reads them
+    but cannot alter or suppress them.  ``tap`` is the tap's basis and
+    outcome per triplet, or "probe" where a probe coupled and nothing was
+    measured; ``check_bits`` then holds EVE's ancilla too.  Only a trial
+    that passed the check (no ``abort_triplet``) gives the keywords.
+    Bases, Bell outcomes and operations are positions in ``BASES``,
+    ``BELL_OUTCOMES`` and ``EncodingOp``, in lists, tuples or arrays.
+
+    Every other field is written from numbers and fixed tables, so a tab,
+    LF or CR in a party name or ``decoded`` is the only way a line can
+    break its format: it raises ValueError here, before any block."""
     parties, c = (sender, receiver, *controllers), len(controllers)
+    if any(sep in text for text in (*parties, decoded) for sep in "\t\n\r"):
+        raise ValueError("transcript field contains a separator")
     names = _table(controllers)
     who = dict(sender=sender, receiver=receiver, eve=EVE, count=triplets, ctrl=names)
-
-    def add(template: str, **fields) -> None:
-        _render(template, {**who, **fields}, pieces)
-
     checking, encoding = np.asarray(checking), np.asarray(encoding)
     checked, encoded = ((2 * groups[:, None] - (1, 0)).ravel() for groups in (checking, encoding))
-    add("{seq}\tS1\t{receiver}\tPREPARE\ttriplets={count} parties={n} groups={groups}\n",
-        n=len(parties), groups=len(checking) + len(encoding))
-    add("{seq}\tS1\t{receiver}\tSEND\tto={sender} sequence=travel count={count}\n")
-    if isinstance(tap, str):  # "probe"
-        add("{seq}\tS1\t{eve}\tTAP\ttriplet={n} probe=cnot\n", n=np.arange(1, triplets + 1))
-    else:
-        add("{seq}\tS1\t{eve}\tTAP\ttriplet={n} basis={basis} outcome={bit}\n",
-            n=np.arange(1, triplets + 1), basis=_BASES.take(tap[0], axis=0), bit=tap[1])
-    add("{seq}\tS1\t{receiver}\tSEND\tto={ctrl} sequence=control count={count}\n")
-    add("{seq}\tS2\t{party}\tRECEIPT\tparty={party} count={count}\n",
-        party=_table((sender, *controllers)))
-    groups = " encoding=".join(",".join(map(str, g.tolist())) for g in (checking, encoding))
-    add("{seq}\tS3\t{sender}\tGROUP_SELECTION\tchecking={groups}\n", groups=groups)
+    seq = 1  # the next line's number
 
-    # each checked triplet's announcement, then every other party's reply
-    heads = [f"{sender}\tCHECK_ANNOUNCE\t", *(f"{p}\tCHECK_REPLY\tparty={p} " for p in parties[1:])]
-    add("{seq}\tS4\t{head}triplet={n} basis={basis} outcome={bit}\n",
-        head=np.tile(_table(heads), (len(checked), 1)),
-        n=np.repeat(checked, c + 2), basis=_BASES.take(np.repeat(check_bases, c + 2), axis=0),
-        bit=np.stack([check_bits[p] for p in parties], axis=1).ravel())
-    add("{seq}\tS4\t{eve}\tANCILLA_MEASURE\ttriplet={n} basis={basis} outcome={bit}\n",
-        n=checked, basis=_BASES.take(check_bases, axis=0), bit=check_bits.get(EVE, []))
-    add("{seq}\tS4\t{sender}\tCHECK_VERDICT\tverdict={verdict} checked={n} violations={v}\n",
-        verdict="pass" if abort_triplet is None else "abort", n=len(checked), v=violations)
-    if abort_triplet is not None:
-        add("{seq}\tS4\t{sender}\tABORT\treason=check_failed triplet={t}\n", t=abort_triplet)
-        return _text(pieces)
+    def add(template: str, **fields) -> Iterator[str]:
+        nonlocal seq
+        for lines, block in _render(template, {**who, **fields}, seq):
+            seq += lines
+            yield block.decode(*_UTF8)
 
-    # every controller's outcomes, controller by controller
-    every, bits = np.tile(encoded, c), np.concatenate([controller_bits[x] for x in controllers])
-    add("{seq}\tS5\t{ctrl}\tHADAMARD_MEASURE\ttriplet={n} outcome={bit}\n",
-        ctrl=np.repeat(names, len(encoded), axis=0), n=every, bit=bits)
-    _render("{n}:{bit},", dict(n=every, bit=bits), listed := [])
-    # each controller lists the same triplets, each with one digit: a row each
-    listed = np.frombuffer(b"".join(text for _, text in listed), np.uint8).reshape(c, -1)[:, :-1]
-    add("{seq}\tS6\t{ctrl}\tCONTROLLER_OUTCOMES\tparty={ctrl} outcomes={listed}\n", listed=listed)
+    def blocks() -> Iterator[str]:
+        yield from add(
+            "{seq}\tS1\t{receiver}\tPREPARE\ttriplets={count} parties={n} groups={groups}\n",
+            n=len(parties), groups=len(checking) + len(encoding))
+        yield from add("{seq}\tS1\t{receiver}\tSEND\tto={sender} sequence=travel count={count}\n")
+        if isinstance(tap, str):  # "probe"
+            yield from add("{seq}\tS1\t{eve}\tTAP\ttriplet={n} probe=cnot\n",
+                           n=np.arange(1, triplets + 1))
+        else:
+            yield from add("{seq}\tS1\t{eve}\tTAP\ttriplet={n} basis={basis} outcome={bit}\n",
+                           n=np.arange(1, triplets + 1), basis=_BASES.take(tap[0], axis=0),
+                           bit=tap[1])
+        yield from add("{seq}\tS1\t{receiver}\tSEND\tto={ctrl} sequence=control count={count}\n")
+        yield from add("{seq}\tS2\t{party}\tRECEIPT\tparty={party} count={count}\n",
+                       party=_table((sender, *controllers)))
+        groups = " encoding=".join(",".join(map(str, g.tolist())) for g in (checking, encoding))
+        yield from add("{seq}\tS3\t{sender}\tGROUP_SELECTION\tchecking={groups}\n", groups=groups)
 
-    # each encoding group: the sender's lines, the receiver's and the probe's
-    bits = np.frombuffer(decoded.encode(), np.uint8) - ord("0")
-    who.update(g=encoding, a=encoded[::2], b=encoded[1::2], s=_BELLS.take(sender_bell, axis=0),
-               r=_BELLS.take(receiver_bell, axis=0))
-    add("{seq}\tS7\t{sender}\tENCODE\tgroup={g} {op}\n"
-        "{seq}\tS7\t{sender}\tBELL_MEASURE\tgroup={g} pair=t{a},t{b} outcome={s}\n",
-        op=_OPS.take(ops, axis=0))
-    add("{seq}\tS8\t{sender}\tBELL_ANNOUNCE\tgroup={g} outcome={s}\n")
-    add("{seq}\tS9\t{receiver}\tBELL_MEASURE\tgroup={g} pair=h{a},h{b} outcome={r}\n"
-        "{seq}\tS9\t{receiver}\tDECODE\tgroup={g} parities={p}{q} sender={s} receiver={r} "
-        "bits={x}{y}\n", p=parities[::2], q=parities[1::2], x=bits[::2], y=bits[1::2])
-    add("{seq}\tS9\t{eve}\tANCILLA_BELL\tgroup={g} pair=e{a},e{b} outcome={e}\n",
-        e=_BELLS.take(ancilla_bell, axis=0))
-    add("{seq}\tS11\t{receiver}\tCOMPLETE\tdecoded={decoded}\n", decoded=decoded)
-    return _text(pieces)
+        # each checked triplet's announcement, then every other party's reply
+        heads = [f"{sender}\tCHECK_ANNOUNCE\t",
+                 *(f"{p}\tCHECK_REPLY\tparty={p} " for p in parties[1:])]
+        yield from add("{seq}\tS4\t{head}triplet={n} basis={basis} outcome={bit}\n",
+                       head=np.tile(_table(heads), (len(checked), 1)),
+                       n=np.repeat(checked, c + 2),
+                       basis=_BASES.take(np.repeat(check_bases, c + 2), axis=0),
+                       bit=np.stack([check_bits[p] for p in parties], axis=1).ravel())
+        yield from add(
+            "{seq}\tS4\t{eve}\tANCILLA_MEASURE\ttriplet={n} basis={basis} outcome={bit}\n",
+            n=checked, basis=_BASES.take(check_bases, axis=0), bit=check_bits.get(EVE, []))
+        yield from add(
+            "{seq}\tS4\t{sender}\tCHECK_VERDICT\tverdict={verdict} checked={n} violations={v}\n",
+            verdict="pass" if abort_triplet is None else "abort", n=len(checked), v=violations)
+        if abort_triplet is not None:
+            yield from add("{seq}\tS4\t{sender}\tABORT\treason=check_failed triplet={t}\n",
+                           t=abort_triplet)
+            return
+
+        # every controller's outcomes, controller by controller
+        every, bits = np.tile(encoded, c), np.concatenate([controller_bits[x] for x in controllers])
+        yield from add("{seq}\tS5\t{ctrl}\tHADAMARD_MEASURE\ttriplet={n} outcome={bit}\n",
+                       ctrl=np.repeat(names, len(encoded), axis=0), n=every, bit=bits)
+        # each controller lists the same triplets, each with one digit: a row each
+        listed = b"".join(text for _, text in _render("{n}:{bit},", dict(n=every, bit=bits)))
+        listed = np.frombuffer(listed, np.uint8).reshape(c, -1)[:, :-1]
+        yield from add("{seq}\tS6\t{ctrl}\tCONTROLLER_OUTCOMES\tparty={ctrl} outcomes={listed}\n",
+                       listed=listed)
+
+        # each encoding group: the sender's lines, the receiver's and the probe's
+        bits = np.frombuffer(decoded.encode(), np.uint8) - ord("0")
+        who.update(g=encoding, a=encoded[::2], b=encoded[1::2],
+                   s=_BELLS.take(sender_bell, axis=0), r=_BELLS.take(receiver_bell, axis=0))
+        yield from add("{seq}\tS7\t{sender}\tENCODE\tgroup={g} {op}\n"
+                       "{seq}\tS7\t{sender}\tBELL_MEASURE\tgroup={g} pair=t{a},t{b} outcome={s}\n",
+                       op=_OPS.take(ops, axis=0))
+        yield from add("{seq}\tS8\t{sender}\tBELL_ANNOUNCE\tgroup={g} outcome={s}\n")
+        yield from add("{seq}\tS9\t{receiver}\tBELL_MEASURE\tgroup={g} pair=h{a},h{b} outcome={r}\n"
+                       "{seq}\tS9\t{receiver}\tDECODE\tgroup={g} parities={p}{q} sender={s} "
+                       "receiver={r} bits={x}{y}\n",
+                       p=parities[::2], q=parities[1::2], x=bits[::2], y=bits[1::2])
+        yield from add("{seq}\tS9\t{eve}\tANCILLA_BELL\tgroup={g} pair=e{a},e{b} outcome={e}\n",
+                       e=_BELLS.take(ancilla_bell, axis=0))
+        yield from add("{seq}\tS11\t{receiver}\tCOMPLETE\tdecoded={decoded}\n", decoded=decoded)
+
+    return blocks()
 
 
-def _text(pieces: list[tuple[int, bytes]]) -> str:
-    """The text of ``_render``'s blocks.  Each line is built with four tabs and
-    one LF, so one count over the bytes checks what ``format_line`` checks line
-    by line: a tab, LF or CR in a field shows as a surplus tab or LF, or a CR."""
-    text, lines = b"".join(block for _, block in pieces), sum(count for count, _ in pieces)
-    codes = np.frombuffer(text, np.uint8)  # numpy counts a byte faster than bytes.count
-    if [np.count_nonzero(codes == c) for c in b"\t\n\r"] != [4 * lines, lines, 0]:
-        raise ValueError("transcript field contains a separator")
-    return text.decode(*_UTF8)
+def write_transcript(*args, **kwargs) -> str:
+    """The text of ``transcript_blocks(*args, **kwargs)``."""
+    return "".join(transcript_blocks(*args, **kwargs))
 
 
 def _table(names: Iterable[str]) -> np.ndarray:
@@ -202,12 +222,11 @@ def _digits(numbers: np.ndarray) -> np.ndarray:
     return tens.T
 
 
-def _render(template: str, fields: dict, out: list[tuple[int, bytes]]) -> None:
-    """Appends ``template``'s rows to ``out`` as (line count, text), BLOCK_ROWS
-    at a time.  A field in a list, tuple or array has one value a row: a
-    number, or a name as a row of a ``_table``.  The k-th "seq" of row r
-    reads first + r * (seqs a row) + k."""
-    first = 1 + sum(count for count, _ in out)  # the next line's number
+def _render(template: str, fields: dict, first: int = 1) -> Iterator[tuple[int, bytes]]:
+    """Yields ``template``'s rows as (line count, text), in blocks of at
+    most BLOCK_ROWS lines.  A field in a list, tuple or array has one value
+    a row: a number, or a name as a row of a ``_table``.  The k-th "seq" of
+    row r reads first + r * (seqs a row) + k."""
     parsed = re.split(r"\{(\w+)\}", template)  # text, field, text, ..., field, text
     rows = min((len(fields[name]) for name in parsed[1::2]
                 if isinstance(fields.get(name), _ROWWISE)), default=1)
@@ -217,8 +236,9 @@ def _render(template: str, fields: dict, out: list[tuple[int, bytes]]) -> None:
         value = next(seqs) if name == "seq" else fields[name]
         value = np.asarray(value) if isinstance(value, _ROWWISE) else str(value).encode(*_UTF8)
         parts += [value, text.encode(*_UTF8)]
-    for start in range(0, rows, BLOCK_ROWS):
-        n, row, columns = min(BLOCK_ROWS, rows - start), b"", []
+    block_rows = BLOCK_ROWS // max(step, 1)
+    for start in range(0, rows, block_rows):
+        n, row, columns = min(block_rows, rows - start), b"", []
         for part in parts:  # the template's text, and the columns that overwrite it
             if isinstance(part, np.ndarray):
                 column = part[start : start + n]
@@ -230,4 +250,4 @@ def _render(template: str, fields: dict, out: list[tuple[int, bytes]]) -> None:
         block[:] = np.frombuffer(row, np.uint8)
         for at, column in columns:
             block[:, at : at + column.shape[1]] = column
-        out.append((n * step, block.tobytes().translate(None, bytes([PAD]))))
+        yield n * step, block.tobytes().translate(None, bytes([PAD]))

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csdcsim import attacks, cli
+from csdcsim import attacks, cli, protocol
 from csdcsim.protocol import (
     MAX_PARTIES, MAX_SEED, MAX_TRIALS, MAX_TRIPLETS, ConfigError, InternalError, Session,
     session_capacity,
@@ -411,6 +411,47 @@ def test_a_sweep_that_fails_writes_no_stats_file(monkeypatch, capsys, tmp_path):
     assert cli.main(argv + ["--trials", "2"]) == 4
     assert "internal error" in capsys.readouterr().err
     assert not stats.exists()
+
+
+def test_a_transcript_field_with_a_separator_leaves_no_file(monkeypatch, tmp_path):
+    # the fields are checked before the transcript file is opened
+    monkeypatch.setattr(protocol, "roster_names", lambda parties: ("ALICE", "BOB", "CTRL\t1"))
+    transcript = tmp_path / "transcript.tsv"
+    with pytest.raises(ValueError, match="separator"):
+        cli.main(["--mode", "run", "--triplets", "8", "--message", "0001",
+                  "--transcript", str(transcript), "--stats", str(tmp_path / "stats.tsv")])
+    assert not transcript.exists()
+
+
+WIDE_RUN = ["--mode", "run", "--triplets", "4096", "--message", "0" * 2048, "--stats", "/dev/null"]
+
+
+def assert_one_error_line(returncode, stderr):
+    # exit 1 and one line, so no traceback and no failed flush at exit
+    lines = stderr.splitlines()
+    assert returncode == 1 and len(lines) == 1 and lines[0].startswith("csdcsim: error: "), stderr
+
+
+def test_a_transcript_cut_short_by_a_closed_pipe_exits_one():
+    # the transcript is written block by block, so a reader that goes away
+    # mid-transcript fails a write, and the run says so
+    with subprocess.Popen(
+        RUN + WIDE_RUN + ["--transcript", "-"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True, env=child_env(),
+    ) as proc:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        returncode = proc.wait(timeout=120)
+        stderr = proc.stderr.read()
+    assert_one_error_line(returncode, stderr)
+    assert "Broken pipe" in stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+def test_a_transcript_to_a_full_device_exits_one():
+    proc = invoke(*WIDE_RUN, "--transcript", "/dev/full")
+    assert_one_error_line(proc.returncode, proc.stderr)
+    assert proc.stdout == ""
 
 
 # --- sweep mode ---------------------------------------------------------

@@ -306,6 +306,7 @@ def test_trials_left_out_take_the_configs_own_seed_and_message():
         (dict(messages=np.zeros((1, 6), np.uint8)), "4 bits long"),
         (dict(messages=np.zeros((1, 2), np.uint8)), "4 bits long"),
         (dict(seeds=[1, 2, 3, 4], messages=np.zeros(4, np.uint8)), "4 bits long"),
+        (dict(seeds=[1, 2], messages=[[0, 0, 0, 1], [0]]), "4 bits long"),
         (dict(messages=[[0, 0, 2, 1]]), "0s and 1s"),
         (dict(messages=[[0, 0, -1, 1]]), "0s and 1s"),
         (dict(messages=[[0, 0, 0.5, 1]]), "0s and 1s"),
@@ -324,7 +325,7 @@ def test_trials_left_out_take_the_configs_own_seed_and_message():
         (dict(seeds=np.arange(2049)), "2049 trials exceed the 2048 that fit in one session"),
     ],
     ids=["no-trials", "no-messages", "more-messages-than-its-seed", "more-messages",
-         "more-seeds", "wider", "narrower", "flat", "two", "negative", "fraction",
+         "more-seeds", "wider", "narrower", "flat", "ragged", "two", "negative", "fraction",
          "seed-fraction", "seed-fraction-array", "seed-negative", "seed-negative-array",
          "seed-past-64-bits", "seeds-2d-array", "seeds-2d", "seeds-string", "seed-bool",
          "seed-numpy-bool", "seed-bool-array", "past-the-row-budget"],
@@ -608,13 +609,16 @@ def test_stacked_transcripts_match_the_reference_records(parties):
 
 
 def test_the_transcript_is_written_only_when_read(monkeypatch, tmp_path):
-    written, real = [], protocol.write_transcript
+    written = []
 
-    def counted(*args, **kwargs):
-        written.append(args or kwargs)
-        return real(*args, **kwargs)
+    def counted(real):
+        def render(*args, **kwargs):
+            written.append(args or kwargs)
+            return real(*args, **kwargs)
+        return render
 
-    monkeypatch.setattr(protocol, "write_transcript", counted)
+    monkeypatch.setattr(protocol, "write_transcript", counted(protocol.write_transcript))
+    monkeypatch.setattr(cli, "transcript_blocks", counted(cli.transcript_blocks))
     session = Session(config(attack=InterceptResend()), seeds=[0, 2])
     session.run()
     assert session.completed.tolist() == [True, False]  # the second trial aborts
@@ -626,7 +630,7 @@ def test_the_transcript_is_written_only_when_read(monkeypatch, tmp_path):
             getattr(result, read)
             assert len(written) == 1, (trial, read)
             written.clear()
-    # the CLI reads the text only to write it
+    # the CLI renders the text only to write it
     argv = ["--mode", "run", "--message", "0" * 8, "--stats", str(tmp_path / "stats.tsv")]
     for transcript in (False, True):
         flag = ["--transcript", str(tmp_path / "transcript.tsv")] if transcript else []

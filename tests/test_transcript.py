@@ -1,17 +1,22 @@
 """Unit tests for the tab-separated transcript format."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from csdcsim.protocol import ProtocolConfig, Session
 from csdcsim.transcript import (
+    BLOCK_ROWS,
     TranscriptRecord,
     format_line,
     format_transcript,
     parse_line,
     parse_transcript,
     _render,
+    transcript_blocks,
     write_transcript,
 )
 from transcript_reference import reference_records
@@ -90,10 +95,13 @@ def test_numbered_lines_are_the_formatted_records():
 
 @pytest.mark.parametrize("detail", ["x\ty", "x\ny", "x\ry", "x\r\n"])
 def test_numbered_lines_reject_a_separator_in_a_field(detail):
+    # before any block is taken, so a writer opens no file for a bad field
     for role in ("sender", "receiver", "controller"):
         for abort_triplet in (None, 2):
             with pytest.raises(ValueError):
-                small_trial(**{role: detail}, abort_triplet=abort_triplet)
+                transcript_blocks(**small_trial_values(**{role: detail}, abort_triplet=abort_triplet))
+    with pytest.raises(ValueError):
+        transcript_blocks(**{**small_trial_values(), "decoded": detail})
 
 
 def test_parse_rejects_wrong_field_count():
@@ -134,8 +142,7 @@ def test_arbitrary_records_round_trip(seq, phase, actor, action, detail):
 
 
 def rendered(template, **fields):
-    _render(template, fields, out := [])
-    return b"".join(text for _, text in out).decode("utf-8", "surrogatepass")
+    return b"".join(text for _, text in _render(template, fields)).decode("utf-8", "surrogatepass")
 
 
 def test_every_number_below_100000_renders_as_str():
@@ -163,3 +170,35 @@ def test_tuples_render_as_lists_do():
         receiver_bell=(3,), decoded="10",
     )
     assert tuples == small_trial()
+
+
+def wide_trial_values() -> dict:
+    """The outcomes of an honest T=4096, P=12 trial, whose transcript is
+    the widest there is: 50,212 lines."""
+    cfg = ProtocolConfig(triplet_count=4096, message_bits="10" * 1024, party_count=12, seed=7)
+    return Session(cfg).run().outcomes
+
+
+def test_blocks_are_whole_lines_at_most_block_rows_each():
+    values = wide_trial_values()
+    blocks = list(transcript_blocks(**values))
+    assert all(block.endswith("\n") for block in blocks)
+    assert max(block.count("\n") for block in blocks) == BLOCK_ROWS
+    assert sum(block.count("\n") for block in blocks) == 50_212
+
+
+def test_a_transcript_written_block_by_block_is_never_held_whole(tmp_path):
+    # the traced peak while the widest transcript goes to a file stays below
+    # the size of the text; rendering it whole first, then writing it, holds
+    # the text several times over
+    values, path = wide_trial_values(), tmp_path / "transcript.tsv"
+    tracemalloc.start()
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as out:
+            out.writelines(transcript_blocks(**values))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 3_000_000
+    assert peak < size, (peak, size)
