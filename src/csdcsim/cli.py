@@ -24,7 +24,10 @@ written, as any failed write may.
 
 Exit codes: 0 success, 1 usage error or failed write, 2 session aborted
 after an eavesdropper was detected, 3 structural verification failure,
-4 internal simulator error.
+4 internal simulator error, 130 interrupted (SIGINT): one
+``csdcsim: interrupted`` line on stderr and no traceback.  An interrupted
+sweep writes no stats file; an interrupted run may leave part of its
+transcript, as a failed write may.
 """
 
 from __future__ import annotations
@@ -61,6 +64,7 @@ EXIT_USAGE = 1
 EXIT_EAVESDROPPER = 2
 EXIT_VERIFY_FAILED = 3
 EXIT_INTERNAL = 4
+EXIT_INTERRUPTED = 130  # the shell's code for death by SIGINT
 
 DEFAULT_TRIPLETS = 16
 DEFAULT_CHECK_FRACTION = 0.5
@@ -337,6 +341,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except KeyboardInterrupt:
+        print(f"{parser.prog}: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -90,19 +90,21 @@ import numpy as np
 
 from .bases import EncodingOp, default_decode_table
 from .states import (
+    _BASIS_BRAS,
+    _BELL_BRAS,
     BASES,
     Gate,
     MeasurementBasis,
     QubitId,
     StateVector,
+    _per_row,
     _sample,
     apply_cnot,
     apply_gate,
-    bell_branches,
     collapse_branches,
     make_state,
-    measure_branches,
     measure_qubit,  # no caller here; perfbench's tracer test patches it in this module
+    project,
     take_rows,
     tensor,
 )
@@ -399,16 +401,15 @@ def _fold(amps: np.ndarray, paths: np.ndarray, d: int, bases=None) -> tuple[np.n
 
 def _read_out(state: StateVector, index: np.ndarray, measuring, draws: dict, bases=None) -> tuple:
     """Each (party, photons) of ``measuring`` in turn reads every outcome of
-    each row of ``state``, of a photon in its row's basis (``bases``) or of a
-    pair in the Bell basis, picks each path's (``index``, its row) by the
-    party's draws and keeps each branch left once (``_fold``): the outcomes,
-    shaped as the draws, the branches left and each path's index among them."""
+    each row of ``state`` (``project``), of a photon in its row's basis
+    (``bases``) or, with no bases, of a pair in the Bell basis, picks each
+    path's (``index``, its row) by the party's draws and keeps each branch left
+    once (``_fold``): the outcomes, shaped as the draws, the branches left and
+    each path's index among them."""
     outcomes = {}
     for party, photons in measuring:
-        if isinstance(photons, QubitId):
-            probs, branches = measure_branches(state, photons, bases)
-        else:
-            probs, branches = bell_branches(state, photons)
+        bras = _BELL_BRAS if bases is None else _per_row(_BASIS_BRAS, bases)
+        probs, branches = project(state, photons, bras)
         d, picked = probs.shape[1], _sample(probs[index], draws[party].ravel())
         outcomes[party] = picked.reshape(draws[party].shape)
         kept, index = _fold(branches.amps, d * index + picked, d, bases)
@@ -516,7 +517,7 @@ class Session:
         if np.count_nonzero(self._taken) - taken != triplets.size:
             raise InternalError("a photon would be measured twice")
         keys, index = _distinct((self._index[at] * len(BASES) + bases).ravel())
-        photons = [(party, QubitId(1, role)) for party, role in measuring]
+        photons = [(party, (QubitId(1, role),)) for party, role in measuring]
         # no local holds the first stack, so the loop frees each stack once read
         return _read_out(take_rows(self._prepared, keys // len(BASES)), index, photons, draws,
                          keys % len(BASES))

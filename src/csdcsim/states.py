@@ -8,9 +8,9 @@ Conventions used throughout the package:
 * Computational outcome 0 means |0>, outcome 1 means |1>.  Diagonal
   outcome 0 means |+> = (|0>+|1>)/sqrt(2), outcome 1 means |->.
 * Measuring removes the measured qubit(s) from the register, because
-  the protocol never reuses a measured photon.  ``collapse_qubit`` and
-  ``collapse_branches`` are the exception: they model measure-and-resend,
-  leaving the qubit behind in the sampled eigenstate.
+  the protocol never reuses a measured photon; measure-and-resend
+  (``collapse_qubit``, ``collapse_branches``) puts the outcome's
+  eigenstate back in its place.
 * Bell outcomes are stated against ordered pairs: PSI_PLUS on (a, b)
   is (|0_a 1_b> + |1_a 0_b>)/sqrt(2), and likewise for the others.
 * A ``StateVector`` is a stack of registers, one per row of ``amps``,
@@ -19,17 +19,17 @@ Conventions used throughout the package:
   and bases may be given per row, as positions in ``Gate`` and ``BASES``;
   measurements take one uniform draw per row, so the caller orders its
   draws, and return one outcome each, a bit or a position in ``BELL_OUTCOMES``.
-* ``measure_branches``, ``collapse_branches`` and ``bell_branches`` take
-  no draws: they read every outcome of each row, its Born weight and the
-  register it leaves; ``measure_qubit``, ``collapse_qubit`` and ``measure_bell``
-  are each of them plus a pick by the row's draw.  The session engine reads
-  its few distinct registers so, once each, and picks a branch per triplet or group.
+* One kernel, ``project``, reads k photons of each row against d bras,
+  with no draws: every outcome, its Born weight and the register it
+  leaves.  ``measure_qubit``, ``measure_bell`` and ``collapse_qubit`` are a
+  read plus a pick by the row's draw; the session engine reads its few
+  distinct registers so, once each, and picks a branch per triplet or group.
 
 Invariant: ``make_state`` is the only place that validates a register
 and normalises amplitudes.  Every kernel takes normalised rows and
 returns them, built directly with read-only amplitudes and no further
 checks.  Gates are unitary, so only the measurements renormalise, all
-through one projection that divides every branch by the square root of
+through ``project``, which divides every branch by the square root of
 its probability; a branch of zero probability is left all zeros, never
 divided.
 """
@@ -139,6 +139,8 @@ _BELL_MATRIX = _frozen(
     ]
 )
 _BELL_BRAS = _frozen(_BELL_MATRIX.conj())
+# Every basis's outcomes, in BASES order: row 2 * basis + outcome.
+_EVERY_BRA = _frozen(np.concatenate([_BASIS_BRAS[basis] for basis in BASES]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,14 +227,11 @@ def reorder(state: StateVector, new_order: Sequence[QubitId]) -> StateVector:
     return _state(new_order, psi.transpose(perm))
 
 
-def _around(state: StateVector, target: QubitId) -> np.ndarray:
-    """The amplitudes as (rows, 2**j, 2, rest): qubit j, the target, alone on axis 2."""
-    return state.amps.reshape(state.rows, 1 << state.index_of(target), 2, -1)
-
-
 def apply_gate(state: StateVector, gate: Gate | np.ndarray, target: QubitId) -> StateVector:
     """One gate on every row, or one per row as positions in ``Gate``."""
-    return _state(state.qubits, _per_row(_GATE_MATRICES, gate) @ _around(state, target))
+    # the target alone on axis 2 of (rows, 2**j, 2, rest), j its position
+    psi = state.amps.reshape(state.rows, 1 << state.index_of(target), 2, -1)
+    return _state(state.qubits, _per_row(_GATE_MATRICES, gate) @ psi)
 
 
 def apply_cnot(state: StateVector, control: QubitId, target: QubitId) -> StateVector:
@@ -270,16 +269,43 @@ def _sample(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     return np.where(hit.any(axis=1), np.argmax(hit, axis=1), last)
 
 
-def _branches(bras: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Project axis -2 of ``psi`` (..., a, d, b) onto the d rows of ``bras``,
-    (d, d) or one per row (rows, 1, d, d): every branch, renormalised, and
-    its (..., d) Born weights.  A branch of zero weight stays all zeros."""
+def project(
+    state: StateVector, photons: tuple[QubitId, ...], bras: np.ndarray
+) -> tuple[np.ndarray, StateVector]:
+    """Read the k distinct ``photons`` of each row against the d rows of
+    ``bras``, (d, 2**k) or one per row (rows, 1, d, 2**k), in the order the
+    photons are given: the (rows, d) Born weights and the registers left
+    without the photons, row d * row + outcome, each renormalised; one of
+    zero weight stays all zeros."""
+    at = [state.index_of(photon) for photon in photons]
+    k, j = len(at), at[0]
+    if at == list(range(j, j + k)):  # side by side and in order: a view
+        left = state.qubits[:j] + state.qubits[j + k :]
+        psi = state.amps.reshape(state.rows, 1 << j, 1 << k, -1)
+    else:  # moved to the front, the rest in register order
+        rest = [m for m in range(state.num_qubits) if m not in at]
+        if len(rest) + k != state.num_qubits:
+            raise ValueError("the photons read must be distinct")
+        left = tuple(state.qubits[m] for m in rest)
+        psi = state.amps.reshape([state.rows] + [2] * state.num_qubits)
+        psi = psi.transpose([0, *(m + 1 for m in at + rest)]).reshape(state.rows, 1, 1 << k, -1)
     branches = bras @ psi
     weights = np.abs(branches)
     weights *= weights
-    probs = weights.sum(axis=(-3, -1))
-    scale = np.sqrt(probs)[..., None, :, None]
-    return np.divide(branches, scale, out=np.zeros_like(branches), where=scale > 0.0), probs
+    probs = weights.sum(axis=(1, 3))
+    scale = np.sqrt(probs)[:, None, :, None]
+    branches = np.divide(branches, scale, out=np.zeros_like(branches), where=scale > 0.0)
+    return probs, _state(left, branches.swapaxes(1, 2).reshape(probs.size, -1))
+
+
+def _pick(
+    read: tuple[np.ndarray, StateVector], uniforms: np.ndarray
+) -> tuple[np.ndarray, StateVector]:
+    """Each row's branch of a ``project`` read, by the row's uniform draw:
+    the outcomes and the registers they leave."""
+    probs, left = read
+    k = _sample(probs, uniforms)
+    return k, take_rows(left, probs.shape[1] * np.arange(len(probs)) + k)
 
 
 def measure_qubit(
@@ -290,21 +316,7 @@ def measure_qubit(
 ) -> tuple[np.ndarray, StateVector]:
     """Projective measurement of every row, in one basis or one per row as
     positions in ``BASES``; the measured qubit leaves the register."""
-    probs, left = measure_branches(state, target, basis)
-    k = _sample(probs, uniforms)
-    return k, take_rows(left, 2 * np.arange(state.rows) + k)
-
-
-def measure_branches(
-    state: StateVector, target: QubitId, basis: MeasurementBasis | np.ndarray
-) -> tuple[np.ndarray, StateVector]:
-    """Every outcome of a projective measurement of each row, in one basis
-    or one per row as positions in ``BASES``: the (rows, 2) Born weights and
-    the registers left without the qubit, row 2 * row + outcome; one of
-    zero weight stays all zeros."""
-    branches, probs = _branches(_per_row(_BASIS_BRAS, basis), _around(state, target))
-    left = tuple(q for q in state.qubits if q != target)
-    return probs, _state(left, branches.swapaxes(1, 2).reshape(2 * state.rows, -1))
+    return _pick(project(state, (target,), _per_row(_BASIS_BRAS, basis)), uniforms)
 
 
 def collapse_qubit(
@@ -325,12 +337,11 @@ def collapse_branches(state: StateVector, target: QubitId) -> tuple[np.ndarray, 
     """Measure-and-resend on ``target``, every outcome in each basis: the
     (rows, len(BASES), 2) Born weights and the registers left, row (row *
     len(BASES) + basis) * 2 + outcome; one of zero weight stays all zeros."""
-    every = np.arange(len(BASES))
-    kept, probs = _branches(_per_row(_BASIS_BRAS, every), _around(state, target)[:, None])
-    # (rows, basis, outcome, 2**j, qubit, rest): the outcome's eigenvector on the qubit axis
-    eigenvectors = _per_row(_BASIS_VECTORS, every)[:, 0, :, None, :, None]
-    post = eigenvectors * kept.swapaxes(2, 3)[..., None, :]
-    return probs, _state(state.qubits, post.reshape(-1, state.amps.shape[1]))
+    probs, left = project(state, (target,), _EVERY_BRA)
+    # (rows, basis and outcome, 2**j, qubit, rest): the outcome's eigenvector put back
+    kept = left.amps.reshape(state.rows, len(_EVERY_BRA), 1 << state.index_of(target), 1, -1)
+    post = (_EVERY_BRA.conj()[:, None, :, None] * kept).reshape(probs.size, -1)
+    return probs.reshape(state.rows, len(BASES), 2), _state(state.qubits, post)
 
 
 def measure_bell(
@@ -340,22 +351,4 @@ def measure_bell(
 ) -> tuple[np.ndarray, StateVector]:
     """Bell measurement of every row on the ordered pair, each outcome a
     position in ``BELL_OUTCOMES``; both qubits leave the register."""
-    probs, left = bell_branches(state, pair)
-    k = _sample(probs, uniforms)
-    return k, take_rows(left, len(BELL_OUTCOMES) * np.arange(state.rows) + k)
-
-
-def bell_branches(
-    state: StateVector, pair: tuple[QubitId, QubitId]
-) -> tuple[np.ndarray, StateVector]:
-    """Every outcome of a Bell measurement of each row on the ordered pair:
-    the (rows, 4) Born weights, in ``BELL_OUTCOMES`` order, and the registers
-    left without the pair, row 4 * row + outcome; one of zero weight stays all zeros."""
-    if pair[0] == pair[1]:
-        raise ValueError("bell pair must be two distinct qubits")
-    i, j = map(state.index_of, pair)
-    rest = [m for m in range(state.num_qubits) if m != i and m != j]
-    psi = state.amps.reshape([state.rows] + [2] * state.num_qubits)
-    psi = psi.transpose([0, i + 1, j + 1, *(m + 1 for m in rest)])
-    branches, probs = _branches(_BELL_BRAS, psi.reshape(state.rows, 1, 4, -1))
-    return probs, _state(tuple(state.qubits[m] for m in rest), branches.reshape(4 * state.rows, -1))
+    return _pick(project(state, pair, _BELL_BRAS), uniforms)

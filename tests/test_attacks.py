@@ -142,7 +142,7 @@ def test_a_branch_of_zero_weight_is_never_divided(strategy, amplitudes):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         probs, collapsed = states.collapse_branches(state, qubit)
-        measured, left = states.measure_branches(state, qubit, basis)
+        measured, left = states.project(state, (qubit,), basis.vectors.conj())
         out, index, (_, outcomes) = InterceptResend(strategy).tap(qubit, state, *streams(3, 1), 40)
     zero = 2 * BASES.index(basis) + 1
     assert probs.reshape(-1)[zero] == 0.0
@@ -620,7 +620,7 @@ def test_cnot_probe_extracts_one_bit_per_group():
 def test_the_oracle_imports_no_state_kernel():
     # the oracle is independent of the engine through its imports: the
     # models' taps, which run on the kernels, live in protocol
-    kernels = {"apply_cnot", "collapse_branches", "make_state", "tensor", "_sample"}
+    kernels = {"apply_cnot", "collapse_branches", "make_state", "project", "tensor", "_sample"}
     assert not kernels & set(vars(attacks))
 
 

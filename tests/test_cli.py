@@ -3,8 +3,10 @@
 import contextlib
 import io
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -264,6 +266,64 @@ def test_any_argv_ends_in_a_documented_exit_code(mode, bad_flag, data):
     assert code in (0, 1, 2, 3), (argv, err.getvalue())
 
 
+# Any argv at all: flags in any order and number, each with a value that
+# parses (int() and float() read `1_6`, full-width and Arabic-Indic digits)
+# or an odd one, and stray tokens.  Sizes that parse are capped (at most 64
+# triplets and 4 trials when drawn), so no argv runs long.
+FLAG_VALUES = {  # each flag's (values that parse, odd values)
+    "--mode": (["run", "sweep", "verify"], ["", "RUN", "frobnicate"]),
+    "--triplets": (
+        ["8", "16", "64", "1_6", "\uff11\uff16", "\u0668"],
+        ["7", "0", "-2", "66", "nan", "inf", "", str(2**64), "x"],
+    ),
+    "--check-fraction": (["0.25", "0.5", "\uff10.\uff15"], ["1", "0", "nan", "inf", "-inf", ""]),
+    "--parties": (["3", "5", "12", "\uff11\uff12"], ["2", "13", "nan", "", str(2**64)]),
+    "--attack": (["none", "intercept-resend", "entangle-measure"], ["tap", ""]),
+    "--attack-basis": (["random", "z", "x"], ["y", ""]),
+    "--seed": (["0", "42", str(MAX_SEED), "1_6", "\uff11"], [str(2**64), "-1", "nan", ""]),
+    "--trials": (
+        ["1", "2", "4", "\uff14"], ["0", "-1", str(MAX_TRIALS + 1), str(2**64), "nan", ""]
+    ),
+    "--message": (["0001", "0" * 8, "0" * 32], ["", "01x", "\uff10\uff11"]),
+}
+STRAY_TOKENS = ["--bogus", "--mode=run", "--mode=sweep", "--mode=verify", "--tri", "--", "-", ""]
+
+
+@pytest.fixture(scope="module")
+def out_paths(tmp_path_factory):
+    """Where --transcript and --stats may point: (stdout, the null device, a
+    fresh file), (a directory, a file in a missing directory, a full device
+    where there is one)."""
+    folder = tmp_path_factory.mktemp("argv")
+    odd = [str(folder), str(folder / "missing" / "out.tsv")]
+    if os.path.exists("/dev/full"):
+        odd.append("/dev/full")
+    return ["-", os.devnull, str(folder / "out.tsv")], odd
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_any_drawn_argv_ends_in_one_documented_exit(out_paths, data):
+    # a value that parses in about two draws of three, a stray token in one of four
+    flag = st.one_of(*(
+        st.tuples(st.just(name), st.one_of(*map(st.sampled_from, (valid, valid, odd))))
+        for name, (valid, odd) in {**FLAG_VALUES, "--transcript": out_paths,
+                                   "--stats": out_paths}.items()
+    ))
+    token = st.one_of(flag, flag, flag, st.sampled_from(STRAY_TOKENS).map(lambda t: (t,)))
+    # a run's message fits the default size, unless a later one replaces it
+    mode = data.draw(st.sampled_from([["run", "--message", "0" * 8], ["sweep"], ["verify"]]))
+    argv = ["--mode", *mode] + [part for t in data.draw(st.lists(token, max_size=6)) for part in t]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2, 3), (argv, err.getvalue())
+    if code == 1:
+        lines = err.getvalue().splitlines()
+        errors = [line for line in lines if line.startswith("csdcsim: error:")]
+        assert lines and errors == [lines[-1]], (argv, err.getvalue())
+
+
 # --- verify mode --------------------------------------------------------
 
 
@@ -483,6 +543,40 @@ def test_sweep_emits_one_row_per_attack_cell():
     assert float(none_row[3]) == 0.0
     assert float(none_row[4]) == 0.0
     assert float(none_row[5]) == 1.0
+
+
+# A child that says when csdcsim.cli is imported, then runs cli.main on its argv.
+READY_THEN_MAIN = (
+    "import sys\n"
+    "from csdcsim import cli\n"
+    "print('ready', flush=True)\n"
+    "sys.exit(cli.main(sys.argv[1:]))\n"
+)
+
+
+@pytest.mark.skipif(os.name == "nt", reason="no SIGINT to send to a child")
+def test_an_interrupted_sweep_exits_130_with_one_line(tmp_path):
+    # a sweep of many chunks, about a minute long, interrupted once it runs:
+    # one line on stderr, no traceback and no stats file, not even a header
+    stats = tmp_path / "sweep.tsv"
+    argv = ["--mode", "sweep", "--triplets", "4096", "--trials", "4096", "--stats", str(stats)]
+    proc = subprocess.Popen(
+        [sys.executable, "-c", READY_THEN_MAIN, *argv], stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True, env=child_env(),
+    )
+    try:
+        assert proc.stdout.readline() == "ready\n"
+        time.sleep(0.25)  # past the import, well into the sweep
+        proc.send_signal(signal.SIGINT)
+        returncode = proc.wait(timeout=60)
+        stderr = proc.stderr.read()
+    finally:
+        proc.kill()  # a no-op once the child has exited
+        proc.stdout.close()
+        proc.stderr.close()
+    assert returncode == cli.EXIT_INTERRUPTED == 130
+    assert stderr.splitlines() == ["csdcsim: interrupted"], stderr
+    assert not stats.exists()
 
 
 def test_sweep_is_deterministic():

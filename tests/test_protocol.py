@@ -33,7 +33,7 @@ from csdcsim.attacks import (
 from csdcsim.bases import default_decode_table
 from csdcsim.cli import SWEEP_CELLS
 from csdcsim.states import (
-    ATOL, BASES, MeasurementBasis, QubitId, bell_branches, measure_branches, reorder, take_rows,
+    ATOL, BASES, MeasurementBasis, QubitId, project, reorder, take_rows,
 )
 from csdcsim.streams import Streams, seed_state
 from csdcsim.transcript import EVE, format_transcript, parse_transcript
@@ -809,11 +809,12 @@ def test_the_s4_and_s5_read_outs_keep_a_few_registers(monkeypatch):
     # branches they reach to a handful
     rows = []
 
-    def recorded(state, *args):
-        rows.append(state.rows)
-        return measure_branches(state, *args)
+    def recorded(state, photons, bras):
+        if len(photons) == 1:
+            rows.append(state.rows)
+        return project(state, photons, bras)
 
-    monkeypatch.setattr(protocol, "measure_branches", recorded)
+    monkeypatch.setattr(protocol, "project", recorded)
     wide = config(triplet_count=512, message_bits=random_message(0, 512), party_count=12)
     assert Session(wide).run().completed
     assert len(rows) == 12 + 10 and max(rows) <= 8, rows
@@ -834,11 +835,12 @@ def test_the_s7_and_s9_read_outs_keep_a_few_registers(monkeypatch):
     # operation) of a group once
     calls = []
 
-    def recorded(state, pair):
-        calls.append((pair[0].role, state.rows))
-        return bell_branches(state, pair)
+    def recorded(state, photons, bras):
+        if len(photons) == 2:
+            calls.append((photons[0].role, state.rows))
+        return project(state, photons, bras)
 
-    monkeypatch.setattr(protocol, "bell_branches", recorded)
+    monkeypatch.setattr(protocol, "project", recorded)
     for triplets, parties in (4096, 3), (512, 12):
         calls.clear()
         honest = config(triplet_count=triplets, message_bits=random_message(0, triplets),

@@ -21,13 +21,12 @@ from csdcsim.states import (
     _sample,
     apply_cnot,
     apply_gate,
-    bell_branches,
     collapse_qubit,
     inner_product,
     make_state,
     measure_bell,
-    measure_branches,
     measure_qubit,
+    project,
     reorder,
     take_rows,
     tensor,
@@ -38,6 +37,7 @@ from kernel_reference import amplitude, general_sample
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 Q = [QubitId(n, "q") for n in range(6)]
+BELL_BRAS = np.stack([outcome.vector.conj() for outcome in BELL_OUTCOMES])
 
 
 def random_state(qubits, seed):
@@ -313,10 +313,10 @@ def test_the_two_outcome_pick_is_the_general_rule(rows):
     assert got.dtype == want.dtype and got.tolist() == want.tolist()
 
 
-def test_bell_branches_are_measure_bells_picks():
+def test_a_bell_projection_is_measure_bells_picks():
     rng = np.random.default_rng(7)
     stack = StateVector(Q[:4], np.concatenate([random_state(Q[:4], s).amps for s in range(5)]))
-    probs, left = bell_branches(stack, (Q[2], Q[0]))
+    probs, left = project(stack, (Q[2], Q[0]), BELL_BRAS)
     assert probs.shape == (5, 4) and left.rows == 20 and left.qubits == (Q[1], Q[3])
     uniforms = rng.random(5)
     outcomes, post = measure_bell(stack, (Q[2], Q[0]), uniforms)
@@ -408,6 +408,22 @@ def test_two_qubit_kernels_match_the_moveaxis_reference(n, seed):
         assert close(rest.amps, branch)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda state: project(state, (Q[1], Q[1]), BELL_BRAS), "distinct"),
+    (lambda state: measure_bell(state, (Q[2], Q[2]), np.zeros(1)), "distinct"),
+    (lambda state: apply_cnot(state, Q[0], Q[0]), "differ"),
+    (lambda state: project(state, (Q[3],), np.eye(2)), "not in this register"),
+    (lambda state: measure_bell(state, (Q[0], Q[3]), np.zeros(1)), "not in this register"),
+    (lambda state: apply_cnot(state, Q[3], Q[0]), "not in this register"),
+], ids=[
+    "project-repeated", "bell-repeated", "cnot-repeated",
+    "project-missing", "bell-missing", "cnot-missing",
+])
+def test_a_kernel_refuses_a_repeated_or_missing_photon(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(random_state(Q[:3], 0))
+
+
 # --- stacks against one-row calls ------------------------------------------
 # A stack of n rows must give bit for bit what n one-row calls give: the
 # session engine relies on it to reproduce transcripts exactly.
@@ -458,8 +474,9 @@ def test_stacked_kernels_match_one_row_calls_bit_for_bit(n, rows, seed):
         assert_rows_equal(post, [single for _, single in calls])
     # every outcome of each row at once, as the session reads a register;
     # a draw picks measure_qubit's branch out of them
-    probs, branches = measure_branches(stack, target, bases)
-    calls = [measure_branches(one, target, BASES[basis]) for one, basis in zip(singles, bases)]
+    bras = np.stack([basis.vectors.conj() for basis in BASES])
+    probs, branches = project(stack, (target,), bras[bases][:, None])
+    calls = [project(one, (target,), bras[basis]) for one, basis in zip(singles, bases)]
     assert probs.tobytes() == np.concatenate([weights for weights, _ in calls]).tobytes()
     assert_rows_equal(branches, [take_rows(left, [k]) for _, left in calls for k in range(2)])
     outcomes, post = measure_qubit(stack, target, bases, uniforms)
